@@ -34,6 +34,7 @@ class RelationRef:
         if not alias:
             raise BindError("relation reference requires an alias")
         self.alias = alias
+        self._output_schema: Optional[Schema] = None
 
     @property
     def base_schema(self) -> Schema:
@@ -42,8 +43,11 @@ class RelationRef:
 
     @property
     def output_schema(self) -> Schema:
-        """Output schema qualified by this reference's alias."""
-        return self.base_schema.qualified(self.alias)
+        """Output schema qualified by this reference's alias (built on
+        first access: alias and base schema are fixed at construction)."""
+        if self._output_schema is None:
+            self._output_schema = self.base_schema.qualified(self.alias)
+        return self._output_schema
 
     @property
     def is_virtual(self) -> bool:
@@ -170,9 +174,15 @@ class VirtualRelation(RelationRef):
 
     def __init__(self, alias: str, view_name: str, block,
                  column_aliases: Optional[List[str]] = None,
-                 site: Optional[str] = None):
+                 site: Optional[str] = None,
+                 catalog_name: Optional[str] = None):
         super().__init__(alias)
         self.view_name = view_name
+        # The catalog view this reference was expanded from, when its
+        # body is a function of the catalog alone (see the binder).
+        # CTEs and inline subqueries have a name only within their
+        # statement, so results keyed by it must not outlive that.
+        self.catalog_name = catalog_name
         self.block = block
         self.column_aliases = list(column_aliases) if column_aliases else None
         self.site = site

@@ -47,6 +47,7 @@ from .obs.render import render_explain_analyze
 from .obs.trace import QueryTrace, TraceBuilder
 from .options import OPTION_FIELDS, Options, warn_legacy_kwargs
 from .optimizer.config import OptimizerConfig
+from .optimizer.parametric import RestrictionMemo
 from .optimizer.planner import Planner, PlannerMetrics
 from .optimizer.plans import PlanNode
 from .plancache import (
@@ -239,6 +240,9 @@ class Database:
         # cross-statement cache of optimized plans; size 0 disables it
         self.plan_cache = PlanCache(plan_cache_size,
                                     listener=self._plan_cache_event)
+        # cross-statement equivalence-class numbers of the parametric
+        # inner costers (Section 4.2), shared by every planner
+        self.restriction_memo = RestrictionMemo()
         # resilience: an optional SimulatedNetwork every shipment routes
         # through (deadlines now live on self.defaults.timeout)
         self.network = None
@@ -485,7 +489,15 @@ class Database:
         ``{table: versions_reclaimed}``. Refused while any session has
         an open transaction."""
         with self._lock:
-            return self.txn.vacuum()
+            report = self.txn.vacuum()
+            if report:
+                # compaction shrinks page counts, which the memoised
+                # class numbers priced, without moving the catalog
+                # version (auto-vacuum needs no such step: it runs at
+                # the commit of a transaction whose own writes moved
+                # the version, and nothing is memoised while one is open)
+                self.restriction_memo.clear()
+            return report
 
     # ----------------------------------------------------------- durability
 
@@ -536,8 +548,13 @@ class Database:
             self.bind(sql_or_block) if isinstance(sql_or_block, str)
             else sql_or_block
         )
+        # A search trace wants to see every nested run, and while an
+        # explicit transaction is open row counts depend on the reader's
+        # snapshot, not on the catalog version alone: both plan cold.
+        shared = search is None and not self.catalog.mvcc.live
         planner = Planner(self.catalog, config or self.config,
-                          trace=search)
+                          trace=search,
+                          memo=self.restriction_memo if shared else None)
         plan = planner.plan(block)
         if search is not None:
             search.finalize(plan)
@@ -554,6 +571,12 @@ class Database:
         registry.inc("planner_memo_entries_total", m.dp_entries)
         registry.inc("planner_nested_optimizations_total",
                      m.nested_optimizations)
+        registry.inc("planner_restriction_memo_hits_total",
+                     m.restriction_memo_hits)
+        registry.inc("planner_restriction_memo_misses_total",
+                     m.restriction_memo_misses)
+        registry.inc("planner_restriction_memo_evictions_total",
+                     m.restriction_memo_evictions)
         for method, count in m.candidates_by_method.items():
             registry.inc("planner_candidates_total", count, label=method)
         for method, count in m.pruned_by_method.items():
@@ -650,9 +673,15 @@ class Database:
                                  parser.param_count, config)
 
     def cache_stats(self) -> dict:
-        """Plan cache counters plus the current catalog version."""
+        """Plan cache counters plus the current catalog version and a
+        one-line summary of the restriction memo."""
         stats = self.plan_cache.stats()
         stats["catalog_version"] = self.catalog.version
+        stats["restriction_memo"] = (
+            "%(entries)d/%(capacity)d entries, %(hits)d hits, "
+            "%(misses)d misses, %(evictions)d evictions"
+            % self.restriction_memo.stats()
+        )
         return stats
 
     def _plan_entry(self, text: str, statement,

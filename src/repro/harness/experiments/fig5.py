@@ -79,7 +79,10 @@ def run(quick: bool = False) -> ExperimentResult:
         "estimation error shrinks — the Figure-5 trade-off"
     )
     result.add_finding(
-        "disabling the approximation (exact) costs the most optimizer "
-        "work for the same final plan quality on this query"
+        "disabling the approximation (exact) runs one nested "
+        "optimization per costing call (%d here, the view's own plan "
+        "included) for the same final plan quality; C2 shows that "
+        "count growing with the joins considered"
+        % planner.metrics.nested_optimizations
     )
     return result

@@ -20,7 +20,7 @@ from ..database import Database, QueryResult
 from ..ledger import CostLedger
 from ..obs.trace import TraceBuilder
 from ..optimizer.config import OptimizerConfig
-from ..optimizer.planner import PlannerMetrics
+from ..optimizer.planner import Planner, PlannerMetrics
 from ..optimizer.plans import PlanNode
 
 
@@ -91,10 +91,16 @@ def run_query(db: Database, sql: str,
 
 def plan_only(db: Database, sql: str,
               config: Optional[OptimizerConfig] = None):
-    """Optimize without executing (for complexity experiments)."""
+    """Optimize without executing (for complexity experiments).
+
+    Plans with a ``Planner`` of its own rather than ``db.plan``: the
+    database's planners share its restriction memo, and the nested-
+    optimization counts the experiments report are per statement, cold.
+    """
     config = config or db.config
     started = time.perf_counter()
-    plan, planner = db.plan(sql, config)
+    planner = Planner(db.catalog, config)
+    plan = planner.plan(db.bind(sql))
     return plan, planner, time.perf_counter() - started
 
 

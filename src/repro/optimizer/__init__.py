@@ -2,7 +2,11 @@
 
 from .config import OptimizerConfig
 from .cost import CostModel
-from .parametric import EquivalenceClass, ParametricInnerCoster
+from .parametric import (
+    EquivalenceClass,
+    ParametricInnerCoster,
+    RestrictionMemo,
+)
 from .planner import PartialPlan, Planner, PlannerMetrics
 from .plans import (
     AggregateNode,
@@ -51,6 +55,7 @@ __all__ = [
     "ProjectNode",
     "RelProps",
     "RelabelNode",
+    "RestrictionMemo",
     "SeqScanNode",
     "ShipNode",
     "SortNode",

@@ -114,3 +114,14 @@ class OptimizerConfig:
             raise ValueError(
                 "forced_recursive must be None, 'full', or 'magic'"
             )
+
+
+def config_fingerprint(config: OptimizerConfig) -> str:
+    """A stable digest of every optimizer knob (including cost weights)."""
+    knobs = sorted(vars(config).items())
+    rendered = []
+    for key, value in knobs:
+        if isinstance(value, CostParams):
+            value = tuple(sorted(vars(value).items()))
+        rendered.append("%s=%r" % (key, value))
+    return ";".join(rendered)

@@ -16,23 +16,33 @@ The number of classes is the paper's performance "knob": more classes,
 more nested optimizations, better estimates. Setting ``enabled=False``
 reverts to exact nested optimization on every costing call, which
 experiment F5 uses to measure what the knob buys.
+
+The classes are a property of the inner, not of the statement that
+first asked for them: :class:`RestrictionMemo` keeps their numbers
+across statements, and a coster that finds them there plans nothing
+until the winning plan needs one of its templates.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..ledger import CostLedger
 from ..rewrite.magic import RestrictedInner
-from .plans import PlanNode
+from .plans import DeferredTemplateNode, PlanNode
 
 
 @dataclass
 class EquivalenceClass:
-    """One planned anchor: a filter-set cardinality and its plan."""
+    """One planned anchor: a filter-set cardinality and its plan (a
+    :class:`DeferredTemplateNode` when the numbers came from the
+    restriction memo and the plan has not been needed yet)."""
 
     anchor_rows: float
     plan: PlanNode
@@ -44,14 +54,108 @@ class EquivalenceClass:
 Builder = Callable[[float, float], RestrictedInner]
 # plan_fn(block) -> PlanNode  (a nested optimizer invocation)
 PlanFn = Callable[..., PlanNode]
+# What the restriction memo keeps per coster: ((slope, intercept),
+# ((anchor rows, cost, rows, est_components as six floats), ...)).
+# Numbers only. A template plan carries the statement's own filter-set
+# parameter id, lowering mutates its membership expressions, and a few
+# hundred kept plans showed as resident memory, so plans never go in.
+ClassNumbers = Tuple[Tuple[float, float], Tuple[tuple, ...]]
+
+
+class RestrictionMemo:
+    """Equivalence-class numbers that outlive the statement.
+
+    The classes of one coster depend on the inner relation, the bound
+    columns, the inner's local predicates, the optimizer config and the
+    catalog's statistics, not on the query around them, so a
+    :class:`~repro.database.Database` keeps one memo and hands it to
+    every planner. Entries are tagged with one catalog version for the
+    whole memo: the first call under a new version drops everything.
+    Beyond ``CAPACITY`` entries (about 1 KiB of floats each) the least
+    recently used one goes. A ``None`` key marks an inner that must not
+    be memoised and never matches.
+    """
+
+    CAPACITY = 512
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple, ClassNumbers]" = OrderedDict()
+        self._version: Optional[int] = None
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        # shared by every session of a served database
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _sync(self, catalog_version: int) -> None:
+        if catalog_version != self._version:
+            self._entries = OrderedDict()
+            self._version = catalog_version
+
+    def lookup(self, key: Optional[tuple],
+               catalog_version: int) -> Optional[ClassNumbers]:
+        if key is None:
+            return None
+        with self._lock:
+            self._sync(catalog_version)
+            numbers = self._entries.get(key)
+            if numbers is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return numbers
+
+    def store(self, key: Optional[tuple], catalog_version: int,
+              numbers: ClassNumbers) -> int:
+        """Keep ``numbers`` under ``key``; returns how many entries the
+        capacity bound pushed out."""
+        if key is None:
+            return 0
+        evicted = 0
+        with self._lock:
+            self._sync(catalog_version)
+            self._entries[key] = numbers
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+                evicted += 1
+            self.evictions += evicted
+        return evicted
+
+    def clear(self) -> None:
+        """Drop every entry (the counters keep running)."""
+        with self._lock:
+            self._entries = OrderedDict()
+
+    def stats(self) -> dict:
+        return {
+            "capacity": self.CAPACITY,
+            "entries": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
 
 
 class ParametricInnerCoster:
-    """Cost/cardinality oracle for one (inner, bound-column set) pair."""
+    """Cost/cardinality oracle for one (inner, bound-column set) pair.
+
+    ``stored`` are this coster's class numbers from the restriction
+    memo: the oracle then answers from them without planning anything,
+    and hands out :class:`DeferredTemplateNode` templates that plan
+    their anchor only if the winning plan needs them. ``on_classes``
+    receives the numbers after the classes had to be planned here.
+    """
 
     def __init__(self, builder: Builder, plan_fn: PlanFn,
                  domain_distinct: float, num_classes: int = 4,
-                 enabled: bool = True, fpr_fn=None):
+                 enabled: bool = True, fpr_fn=None,
+                 stored: Optional[ClassNumbers] = None,
+                 on_classes: Optional[Callable[[ClassNumbers], None]] = None):
         self.builder = builder
         self.plan_fn = plan_fn
         self.domain_distinct = max(1.0, domain_distinct)
@@ -60,13 +164,26 @@ class ParametricInnerCoster:
         # False-positive rate of the lossy filter as a function of the
         # number of keys inserted (0 for exact filter sets).
         self.fpr_fn = fpr_fn or (lambda keys: 0.0)
+        self.on_classes = on_classes
+        # sorted by anchor_rows (the anchor grid is ascending)
         self.classes: List[EquivalenceClass] = []
+        # exact mode (``enabled=False``): the class planned by the last
+        # costing call, whose plan is that call's template
+        self._last_exact: Optional[EquivalenceClass] = None
         self.nested_optimizations = 0
         # costing calls answered by the oracle; once the classes exist,
         # each call after the first ``num_classes`` anchor plans is a
         # nested optimization *saved* relative to exact costing
         self.estimate_calls = 0
         self._fit: Optional[Tuple[float, float]] = None  # (slope, intercept)
+        if stored is not None:
+            self._fit, numbers = stored
+            self.classes = [
+                EquivalenceClass(anchor, self._deferred(anchor, cost, rows,
+                                                        components),
+                                 cost, rows)
+                for anchor, cost, rows, components in numbers
+            ]
 
     # ---------------------------------------------------------------- anchors
 
@@ -86,12 +203,25 @@ class ParametricInnerCoster:
         fpr = max(0.0, min(1.0, self.fpr_fn(filter_rows)))
         return min(1.0, true_sel + fpr * (1.0 - true_sel))
 
-    def _plan_anchor(self, anchor_rows: float) -> EquivalenceClass:
+    def _plan_template(self, anchor_rows: float) -> PlanNode:
         restricted = self.builder(anchor_rows, self._selectivity(anchor_rows))
         plan = self.plan_fn(restricted.block)
         self.nested_optimizations += 1
+        return plan
+
+    def _plan_anchor(self, anchor_rows: float) -> EquivalenceClass:
+        plan = self._plan_template(anchor_rows)
         return EquivalenceClass(anchor_rows, plan, plan.est_cost,
                                 plan.est_rows)
+
+    def _deferred(self, anchor_rows: float, cost: float, rows: float,
+                  components: tuple) -> DeferredTemplateNode:
+        node = DeferredTemplateNode(
+            anchor_rows, lambda: self._plan_template(anchor_rows))
+        node.est_cost = cost
+        node.est_rows = rows
+        node.est_components = CostLedger(*components)
+        return node
 
     def ensure_classes(self) -> None:
         if self.classes:
@@ -105,6 +235,12 @@ class ParametricInnerCoster:
         else:
             slope, intercept = 0.0, float(ys.mean())
         self._fit = (float(slope), float(intercept))
+        if self.on_classes is not None:
+            self.on_classes((self._fit, tuple(
+                (c.anchor_rows, c.cost, c.rows,
+                 tuple(c.plan.est_components.as_dict().values()))
+                for c in self.classes
+            )))
 
     # ---------------------------------------------------------------- oracle
 
@@ -114,7 +250,7 @@ class ParametricInnerCoster:
         self.estimate_calls += 1
         filter_rows = max(0.0, filter_rows)
         if not self.enabled:
-            cls = self._plan_anchor(max(1.0, filter_rows))
+            cls = self._last_exact = self._plan_anchor(max(1.0, filter_rows))
             return cls.cost, cls.rows
         self.ensure_classes()
         slope, intercept = self._fit
@@ -129,7 +265,7 @@ class ParametricInnerCoster:
         interpolation between the two bracketing anchors is the natural
         instance, degrading to nearest-class at the grid's edges.
         """
-        classes = sorted(self.classes, key=lambda c: c.anchor_rows)
+        classes = self.classes
         if filter_rows <= classes[0].anchor_rows:
             return classes[0].cost
         if filter_rows >= classes[-1].anchor_rows:
@@ -154,18 +290,16 @@ class ParametricInnerCoster:
         entire restriction benefit.
         """
         if not self.enabled:
-            return self._plan_anchor(max(1.0, filter_rows)).plan
+            # one nested optimization per costing call: the plan that
+            # estimate() just costed at this size is the template
+            size = max(1.0, filter_rows)
+            cls = self._last_exact
+            if cls is None or cls.anchor_rows != size:
+                cls = self._last_exact = self._plan_anchor(size)
+            return cls.plan
         self.ensure_classes()
-        classes = sorted(self.classes, key=lambda c: c.anchor_rows)
-        chosen = classes[0]
-        for cls in classes:
+        chosen = self.classes[0]
+        for cls in self.classes:
             if cls.anchor_rows <= filter_rows:
                 chosen = cls
         return chosen.plan
-
-    def _nearest_class(self, filter_rows: float) -> EquivalenceClass:
-        target = math.log(max(1.0, filter_rows))
-        return min(
-            self.classes,
-            key=lambda c: abs(math.log(max(1.0, c.anchor_rows)) - target),
-        )

@@ -50,11 +50,12 @@ from ..rewrite.magic import (
     restricted_view_block_lossy,
 )
 from ..storage.catalog import Catalog
-from .config import OptimizerConfig
+from .config import OptimizerConfig, config_fingerprint
 from .cost import CostModel
-from .parametric import ParametricInnerCoster
+from .parametric import ParametricInnerCoster, RestrictionMemo
 from .plans import (
     AggregateNode,
+    DeferredTemplateNode,
     DistinctNode,
     FilterJoinNode,
     FilterNode,
@@ -86,8 +87,15 @@ class PlannerMetrics:
     plans_considered: int = 0
     joins_enumerated: int = 0
     filter_joins_considered: int = 0
+    # nested optimizer runs actually executed (a coster answered from
+    # the restriction memo runs none, a deferred template one)
     nested_optimizations: int = 0
     dp_entries: int = 0
+    # costers whose classes came from / had to be planned into the
+    # cross-statement restriction memo, and entries its bound pushed out
+    restriction_memo_hits: int = 0
+    restriction_memo_misses: int = 0
+    restriction_memo_evictions: int = 0
     # Per-join-method breakdowns: how many candidates each method put
     # into the DP, and how many of those the memo discarded.
     candidates_by_method: Dict[str, int] = field(default_factory=dict)
@@ -114,10 +122,16 @@ class Planner:
 
     def __init__(self, catalog: Catalog,
                  config: Optional[OptimizerConfig] = None,
-                 trace=None):
+                 trace=None,
+                 memo: Optional[RestrictionMemo] = None):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
         self.config.validate()
+        # Equivalence-class numbers shared across statements when a
+        # Database hands its memo in; a planner on its own starts from
+        # an empty one and so plans every class itself.
+        self.memo = memo if memo is not None else RestrictionMemo()
+        self._config_key: Optional[str] = None
         self.estimator = StatsEstimator(catalog)
         self.cost_model = CostModel(self.config)
         self.metrics = PlannerMetrics()
@@ -146,11 +160,31 @@ class Planner:
 
     def plan(self, block) -> PlanNode:
         """Plan a bound query (a single block or a UNION chain)."""
+        plan = self._plan_query(block)
+        self._resolve_templates(plan)
+        return plan
+
+    def _plan_query(self, block) -> PlanNode:
         from ..algebra.block import UnionQuery
 
         if isinstance(block, UnionQuery):
             return self.plan_union(block)
         return self.plan_block(block)
+
+    def _resolve_templates(self, node: PlanNode) -> None:
+        """Plan the templates the winning plan left deferred.
+
+        Candidates costed from memoised class numbers carry a
+        :class:`DeferredTemplateNode`; only those that made it into
+        ``node``'s tree are worth a nested optimization. A resolved
+        template is walked too: it may embed a view plan that holds
+        deferred templates of its own.
+        """
+        if isinstance(node, RelabelNode) and \
+                isinstance(node.child, DeferredTemplateNode):
+            node.child = node.child.resolve()
+        for child in node.children():
+            self._resolve_templates(child)
 
     def plan_union(self, union) -> PlanNode:
         """Plan a UNION chain left-associatively."""
@@ -516,11 +550,11 @@ class Planner:
         finally:
             self._restriction_depth -= 1
         self.metrics.nested_optimizations += 1
-        components.merge(_scale_ledger(template.est_components, iterations))
+        components.merge(template.est_components.scaled(iterations))
         # Per-pass delta materialization plus the per-row fixpoint loop
         # work (dedup probes, delta bookkeeping).
-        components.merge(_scale_ledger(
-            self.cost_model.materialize(delta_avg, width), iterations))
+        components.merge(
+            self.cost_model.materialize(delta_avg, width).scaled(iterations))
         loop = CostLedger()
         loop.charge_cpu(b0 + total)
         components.merge(loop)
@@ -585,7 +619,7 @@ class Planner:
         cached = self._view_plans.get(id(rel))
         if cached is not None:
             return cached
-        inner_plan = self.plan(rel.block)  # block or union
+        inner_plan = self._plan_query(rel.block)  # block or union
         self.metrics.nested_optimizations += 1
         node = RelabelNode(inner_plan, rel.output_schema)
         node.site = rel.site if rel.site is not None else inner_plan.site
@@ -890,7 +924,7 @@ class Planner:
         components.merge(probe_total)
         # Charge the per-probe plan cost outer_rows times.
         template = coster.template_for(1.0)
-        scaled = _scale_ledger(template.est_components, outer_rows)
+        scaled = template.est_components.scaled(outer_rows)
         components.merge(scaled)
         if residual is not None:
             components.merge(self.cost_model.filter_rows(
@@ -936,8 +970,8 @@ class Planner:
                                         [(k, True) for k in okeys])
                 self._finish(sorted_outer, outer_rows, sorted_components)
             sorted_components.charge_cpu(outer_rows)
-            sorted_components.merge(_scale_ledger(
-                template.est_components, distinct_probes))
+            sorted_components.merge(
+                template.est_components.scaled(distinct_probes))
             if residual is not None:
                 sorted_components.merge(self.cost_model.filter_rows(
                     outer_rows * max(per_probe_rows, 0.0)))
@@ -1105,9 +1139,8 @@ class Planner:
         parts["AvailCost_F"] = model.scalar(avail_f)
 
         # FilterCost_Rk: the parametric estimate of the restricted inner
-        filter_cost_ledger = _scale_ledger(
-            template.est_components,
-            inner_cost / template.est_cost if template.est_cost > 0 else 1.0,
+        filter_cost_ledger = template.est_components.scaled(
+            inner_cost / template.est_cost if template.est_cost > 0 else 1.0
         )
         components.merge(filter_cost_ledger)
         parts["FilterCost_Rk"] = inner_cost
@@ -1230,6 +1263,7 @@ class Planner:
         if coster is not None:
             return coster
         param_id = "fset%d" % next(self._param_counter)
+        locals_: List[Expr] = []
         if rel.kind == "view":
             domain = 1.0
             inner_props = self.estimator.block_output_props(rel.block)
@@ -1251,8 +1285,8 @@ class Planner:
                     restricted.filter_relation.assumed_rows = assumed_rows
                     return restricted
         else:  # stored relation semi-join
-            locals_ = (local_predicates(block.predicates, rel.alias)
-                       if block is not None else [])
+            if block is not None:
+                locals_ = local_predicates(block.predicates, rel.alias)
             stats = self.estimator.relation_props(rel)
             domain = 1.0
             for col in bound_cols:
@@ -1291,18 +1325,53 @@ class Planner:
             self.metrics.nested_optimizations += 1
             return plan
 
+        # Looked up only now: computing the domain may have built
+        # statistics lazily, which moves the catalog version.
+        memo_key = self._memo_key(rel, key[1], lossy, locals_)
+        stored = self.memo.lookup(memo_key, self.catalog.version)
+        if stored is not None:
+            self.metrics.restriction_memo_hits += 1
+        elif memo_key is not None:
+            self.metrics.restriction_memo_misses += 1
+
+        def keep_classes(numbers):
+            self.metrics.restriction_memo_evictions += self.memo.store(
+                memo_key, self.catalog.version, numbers)
+
         coster = ParametricInnerCoster(
-            lambda rows, sel: builder(rows, sel),
+            builder,
             plan_fn,
             domain_distinct=domain,
             num_classes=self.config.parametric_classes,
             enabled=self.config.enable_parametric,
             fpr_fn=fpr_fn,
+            stored=stored,
+            on_classes=keep_classes,
         )
         coster.param_id = param_id
         self._costers[key] = coster
         self._cache_pins.append(rel)
         return coster
+
+    def _memo_key(self, rel: RelationRef, bound_cols: Tuple[str, ...],
+                  lossy: bool, locals_: Sequence[Expr]) -> Optional[tuple]:
+        """What one coster's classes depend on besides the catalog
+        version, or None when they must not outlive the statement:
+        exact costing keeps no classes, and a view reference without a
+        catalog name (CTE, inline subquery) is defined by its statement.
+        """
+        if not self.config.enable_parametric:
+            return None
+        if rel.kind == "view":
+            name = rel.catalog_name
+            if name is None:
+                return None
+        else:
+            name = rel.table.name
+        if self._config_key is None:
+            self._config_key = config_fingerprint(self.config)
+        return (self._config_key, rel.kind, name, rel.site, rel.alias,
+                bound_cols, lossy, tuple(p.display() for p in locals_))
 
     # -------------------------------------------------------------- helpers
 
@@ -1330,9 +1399,3 @@ class Planner:
 def coster_param_id(coster: ParametricInnerCoster) -> str:
     return coster.param_id
 
-
-def _scale_ledger(ledger: CostLedger, factor: float) -> CostLedger:
-    scaled = CostLedger()
-    for name, value in ledger.as_dict().items():
-        setattr(scaled, name, value * factor)
-    return scaled

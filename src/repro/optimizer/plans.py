@@ -274,6 +274,38 @@ class RelabelNode(PlanNode):
         return "Relabel(%s)" % ", ".join(self.schema.names())
 
 
+class DeferredTemplateNode(PlanNode):
+    """Stand-in for a restricted-inner template that has not been
+    planned in this statement.
+
+    When a coster's equivalence classes come from the restriction memo
+    it has their numbers but no plans. Candidates built from such a
+    class carry this node — with the class's ``est_*`` numbers — under
+    their :class:`RelabelNode`; ``Planner.plan`` swaps in the real
+    template, by one nested optimization, only for nodes of the plan
+    that won. ``site`` stays ``None``: a planned block always ends at
+    the query site.
+    """
+
+    #: never read: the RelabelNode above supplies the schema
+    _NO_COLUMNS = Schema(())
+
+    def __init__(self, anchor_rows: float, plan_template):
+        super().__init__(self._NO_COLUMNS)
+        self.anchor_rows = anchor_rows
+        self._plan_template = plan_template
+        self._planned: Optional[PlanNode] = None
+
+    def resolve(self) -> PlanNode:
+        """The template plan, planned on first call."""
+        if self._planned is None:
+            self._planned = self._plan_template()
+        return self._planned
+
+    def label(self) -> str:
+        return "DeferredTemplate(assumed=%.0f)" % self.anchor_rows
+
+
 class ShipNode(PlanNode):
     """Ship the child's rows from its site to ``to_site`` (distributed)."""
 

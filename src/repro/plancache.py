@@ -34,8 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .ledger import CostParams
-from .optimizer.config import OptimizerConfig
+from .optimizer.config import OptimizerConfig, config_fingerprint
 from .optimizer.planner import PlannerMetrics
 from .optimizer.plans import PlanNode
 from .sql.lexer import tokenize
@@ -62,17 +61,6 @@ def normalize_statement(text: str) -> str:
     while parts and parts[-1] == ";":
         parts.pop()
     return " ".join(parts)
-
-
-def config_fingerprint(config: OptimizerConfig) -> str:
-    """A stable digest of every optimizer knob (including cost weights)."""
-    knobs = sorted(vars(config).items())
-    rendered = []
-    for key, value in knobs:
-        if isinstance(value, CostParams):
-            value = tuple(sorted(vars(value).items()))
-        rendered.append("%s=%r" % (key, value))
-    return ";".join(rendered)
 
 
 def cache_key(text: str, config: OptimizerConfig) -> Tuple[str, str]:

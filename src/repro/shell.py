@@ -22,6 +22,7 @@ start with a backslash:
     \\set KEY VAL   change an optimizer switch (e.g. \\set enable_filter_join off)
     \\engine NAME   switch the execution engine (vector | iterator)
     \\cache         show plan-cache counters (hits/misses/invalidations)
+                    and the restriction-memo line
     \\cache clear   empty the plan cache and reset its counters
     \\cache size N  resize the plan cache (0 disables it)
     \\timeout S     set a per-statement deadline in seconds (off = none)

@@ -68,6 +68,9 @@ class Binder:
         self._active_delta: Dict[str, Tuple[Schema, str]] = {}
         self._view_expanding: set = set()
         self._delta_counter = 0
+        # function relations bound so far (a view body that binds one is
+        # not a function of the catalog alone, see _bind_from_item)
+        self._function_refs = 0
 
     @staticmethod
     def check_bindable(statement) -> None:
@@ -326,6 +329,7 @@ class Binder:
                 return self._bind_recursive(
                     view.name, view.column_aliases, parsed, alias, depth)
             self._view_expanding.add(key)
+            functions_before = self._function_refs
             try:
                 if isinstance(parsed, ast.UnionStmt):
                     block = self.bind_union(parsed, depth + 1)
@@ -337,9 +341,21 @@ class Binder:
                     )
             finally:
                 self._view_expanding.discard(key)
-            return VirtualRelation(alias, view.name, block,
-                                   column_aliases=view.column_aliases)
+            # The bound body is a function of the catalog alone unless a
+            # statement-scoped name (CTE, recursion delta) could have
+            # shadowed a relation in it or it calls a registered
+            # function; only then may results outlive the statement.
+            catalog_scoped = not (
+                self._cte_defs or self._active_delta
+                or self._function_refs != functions_before
+            )
+            return VirtualRelation(
+                alias, view.name, block,
+                column_aliases=view.column_aliases,
+                catalog_name=view.name if catalog_scoped else None,
+            )
         if key in self.functions:
+            self._function_refs += 1
             return self.functions[key](alias)
         raise BindError("unknown relation %r" % item.name)
 

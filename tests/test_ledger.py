@@ -1,5 +1,7 @@
 """Unit tests for the cost ledger."""
 
+import dataclasses
+
 import pytest
 
 from repro.ledger import CostLedger, CostParams
@@ -55,6 +57,58 @@ class TestCostLedger:
     def test_str_compact(self):
         assert "empty" in str(CostLedger())
         assert "page_reads" in str(CostLedger(page_reads=1))
+
+
+class TestEveryFieldEverywhere:
+    """snapshot/delta/merge/scaled/reset/as_dict spell the six fields
+    out; each must still cover all of them, in declaration order."""
+
+    FIELDS = [f.name for f in dataclasses.fields(CostLedger)]
+
+    def ledger(self, start):
+        return CostLedger(*[float(start + i) for i in range(6)])
+
+    def test_as_dict_matches_the_declared_fields(self):
+        assert list(self.ledger(1).as_dict()) == self.FIELDS
+        assert list(self.ledger(1).as_dict().values()) \
+            == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_arithmetic_touches_every_field(self):
+        a, b = self.ledger(1), self.ledger(10)
+        assert a.snapshot() == a and a.snapshot() is not a
+        assert b.delta(a) == CostLedger(*[9.0] * 6)
+        assert a + b == CostLedger(11.0, 13.0, 15.0, 17.0, 19.0, 21.0)
+        assert a.scaled(2.0) == CostLedger(2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+        a.reset()
+        assert a == CostLedger()
+
+    def test_tracing_tee_sees_each_increment_exactly_once(self):
+        """The tee routes charge_* calls to the active span; copies and
+        sums of ledgers are not charges and must not reach it."""
+        from types import SimpleNamespace
+
+        from repro.obs.trace import LEDGER_FIELDS, _TeeLedger
+
+        assert list(LEDGER_FIELDS) == self.FIELDS
+        span = SimpleNamespace(self_counts=dict.fromkeys(LEDGER_FIELDS, 0.0))
+        start = self.ledger(1)
+        tee = _TeeLedger([span], start=start)
+        tee.charge_reads(2)
+        tee.charge_writes(3)
+        tee.charge_cpu(7)
+        tee.charge_network(1, 64)
+        tee.charge_message(10)
+        tee.charge_invocation()
+        charged = dict(span.self_counts)
+        assert charged == {"page_reads": 2, "page_writes": 3,
+                           "tuple_cpu": 7, "net_msgs": 2, "net_bytes": 74,
+                           "fn_invocations": 1}
+        assert tee.delta(start).as_dict() == charged
+        snap = tee.snapshot()
+        assert type(snap) is CostLedger and snap.as_dict() == tee.as_dict()
+        tee.merge(self.ledger(5))
+        _ = tee + snap, tee.scaled(3.0), tee.as_dict()
+        assert span.self_counts == charged
 
 
 class TestCostParams:

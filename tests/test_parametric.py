@@ -104,6 +104,18 @@ class TestLineFit:
         coster.estimate(30)
         assert coster.nested_optimizations == 3
 
+    def test_disabled_mode_plans_once_per_costing_call(self):
+        """Exact mode used to plan a size for ``estimate`` and again for
+        the ``template_for`` that follows it (49 nested optimizations
+        for the 24 costing calls of the Figure-1 query)."""
+        coster = make_coster(enabled=False)
+        cost, _rows = coster.estimate(10)
+        template = coster.template_for(10)
+        assert coster.nested_optimizations == 1
+        assert template.est_cost == cost
+        coster.estimate(10)  # the next candidate is costed afresh
+        assert coster.nested_optimizations == 2
+
     def test_disabled_mode_exact(self):
         coster = make_coster(enabled=False, cost_fn=lambda f: f * 2,
                              rows_fn=lambda f: f + 1)
@@ -127,6 +139,16 @@ class TestIntegrationWithPlanner:
         per_coster = [c.nested_optimizations
                       for c in planner._costers.values()]
         assert all(n <= 3 for n in per_coster)
+
+    def test_exact_mode_runs_one_nested_optimization_per_costing_call(
+            self, empdept_db):
+        config = OptimizerConfig(enable_parametric=False)
+        planner = Planner(empdept_db.catalog, config)
+        planner.plan(empdept_db.bind(MOTIVATING_QUERY))
+        costing_calls = sum(c.estimate_calls
+                            for c in planner._costers.values())
+        # + 1: the view's full computation
+        assert planner.metrics.nested_optimizations <= costing_calls + 1
 
     def test_template_matches_estimate_class(self, empdept_db):
         _, planner = empdept_db.plan(MOTIVATING_QUERY)
