@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bloom.filter import BloomFilter
+from ..bloom.filter import ARRAY_KERNELS, BloomFilter
 from ..errors import ExecutionError, FixpointLimitExceeded
 from ..expr.aggregates import Accumulator, AggregateSpec
 from ..expr.nodes import Expr, RuntimeMembership
@@ -43,6 +43,7 @@ from .vectorize import (
     batches_from_store,
     compile_expr,
     compile_optional_filter,
+    key_hashes,
 )
 
 _np = columnar.np  # None when numpy is unavailable
@@ -279,6 +280,8 @@ class FilterSetScanOp(Operator):
     def batches(self) -> Iterator[Batch]:
         temp = self.ctx.filter_set(self.param_id)
         self.ctx.charge_rescan(temp)
+        if temp.store is not None:
+            return batches_from_store(temp.store)
         return batches_from_list(temp.rows, len(self.schema))
 
 
@@ -1159,18 +1162,12 @@ class HashJoinOp(Operator):
 
     def batches(self) -> Iterator[Batch]:
         bind_memberships(self.residual, self.ctx)
-        residual = compile_optional_filter(self.residual,
-                                           stats=self.kernel_counter())
-        table = None
+        stats = self.kernel_counter()
+        residual = compile_optional_filter(self.residual, stats=stats)
         build_rows = 0
         build_width = self.inner.schema.row_width()
-        out_width = len(self.schema)
         held = 0.0
         try:
-            # single-column keys (the common case) index the hash table
-            # by the bare value — no per-row tuple allocation, and the
-            # null check is an identity test instead of a call
-            single = (len(self.inner_positions) == 1)
             build_batches = []
             for batch in self.inner.batches():
                 self.ctx.charge_cpu(batch.n)
@@ -1187,45 +1184,17 @@ class HashJoinOp(Operator):
             self.ctx.mem_acquire(tail)
             held += tail
             build_pages = pages_for(build_rows, build_width)
-            # the sorted-key probe path covers single-column inner joins
-            # whose key columns arrived columnar end-to-end; anything
-            # else (semi joins, multi-column keys, row-backed batches)
-            # builds the classic bucket table below, per batch
-            vec = (self._vector_build(build_batches)
-                   if single and not self.semi and _np is not None
-                   else None)
-            if vec is None:
-                table = self._bucket_table(build_batches, single)
+            build = _HashBuild(build_batches, self.outer_positions,
+                               self.inner_positions,
+                               len(self.inner.schema), self.semi)
             probe_rows = 0
-            emitted_inner = set() if self.semi else None
             for batch in self.outer.batches():
                 self.ctx.charge_cpu(batch.n)
                 probe_rows += batch.n
-                if vec is not None:
-                    probe_key = batch.column(self.outer_positions[0])
-                    if isinstance(probe_key, ColumnVector):
-                        result, pairs = self._vector_probe(
-                            batch, probe_key, vec, out_width)
-                        if result is not None or pairs == 0:
-                            self.ctx.charge_cpu(pairs)
-                            if result is None:
-                                continue
-                            if residual is not None:
-                                result = result.select(residual(result))
-                            if result.n:
-                                yield result
-                            continue
-                    # probe batch incompatible with the sorted arrays:
-                    # fall back to buckets for it (built only once)
-                    if table is None:
-                        table = self._bucket_table(build_batches, single)
-                batch_out = self._probe_batch_rows(
-                    batch, table, single, emitted_inner)
-                out, pairs = batch_out
+                result, pairs = build.probe(batch, stats)
                 self.ctx.charge_cpu(pairs)
-                if not out:
+                if result is None:
                     continue
-                result = Batch.from_rows(out, out_width)
                 if residual is not None and not self.semi:
                     result = result.select(residual(result))
                 if result.n:
@@ -1238,14 +1207,71 @@ class HashJoinOp(Operator):
         finally:
             self.ctx.mem_release(held)
 
-    def _bucket_table(self, build_batches, single) -> dict:
+
+class _HashBuild:
+    """The collected build side of an equi-join and its batch probe —
+    what :class:`HashJoinOp` and the final join of :class:`FilterJoinOp`
+    share.
+
+    Single-column keys (the common case) whose build columns arrived
+    columnar end-to-end probe sorted key arrays; anything else (semi
+    joins, multi-column keys, row-backed batches) builds the iterator
+    engine's bucket table, at most once."""
+
+    def __init__(self, build_batches: List[Batch],
+                 outer_positions: Sequence[int],
+                 inner_positions: Sequence[int], inner_width: int,
+                 semi: bool = False):
+        self.build_batches = build_batches
+        self.outer_positions = outer_positions
+        self.inner_positions = inner_positions
+        self.inner_width = inner_width
+        self.semi = semi
+        # bare-value bucket keys: no per-row tuple allocation, and the
+        # null check is an identity test instead of a call
+        self.single = (len(inner_positions) == 1)
+        self.emitted_inner = set() if semi else None
+        self.vec = (self._vector_build()
+                    if self.single and not semi and _np is not None
+                    else None)
+        self.table = None if self.vec is not None \
+            else self._bucket_table()
+
+    def probe(self, batch: Batch, stats: Optional[KernelStats] = None
+              ) -> Tuple[Optional[Batch], int]:
+        """(joined batch or None when nothing matched, pair count) for
+        one probe batch, in the iterator engine's emission order.
+        ``stats`` tallies whether the batch probed the sorted arrays or
+        fell to the per-row bucket path."""
+        if self.vec is not None:
+            probe_key = batch.column(self.outer_positions[0])
+            if isinstance(probe_key, ColumnVector):
+                result, pairs = self._vector_probe(batch, probe_key)
+                if pairs >= 0:
+                    if stats is not None:
+                        stats.count(True)
+                    return result, pairs
+            # probe batch incompatible with the sorted arrays: fall
+            # back to buckets for it (built only once)
+            if self.table is None:
+                self.table = self._bucket_table()
+        if stats is not None:
+            stats.count(False)
+        out, pairs = self._probe_batch_rows(batch)
+        if not out:
+            return None, pairs
+        width = self.inner_width if self.semi \
+            else batch.width + self.inner_width
+        return Batch.from_rows(out, width), pairs
+
+    def _bucket_table(self) -> dict:
         """The iterator engine's bucket table, built from collected
         build batches (identical insertion order)."""
         table = {}
         setdefault = table.setdefault
-        for batch in build_batches:
+        for batch in self.build_batches:
             rows = batch.rows()
-            if single:
+            if self.single:
                 for key, row in zip(
                         batch.column(self.inner_positions[0]), rows):
                     if key is not None:
@@ -1260,10 +1286,11 @@ class HashJoinOp(Operator):
                         setdefault(key, []).append(row)
         return table
 
-    def _probe_batch_rows(self, batch, table, single, emitted_inner):
+    def _probe_batch_rows(self, batch):
         """One probe batch against the bucket table (the per-row path);
         returns (output rows, pair count)."""
-        get = table.get
+        get = self.table.get
+        single = self.single
         if single:
             keys = batch.column(self.outer_positions[0])
         else:
@@ -1276,6 +1303,7 @@ class HashJoinOp(Operator):
         append = out.append
         pairs = 0
         if self.semi:
+            emitted_inner = self.emitted_inner
             seen_add = emitted_inner.add
             for key in keys:
                 if key is None or (not single
@@ -1302,13 +1330,14 @@ class HashJoinOp(Operator):
                     append(outer_row + inner_row)
         return out, pairs
 
-    def _vector_build(self, build_batches):
+    def _vector_build(self):
         """Sorted-key arrays over the build side for binary-search
         probing. Returns None unless every build batch's key column is a
         ColumnVector of one consistent kind (int64/bool, float64, or
         codes of one shared dictionary); bucket insertion order — build
         position ascending — is preserved by the stable sort, so probe
         emission order matches the bucket path exactly."""
+        build_batches = self.build_batches
         pos = self.inner_positions[0]
         parts = [b.column(pos) for b in build_batches]
         if not all(isinstance(p, ColumnVector) for p in parts):
@@ -1367,10 +1396,9 @@ class HashJoinOp(Operator):
             if span <= max(1 << 16, 4 * sorted_keys.size):
                 lut = _np.zeros(span, dtype=_np.int64)
                 lut[sorted_keys - lut_lo] = sorted_pos + 1  # 0 = absent
-        inner_width = len(self.inner.schema)
         inner_columns = [
             columnar.concat_columns([b.column(j) for b in build_batches])
-            for j in range(inner_width)
+            for j in range(self.inner_width)
         ]
         return {
             "keys": sorted_keys,
@@ -1383,10 +1411,11 @@ class HashJoinOp(Operator):
             "trans": {},  # per-probe-dictionary code translations
         }
 
-    def _vector_probe(self, batch, probe_key, vec, out_width):
+    def _vector_probe(self, batch, probe_key):
         """One columnar probe batch against the sorted build arrays;
         returns (result batch or None, pair count), or (None, -1) when
         this batch's key column is incompatible with the build kind."""
+        vec = self.vec
         kind = vec["kind"]
         values = probe_key.values
         if probe_key.dictionary is not None:
@@ -1865,24 +1894,33 @@ class FilterJoinOp(Operator):
         return iter(matches)
 
     def batches(self) -> Iterator[Batch]:
-        """Vectorized Filter Join: same phases, same Table 1 component
-        charges, with the production/template subtrees pulled as batches
-        and the final hash join evaluated batch-at-a-time."""
+        """Vectorized Filter Join: same phases and same Table 1
+        component charges as ``rows()``, columnar from the production
+        set to the emitted batch.
+
+        Three phases run batch-wise and report kernel-vs-fallback
+        through ``kernel_counter()``: the filter-set build (a sorted
+        distinct over the typed bind columns; a bind column that is not
+        exactly encodable builds the Python set instead), the lossy
+        membership probe inside the template (tallied by the compiled
+        probe through the filter's ``probe_stats``), and the final
+        join, which is :class:`_HashBuild` — the hash join's own build
+        and probe."""
         bind_memberships(self.residual, self.ctx)
-        residual = compile_optional_filter(self.residual,
-                                           stats=self.kernel_counter())
+        stats = self.kernel_counter()
+        residual = compile_optional_filter(self.residual, stats=stats)
         ledger = self.ctx.ledger
         outer_width = self.outer.schema.row_width()
 
         # 1. Production set (JoinCost_P + ProductionCost_P)
         before = ledger.snapshot()
-        production = self.outer.drain()
-        self.ctx.mem_acquire(len(production) * outer_width)
+        production = _gather(self.outer.batches(), len(self.outer.schema))
+        self.ctx.mem_acquire(production.n * outer_width)
         self._component("JoinCost_P", before)
         before = ledger.snapshot()
         if self.materialize_production:
             temp_pages = self.ctx.charge_materialize(
-                len(production), outer_width
+                production.n, outer_width
             )
             production_spilled = not self.ctx.fits(temp_pages)
         else:
@@ -1891,37 +1929,55 @@ class FilterJoinOp(Operator):
 
         # 2. Distinct projection into the filter set (ProjCost_F)
         before = ledger.snapshot()
-        self.ctx.charge_cpu(len(production))
-        keys = set()
-        for row in production:
-            key = tuple(row[p] for p in self.bind_positions)
-            if _null_free(key):
-                keys.add(key)
+        self.ctx.charge_cpu(production.n)
+        bind_columns = [production.column(p) for p in self.bind_positions]
+        key_columns = _distinct_keys(bind_columns)
+        if stats is not None:
+            stats.count(key_columns is not None)
+        if key_columns is not None:
+            keys = None  # tuples are made only for an exact filter set
+            filter_set_size = len(key_columns[0])
+        else:
+            key_rows = (zip(*map(columnar.materialize, bind_columns))
+                        if bind_columns else [()] * production.n)
+            keys = sorted(set(filter(_null_free, key_rows)),
+                          key=_sort_key)
+            filter_set_size = len(keys)
         self._component("ProjCost_F", before)
-        self.production_rows = len(production)
-        self.filter_set_size = len(keys)
+        self.production_rows = production.n
+        self.filter_set_size = filter_set_size
 
         # 3. Make the filter available (AvailCost_F)
         before = ledger.snapshot()
         if self.lossy:
             bloom = BloomFilter(self.bloom_bits,
-                                expected_items=max(1, len(keys)))
-            self.ctx.charge_cpu(len(keys))
-            for key in keys:
-                bloom.add(key if len(key) > 1 else key[0])
+                                expected_items=max(1, filter_set_size))
+            bloom.probe_stats = stats
+            self.ctx.charge_cpu(filter_set_size)
+            if keys is None and ARRAY_KERNELS:
+                bloom.add_hashes(key_hashes(key_columns, {}))
+            else:
+                if keys is None:
+                    keys = _key_rows(key_columns)
+                bloom.add_all(key if len(key) > 1 else key[0]
+                              for key in keys)
             self.ctx.bind_membership(self.param_id, bloom)
             if self.ship_filter:
                 self.ctx.charge_message(bloom.size_bytes,
                                         from_site=self.site,
                                         to_site=self.filter_site)
         else:
-            temp = TempTable(sorted(keys, key=_sort_key),
-                             self.filter_schema)
+            store = None
+            if keys is None:
+                keys = _key_rows(key_columns)
+                store = columnar.ColumnStore(
+                    self.filter_schema, key_columns, filter_set_size)
+            temp = TempTable(keys, self.filter_schema, store=store)
             self.ctx.mem_acquire(
-                len(keys) * self.filter_schema.row_width())
+                filter_set_size * self.filter_schema.row_width())
             self.ctx.bind_filter_set(self.param_id, temp)
             if self.ship_filter:
-                self.ctx.charge_ship(len(keys),
+                self.ctx.charge_ship(filter_set_size,
                                      self.filter_schema.row_width(),
                                      from_site=self.site,
                                      to_site=self.filter_site)
@@ -1929,53 +1985,98 @@ class FilterJoinOp(Operator):
 
         # 4. Restricted inner (FilterCost_Rk); AvailCost_Rk' pipelines
         before = ledger.snapshot()
-        restricted = self.template.drain()
+        restricted = _gather(self.template.batches(),
+                             len(self.template.schema))
         self.ctx.mem_acquire(
-            len(restricted) * self.template.schema.row_width())
+            restricted.n * self.template.schema.row_width())
         self._component("FilterCost_Rk", before)
         self.measured_components["AvailCost_Rk'"] = 0.0
-        self.restricted_rows = len(restricted)
+        self.restricted_rows = restricted.n
 
         # 5. Final join (FinalJoinCost): hash join production x restricted
         before = ledger.snapshot()
         if self.materialize_production:
-            self.ctx.charge_cpu(len(production))
+            self.ctx.charge_cpu(production.n)
             if production_spilled:
-                ledger.charge_reads(pages_for(len(production), outer_width))
+                ledger.charge_reads(pages_for(production.n, outer_width))
         else:
-            production = self.outer.drain()
-        self.ctx.charge_cpu(len(restricted))
-        table = {}
-        for row in restricted:
-            key = tuple(row[p] for p in self.final_inner_positions)
-            if _null_free(key):
-                table.setdefault(key, []).append(row)
-        build_pages = pages_for(len(restricted),
+            # recompute the production set instead of re-reading a temp
+            production = _gather(self.outer.batches(),
+                                 len(self.outer.schema))
+        self.ctx.charge_cpu(restricted.n)
+        build = _HashBuild([restricted], self.final_outer_positions,
+                           self.final_inner_positions,
+                           len(self.template.schema))
+        build_pages = pages_for(restricted.n,
                                 self.template.schema.row_width())
-        self.ctx.charge_cpu(len(production))
-        candidates: List[Row] = []
-        pairs = 0
-        for outer_row in production:
-            key = tuple(outer_row[p] for p in self.final_outer_positions)
-            if not _null_free(key):
-                continue
-            bucket = table.get(key)
-            if bucket:
-                pairs += len(bucket)
-                for inner_row in bucket:
-                    candidates.append(outer_row + inner_row)
+        self.ctx.charge_cpu(production.n)
+        result, pairs = (build.probe(production, stats)
+                         if production.n and restricted.n else (None, 0))
         self.ctx.charge_cpu(pairs)
         if not self.ctx.fits(build_pages):
-            probe_pages = pages_for(len(production), outer_width)
+            probe_pages = pages_for(production.n, outer_width)
             ledger.charge_writes(build_pages + probe_pages)
             ledger.charge_reads(build_pages + probe_pages)
         self._component("FinalJoinCost", before)
-        out_width = len(self.schema)
-        for batch in batches_from_list(candidates, out_width):
-            if residual is not None:
-                batch = batch.select(residual(batch))
-            if batch.n:
-                yield batch
+        if result is None:
+            return
+        if residual is not None:
+            result = result.select(residual(result))
+        # only the joined columns outlive the join; consumers get them
+        # in batch-sized views, so what they derive stays batch-sized
+        del production, restricted, build
+        yield from result.chunks()
+
+
+def _gather(batches: Iterator[Batch], width: int) -> Batch:
+    """Every row of ``batches`` as one column-backed batch: typed
+    pieces are concatenated, and a column that arrived as Python
+    objects is encoded when it round-trips exactly (else kept a list)."""
+    batches = list(batches)
+    pieces = [b.columns for b in batches]  # one transpose per row batch
+    columns = [
+        columnar.encode_exact(
+            columnar.concat_columns([piece[j] for piece in pieces]))
+        for j in range(width)
+    ]
+    return Batch(columns, sum(b.n for b in batches))
+
+
+def _key_rows(key_columns: List[ColumnVector]) -> List[Row]:
+    return list(zip(*[column.tolist() for column in key_columns]))
+
+
+def _distinct_keys(columns: Sequence) -> Optional[List[ColumnVector]]:
+    """The distinct null-free key tuples over typed ``columns``, one
+    ColumnVector per key column, in the order
+    ``sorted(keys, key=_sort_key)`` gives the same tuples (strings by
+    dictionary rank); among equal values (``0.0`` / ``-0.0``) the first
+    one seen survives, as in a Python set. None when a column is not a
+    ColumnVector — the caller then builds the set row-wise."""
+    if _np is None or not columns or not all(
+            isinstance(c, ColumnVector) for c in columns):
+        return None
+    valid = None
+    for column in columns:
+        if column.mask is not None:
+            valid = column.mask if valid is None else valid & column.mask
+    if valid is not None:
+        columns = [column.select(valid) for column in columns]
+    sort_keys = [
+        (c.dictionary.sort_ranks()[c.values] if c.dictionary is not None
+         else c.values)
+        for c in columns
+    ]
+    order = _np.lexsort(sort_keys[::-1])  # stable; first column primary
+    if len(order) > 1:
+        first_of_run = _np.ones(len(order), dtype=_np.bool_)
+        changed = False
+        for key in sort_keys:
+            ordered = key[order]
+            changed = changed | (ordered[1:] != ordered[:-1])
+        first_of_run[1:] = changed
+        order = order[first_of_run]
+    return [column.take(order) for column in columns]
 
 
 class FunctionJoinOp(Operator):

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ExecutionError, QueryTimeout, ResourceExhausted
 from ..ledger import CostLedger, CostParams
+from ..storage.columnar import ColumnStore
 from ..storage.schema import Schema
 from ..storage.table import pages_for
 
@@ -40,11 +41,15 @@ _DEADLINE_CHECK_MASK = 255
 
 @dataclass
 class TempTable:
-    """A materialized intermediate: rows plus spill bookkeeping."""
+    """A materialized intermediate: rows plus spill bookkeeping.
+
+    ``store`` holds the same rows column-major when the producer had
+    them as typed vectors, so a batch-wise rescan stays columnar."""
 
     rows: List[tuple]
     schema: Schema
     spilled: bool = False
+    store: Optional[ColumnStore] = None
 
     @property
     def num_pages(self) -> float:

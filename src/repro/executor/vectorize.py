@@ -38,6 +38,14 @@ import warnings
 from itertools import compress
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
+from ..bloom.filter import (
+    ARRAY_KERNELS,
+    NONE_HASH,
+    BloomFilter,
+    combine_hash_arrays,
+    hash_int64,
+    stable_hash,
+)
 from ..errors import ExecutionError
 from ..expr.nodes import (
     Arithmetic,
@@ -214,6 +222,23 @@ class Batch:
         ]
         return Batch(columns, min(count, self.n))
 
+    def chunks(self) -> Iterator["Batch"]:
+        """This batch cut into pieces of at most :data:`BATCH_ROWS` rows
+        (views over the same columns / row list, not copies)."""
+        if self.n <= BATCH_ROWS:
+            yield self
+            return
+        for start in range(0, self.n, BATCH_ROWS):
+            stop = min(start + BATCH_ROWS, self.n)
+            if self._columns is None:
+                yield Batch.from_rows(self._rows[start:stop], self.width)
+            else:
+                yield Batch([
+                    c.slice(start, stop) if isinstance(c, ColumnVector)
+                    else c[start:stop]
+                    for c in self._columns
+                ], stop - start)
+
     def __len__(self) -> int:
         return self.n
 
@@ -282,11 +307,14 @@ class KernelStats:
         self.kernel = 0
         self.fallback = 0
 
-    def note(self, result) -> None:
-        if isinstance(result, ColumnVector):
+    def count(self, kernel: bool) -> None:
+        if kernel:
             self.kernel += 1
         else:
             self.fallback += 1
+
+    def note(self, result) -> None:
+        self.count(isinstance(result, ColumnVector))
 
     def __repr__(self) -> str:
         return "KernelStats(kernel=%d, fallback=%d)" % (
@@ -945,11 +973,57 @@ def _compile_in_list(expr: InList) -> ColumnFn:
     return run
 
 
+def hash_lane(vec: ColumnVector, cache: dict):
+    """``bloom.filter.stable_hash`` of every row of ``vec`` as an int64
+    array, chosen by the column's dtype: ints and bools by the numeric
+    hash kernel, floats once per distinct value, strings once per
+    dictionary entry (kept in ``cache`` for the later batches of the
+    same dictionary), NULL rows as the hash of None."""
+    values = vec.values
+    dictionary = vec.dictionary
+    if dictionary is not None:
+        entries = dictionary.entries
+        lut = cache.get(dictionary, ())
+        if len(lut) < len(entries):
+            lut = cache[dictionary] = np.fromiter(
+                map(stable_hash, entries), dtype=np.int64,
+                count=len(entries))
+        lane = (lut[values] if len(lut)
+                else np.zeros(len(values), dtype=np.int64))
+    elif values.dtype == np.float64:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        lane = np.fromiter(map(hash, distinct.tolist()), dtype=np.int64,
+                           count=len(distinct))[inverse]
+    else:
+        lane = hash_int64(values)
+    if vec.mask is not None:
+        lane = np.where(vec.mask, lane, NONE_HASH)
+    return lane
+
+
+def key_hashes(key_columns: Sequence[ColumnVector], cache: dict):
+    """The stable hash a Bloom filter sees for each row's key: the
+    column's own hash for one key column, the tuple combination for a
+    composite key — what ``stable_hash`` gives the scalar key."""
+    lanes = [hash_lane(vec, cache) for vec in key_columns]
+    return lanes[0] if len(lanes) == 1 else combine_hash_arrays(lanes)
+
+
 def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
     arg_fns = [compile_expr(arg) for arg in expr.args]
+    # probe structures derived from the bound membership, per column
+    # domain; a membership is bound once per Filter Join execution, so
+    # these are built once however many batches probe it
+    bound_to = None
+    cache: dict = {}
 
-    def kernel(vec: ColumnVector, membership) -> Optional[ColumnVector]:
-        probe = _probe_array(vec, membership)
+    def exact_kernel(vec: ColumnVector, membership) \
+            -> Optional[ColumnVector]:
+        domain = (vec.dictionary if vec.dictionary is not None
+                  else str(vec.values.dtype))
+        if domain not in cache:
+            cache[domain] = _probe_array(vec, membership)
+        probe = cache[domain]
         if probe is None:
             return None
         found = (np.isin(vec.values, probe) if len(probe)
@@ -960,21 +1034,35 @@ def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
         return ColumnVector(found, None)
 
     def run(batch: Batch):
+        nonlocal bound_to
         membership = expr.membership  # bound by bind_memberships()
         if membership is None:
             raise ExecutionError(
                 "membership %r was not bound before execution"
                 % expr.param_id
             )
-        if len(arg_fns) == 1:
-            keys = arg_fns[0](batch)
-            if np is not None and isinstance(keys, ColumnVector) \
-                    and isinstance(membership, (set, frozenset)):
-                result = kernel(keys, membership)
-                if result is not None:
-                    return result
-            return [key in membership for key in _as_list(keys)]
-        columns = [_as_list(fn(batch)) for fn in arg_fns]
+        if membership is not bound_to:
+            cache.clear()
+            bound_to = membership
+        keys = [fn(batch) for fn in arg_fns]
+        lossy = isinstance(membership, BloomFilter)
+        result = None
+        if np is not None and all(isinstance(k, ColumnVector)
+                                  for k in keys):
+            if lossy:
+                if ARRAY_KERNELS:
+                    result = ColumnVector(membership.contains_hashes(
+                        key_hashes(keys, cache)), None)
+            elif len(keys) == 1 and \
+                    isinstance(membership, (set, frozenset)):
+                result = exact_kernel(keys[0], membership)
+        if lossy and membership.probe_stats is not None:
+            membership.probe_stats.note(result)
+        if result is not None:
+            return result
+        if len(keys) == 1:
+            return [key in membership for key in _as_list(keys[0])]
+        columns = [_as_list(column) for column in keys]
         return [key in membership for key in zip(*columns)]
 
     return run

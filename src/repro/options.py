@@ -191,7 +191,7 @@ class Options:
 
 #: the bottom of the resolution chain: what you get with no configure()
 #: and no per-call options
-BUILTIN = Options(trace=False, use_cache=False, engine="iterator",
+BUILTIN = Options(trace=False, use_cache=False, engine="vector",
                   search_trace=False, max_fixpoint_iterations=1000,
                   durability="off", isolation="snapshot",
                   adaptive=AdaptivePolicy.OFF, telemetry=False,

@@ -20,7 +20,9 @@ start with a backslash:
     \\set           show the active execution option set (engine, trace,
                     timeout, ...) — the database's repro.Options defaults
     \\set KEY VAL   change an optimizer switch (e.g. \\set enable_filter_join off)
-    \\engine NAME   switch the execution engine (vector | iterator)
+    \\engine NAME   switch the execution engine: vector (the default,
+                    columnar batches) | iterator (tuple-at-a-time, the
+                    reference); with no NAME, show the current one
     \\cache         show plan-cache counters (hits/misses/invalidations)
                     and the restriction-memo line
     \\cache clear   empty the plan cache and reset its counters

@@ -387,6 +387,30 @@ def concat_columns(parts: list):
     return out
 
 
+_EXACT_DTYPES = {int: DataType.INT, float: DataType.FLOAT,
+                 bool: DataType.BOOL, str: DataType.STR}
+
+
+def encode_exact(column):
+    """``column`` as a :class:`ColumnVector` when its non-NULL values
+    are all of one exactly-encodable Python type (so ``tolist()`` gives
+    the same objects back), else unchanged. This is how a pipeline
+    breaker turns a row-backed input columnar without trusting a
+    declared schema: ``True`` in an INT column, or an int among floats,
+    keeps the column a list."""
+    if isinstance(column, ColumnVector) or np is None:
+        return column
+    kinds = set(map(type, column))
+    kinds.discard(type(None))
+    if len(kinds) != 1:
+        return column
+    dtype = _EXACT_DTYPES.get(kinds.pop())
+    if dtype is None:
+        return column
+    vector = ColumnVector.from_values(dtype, column)
+    return vector if vector is not None else column
+
+
 def materialize(column) -> list:
     """A column piece as a plain Python list (exact objects)."""
     if isinstance(column, ColumnVector):

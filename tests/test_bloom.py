@@ -1,10 +1,27 @@
 """Unit + property tests for the Bloom filter."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom import BloomFilter
+from repro.bloom.filter import (
+    combine_hash_arrays,
+    combine_hashes,
+    hash_int64,
+    stable_hash,
+)
+from repro.executor import vectorize
+from repro.executor.vectorize import Batch, compile_expr
+from repro.expr.nodes import ColumnRef, RuntimeMembership
+from repro.storage import columnar
 
 
 class TestBloomBasics:
@@ -66,3 +83,177 @@ class TestBloomProperties:
         bloom = BloomFilter(8192, expected_items=max(1, len(items)))
         bloom.add_all(items)
         assert all(item in bloom for item in items)
+
+
+# ------------------------------------------------- array kernels vs scalar
+
+INT64_EDGES = [0, -1, 1, 2**61 - 1, -(2**61 - 1), 2**61, -2**61,
+               2**62, -2**62, 2**63 - 1, -2**63]
+SALT = 0x9E3779B9
+
+
+def _seeded_int64(seed, count):
+    rng = random.Random(seed)
+    return [rng.randrange(-2**63, 2**63) for _ in range(count)] + INT64_EDGES
+
+
+def _filter_over(members, num_bits=4096):
+    bloom = BloomFilter(num_bits, expected_items=max(1, len(members)))
+    bloom.add_all(members)
+    return bloom
+
+
+class TestStableHash:
+    def test_int_keys_sit_where_the_builtin_hash_put_them(self):
+        """Int-key positions must not move: goldens and EXPERIMENTS.md
+        numbers of every int-key Bloom join depend on them."""
+        for x in _seeded_int64(1, 2000):
+            assert stable_hash(x) == hash(x)
+            assert combine_hashes((hash(x), hash(SALT))) == hash((x, SALT))
+            assert stable_hash((x, 7)) == hash((x, 7))
+
+    def test_array_hashes_equal_scalar_hashes(self):
+        xs = _seeded_int64(2, 10_000)
+        ys = list(reversed(xs))
+        a = np.array(xs, dtype=np.int64)
+        b = np.array(ys, dtype=np.int64)
+        assert hash_int64(a).tolist() == [hash(x) for x in xs]
+        assert combine_hash_arrays(
+            [hash_int64(a), hash_int64(b)]).tolist() == [
+                hash(pair) for pair in zip(xs, ys)]
+
+
+class TestContainsMany:
+    @pytest.mark.parametrize("num_bits,members", [
+        (64 * 1024, 100), (4096, 400), (1_000_003, 3000), (7, 3)])
+    def test_verdicts_equal_scalar_contains(self, num_bits, members):
+        xs = _seeded_int64(3, 10_000)
+        bloom = _filter_over(xs[:members], num_bits)
+        got = bloom.contains_many(np.array(xs, dtype=np.int64))
+        assert got.tolist() == [x in bloom for x in xs]
+
+    def test_add_hashes_sets_the_same_bits(self):
+        xs = _seeded_int64(4, 500)
+        scalar = _filter_over(xs)
+        array = BloomFilter(4096, expected_items=len(xs))
+        array.add_hashes(hash_int64(np.array(xs, dtype=np.int64)))
+        assert array._bits == scalar._bits
+        assert array.items_added == scalar.items_added
+
+
+def _membership_flags(membership, columns):
+    """The compiled membership probe over typed columns — the path the
+    vector engine runs — as a list of bools."""
+    args = [ColumnRef("c%d" % j) for j in range(len(columns))]
+    for j, arg in enumerate(args):
+        arg.position = j
+    expr = RuntimeMembership("f", args)
+    expr.membership = membership
+    vectors = [columnar.encode_exact(column) for column in columns]
+    assert all(isinstance(v, columnar.ColumnVector) for v in vectors)
+    result = compile_expr(expr)(Batch(vectors, len(columns[0])))
+    assert isinstance(result, columnar.ColumnVector)  # ran as a kernel
+    return result.tolist()
+
+
+def _scalar_flags(membership, columns):
+    if len(columns) == 1:
+        return [key in membership for key in columns[0]]
+    return [key in membership for key in zip(*columns)]
+
+
+class TestMembershipKernel:
+    """Column kinds the kernel picks a lane for, each against
+    ``key in bloom`` row by row."""
+
+    def test_null_masked_ints(self):
+        xs = _seeded_int64(5, 3000)
+        column = [None if i % 7 == 0 else x for i, x in enumerate(xs)]
+        bloom = _filter_over(xs[:300])
+        assert _membership_flags(bloom, [column]) \
+            == _scalar_flags(bloom, [column])
+
+    def test_dictionary_coded_strings(self):
+        rng = random.Random(6)
+        names = ["name-%d" % rng.randrange(400) for _ in range(3000)]
+        column = [None if i % 11 == 0 else n for i, n in enumerate(names)]
+        bloom = _filter_over(sorted(set(names))[:60], 1024)
+        assert _membership_flags(bloom, [column]) \
+            == _scalar_flags(bloom, [column])
+
+    def test_floats_and_bools(self):
+        rng = random.Random(7)
+        floats = [rng.choice([0.0, -0.0, 1.5, 2.0, -3.25, 1e300, None])
+                  for _ in range(500)]
+        bools = [rng.choice([True, False, None]) for _ in range(500)]
+        bloom = _filter_over([1.5, 2, True, -3.25], 256)
+        for column in (floats, bools):
+            assert _membership_flags(bloom, [column]) \
+                == _scalar_flags(bloom, [column])
+
+    def test_composite_keys(self):
+        rng = random.Random(8)
+        ints = [rng.choice([None, -5, 0, 2**40] + list(range(30)))
+                for _ in range(2000)]
+        strs = [rng.choice([None, "a", "b", "c", "dd"])
+                for _ in range(2000)]
+        members = [(i, s) for i, s in zip(ints[:150], strs[:150])
+                   if i is not None and s is not None]
+        bloom = _filter_over(members, 2048)
+        assert _membership_flags(bloom, [ints, strs]) \
+            == _scalar_flags(bloom, [ints, strs])
+
+    def test_exact_set_probe_array_is_built_once_per_binding(
+            self, monkeypatch):
+        built = []
+        real = vectorize._probe_array
+        monkeypatch.setattr(
+            vectorize, "_probe_array",
+            lambda vec, cands: built.append(1) or real(vec, cands))
+        arg = ColumnRef("c0")
+        arg.position = 0
+        expr = RuntimeMembership("f", [arg])
+        probe = compile_expr(expr)
+        vector = columnar.encode_exact(list(range(50)))
+        for membership in ({1, 2, 3}, {4, 5}):
+            expr.membership = membership
+            for _ in range(5):
+                flags = probe(Batch([vector], 50)).tolist()
+                assert flags == [v in membership for v in range(50)]
+        assert len(built) == 2  # once per bound membership, not per batch
+
+
+_SEED_PROBE = """
+import json, random
+from repro import Database, DataType, OptimizerConfig, Options
+rng = random.Random(0)
+db = Database()
+names = ["dept-%d" % i for i in range(400)]
+db.create_table("D", [("name", DataType.STR), ("floor", DataType.INT)],
+                rows=[(n, i % 9) for i, n in enumerate(names[:200])])
+db.create_table("E", [("eid", DataType.INT), ("dname", DataType.STR)],
+                rows=[(i, rng.choice(names)) for i in range(20000)])
+config = OptimizerConfig(forced_stored_join="bloom", bloom_bits=2048)
+out = {}
+for engine in ("iterator", "vector"):
+    result = db.sql("SELECT D.floor, E.eid FROM D, E "
+                    "WHERE D.name = E.dname AND D.floor < 5",
+                    config=config, options=Options(engine=engine))
+    out[engine] = [len(result.rows), result.ledger.as_dict()]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_str_key_bloom_ledger_is_independent_of_the_hash_seed():
+    """``hash(str)`` is salted per process; the filter's positions — and
+    so the false positives the ledger counts — must not be."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", _SEED_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["iterator"] == outputs[0]["vector"]

@@ -13,12 +13,24 @@ The corpus is imported from ``test_plan_golden`` — the same 20 queries x
 automatically covered here.
 """
 
+import random
+
 import pytest
 
-from repro import Database, DataType, Options, QueryTimeout, ResourceExhausted
+from repro import (
+    Database,
+    DataType,
+    OptimizerConfig,
+    Options,
+    QueryTimeout,
+    ResourceExhausted,
+)
 from repro.distributed import DistributedDatabase, distributed_config
 from repro.distributed.network import FaultPlan, RetryPolicy
+from repro.optimizer.plans import FilterJoinNode
+from repro.workloads import MOTIVATING_QUERY, StarConfig, build_star
 
+from tests.test_planner_basic import find_nodes
 from tests.test_plan_golden import (
     REGIMES,
     WORKLOADS,
@@ -172,7 +184,7 @@ def test_prepared_statement_vector_engine():
     """The prepared/plan-cache path respects Options.engine too."""
     db = _db("empdept")
     stmt = db.prepare("SELECT E.eid, E.sal FROM Emp E WHERE E.sal > ?")
-    base = stmt.execute([50000])
+    base = stmt.execute([50000], options=Options(engine="iterator"))
     vec = stmt.execute([50000], options=Options(engine="vector"))
     assert vec.rows == base.rows
     assert vec.ledger.as_dict() == base.ledger.as_dict()
@@ -202,3 +214,195 @@ def test_degraded_failover_parity():
     assert vec.rows == base.rows
     assert vec.ledger.as_dict() == base.ledger.as_dict()
     assert vec_events == base_events and base_events
+
+
+# ------------------------------------------------------------ Filter Join
+
+def _keyed_db():
+    """A small production side P and a 5 000-row inner R sharing int
+    (negative, beyond 2^32, NULL-bearing), string, float and two-column
+    join keys."""
+    rng = random.Random(5)
+    ints = [None, -7, -1, 0, 3, 2 ** 40, -2 ** 40]
+    names = ["n%03d" % i for i in range(120)]
+    floats = [0.0, -0.0, 1.5, 2.5, None]
+    db = Database()
+    db.create_table(
+        "P", [("pid", DataType.INT), ("k", DataType.INT),
+              ("g", DataType.INT), ("name", DataType.STR),
+              ("w", DataType.FLOAT)],
+        rows=[(i, rng.choice(ints + list(range(10, 40))), rng.randrange(4),
+               rng.choice(names[:40] + [None]), rng.choice(floats))
+              for i in range(60)])
+    db.create_table(
+        "R", [("rid", DataType.INT), ("k", DataType.INT),
+              ("g", DataType.INT), ("name", DataType.STR),
+              ("w", DataType.FLOAT), ("v", DataType.INT)],
+        rows=[(i, rng.choice(ints + list(range(-50, 200))),
+               rng.randrange(6), rng.choice(names + [None]),
+               rng.choice(floats + [3.5]), rng.randrange(1000))
+              for i in range(5000)])
+    return db
+
+
+FILTER_JOIN_QUERIES = {
+    "int": "SELECT P.pid, R.rid, R.v FROM P, R "
+           "WHERE P.k = R.k AND P.g = 1",
+    "str": "SELECT P.pid, R.rid FROM P, R "
+           "WHERE P.name = R.name AND P.g < 2",
+    "two_column": "SELECT P.pid, R.rid FROM P, R "
+                  "WHERE P.k = R.k AND P.g = R.g",
+    "str_and_int": "SELECT P.pid, R.rid FROM P, R "
+                   "WHERE P.name = R.name AND P.k = R.k",
+    "float": "SELECT P.pid, R.rid FROM P, R "
+             "WHERE P.w = R.w AND P.g = 0 AND R.v < 50",
+    "residual": "SELECT P.pid, R.rid FROM P, R "
+                "WHERE P.k = R.k AND P.pid < R.v",
+}
+
+FILTER_EXTRAS = ("production_rows", "filter_set_size", "restricted_rows",
+                 "measured_components")
+
+
+def _filter_join_spans(span, out=None):
+    out = [] if out is None else out
+    if span.get("node_type") == "FilterJoinNode":
+        out.append(span["extras"])
+    for child in span.get("children", []):
+        _filter_join_spans(child, out)
+    return out
+
+
+def _assert_filter_join_parity(base, vec, label):
+    assert vec.rows == base.rows, label
+    assert vec.ledger.as_dict() == base.ledger.as_dict(), (
+        label, _ledger_diff(base, vec))
+    spans = [_filter_join_spans(r.trace.operator_root.to_dict())
+             for r in (base, vec)]
+    assert spans[0] and len(spans[0]) == len(spans[1]), label
+    for it_extras, vec_extras in zip(*spans):
+        for name in FILTER_EXTRAS:
+            assert vec_extras[name] == it_extras[name], (label, name)
+
+
+@pytest.mark.parametrize("bloom_bits", (64 * 1024, 512))
+@pytest.mark.parametrize("forced", ("filter_join", "bloom"))
+def test_forced_filter_joins_identical(forced, bloom_bits):
+    """Exact and lossy Filter Joins over every key kind: rows, ledger,
+    Table 1 components and the filter-effectiveness counters agree.
+    512 bits is small enough that false positives reach the final join."""
+    db = _keyed_db()
+    config = OptimizerConfig(forced_stored_join=forced,
+                             bloom_bits=bloom_bits)
+    for key, sql in FILTER_JOIN_QUERIES.items():
+        runs = [_run(db, sql, config, engine, trace=True)
+                for engine in ENGINES]
+        assert find_nodes(runs[0].plan, FilterJoinNode), key
+        _assert_filter_join_parity(*runs, label=(forced, bloom_bits, key))
+
+
+@pytest.mark.parametrize("forced", ("filter_join", "bloom"))
+def test_filter_join_recomputed_production_identical(forced):
+    """``materialize_production=False`` runs the production subtree a
+    second time for the final join, under both engines alike."""
+    db = _keyed_db()
+    config = OptimizerConfig(forced_stored_join=forced)
+    plan, planner = db.plan(FILTER_JOIN_QUERIES["int"], config)
+    for node in find_nodes(plan, FilterJoinNode):
+        node.materialize_production = False
+    base, vec = (db.run_plan(plan, planner.metrics, config=config,
+                             engine=engine) for engine in ENGINES)
+    assert vec.rows == base.rows
+    assert vec.ledger.as_dict() == base.ledger.as_dict()
+
+
+@pytest.mark.parametrize("forced", ("filter_join", "bloom"))
+def test_filter_join_memory_budget_and_deadline_parity(forced):
+    db = _keyed_db()
+    config = OptimizerConfig(forced_stored_join=forced)
+    sql = FILTER_JOIN_QUERIES["str"]
+    for engine in ENGINES:
+        with pytest.raises(ResourceExhausted):
+            _run(db, sql, config, engine, memory_budget_bytes=512)
+        with pytest.raises(QueryTimeout):
+            _run(db, sql, config, engine, timeout=1e-9)
+    ok = [_run(db, sql, config, engine, trace=True,
+               memory_budget_bytes=64 * 1024 * 1024, timeout=60.0)
+          for engine in ENGINES]
+    _assert_filter_join_parity(*ok, label=forced)
+
+
+def _kernel_counts(span, node_types, out=None):
+    out = [] if out is None else out
+    if span.get("node_type") in node_types:
+        extras = span.get("extras", {})
+        out.append((span["name"], extras.get("kernel_batches"),
+                    extras.get("fallback_batches")))
+    for child in span.get("children", []):
+        _kernel_counts(child, node_types, out)
+    return out
+
+
+VIEW5 = ("SELECT C.region, P.category, SUM(S.amount) AS revenue, "
+         "COUNT(*) AS n FROM Sales S, Customer C, Product P, Store T, "
+         "CustSpend V WHERE S.cust_id = C.cust_id "
+         "AND S.prod_id = P.prod_id AND S.store_id = T.store_id "
+         "AND V.cust_id = C.cust_id AND V.total_spend > 101000 "
+         "AND P.price > 100 GROUP BY C.region, P.category")
+
+
+def test_view5_filter_join_and_joins_above_run_as_kernels():
+    """The benchmark's view5 shape: a Bloom Filter Join under two hash
+    joins and a GROUP BY. Its three batch-wise phases and every probe
+    of the hash joins above it stay columnar."""
+    db = Database()
+    build_star(db, StarConfig(num_sales=30_000, seed=7))
+    result = db.sql(VIEW5, options=Options(engine="vector", trace=True))
+    root = result.trace.operator_root.to_dict()
+    (_, kernel, fallback), = _kernel_counts(root, {"FilterJoinNode"})
+    assert fallback == 0
+    assert kernel >= 3  # filter-set build, >= 1 probe batch, final join
+
+    def above(span, path):
+        if span.get("node_type") == "FilterJoinNode":
+            return path
+        for child in span.get("children", []):
+            found = above(child, path + [span])
+            if found is not None:
+                return found
+        return None
+
+    joins = [s for s in above(root, []) if s["node_type"] == "JoinNode"]
+    assert len(joins) == 2
+    for join in joins:
+        assert join["extras"]["fallback_batches"] == 0, join["name"]
+        assert join["extras"]["kernel_batches"] > 0, join["name"]
+
+
+def test_figure1_filter_join_runs_as_kernels():
+    """The magic (exact) Filter Join of the Figure-1 query: the filter
+    set is built from typed columns and the final join probes sorted
+    arrays. (The AVG inside the view may still fall back.)"""
+    db = _db("empdept")
+    config = OptimizerConfig(forced_view_join="filter_join")
+    result = db.sql(MOTIVATING_QUERY, config=config,
+                    options=Options(engine="vector", trace=True))
+    counts = _kernel_counts(result.trace.operator_root.to_dict(),
+                            {"FilterJoinNode"})
+    assert counts
+    for _, kernel, fallback in counts:
+        assert fallback == 0 and kernel >= 2
+
+
+def test_explain_analyze_says_when_a_key_forced_the_interpreted_path():
+    db = _keyed_db()
+    config = OptimizerConfig(forced_stored_join="filter_join")
+
+    def filter_join_line(key):
+        text = db.explain_analyze(FILTER_JOIN_QUERIES[key], config=config)
+        return next(line for line in text.splitlines()
+                    if "FilterJoin(" in line)
+
+    # a two-column final key probes the bucket table, not sorted arrays
+    assert "(1 of 2 batches interpreted)" in filter_join_line("two_column")
+    assert "interpreted" not in filter_join_line("int")

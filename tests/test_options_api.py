@@ -6,6 +6,11 @@ Covers the resolution chain (BUILTIN <- db.defaults <- per-call options
 DeprecationWarning, and the stable ``repro`` facade surface.
 """
 
+import os
+import re
+import signal
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -38,7 +43,7 @@ class TestOptions:
         resolved = Options().resolved()
         assert resolved.trace is False
         assert resolved.use_cache is False
-        assert resolved.engine == "iterator"
+        assert resolved.engine == "vector"
         assert resolved.timeout is None  # genuinely "unlimited"
 
     def test_merged_layers_non_none_fields(self):
@@ -65,7 +70,7 @@ class TestOptions:
     def test_builtin_is_fully_specified_for_flags(self):
         assert BUILTIN.trace is False
         assert BUILTIN.use_cache is False
-        assert BUILTIN.engine == "iterator"
+        assert BUILTIN.engine == "vector"
 
 
 # --------------------------------------------------- configure() / session()
@@ -116,6 +121,32 @@ class TestDatabaseDefaults:
         db.tracing = False
         db.default_timeout = None
         assert db.defaults.timeout is None
+
+
+def test_server_started_with_no_flags_runs_the_vector_engine():
+    """``python -m repro serve`` takes its engine from BUILTIN and says
+    so in ``status``."""
+    from repro.server import Client
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        banner = server.stderr.readline()
+        match = re.search(r"listening on (\S+):(\d+)", banner)
+        assert match, banner
+        with Client(match.group(1), int(match.group(2))) as client:
+            assert client.status()["engine"] == "vector"
+    finally:
+        server.send_signal(signal.SIGINT)
+        try:
+            server.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait(timeout=10)
+        server.stderr.close()
+    assert server.returncode == 0
 
 
 # ------------------------------------------------------------------ connect()
