@@ -223,6 +223,7 @@ class Database:
         # execution defaults (engine, tracing, timeout, cache, memory
         # budget); per-call Options layer over these — see configure()
         self.defaults = Options()
+        self._resolved_defaults = (self.defaults, self.defaults.resolved())
         # observability: per-database metrics chained to the process
         # registry and the estimate-drift window
         self.metrics_registry = MetricsRegistry("db",
@@ -291,9 +292,18 @@ class Database:
         finally:
             self.defaults = saved
 
-    def _resolve_options(self, options: Optional[Options]) -> Options:
-        """BUILTIN <- database defaults <- per-call options."""
-        return self.defaults.merged(options).resolved()
+    def _resolve_options(self, *layers: Optional[Options]) -> Options:
+        """BUILTIN <- database defaults <- per-call ``layers`` (later
+        wins). Resolved once per statement, at the public entry point;
+        the resolved defaults are cached until :meth:`configure` (or
+        anything else) replaces ``self.defaults``."""
+        source, opts = self._resolved_defaults
+        if source is not self.defaults:
+            opts = self.defaults.resolved()
+            self._resolved_defaults = (self.defaults, opts)
+        for layer in layers:
+            opts = opts.merged(layer)
+        return opts
 
     # ---------------------------------------------------------- sessions
 
@@ -647,10 +657,10 @@ class Database:
                 "EXPLAIN ANALYZE requires a query, got %s"
                 % type(statement).__name__
             )
-        opts = Options(trace=True, search_trace=True if search else None)
+        opts = self._resolve_options(
+            Options(trace=True, search_trace=True if search else None))
         result = self._execute_statement(statement, sql_text, config,
-                                         options=opts,
-                                         parse_seconds=parse_seconds)
+                                         opts, parse_seconds)
         return render_explain_analyze(result, config.cost_params)
 
     # ------------------------------------------------------- prepared plans
@@ -747,10 +757,10 @@ class Database:
         budget = (memory_budget_bytes if memory_budget_bytes is not None
                   else config.memory_budget_bytes)
         if engine is None:
-            engine = self.defaults.resolved().engine
+            engine = self._resolve_options().engine
         if max_fixpoint_iterations is None:
             max_fixpoint_iterations = \
-                self.defaults.resolved().max_fixpoint_iterations
+                self._resolve_options().max_fixpoint_iterations
         ctx = RuntimeContext(
             params=config.cost_params,
             memory_pages=config.memory_pages,
@@ -825,14 +835,13 @@ class Database:
             "use_cache": use_cache, "timeout": timeout,
             "memory_budget_bytes": memory_budget_bytes, "trace": trace,
         })
-        effective = self.defaults.merged(legacy).merged(options).resolved()
+        effective = self._resolve_options(legacy, options)
         parse_started = time.perf_counter() if effective.trace else 0.0
         statement = parse(text)
         parse_seconds = (time.perf_counter() - parse_started
                          if effective.trace else 0.0)
         return self._execute_statement(statement, text, config,
-                                       options=effective,
-                                       parse_seconds=parse_seconds)
+                                       effective, parse_seconds)
 
     def execute_script(self, text: str,
                        options: Optional[Options] = None, *,
@@ -856,12 +865,12 @@ class Database:
         legacy = self._legacy_options({
             "use_cache": use_cache, "timeout": timeout,
         })
-        effective = self.defaults.merged(legacy).merged(options).resolved()
+        effective = self._resolve_options(legacy, options)
         results = []
         for statement, span in Parser(text).parse_script_spans():
             results.append(
                 self._execute_statement(statement, span, None,
-                                        options=effective)
+                                        effective)
             )
         return results
 
@@ -869,18 +878,17 @@ class Database:
 
     def _execute_statement(self, statement, original_text: str,
                            config: Optional[OptimizerConfig],
-                           options: Optional[Options] = None,
-                           parse_seconds: float = 0.0
+                           opts: Options, parse_seconds: float = 0.0
                            ) -> QueryResult:
+        """``opts`` is already resolved (:meth:`_resolve_options`)."""
         with self._lock:
             return self._execute_locked(statement, original_text, config,
-                                        options, parse_seconds)
+                                        opts, parse_seconds)
 
     def _execute_locked(self, statement, original_text: str,
                         config: Optional[OptimizerConfig],
-                        options: Optional[Options],
+                        opts: Options,
                         parse_seconds: float) -> QueryResult:
-        opts = self.defaults.merged(options).resolved()
         kind = _STATEMENT_KINDS.get(type(statement).__name__, "other")
         self.metrics_registry.inc("queries_total", label=kind)
         log = self.event_log
@@ -1112,8 +1120,10 @@ class Database:
 
     def _dml_statement(self, statement, qid: Optional[str]
                        ) -> QueryResult:
-        """UPDATE/DELETE: compiled against the target table's schema
-        and executed by a direct visible-row scan (no planner)."""
+        """UPDATE/DELETE: compiled against the target table's schema;
+        the transaction manager finds the target rows through an index
+        of the table when a WHERE conjunct allows it, else by walking
+        the visible rows (no planner — one table, one access path)."""
         table = self.catalog.table(statement.table)
         schema = table.schema
         where = (compile_expr(statement.where, schema, statement.table)
@@ -1124,15 +1134,17 @@ class Database:
                 for column, expr in statement.assignments
             ]
             with self.txn.atomic():
-                count = self.txn.do_update(statement.table,
-                                           assignments, where)
+                count, access, examined = self.txn.do_update(
+                    statement.table, assignments, where)
             kind, column = "update", "updated"
         else:
             with self.txn.atomic():
-                count = self.txn.do_delete(statement.table, where)
+                count, access, examined = self.txn.do_delete(
+                    statement.table, where)
             kind, column = "delete", "deleted"
         if qid is not None:
-            self.event_log.emit("execute", query_id=qid, rows=count)
+            self.event_log.emit("execute", query_id=qid, rows=count,
+                                access=access, rows_examined=examined)
         result = _ddl_result(kind)
         result.rows = [(count,)]
         result.schema = Schema([Column(column, DataType.INT)])
@@ -1293,7 +1305,7 @@ class PreparedStatement:
                 "statement takes %d parameter(s), got %d"
                 % (self.param_count, len(params))
             )
-        opts = self.db.defaults.merged(options).resolved()
+        opts = self.db._resolve_options(options)
         if timeout is not None:
             opts = opts.replace(timeout=timeout)
         if self.is_query:
@@ -1313,7 +1325,7 @@ class PreparedStatement:
             return result
         statement = self._substituted(params) if params else self.statement
         return self.db._execute_statement(statement, self.text,
-                                          self.config, options=options)
+                                          self.config, opts)
 
     def _substituted(self, params: tuple) -> ast.InsertStmt:
         """An InsertStmt copy with every placeholder replaced by its

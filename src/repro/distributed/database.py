@@ -169,7 +169,7 @@ class DistributedDatabase(Database):
     # ------------------------------------------------------------ execution
 
     def _execute_statement(self, statement, original_text, config,
-                           options=None, parse_seconds=0.0):
+                           opts, parse_seconds=0.0):
         """Execute with graceful degradation: on ``SiteUnavailable``,
         mark the site down, record the event, and re-optimize against
         the surviving placement. Bounded by the number of known sites,
@@ -181,7 +181,7 @@ class DistributedDatabase(Database):
             retries_before = self.network.stats.retries if log.enabled else 0
             try:
                 result = super()._execute_statement(
-                    statement, original_text, config, options,
+                    statement, original_text, config, opts,
                     parse_seconds,
                 )
                 if log.enabled:

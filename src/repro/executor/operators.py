@@ -162,12 +162,13 @@ class SeqScanOp(Operator):
         predicate = compile_optional_filter(self.predicate,
                                             stats=self.kernel_counter())
         width = len(self.schema)
-        # a quiesced table scans straight off its columnar base (batch
-        # boundaries — and therefore every batch-granularity charge —
-        # are identical to the row layout); versioned tables fall back
-        # to the row path, where visibility filtering lives
+        # the snapshot's rows straight off the columnar base, hidden
+        # versions already masked out, so batches are cut over visible
+        # ordinals (boundaries — and therefore every batch-granularity
+        # charge — are identical to the row layout); rows only when
+        # there is no base (no numpy)
         store = self.table.columnar_view()
-        if store is not None and store.num_rows == len(self.table.rows):
+        if store is not None:
             source = batches_from_store(store)
         else:
             source = batches_from_list(self.table.rows, width)
@@ -210,29 +211,11 @@ class IndexScanOp(Operator):
             raise ExecutionError(
                 "no index on %s.%s" % (self.table.name, self.column)
             )
-        if self.op == "=":
-            positions = index.probe(self.value)
-        elif index.kind != "sorted":
-            raise ExecutionError("range probe requires a sorted index")
-        elif self.op == "<":
-            positions = index.probe_range(None, self.value,
-                                          high_inclusive=False)
-        elif self.op == "<=":
-            positions = index.probe_range(None, self.value,
-                                          high_inclusive=True)
-        elif self.op == ">":
-            positions = index.probe_range(self.value, None,
-                                          low_inclusive=False)
-        elif self.op == ">=":
-            positions = index.probe_range(self.value, None,
-                                          low_inclusive=True)
-        else:
-            raise ExecutionError(
-                "unsupported index operator %r" % self.op)
         # indexes map to physical positions; drop versions this
         # statement's MVCC snapshot cannot see (identity on a table
         # with no in-flight or unvacuumed versions)
-        return self.table.visible_positions(positions)
+        return self.table.visible_positions(
+            index.search(self.op, self.value))
 
     def rows(self) -> Iterator[Row]:
         positions = self._positions()

@@ -495,6 +495,29 @@ def conjoin(predicates: Sequence[Expr]) -> Optional[Expr]:
     return BooleanExpr("AND", predicates)
 
 
+def sargable(predicate: Expr, table):
+    """The one rule for "this conjunct can be answered by an index of
+    ``table``": a comparison of one of its columns (bare or qualified
+    name) with a literal, on either side, through an operator the
+    column's index answers — ``=`` on hash and sorted, ranges on sorted
+    (:attr:`repro.storage.index.Index.ops`). Returns ``(comparison
+    normalised to column <op> literal, that index)``, else None. The
+    planner's index access plans and UPDATE/DELETE target discovery
+    both ask here."""
+    if not isinstance(predicate, Comparison):
+        return None
+    if isinstance(predicate.left, Literal) and \
+            isinstance(predicate.right, ColumnRef):
+        predicate = predicate.flipped()
+    if not (isinstance(predicate.left, ColumnRef)
+            and isinstance(predicate.right, Literal)):
+        return None
+    index = table.index_on(predicate.left.name.rpartition(".")[2])
+    if index is None or predicate.op not in index.ops:
+        return None
+    return predicate, index
+
+
 def is_equijoin(predicate: Expr) -> bool:
     """True for predicates of the form column = column."""
     return (

@@ -88,7 +88,8 @@ class RestrictionMemo:
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:  # never mid-store, where the bound is open
+            return len(self._entries)
 
     def _sync(self, catalog_version: int) -> None:
         if catalog_version != self._version:

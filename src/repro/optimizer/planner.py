@@ -39,7 +39,7 @@ from ..algebra.relations import (
     VirtualRelation,
 )
 from ..errors import PlanError
-from ..expr.nodes import ColumnRef, Comparison, Expr, Literal, conjoin
+from ..expr.nodes import ColumnRef, Comparison, Expr, conjoin, sargable
 from ..ledger import CostLedger
 from ..rewrite.magic import (
     bindable_columns,
@@ -576,24 +576,12 @@ class Planner:
         plans: List[PartialPlan] = []
         table = rel.table
         for pred in locals_:
-            if not isinstance(pred, Comparison):
+            probe = sargable(pred, table)
+            if probe is None:
                 continue
+            pred, index = probe
             left, right = pred.left, pred.right
-            if isinstance(left, Literal) and isinstance(right, ColumnRef):
-                pred = pred.flipped()
-                left, right = pred.left, pred.right
-            if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
-                continue
-            column = left.name.split(".", 1)[1]
-            index = table.index_on(column)
-            if index is None:
-                continue
-            if pred.op == "=" and index.kind in ("hash", "sorted"):
-                pass
-            elif pred.op in ("<", "<=", ">", ">=") and index.kind == "sorted":
-                pass
-            else:
-                continue
+            column = index.column_name
             sel = self.estimator.selectivity(pred, base)
             matches = base.rows * sel
             components = self.cost_model.index_probe(

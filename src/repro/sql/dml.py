@@ -1,12 +1,16 @@
 """Compile UPDATE/DELETE scalar expressions against one table schema.
 
-UPDATE and DELETE never reach the planner: they resolve their target
-rows by a direct visible-row scan inside the transaction manager, so
-all they need is the expression subset — columns of the target table,
-literals, comparisons, boolean logic, arithmetic, and IN lists —
-compiled to the executor's :mod:`repro.expr.nodes` tree and resolved
-against the table schema. Subqueries, function calls, and prepared
-parameters are rejected with typed errors.
+UPDATE and DELETE name one table, so they need no plan search — but
+they do get an access path: the transaction manager finds their target
+rows through an index of the table whenever a conjunct of the WHERE is
+sargable (the planner's rule, :func:`repro.expr.nodes.sargable`), and
+evaluates the whole WHERE on the candidates
+(:meth:`repro.txn.manager.TransactionManager._match`). All that takes
+is the expression subset — columns of the target table, literals,
+comparisons, boolean logic, arithmetic, and IN lists — compiled here to
+the executor's :mod:`repro.expr.nodes` tree and resolved against the
+table schema. Subqueries, function calls, and prepared parameters are
+rejected with typed errors.
 """
 
 from __future__ import annotations

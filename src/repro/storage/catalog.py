@@ -48,28 +48,34 @@ class ColumnStats:
             return self.selectivity_eq(value)
         if op in ("!=", "<>"):
             return max(0.0, 1.0 - self.selectivity_eq(value))
-        if self.frequencies is not None and value is not None:
-            # exact range selectivity from the tracked value counts
-            total = self.frequencies.total
-            if total > 0:
-                import operator as _op
-                compare = {"<": _op.lt, "<=": _op.le,
-                           ">": _op.gt, ">=": _op.ge}[op]
-                hits = sum(
-                    count
-                    for tracked, count in self.frequencies.counts.items()
-                    if compare(tracked, value)
-                )
-                return hits / total
-        if self.histogram is not None:
-            if op == "<":
-                return self.histogram.selectivity_lt(value)
-            if op == "<=":
-                return self.histogram.selectivity_lt(value, inclusive=True)
-            if op == ">":
-                return self.histogram.selectivity_gt(value)
-            if op == ">=":
-                return self.histogram.selectivity_gt(value, inclusive=True)
+        try:
+            if self.frequencies is not None and value is not None:
+                # exact range selectivity from the tracked value counts
+                total = self.frequencies.total
+                if total > 0:
+                    import operator as _op
+                    compare = {"<": _op.lt, "<=": _op.le,
+                               ">": _op.gt, ">=": _op.ge}[op]
+                    hits = sum(
+                        count
+                        for tracked, count in self.frequencies.counts.items()
+                        if compare(tracked, value)
+                    )
+                    return hits / total
+            if self.histogram is not None:
+                if op == "<":
+                    return self.histogram.selectivity_lt(value)
+                if op == "<=":
+                    return self.histogram.selectivity_lt(value, inclusive=True)
+                if op == ">":
+                    return self.histogram.selectivity_gt(value)
+                if op == ">=":
+                    return self.histogram.selectivity_gt(value, inclusive=True)
+        except TypeError:
+            # a literal the column's values cannot be ordered with: the
+            # estimate is moot, the comparison raises its typed error
+            # when the plan runs
+            pass
         # No histogram: fall back to System R's magic 1/3.
         return 1.0 / 3.0
 

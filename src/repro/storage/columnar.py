@@ -12,12 +12,14 @@ probes and GROUP BY over strings run as integer kernels.
 The store is a *derived acceleration structure*: the row-form list on
 :class:`~repro.storage.table.Table` remains the authoritative version
 store (MVCC stamps, WAL serialization, and the iterator oracle all read
-rows), and the columnar base covers exactly the quiesced prefix of the
-physical row list. Rows appended after the last compaction form a
-row-shaped delta tail that :meth:`ColumnStore.extend` folds in; any
-in-place change below the base (deletes, vacuum, clustering) simply
-invalidates the store, which is rebuilt lazily at the next scan. See
-docs/execution.md ("Columnar storage").
+rows), and the columnar base covers a prefix of the *physical* row list,
+append-only like the heap: dead and uncommitted versions sit in it and
+a scan masks out the positions its snapshot cannot see
+(:meth:`ColumnStore.without`). Rows appended after the last compaction
+form a row-shaped delta tail that :meth:`ColumnStore.extend` folds in;
+only a change that moves positions (vacuum, clustering, truncation
+below the base) invalidates the store, which is rebuilt lazily at the
+next scan. See docs/execution.md ("Columnar storage").
 
 Value fidelity is absolute: a value must round-trip ``Python ->
 array -> Python`` bit-exactly or the column refuses encoding and falls
@@ -28,6 +30,7 @@ are never narrowed.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence
 
 try:  # numpy is an optional accelerator; everything degrades to rows
@@ -351,6 +354,19 @@ class ColumnStore:
             columns.append(merged)
         return ColumnStore(self.schema, columns,
                            self.num_rows + len(rows))
+
+    def without(self, positions) -> "ColumnStore":
+        """A store of the rows *not* at ``positions`` (distinct, in
+        range), order kept: one boolean mask applied to every column."""
+        keep = np.ones(self.num_rows, dtype=bool)
+        keep[np.fromiter(positions, np.intp, len(positions))] = False
+        columns = [
+            (col.select(keep) if isinstance(col, ColumnVector)
+             else list(compress(col, keep)))
+            for col in self.columns
+        ]
+        return ColumnStore(self.schema, columns,
+                           self.num_rows - len(positions))
 
     def column_slices(self, start: int, stop: int) -> list:
         return [

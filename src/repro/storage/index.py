@@ -15,13 +15,16 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
-from ..errors import CatalogError
+from ..errors import CatalogError, ExecutionError
 
 
 class Index:
     """Base class: an index on one column of a table."""
 
     kind = "abstract"
+    #: comparison operators :meth:`search` answers — the index half of
+    #: the sargable rule (:func:`repro.expr.nodes.sargable`)
+    ops: Tuple[str, ...] = ("=",)
 
     def __init__(self, column_name: str):
         self.column_name = column_name
@@ -32,6 +35,25 @@ class Index:
     def probe(self, key: Any) -> Sequence[int]:
         """Row positions whose key equals ``key``."""
         raise NotImplementedError
+
+    def search(self, op: str, value: Any) -> Sequence[int]:
+        """Row positions whose key satisfies ``key <op> value`` with
+        SQL comparison semantics, whatever the index kind: NULL matches
+        nothing, ``=`` against a value the keys cannot be ordered with
+        matches nothing, and a range against one raises the typed
+        error a scan's comparison raises."""
+        if op not in self.ops:
+            raise ExecutionError("%s index on %s cannot answer %r"
+                                 % (self.kind, self.column_name, op))
+        if value is None:
+            return ()
+        try:
+            return self.probe(value) if op == "=" else self._range(op, value)
+        except TypeError:
+            if op == "=":
+                return ()
+            raise ExecutionError(
+                "cannot compare %s keys with %r" % (self.column_name, value))
 
     def remove_from(self, position: int) -> None:
         """Drop every entry whose row position is >= ``position``.
@@ -92,6 +114,7 @@ class SortedIndex(Index):
     """
 
     kind = "sorted"
+    ops = ("=", "<", "<=", ">", ">=")
 
     def __init__(self, column_name: str):
         super().__init__(column_name)
@@ -131,6 +154,11 @@ class SortedIndex(Index):
         else:
             hi = bisect.bisect_left(self._keys, high)
         return self._positions[lo:hi]
+
+    def _range(self, op: str, value: Any) -> Sequence[int]:
+        if op in ("<", "<="):
+            return self.probe_range(None, value, high_inclusive=op == "<=")
+        return self.probe_range(value, None, low_inclusive=op == ">=")
 
     def remove_from(self, position: int) -> None:
         keep = [i for i, p in enumerate(self._positions) if p < position]

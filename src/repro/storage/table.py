@@ -11,30 +11,35 @@ Concurrency (PR 8) adds snapshot-isolated versioning on top of the
 same storage: ``_rows`` holds every version ever created, a parallel
 ``_xmins`` list stamps each version with its creating transaction, and
 a sparse ``_xmaxs`` dict stamps deleted/superseded versions with the
-transaction that removed them. ``Table.rows`` is now a *property*: on
-a quiesced table (no unfrozen stamps) it returns the raw physical list
-— bit-identical to the pre-MVCC engine, zero per-row overhead — and
-otherwise a cached list of the versions visible to the current
-snapshot (see :mod:`repro.storage.mvcc` for the visibility rules and
-the freezing protocol that keeps tables quiesced). Updates never
-modify a row in place: they stamp the old version's ``xmax`` and
-append the new version, so concurrent readers keep seeing the world
-their snapshot pinned. :meth:`vacuum` physically reclaims frozen-dead
-versions once no transaction can need them.
+transaction that removed them. Visibility is computed from the stamps,
+not the rows: the positions a snapshot cannot see (:meth:`Table._hidden`)
+follow from the frozen-dead set and the per-transaction stamp lists
+alone, and ``rows``, ``num_rows``, ``visible_positions`` and
+``columnar_view`` all read that one set. With nothing hidden
+``Table.rows`` is the raw physical list — bit-identical to the pre-MVCC
+engine, zero per-row overhead (see :mod:`repro.storage.mvcc` for the
+visibility rules and the freezing protocol that keeps tables quiesced).
+Updates never modify a row in place: they stamp the old version's
+``xmax`` and append the new version, so concurrent readers keep seeing
+the world their snapshot pinned. :meth:`vacuum` physically reclaims
+frozen-dead versions once no transaction can need them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
+                    Set)
 
 from ..errors import CatalogError
 from . import columnar
 from .index import HashIndex, Index, SortedIndex
-from .mvcc import FROZEN, MVCCState, Snapshot
+from .mvcc import FROZEN, MVCCState
 from .schema import Schema
 
 PAGE_SIZE_BYTES = 4096
+
+_NOTHING_HIDDEN: frozenset = frozenset()
 
 
 def pages_for(num_rows: float, row_width: int) -> float:
@@ -80,17 +85,20 @@ class Table:
         self._writers: Dict[int, List[int]] = {}
         #: unfrozen txn id -> positions it deleted (for freeze)
         self._deleters: Dict[int, List[int]] = {}
-        #: count of frozen-dead versions (xmax == FROZEN), vacuumable
-        self._dead = 0
+        #: the frozen-dead versions (xmax == FROZEN): hidden from every
+        #: snapshot, vacuumable
+        self._dead: Set[int] = set()
         #: bumped on any row/version change; keys the visibility cache
         self._mutations = 0
         self._vis_key: Optional[tuple] = None
-        self._vis_rows: List[tuple] = []
+        self._vis_hidden: AbstractSet[int] = _NOTHING_HIDDEN
+        self._vis_rows: Optional[List[tuple]] = None
         # ------------------------------------------- columnar base
-        #: typed numpy column arrays covering the quiesced prefix
-        #: ``_rows[:_col_base]`` (see repro.storage.columnar); rows past
-        #: the base are the row-form delta tail, folded in by
-        #: :meth:`compact`. Never consulted on a non-quiesced table.
+        #: typed numpy column arrays covering the *physical* prefix
+        #: ``_rows[:_col_base]`` (see repro.storage.columnar), dead and
+        #: uncommitted versions included — append-only like the heap;
+        #: rows past the base are the row-form delta tail, folded in by
+        #: :meth:`compact`. Dropped only when positions move.
         self._colstore: Optional["columnar.ColumnStore"] = None
         self._col_base = 0
 
@@ -98,17 +106,54 @@ class Table:
 
     @property
     def rows(self) -> List[tuple]:
-        """The rows visible to the current snapshot.
+        """The rows visible to the current snapshot: the raw physical
+        list when nothing is hidden (the common, quiesced state), else
+        a list cached beside the hidden set."""
+        hidden = self._hidden()
+        if not hidden:
+            return self._rows
+        if self._vis_rows is None:
+            self._vis_rows = [row for pos, row in enumerate(self._rows)
+                              if pos not in hidden]
+        return self._vis_rows
 
-        Fast path: with no unfrozen stamps anywhere (the common,
-        quiesced state) every physical row is visible and the raw list
-        is returned directly.
-        """
-        if not self._xmaxs and not self._writers:
-            return self._rows
-        if self._mvcc is None:
-            return self._rows
-        return self._visible_rows(self._mvcc.read_view())
+    def _hidden(self) -> AbstractSet[int]:
+        """Physical positions the current snapshot cannot see, from the
+        stamps alone — O(stamped versions), not O(rows): the frozen-dead
+        versions, versions whose deletion the snapshot sees, and
+        versions created by a transaction it does not see. Every
+        unfrozen ``xmax`` / ``xmin`` is tracked per transaction in
+        ``_deleters`` / ``_writers`` until it freezes or is retracted,
+        so neither the rows nor the frozen stamps are walked. Cached
+        per (snapshot, mutation); callers must not modify the set."""
+        if (not self._xmaxs and not self._writers) or self._mvcc is None:
+            return _NOTHING_HIDDEN
+        snap = self._mvcc.read_view()
+        key = (snap.txn_id, snap.seq, self._mutations)
+        if key != self._vis_key:
+            sees, xmaxs = snap.sees, self._xmaxs
+            hidden = set(self._dead)
+            for txn_id, positions in self._deleters.items():
+                if sees(txn_id):  # entries may be stale: check the stamp
+                    hidden.update(pos for pos in positions
+                                  if xmaxs.get(pos) == txn_id)
+            for txn_id, positions in self._writers.items():
+                if not sees(txn_id):
+                    hidden.update(positions)
+            self._vis_key = key
+            self._vis_hidden = hidden
+            self._vis_rows = None
+        return self._vis_hidden
+
+    def visible_positions(self, positions: Iterable[int]) -> List[int]:
+        """Filter physical positions (an index probe, or a ``range`` for
+        a full walk) down to the current snapshot, order kept. Identity
+        on a quiesced table, so index paths charge exactly what they
+        did pre-MVCC."""
+        hidden = self._hidden()
+        if not hidden:
+            return list(positions)
+        return [pos for pos in positions if pos not in hidden]
 
     # -------------------------------------------------- columnar base
 
@@ -118,15 +163,13 @@ class Table:
 
     def compact(self) -> Optional["columnar.ColumnStore"]:
         """(Re)build or extend the columnar base to cover every
-        physical row. Only meaningful on a quiesced table — with
-        unfrozen version stamps the caller must stay on the row path —
-        and a no-op when numpy is unavailable.
+        *physical* row; ``None`` when numpy is unavailable or the table
+        is empty.
 
         Called lazily by :meth:`columnar_view` at scan time, and
-        eagerly by :meth:`vacuum` right after physical compaction, so
-        freshly frozen/vacuumed versions land in the columnar base.
+        eagerly by :meth:`vacuum` right after physical compaction.
         """
-        if not columnar.AVAILABLE or self._xmaxs or self._writers:
+        if not columnar.AVAILABLE:
             return None
         n = len(self._rows)
         if self._colstore is None:
@@ -143,12 +186,15 @@ class Table:
         return self._colstore
 
     def columnar_view(self) -> Optional["columnar.ColumnStore"]:
-        """The columnar base covering *all* currently visible rows, or
-        ``None`` when the table is not quiesced (vector scans then fall
-        back to the row-form visibility path)."""
-        if self._xmaxs or self._writers:
-            return None
-        return self.compact()
+        """The rows visible to the current snapshot in columnar form:
+        the base itself when nothing is hidden, else the base with the
+        hidden positions masked out (row order kept). ``None`` only
+        when there is no base (:meth:`compact`)."""
+        store = self.compact()
+        hidden = self._hidden()
+        if store is None or not hidden:
+            return store
+        return store.without(hidden)
 
     @property
     def physical_rows(self) -> List[tuple]:
@@ -160,61 +206,6 @@ class Table:
     @property
     def physical_count(self) -> int:
         return len(self._rows)
-
-    def _visible_rows(self, snap: Snapshot) -> List[tuple]:
-        key = (snap.txn_id, snap.seq, self._mutations)
-        if key == self._vis_key:
-            return self._vis_rows
-        xmins, xmaxs = self._xmins, self._xmaxs
-        out = []
-        for pos, row in enumerate(self._rows):
-            xmin = xmins[pos]
-            if xmin and not snap.sees(xmin):
-                continue
-            xmax = xmaxs.get(pos)
-            if xmax is not None and (xmax == FROZEN or snap.sees(xmax)):
-                continue
-            out.append(row)
-        self._vis_key = key
-        self._vis_rows = out
-        return out
-
-    def visible_items(self) -> List[Tuple[int, tuple]]:
-        """(physical position, row) pairs visible to the current
-        snapshot — what UPDATE/DELETE iterate to find their targets."""
-        if (not self._xmaxs and not self._writers) or self._mvcc is None:
-            return list(enumerate(self._rows))
-        snap = self._mvcc.read_view()
-        xmins, xmaxs = self._xmins, self._xmaxs
-        out = []
-        for pos, row in enumerate(self._rows):
-            xmin = xmins[pos]
-            if xmin and not snap.sees(xmin):
-                continue
-            xmax = xmaxs.get(pos)
-            if xmax is not None and (xmax == FROZEN or snap.sees(xmax)):
-                continue
-            out.append((pos, row))
-        return out
-
-    def visible_positions(self, positions: Sequence[int]) -> List[int]:
-        """Filter index-probe results down to the current snapshot.
-        Identity on a quiesced table, so index paths charge exactly
-        what they did pre-MVCC."""
-        if (not self._xmaxs and not self._writers) or self._mvcc is None:
-            return list(positions)
-        snap = self._mvcc.read_view()
-        xmins, xmaxs = self._xmins, self._xmaxs
-        out = []
-        for pos in positions:
-            xmin = xmins[pos]
-            if xmin and not snap.sees(xmin):
-                continue
-            xmax = xmaxs.get(pos)
-            if xmax is not None and (xmax == FROZEN or snap.sees(xmax)):
-                continue
-            out.append(pos)
-        return out
 
     def conflicting_positions(self, positions: Sequence[int]) -> List[int]:
         """Positions that already carry *any* deletion stamp. A version
@@ -261,13 +252,11 @@ class Table:
     def mark_deleted(self, position: int, xmax: int = FROZEN) -> None:
         """Stamp one version as deleted by transaction ``xmax``
         (FROZEN = dead to every snapshot immediately)."""
-        if position < self._col_base:
-            self._col_invalidate()
         self._xmaxs[position] = xmax
         if xmax:
             self._deleters.setdefault(xmax, []).append(position)
         else:
-            self._dead += 1
+            self._dead.add(position)
         self._mutations += 1
 
     def unmark_deleted(self, position: int) -> None:
@@ -276,7 +265,7 @@ class Table:
         :meth:`freeze_txn`'s ownership check."""
         xmax = self._xmaxs.pop(position, None)
         if xmax == FROZEN:
-            self._dead -= 1
+            self._dead.discard(position)
         self._mutations += 1
 
     def truncate_to(self, num_rows: int) -> None:
@@ -292,7 +281,7 @@ class Table:
         if self._xmaxs:
             kept = {p: x for p, x in self._xmaxs.items() if p < num_rows}
             self._xmaxs = kept
-            self._dead = sum(1 for x in kept.values() if x == FROZEN)
+            self._dead = {p for p in self._dead if p < num_rows}
         for tracker in (self._writers, self._deleters):
             for txn_id in list(tracker):
                 mine = [p for p in tracker[txn_id] if p < num_rows]
@@ -317,10 +306,8 @@ class Table:
             return
         for position in mine:
             if self._xmaxs.get(position) != FROZEN:
-                if position < self._col_base:
-                    self._col_invalidate()
                 self._xmaxs[position] = FROZEN
-                self._dead += 1
+                self._dead.add(position)
         kept = [p for p in self._writers[txn_id] if p < before]
         if kept:
             self._writers[txn_id] = kept
@@ -337,7 +324,7 @@ class Table:
         for position in self._deleters.pop(txn_id, ()):
             if self._xmaxs.get(position) == txn_id:
                 self._xmaxs[position] = FROZEN
-                self._dead += 1
+                self._dead.add(position)
         self._mutations += 1
 
     def forget_txn(self, txn_id: int) -> None:
@@ -381,7 +368,7 @@ class Table:
                     tracker[txn_id] = mine
                 else:
                     del tracker[txn_id]
-        self._dead = 0
+        self._dead = set()
         self._mutations += 1
         for index in self.indexes.values():
             col_pos = self.schema.index_of(index.column_name)
@@ -396,18 +383,16 @@ class Table:
 
     @property
     def dead_versions(self) -> int:
-        return self._dead
+        return len(self._dead)
 
     def row_at(self, position: int) -> tuple:
         return self._rows[position]
 
     @property
     def num_rows(self) -> int:
-        """Rows visible to the current snapshot (physical count on a
-        quiesced table)."""
-        if not self._xmaxs and not self._writers:
-            return len(self._rows)
-        return len(self.rows)
+        """Rows visible to the current snapshot: physical minus
+        hidden."""
+        return len(self._rows) - len(self._hidden())
 
     @property
     def tuples_per_page(self) -> int:

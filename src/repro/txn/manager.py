@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 from ..errors import (
     SerializationError,
@@ -52,6 +52,7 @@ from ..errors import (
     TransactionError,
     WalError,
 )
+from ..expr.nodes import conjuncts, sargable
 from ..storage.mvcc import FROZEN, Snapshot
 from .state import state_dict
 from .wal import FileStorage, MemoryStorage, WriteAheadLog
@@ -542,115 +543,53 @@ class TransactionManager:
             })
         return count
 
-    def do_update(self, table_name: str, assignments, where) -> int:
-        """UPDATE: stamp each matched visible version as deleted and
-        append the replacement — never in place, so concurrent
-        snapshots keep reading the version they pinned.
+    def _candidates(self, table, index=None, op: str = "=",
+                    value=None) -> List[int]:
+        """Where UPDATE, DELETE and replayed deletes look for their
+        rows: the visible physical positions, ascending — those
+        ``index`` holds for ``key <op> value`` (the caller's own
+        uncommitted versions included, like any other), or every
+        position when no index applies."""
+        if index is None:
+            return table.visible_positions(range(table.physical_count))
+        return table.visible_positions(sorted(index.search(op, value)))
 
-        ``assignments`` is ``[(column_name, resolved Expr)]``; ``where``
-        a resolved Expr or None (see :mod:`repro.sql.dml`).
-        """
+    def _match(self, table, where) -> Tuple[List[int], str, int]:
+        """Targets of an UPDATE/DELETE: (positions, access path, rows
+        examined). A conjunct an index of the table answers
+        (:func:`~repro.expr.nodes.sargable`; an equality before a
+        range) narrows the candidates; the *full* WHERE is then
+        evaluated on each, in position order, so the matched rows and
+        their order — hence the redo records — are exactly the full
+        scan's. Everything is located before the caller stamps
+        anything: a SET that changes the probed key cannot re-visit
+        its own output."""
+        probes = [probe for probe in
+                  (sargable(pred, table) for pred in conjuncts(where))
+                  if probe is not None]
+        if probes:
+            probe, index = min(probes, key=lambda p: p[0].op != "=")
+            access = "index(%s.%s)" % (table.name, index.column_name)
+            candidates = self._candidates(table, index, probe.op,
+                                          probe.right.value)
+        else:
+            access = "scan"
+            candidates = self._candidates(table)
+        rows = table.physical_rows
+        matched = [pos for pos in candidates
+                   if where is None or where.eval(rows[pos]) is True]
+        metrics = self._db.metrics_registry
+        metrics.inc("dml_access_total",
+                    label="index" if probes else "scan")
+        metrics.inc("dml_rows_examined_total", amount=len(candidates))
+        return matched, access, len(candidates)
+
+    def _delete_versions(self, table, positions: List[int]) -> None:
+        """Stamp ``positions`` deleted by the current transaction:
+        conflict check, undo closure and the ``delete_rows`` redo
+        record. The caller bumps the catalog version (once per
+        statement)."""
         txn = self.current
-        catalog = self._db.catalog
-        table = catalog.table(table_name)
-        schema = table.schema
-        set_positions = [(schema.index_of(column), expr)
-                         for column, expr in assignments]
-        matched = [(pos, row) for pos, row in table.visible_items()
-                   if where is None or where.eval(row) is True]
-        if not matched:
-            return 0
-        self._check_conflicts(table, [pos for pos, _ in matched])
-        stamp = self._stamp(txn)
-        txn.tables.add(table)
-        new_rows = []
-        for _, row in matched:
-            values = list(row)
-            for at, expr in set_positions:
-                values[at] = expr.eval(row)
-            new_rows.append(values)
-        before = table.physical_count
-        marked: List[int] = []
-
-        def undo():
-            table.retract_inserts(before, stamp)
-            for position in marked:
-                table.unmark_deleted(position)
-
-        txn.undo.append(undo)
-        for position, _ in matched:
-            table.mark_deleted(position, stamp)
-            marked.append(position)
-        table.insert_many(new_rows, xmin=stamp)
-        catalog.bump_version()
-        if txn.log_redo:
-            txn.redo.append({
-                "op": "delete_rows", "table": table.name,
-                "rows": [list(row) for _, row in matched],
-            })
-            txn.redo.append({
-                "op": "insert", "table": table.name,
-                "rows": [list(row) for row in
-                         table.physical_rows[before:]],
-            })
-        return len(matched)
-
-    def do_delete(self, table_name: str, where) -> int:
-        """DELETE: stamp each matched visible version as deleted."""
-        txn = self.current
-        catalog = self._db.catalog
-        table = catalog.table(table_name)
-        matched = [(pos, row) for pos, row in table.visible_items()
-                   if where is None or where.eval(row) is True]
-        if not matched:
-            return 0
-        self._check_conflicts(table, [pos for pos, _ in matched])
-        stamp = self._stamp(txn)
-        txn.tables.add(table)
-        marked: List[int] = []
-
-        def undo():
-            for position in marked:
-                table.unmark_deleted(position)
-
-        txn.undo.append(undo)
-        for position, _ in matched:
-            table.mark_deleted(position, stamp)
-            marked.append(position)
-        catalog.bump_version()
-        if txn.log_redo:
-            txn.redo.append({
-                "op": "delete_rows", "table": table.name,
-                "rows": [list(row) for _, row in matched],
-            })
-        return len(matched)
-
-    def do_delete_values(self, table_name: str, values) -> int:
-        """Value-based delete (WAL replay): remove the first visible
-        occurrence of each row value, in order. Deterministic given the
-        committed-prefix state, which is what makes logical update/
-        delete records replayable."""
-        txn = self.current
-        catalog = self._db.catalog
-        table = catalog.table(table_name)
-        wanted = [tuple(table.schema.validate_row(value))
-                  for value in values]
-        items = table.visible_items()
-        taken: Set[int] = set()
-        positions: List[int] = []
-        for value in wanted:
-            found = None
-            for position, row in items:
-                if position not in taken and row == value:
-                    found = position
-                    break
-            if found is None:
-                raise TransactionError(
-                    "replayed delete found no row %r in %r"
-                    % (value, table_name)
-                )
-            taken.add(found)
-            positions.append(found)
         self._check_conflicts(table, positions)
         stamp = self._stamp(txn)
         txn.tables.add(table)
@@ -664,12 +603,86 @@ class TransactionManager:
         for position in positions:
             table.mark_deleted(position, stamp)
             marked.append(position)
-        catalog.bump_version()
         if txn.log_redo:
             txn.redo.append({
                 "op": "delete_rows", "table": table.name,
-                "rows": [list(value) for value in wanted],
+                "rows": [list(table.row_at(position))
+                         for position in positions],
             })
+
+    def do_update(self, table_name: str, assignments, where
+                  ) -> Tuple[int, str, int]:
+        """UPDATE: stamp each matched visible version as deleted and
+        append the replacement — never in place, so concurrent
+        snapshots keep reading the version they pinned. Returns
+        (rows updated, access path, rows examined) — see :meth:`_match`.
+
+        ``assignments`` is ``[(column_name, resolved Expr)]``; ``where``
+        a resolved Expr or None (see :mod:`repro.sql.dml`).
+        """
+        table = self._db.catalog.table(table_name)
+        schema = table.schema
+        set_positions = [(schema.index_of(column), expr)
+                         for column, expr in assignments]
+        matched, access, examined = self._match(table, where)
+        if matched:
+            self._delete_versions(table, matched)
+            new_rows = []
+            for position in matched:
+                row = table.row_at(position)
+                values = list(row)
+                for at, expr in set_positions:
+                    values[at] = expr.eval(row)
+                new_rows.append(values)
+            self.do_insert(table_name, new_rows)
+        return len(matched), access, examined
+
+    def do_delete(self, table_name: str, where) -> Tuple[int, str, int]:
+        """DELETE: stamp each matched visible version as deleted.
+        Returns (rows deleted, access path, rows examined)."""
+        table = self._db.catalog.table(table_name)
+        matched, access, examined = self._match(table, where)
+        if matched:
+            self._delete_versions(table, matched)
+            self._db.catalog.bump_version()
+        return len(matched), access, examined
+
+    def do_delete_values(self, table_name: str, values) -> int:
+        """Value-based delete (WAL replay): remove the first visible
+        occurrence of each row value, in order. Deterministic given the
+        committed-prefix state, which is what makes logical update/
+        delete records replayable. A value is located through an index
+        of the table when it has one (any will do — candidates are
+        compared with the whole row), by a walk of the table otherwise."""
+        table = self._db.catalog.table(table_name)
+        wanted = [tuple(table.schema.validate_row(value))
+                  for value in values]
+        index = next(iter(table.indexes.values()), None)
+        key_at = (table.schema.index_of(index.column_name)
+                  if index is not None else 0)
+        rows = table.physical_rows
+        everything: Optional[List[int]] = None
+        taken: Set[int] = set()
+        positions: List[int] = []
+        for value in wanted:
+            if index is not None and value[key_at] is not None:
+                candidates = self._candidates(table, index,
+                                              value=value[key_at])
+            else:  # a NULL key is in no probe's answer
+                if everything is None:
+                    everything = self._candidates(table)
+                candidates = everything
+            found = next((pos for pos in candidates if rows[pos] == value
+                          and pos not in taken), None)
+            if found is None:
+                raise TransactionError(
+                    "replayed delete found no row %r in %r"
+                    % (value, table_name)
+                )
+            taken.add(found)
+            positions.append(found)
+        self._delete_versions(table, positions)
+        self._db.catalog.bump_version()
         return len(positions)
 
     def do_create_table(self, name: str, schema):

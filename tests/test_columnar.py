@@ -125,19 +125,49 @@ class TestMvccCompaction:
         assert dictionary.entries[:3] == ["oslo", "lima", "pune"]
         assert store2.columns[1].tolist()[-2:] == ["oslo", "kiev"]
 
-    def test_uncommitted_writes_disable_columnar_view(self):
+    def test_uncommitted_writes_are_masked_from_columnar_scans(
+            self, monkeypatch):
         db = _db()
         table = db.catalog.table("people")
-        assert table.columnar_view() is not None
+        assert table.columnar_view().num_rows == 6
+        builds = []
+        build = columnar.ColumnStore.build
+        monkeypatch.setattr(
+            columnar.ColumnStore, "build", staticmethod(
+                lambda *args: builds.append(args) or build(*args)))
         session = db.new_session()
         session.sql("BEGIN")
         session.sql("INSERT INTO people VALUES ('gus', 'oslo', 61)")
-        assert table.columnar_view() is None  # unfrozen writer
+        session.sql("DELETE FROM people WHERE name = 'bob'")
+
+        def names(store):
+            return columnar.materialize(store.columns[0])
+
+        # the base holds all 7 physical versions; each snapshot's scan
+        # masks out what it cannot see — the other session's
+        # uncommitted insert for the reader, its own delete for the
+        # writer — and stays columnar doing so
+        reader = table.columnar_view()
+        assert names(reader) == ["ann", "bob", "cal", None, "dee", "ann"]
+        writer = session._run(table.columnar_view)
+        assert names(writer) == ["ann", "cal", None, "dee", "ann", "gus"]
+        assert table.compact().num_rows == 7
+        query = "SELECT name FROM people WHERE age > 20"
+        for run, expect in ((db.sql, ["ann", "bob", None, "dee"]),
+                            (session.sql, ["ann", None, "dee", "gus"])):
+            result = run(query, options=Options(trace=True))
+            assert [row[0] for row in result.rows] == expect
+            assert run(query, options=Options(engine="iterator")
+                       ).rows == result.rows
+            scan, = [span for span in result.trace.operator_spans()
+                     if span.node_type == "SeqScanNode"]
+            assert scan.extras["kernel_batches"] == 1
+            assert scan.extras["fallback_batches"] == 0
         session.sql("COMMIT")
         session.close()
         store = table.columnar_view()
-        assert store is not None
-        assert store.num_rows == len(table.rows) == 7
+        assert store.num_rows == len(table.rows) == 6
+        assert not builds  # extended and masked, never rebuilt
 
     def test_vacuum_rebuilds_columnar_base(self):
         db = _db()

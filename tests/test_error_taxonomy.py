@@ -14,7 +14,8 @@ import string
 
 import pytest
 
-from repro import Database, DataType, ProtocolError, ReproError
+from repro import (Database, DataType, ExecutionError, ProtocolError,
+                   ReproError)
 from repro.distributed import DistributedDatabase, FaultPlan
 
 # Internal exception types that must NEVER escape a public entry point.
@@ -179,6 +180,35 @@ class TestApiArgumentFuzz:
         db = make_db()
         self.check(lambda: db.create_view("V", "SELECT nope FROM gone"))
         self.check(lambda: db.create_view("Emp", "SELECT name FROM Emp"))
+
+
+@pytest.mark.parametrize("index", ["sorted", "hash", None])
+@pytest.mark.parametrize("analyzed", [False, True])
+def test_null_and_incomparable_literals_never_depend_on_the_plan(
+        index, analyzed):
+    """A literal the column cannot be compared with behaves the same
+    whatever access path answers the predicate — index probe (SELECT
+    and UPDATE/DELETE alike), scan, or just the planner's selectivity
+    estimate: ``=`` matches nothing, ``= NULL`` / ``< NULL`` match
+    nothing, a range raises the typed ExecutionError."""
+    db = Database()
+    db.create_table("t", [("id", DataType.INT), ("v", DataType.INT)])
+    db.insert("t", [(i, i % 7) for i in range(100)])
+    if index:
+        db.create_index("t", "id", index)
+    if analyzed:
+        db.analyze()
+    for where in ("id = NULL", "id < NULL", "id = 'a'", "'a' = id"):
+        assert db.sql("SELECT * FROM t WHERE %s" % where).rows == []
+        assert db.sql("UPDATE t SET v = 0 WHERE %s" % where
+                      ).rows == [(0,)]
+        assert db.sql("DELETE FROM t WHERE %s" % where).rows == [(0,)]
+    for where in ("id < 'a'", "id >= 'a'", "v < 'a'", "'a' > id"):
+        for text in ("SELECT * FROM t WHERE %s", "DELETE FROM t WHERE %s",
+                     "UPDATE t SET v = 0 WHERE %s"):
+            with pytest.raises(ExecutionError):
+                db.sql(text % where)
+    assert len(db.sql("SELECT * FROM t").rows) == 100
 
 
 @pytest.mark.parametrize("seed", range(60))
