@@ -1,12 +1,14 @@
-"""Engine differential suite: vector vs iterator execution.
+"""Execution differential suite: the executor vs a frozen snapshot.
 
-The vectorized batch engine is a second lowering target over the same
-operator tree, and its contract is strict: for every query in the golden
-corpus it must return **byte-identical rows** and charge an **identical
-cost ledger** (same pages, CPU, messages, invocations — to the last
-fraction), under every optimizer regime, including UDF, distributed,
-fault-injected, traced, and memory-budgeted paths. Plans are chosen
-before the engine is, so golden plans cannot move either.
+For every query in the golden corpus the executor must return the
+**same rows** and charge the **same cost ledger** (pages, CPU,
+messages, invocations — to the last fraction) as the checked-in
+``tests/golden/exec__*.txt`` snapshots, under every optimizer regime,
+including UDF, distributed, fault-injected and forced Filter Join
+paths. The snapshots were written while a tuple-at-a-time twin of every
+operator still existed and produced them too, so they pin what both
+implementations agreed on. Refresh with ``--update-golden`` only for an
+intentional change to the cost formulas.
 
 The corpus is imported from ``test_plan_golden`` — the same 20 queries x
 3 regimes that snapshot the planner — so any query added there is
@@ -27,7 +29,7 @@ from repro import (
 )
 from repro.distributed import DistributedDatabase, distributed_config
 from repro.distributed.network import FaultPlan, RetryPolicy
-from repro.optimizer.plans import FilterJoinNode
+from repro.optimizer.plans import FilterJoinNode, FunctionJoinNode
 from repro.workloads import MOTIVATING_QUERY, StarConfig, build_star
 
 from tests.test_planner_basic import find_nodes
@@ -36,73 +38,42 @@ from tests.test_plan_golden import (
     WORKLOADS,
     _distributed_db,
     _regime_config,
+    _workload_db as _db,
+    check_golden,
+    exec_entry,
 )
 
-ENGINES = ("iterator", "vector")
 
-_DB_CACHE = {}
-
-
-def _db(workload):
-    # one database per workload for the whole module: queries are pure
-    # SELECTs, so runs under both engines see identical state
-    if workload not in _DB_CACHE:
-        _DB_CACHE[workload] = WORKLOADS[workload][0]()
-    return _DB_CACHE[workload]
-
-
-def _run(db, sql, config, engine, **fields):
-    return db.sql(sql, config=config,
-                  options=Options(engine=engine, **fields))
+def _run(db, sql, config, **fields):
+    return db.sql(sql, config=config, options=Options(**fields))
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_rows_and_ledger_identical(workload, regime):
-    """The core differential: byte-identical rows, identical ledger,
-    identical plan, for every (workload, regime, query) triple."""
+def test_rows_and_ledger_identical(workload, regime, update_golden):
+    """The core differential: the frozen rows and ledger for every
+    (workload, regime, query) triple."""
     db = _db(workload)
     config = _regime_config(db, REGIMES[regime])
-    for key, sql in WORKLOADS[workload][1]:
-        base = _run(db, sql, config, "iterator")
-        vec = _run(db, sql, config, "vector")
-        label = "%s/%s/%s" % (workload, regime, key)
-        assert vec.rows == base.rows, label
-        assert vec.ledger.as_dict() == base.ledger.as_dict(), (
-            label, _ledger_diff(base, vec))
-        # engine choice happens after planning: plans must be identical
-        assert vec.plan.explain() == base.plan.explain(), label
-
-
-def _ledger_diff(base, vec):
-    a, b = base.ledger.as_dict(), vec.ledger.as_dict()
-    return {k: (a[k], b.get(k)) for k in a if a[k] != b.get(k)}
+    text = "\n".join(
+        exec_entry("%s: %s" % (key, " ".join(sql.split())),
+                   _run(db, sql, config))
+        for key, sql in WORKLOADS[workload][1])
+    check_golden("exec__%s__%s" % (workload, regime), text, update_golden)
 
 
 def test_traced_runs_match_untraced_ledger():
-    """Tracing must not perturb either engine's charges, the span trees
-    must reconcile, and vector spans carry real batch counters."""
+    """Tracing must not perturb the charges, the span tree must
+    reconcile, and spans carry real batch counters."""
     db = _db("star")
     config = _regime_config(db, REGIMES["default"])
     _key, sql = WORKLOADS["star"][1][4]  # sales_by_region aggregate
-    plain = {e: _run(db, sql, config, e) for e in ENGINES}
-    traced = {e: _run(db, sql, config, e, trace=True) for e in ENGINES}
-    for engine in ENGINES:
-        assert traced[engine].rows == plain[engine].rows
-        assert (traced[engine].ledger.as_dict()
-                == plain[engine].ledger.as_dict())
-        traced[engine].trace.reconcile(traced[engine].ledger)
-    # both engines attribute per-operator work to the same span tree
-    it_spans = traced["iterator"].trace.operator_root.to_dict()
-    vec_spans = traced["vector"].trace.operator_root.to_dict()
-    assert _span_shape(it_spans) == _span_shape(vec_spans)
-    assert _total_batches(vec_spans) > 0
-    assert _total_batches(it_spans) == 0
-
-
-def _span_shape(span):
-    return (span["name"], span["actual_rows"],
-            [_span_shape(child) for child in span.get("children", [])])
+    plain = _run(db, sql, config)
+    traced = _run(db, sql, config, trace=True)
+    assert traced.rows == plain.rows
+    assert traced.ledger.as_dict() == plain.ledger.as_dict()
+    traced.trace.reconcile(traced.ledger)
+    assert _total_batches(traced.trace.operator_root.to_dict()) > 0
 
 
 def _total_batches(span):
@@ -120,100 +91,93 @@ def _fresh_faulty_db():
     return db
 
 
-def test_fault_injected_runs_identical():
-    """Retries under an identical fault schedule charge identically:
+def test_fault_injected_runs_identical(update_golden):
+    """Retries under a seeded fault schedule charge the frozen ledger:
     shipping drains fully before transfer, so the injector's RNG sees
-    the same message sequence from both engines."""
+    one message sequence however the child produced its rows."""
     _key, sql = WORKLOADS["distributed"][1][0]
-    results = {}
-    for engine in ENGINES:
-        db = _fresh_faulty_db()  # fresh injector RNG per engine
-        config = _regime_config(db, {})
-        results[engine] = (_run(db, sql, config, engine),
-                           db.network.stats.as_dict())
-    base, base_stats = results["iterator"]
-    vec, vec_stats = results["vector"]
-    assert vec.rows == base.rows
-    assert vec.ledger.as_dict() == base.ledger.as_dict()
-    assert vec_stats == base_stats  # same retries, same drops
+    db = _fresh_faulty_db()
+    result = _run(db, sql, _regime_config(db, {}))
+    assert result.rows == _run(_db("distributed"), sql, None).rows
+    stats = db.network.stats.as_dict()  # same retries, same drops
+    assert stats["retries"] > 0
+    check_golden("exec__fault_injected",
+                 exec_entry(_key, result, sorted(stats.items())),
+                 update_golden)
 
 
 def test_memory_budget_parity():
-    """A budget that kills the hash build kills it under both engines;
-    a sufficient one yields identical ledgers."""
+    """A budget that kills the hash build raises the typed error; a
+    sufficient one leaves rows and ledger exactly as unbudgeted."""
     db = _db("star")
     config = _regime_config(db, REGIMES["low_memory_hash_only"])
     _key, sql = WORKLOADS["star"][1][3]  # three_way join
-    for engine in ENGINES:
-        with pytest.raises(ResourceExhausted):
-            _run(db, sql, config, engine, memory_budget_bytes=1024)
-    ok = {e: _run(db, sql, config, e, memory_budget_bytes=64 * 1024 * 1024)
-          for e in ENGINES}
-    assert ok["vector"].rows == ok["iterator"].rows
-    assert (ok["vector"].ledger.as_dict()
-            == ok["iterator"].ledger.as_dict())
+    with pytest.raises(ResourceExhausted):
+        _run(db, sql, config, memory_budget_bytes=1024)
+    ok = _run(db, sql, config, memory_budget_bytes=64 * 1024 * 1024)
+    free = _run(db, sql, config)
+    assert ok.rows == free.rows
+    assert ok.ledger.as_dict() == free.ledger.as_dict()
 
 
 def test_deadline_parity():
-    """Both engines honor the cooperative deadline (the vector engine
-    counts bulk CPU steps toward the same check cadence)."""
+    """The cooperative deadline is honored: bulk CPU charges count as
+    that many steps toward the check cadence."""
     db = _db("star")
     config = _regime_config(db, {})
     sql = ("SELECT C.region, SUM(S.amount) AS revenue "
            "FROM Sales S, Customer C WHERE S.cust_id = C.cust_id "
            "GROUP BY C.region")
-    for engine in ENGINES:
-        with pytest.raises(QueryTimeout):
-            _run(db, sql, config, engine, timeout=1e-9)
+    with pytest.raises(QueryTimeout):
+        _run(db, sql, config, timeout=1e-9)
 
 
 def test_udf_invocation_counts_identical():
     """FunctionJoin invocation charges (the paper's AvailCost_F side
-    effects) are engine-independent."""
+    effects) equal the calls the Python function actually received."""
     db = _db("udf")
-    config = _regime_config(db, {})
     for _key, sql in WORKLOADS["udf"][1]:
-        base = _run(db, sql, config, "iterator")
-        vec = _run(db, sql, config, "vector")
-        assert vec.rows == base.rows
-        assert (vec.ledger.as_dict()["fn_invocations"]
-                == base.ledger.as_dict()["fn_invocations"])
+        result = _run(db, sql, None)
+        node, = find_nodes(result.plan, FunctionJoinNode)
+        relation = node.function_relation
+        per_call = relation.cost_per_invocation * (
+            relation.locality_factor if node.mode == "filter" else 1.0)
+        assert relation.call_log
+        assert (result.ledger.fn_invocations
+                == len(relation.call_log) * per_call)
 
 
 def test_prepared_statement_vector_engine():
-    """The prepared/plan-cache path respects Options.engine too."""
+    """The prepared/plan-cache path executes like the ad-hoc one."""
     db = _db("empdept")
     stmt = db.prepare("SELECT E.eid, E.sal FROM Emp E WHERE E.sal > ?")
-    base = stmt.execute([50000], options=Options(engine="iterator"))
-    vec = stmt.execute([50000], options=Options(engine="vector"))
-    assert vec.rows == base.rows
-    assert vec.ledger.as_dict() == base.ledger.as_dict()
-    assert vec.cached_plan
+    adhoc = db.sql("SELECT E.eid, E.sal FROM Emp E WHERE E.sal > 50000")
+    stmt.execute([50000])
+    cached = stmt.execute([50000])
+    assert cached.rows == adhoc.rows
+    assert cached.ledger.as_dict() == adhoc.ledger.as_dict()
+    assert cached.cached_plan
 
 
-def test_degraded_failover_parity():
+def test_degraded_failover_parity(update_golden):
     """Site-loss degradation (mark down, re-optimize, retry) produces
-    the same answer and the same degradation events under both engines."""
+    the fault-free answer, the frozen ledger and one degradation event."""
     _key, sql = WORKLOADS["distributed"][1][2]  # remote_agg
-    results = {}
-    for engine in ENGINES:
-        db = _distributed_db()
-        db.add_site("siteC")
-        db.catalog.add_replica("Cust", "siteC")
-        db.set_fault_plan(
-            FaultPlan(down_sites=frozenset({"siteB"})), seed=0,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001),
-        )
-        config = _regime_config(db, {})
-        result = db.sql(sql, config=config, options=Options(engine=engine))
-        results[engine] = (result,
-                           [(e.site, e.fallback_sites)
-                            for e in db.degradation_events])
-    base, base_events = results["iterator"]
-    vec, vec_events = results["vector"]
-    assert vec.rows == base.rows
-    assert vec.ledger.as_dict() == base.ledger.as_dict()
-    assert vec_events == base_events and base_events
+    db = _distributed_db()
+    db.add_site("siteC")
+    db.catalog.add_replica("Cust", "siteC")
+    db.set_fault_plan(
+        FaultPlan(down_sites=frozenset({"siteB"})), seed=0,
+        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001),
+    )
+    result = _run(db, sql, _regime_config(db, {}))
+    assert sorted(result.rows) == sorted(
+        _run(_db("distributed"), sql, None).rows)
+    events = [(e.site, e.fallback_sites) for e in db.degradation_events]
+    assert events
+    check_golden("exec__degraded_failover",
+                 exec_entry(_key, result, [("events", events)]),
+                 update_golden)
 
 
 # ------------------------------------------------------------ Filter Join
@@ -273,47 +237,50 @@ def _filter_join_spans(span, out=None):
     return out
 
 
-def _assert_filter_join_parity(base, vec, label):
-    assert vec.rows == base.rows, label
-    assert vec.ledger.as_dict() == base.ledger.as_dict(), (
-        label, _ledger_diff(base, vec))
-    spans = [_filter_join_spans(r.trace.operator_root.to_dict())
-             for r in (base, vec)]
-    assert spans[0] and len(spans[0]) == len(spans[1]), label
-    for it_extras, vec_extras in zip(*spans):
-        for name in FILTER_EXTRAS:
-            assert vec_extras[name] == it_extras[name], (label, name)
+def _filter_join_entry(key, result):
+    """Snapshot entry of a traced run: rows and ledger plus every
+    Filter Join span's Table 1 components and effectiveness counters."""
+    spans = _filter_join_spans(result.trace.operator_root.to_dict())
+    assert spans, key
+    return exec_entry(key, result, [
+        ("span%d.%s" % (i, name), extras[name])
+        for i, extras in enumerate(spans) for name in FILTER_EXTRAS])
 
 
 @pytest.mark.parametrize("bloom_bits", (64 * 1024, 512))
 @pytest.mark.parametrize("forced", ("filter_join", "bloom"))
-def test_forced_filter_joins_identical(forced, bloom_bits):
+def test_forced_filter_joins_identical(forced, bloom_bits, update_golden):
     """Exact and lossy Filter Joins over every key kind: rows, ledger,
-    Table 1 components and the filter-effectiveness counters agree.
-    512 bits is small enough that false positives reach the final join."""
+    Table 1 components and the filter-effectiveness counters are the
+    frozen ones. 512 bits is small enough that false positives reach
+    the final join."""
     db = _keyed_db()
     config = OptimizerConfig(forced_stored_join=forced,
                              bloom_bits=bloom_bits)
+    entries = []
     for key, sql in FILTER_JOIN_QUERIES.items():
-        runs = [_run(db, sql, config, engine, trace=True)
-                for engine in ENGINES]
-        assert find_nodes(runs[0].plan, FilterJoinNode), key
-        _assert_filter_join_parity(*runs, label=(forced, bloom_bits, key))
+        result = _run(db, sql, config, trace=True)
+        assert find_nodes(result.plan, FilterJoinNode), key
+        entries.append(_filter_join_entry(key, result))
+    check_golden("exec__filter_join__%s-%d" % (forced, bloom_bits),
+                 "\n".join(entries), update_golden)
 
 
 @pytest.mark.parametrize("forced", ("filter_join", "bloom"))
-def test_filter_join_recomputed_production_identical(forced):
+def test_filter_join_recomputed_production_identical(forced, update_golden):
     """``materialize_production=False`` runs the production subtree a
-    second time for the final join, under both engines alike."""
+    second time for the final join: same rows as the materialized run,
+    the frozen ledger."""
     db = _keyed_db()
     config = OptimizerConfig(forced_stored_join=forced)
     plan, planner = db.plan(FILTER_JOIN_QUERIES["int"], config)
+    materialized = db.run_plan(plan, planner.metrics, config=config)
     for node in find_nodes(plan, FilterJoinNode):
         node.materialize_production = False
-    base, vec = (db.run_plan(plan, planner.metrics, config=config,
-                             engine=engine) for engine in ENGINES)
-    assert vec.rows == base.rows
-    assert vec.ledger.as_dict() == base.ledger.as_dict()
+    result = db.run_plan(plan, planner.metrics, config=config)
+    assert result.rows == materialized.rows
+    check_golden("exec__filter_join_recomputed__%s" % forced,
+                 exec_entry("int", result), update_golden)
 
 
 @pytest.mark.parametrize("forced", ("filter_join", "bloom"))
@@ -321,15 +288,16 @@ def test_filter_join_memory_budget_and_deadline_parity(forced):
     db = _keyed_db()
     config = OptimizerConfig(forced_stored_join=forced)
     sql = FILTER_JOIN_QUERIES["str"]
-    for engine in ENGINES:
-        with pytest.raises(ResourceExhausted):
-            _run(db, sql, config, engine, memory_budget_bytes=512)
-        with pytest.raises(QueryTimeout):
-            _run(db, sql, config, engine, timeout=1e-9)
-    ok = [_run(db, sql, config, engine, trace=True,
-               memory_budget_bytes=64 * 1024 * 1024, timeout=60.0)
-          for engine in ENGINES]
-    _assert_filter_join_parity(*ok, label=forced)
+    with pytest.raises(ResourceExhausted):
+        _run(db, sql, config, memory_budget_bytes=512)
+    with pytest.raises(QueryTimeout):
+        _run(db, sql, config, timeout=1e-9)
+    ok = _run(db, sql, config, trace=True,
+              memory_budget_bytes=64 * 1024 * 1024, timeout=60.0)
+    # a budget and deadline that hold change nothing: this is the
+    # entry test_forced_filter_joins_identical froze for "str"
+    free = _run(db, sql, config, trace=True)
+    assert _filter_join_entry("str", ok) == _filter_join_entry("str", free)
 
 
 def _kernel_counts(span, node_types, out=None):
@@ -357,7 +325,7 @@ def test_view5_filter_join_and_joins_above_run_as_kernels():
     of the hash joins above it stay columnar."""
     db = Database()
     build_star(db, StarConfig(num_sales=30_000, seed=7))
-    result = db.sql(VIEW5, options=Options(engine="vector", trace=True))
+    result = db.sql(VIEW5, options=Options(trace=True))
     root = result.trace.operator_root.to_dict()
     (_, kernel, fallback), = _kernel_counts(root, {"FilterJoinNode"})
     assert fallback == 0
@@ -386,7 +354,7 @@ def test_figure1_filter_join_runs_as_kernels():
     db = _db("empdept")
     config = OptimizerConfig(forced_view_join="filter_join")
     result = db.sql(MOTIVATING_QUERY, config=config,
-                    options=Options(engine="vector", trace=True))
+                    options=Options(trace=True))
     counts = _kernel_counts(result.trace.operator_root.to_dict(),
                             {"FilterJoinNode"})
     assert counts

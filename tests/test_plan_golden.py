@@ -12,8 +12,14 @@ To refresh after an intentional planner change::
 
 One golden file per (workload, regime) keeps diffs grouped by what
 changed; each file holds every query's plan under a ``-- Qn:`` header.
+
+The same corpus is also *executed* against ``exec__*.txt`` snapshots
+(:func:`exec_entry` / :func:`check_golden`, driven from
+``test_engine_differential.py``): row count, a digest of the sorted
+rows and every ledger component per query.
 """
 
+import hashlib
 import pathlib
 import random
 
@@ -239,6 +245,36 @@ def snapshot_text(db, queries, config, search=False) -> str:
     return "\n".join(chunks)
 
 
+def exec_entry(label, result, extras=()) -> str:
+    """One executed query as snapshot text: row count, a digest of the
+    rows sorted NULLs-first (set-iteration order must not leak in), and
+    ``repr()`` of every ledger component plus any ``extras`` pairs."""
+    rows = sorted(result.rows, key=lambda row: tuple(
+        (value is not None, value) for value in row))
+    lines = ["-- %s" % label, "rows: %d" % len(rows),
+             "digest: %s" % hashlib.sha256(repr(rows).encode()).hexdigest()]
+    lines += ["ledger.%s: %r" % item
+              for item in result.ledger.as_dict().items()]
+    lines += ["%s: %r" % item for item in extras]
+    return "\n".join(lines) + "\n"
+
+
+def check_golden(name, text, update_golden):
+    golden_path = GOLDEN_DIR / (name + ".txt")
+    if update_golden:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        golden_path.write_text(text)
+        return
+    assert golden_path.exists(), (
+        "missing golden file %s — run with --update-golden to create it"
+        % golden_path
+    )
+    assert text == golden_path.read_text(), (
+        "snapshot %s changed; if intentional, refresh with "
+        "--update-golden and review the diff" % name
+    )
+
+
 def test_coverage_floor():
     """The acceptance criterion: >=20 queries x 3 regimes."""
     total = sum(len(queries) for _build, queries in WORKLOADS.values())
@@ -252,21 +288,7 @@ def test_golden_plans(workload, regime, update_golden):
     db = _workload_db(workload)
     config = _regime_config(db, REGIMES[regime])
     text = snapshot_text(db, WORKLOADS[workload][1], config)
-    golden_path = GOLDEN_DIR / ("%s__%s.txt" % (workload, regime))
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        golden_path.write_text(text)
-        return
-    assert golden_path.exists(), (
-        "missing golden file %s — run with --update-golden to create it"
-        % golden_path
-    )
-    expected = golden_path.read_text()
-    assert text == expected, (
-        "plan snapshot for %s/%s changed; if intentional, refresh with "
-        "`pytest tests/test_plan_golden.py --update-golden` and review "
-        "the diff" % (workload, regime)
-    )
+    check_golden("%s__%s" % (workload, regime), text, update_golden)
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
