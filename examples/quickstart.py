@@ -80,16 +80,17 @@ def main() -> None:
     for row in result:
         print("   %4d  %6d  %10.2f" % row)
 
-    # statements run on the vectorized engine by default; the
-    # tuple-at-a-time reference engine returns the same rows and charges
-    # the same measured cost — it is just slower on large inputs
-    reference = db.sql(QUERY + " ORDER BY did, sal LIMIT 5",
-                       options=Options(engine="iterator"))
-    assert reference.rows == result.rows
-    assert reference.ledger.as_dict() == result.ledger.as_dict()
+    # per-call knobs travel in one Options value: a traced run returns
+    # the same rows and charges the same measured cost
+    traced = db.sql(QUERY + " ORDER BY did, sal LIMIT 5",
+                    options=Options(trace=True))
+    assert traced.rows == result.rows
+    assert traced.ledger.as_dict() == result.ledger.as_dict()
     print()
-    print("iterator engine: identical rows, identical measured cost %.1f"
-          % reference.measured_cost())
+    print("traced run: identical rows, identical measured cost %.1f, "
+          "%d operator spans"
+          % (traced.measured_cost(),
+             len(list(traced.trace.operator_spans()))))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ See README.md for the full tour and DESIGN.md for the architecture.
 from typing import Optional, Sequence
 
 from .database import Database, PreparedStatement, QueryResult, Session
-from .options import BUILTIN, ENGINES, Options
+from .options import BUILTIN, Options
 from .errors import (
     BindError,
     CatalogError,
@@ -88,7 +88,7 @@ def connect(*, sites: Optional[Sequence[str]] = None,
     the connection's default (equivalent to calling
     :meth:`Database.configure` immediately)::
 
-        db = repro.connect(engine="vector", trace=True)
+        db = repro.connect(use_cache=True, trace=True)
 
     ``config`` overrides the optimizer configuration;
     ``plan_cache_size`` bounds the versioned plan cache.
@@ -122,7 +122,6 @@ __all__ = [
     "DriftReport",
     "EventLog",
     "ExecutionError",
-    "ENGINES",
     "FixpointLimitExceeded",
     "MemoryStorage",
     "MetricsRegistry",

@@ -30,10 +30,7 @@ import sys
 import zlib
 from typing import Hashable, Iterable, Sequence
 
-try:  # numpy is an optional accelerator, as in storage.columnar
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None
+import numpy as np
 
 _MASK = (1 << 64) - 1
 # CPython's tuple-hash constants (Objects/tupleobject.c, xxHash lanes)
@@ -46,7 +43,7 @@ _ALL_ONES_HASH = 1546275796  # what an accumulator of 2^64-1 maps to
 #: modulus of Python's numeric hash on 64-bit builds
 _MODULUS = (1 << 61) - 1
 #: the array kernels reproduce the 64-bit numeric hash only
-ARRAY_KERNELS = np is not None and sys.hash_info.modulus == _MODULUS
+ARRAY_KERNELS = sys.hash_info.modulus == _MODULUS
 
 #: second member of the pair hashed for the double-hashing step
 _SALT_HASH = hash(0x9E3779B9)

@@ -45,7 +45,7 @@ from .obs.querylog import QueryLog
 from .obs.opttrace import OptimizerTrace, WhyNotReport
 from .obs.render import render_explain_analyze
 from .obs.trace import QueryTrace, TraceBuilder
-from .options import OPTION_FIELDS, Options, warn_legacy_kwargs
+from .options import OPTION_FIELDS, Options
 from .optimizer.config import OptimizerConfig
 from .optimizer.parametric import RestrictionMemo
 from .optimizer.planner import Planner, PlannerMetrics
@@ -134,9 +134,9 @@ class QueryResult:
     # event-log correlation id ("q1", "q2", ...) assigned while the
     # database's event log is enabled
     query_id: Optional[str] = None
-    # per-column typed arrays retained from a vector-engine execution
-    # (ColumnVector or plain list per column); None after iterator runs
-    # — column()/columns() then build arrays from the rows on demand
+    # per-column typed arrays retained from the execution (ColumnVector
+    # or plain list per column); None on an empty or DML result —
+    # column()/columns() then build arrays from the rows on demand
     column_data: Optional[list] = None
 
     @property
@@ -150,14 +150,12 @@ class QueryResult:
         from their dictionary into an object array) and ``nulls`` is a
         boolean array marking NULL positions — where ``nulls`` is True
         the corresponding ``values`` slot is padding (0 for numerics,
-        None for strings) and must not be read. After a vector-engine
-        execution the numeric ``values`` array *is* the engine's own
-        column (zero-copy); otherwise both arrays are built from the
+        None for strings) and must not be read. The numeric ``values``
+        array *is* the executor's own column (zero-copy) when the root
+        operator emitted one; otherwise both arrays are built from the
         rows on first access. Treat them as read-only.
         """
         np = columnar.np
-        if np is None:
-            raise ReproError("columnar results require numpy")
         try:
             j = self.schema.index_of(name)
         except Exception:
@@ -220,7 +218,7 @@ class Database:
         self.config = config or OptimizerConfig()
         self.config.validate()
         self.last_planner: Optional[Planner] = None
-        # execution defaults (engine, tracing, timeout, cache, memory
+        # execution defaults (tracing, timeout, cache, memory
         # budget); per-call Options layer over these — see configure()
         self.defaults = Options()
         self._resolved_defaults = (self.defaults, self.defaults.resolved())
@@ -262,7 +260,7 @@ class Database:
         """Set execution defaults for this database; returns the new
         defaults. Accepts :class:`Options` field names::
 
-            db.configure(engine="vector", use_cache=True)
+            db.configure(trace=True, use_cache=True)
 
         Per-call ``options=`` values layer over these; pass ``None`` to
         reset a field to the built-in behavior.
@@ -280,7 +278,7 @@ class Database:
     def session(self, **options):
         """Scope execution defaults to a ``with`` block::
 
-            with db.session(engine="vector", trace=True):
+            with db.session(trace=True, timeout=5.0):
                 db.sql(...)
 
         Restores the previous defaults on exit, even on error.
@@ -734,7 +732,6 @@ class Database:
                  timeout: Optional[float] = None,
                  memory_budget_bytes: Optional[float] = None,
                  trace: Optional[TraceBuilder] = None,
-                 engine: Optional[str] = None,
                  max_fixpoint_iterations: Optional[int] = None
                  ) -> QueryResult:
         """Execute a physical plan and collect rows + measured costs.
@@ -747,17 +744,12 @@ class Database:
         working memory (defaulting to the config's budget). ``trace``
         is an optional :class:`TraceBuilder` to record this execution
         into; the finished span tree rides on ``result.trace`` and
-        feeds the drift recorder and metrics registry. ``engine``
-        selects the execution protocol (``"iterator"`` or ``"vector"``,
-        defaulting to the database's configured engine); either way the
-        same lowered operator tree runs and charges the same ledger.
+        feeds the drift recorder and metrics registry.
         """
         config = config or self.config
         deadline = timeout if timeout is not None else self.default_timeout
         budget = (memory_budget_bytes if memory_budget_bytes is not None
                   else config.memory_budget_bytes)
-        if engine is None:
-            engine = self._resolve_options().engine
         if max_fixpoint_iterations is None:
             max_fixpoint_iterations = \
                 self._resolve_options().max_fixpoint_iterations
@@ -774,7 +766,7 @@ class Database:
         with self._lock:
             if trace is None:
                 operator = lower(plan, ctx)
-                rows, column_data = execute_tree(operator, engine)
+                rows, column_data = execute_tree(operator)
                 elapsed = time.perf_counter() - started
                 ledger = ctx.ledger
             else:
@@ -782,7 +774,7 @@ class Database:
                 with trace.phase("lower"):
                     operator = lower(plan, ctx)
                 with trace.phase("execute"):
-                    rows, column_data = execute_tree(operator, engine)
+                    rows, column_data = execute_tree(operator)
                 elapsed = time.perf_counter() - started
                 # a plain snapshot, not the tee subclass, so ledger
                 # equality against untraced runs behaves normally
@@ -801,41 +793,17 @@ class Database:
             self._record_trace(result)
         return result
 
-    def _legacy_options(self, kwargs: dict) -> Optional[Options]:
-        """Fold non-None legacy keyword arguments into an Options value,
-        emitting the deprecation warning once per call site."""
-        supplied = {k: v for k, v in kwargs.items() if v is not None}
-        if not supplied:
-            return None
-        # stacklevel 4: warn at the caller of the public method (this
-        # helper -> sql/execute_script -> user code)
-        warn_legacy_kwargs(supplied, stacklevel=4)
-        return Options(**supplied)
-
     def sql(self, text: str,
             config: Optional[OptimizerConfig] = None,
-            options: Optional[Options] = None, *,
-            use_cache: Optional[bool] = None,
-            timeout: Optional[float] = None,
-            memory_budget_bytes: Optional[float] = None,
-            trace: Optional[bool] = None) -> QueryResult:
+            options: Optional[Options] = None) -> QueryResult:
         """Execute one SQL statement (query or DDL/DML).
 
-        ``options`` carries the per-call execution knobs — engine
-        selection, tracing, the plan cache, timeouts, and memory
-        budgets (see :class:`repro.Options`); anything unset inherits
-        the database defaults installed with :meth:`configure` /
-        :meth:`session`. The individual keywords (``use_cache=``,
-        ``timeout=``, ``memory_budget_bytes=``, ``trace=``) are the
-        deprecated pre-Options spelling: they still bind, layered under
-        ``options``, and emit a :class:`DeprecationWarning` once per
-        call site.
+        ``options`` carries the per-call execution knobs — tracing, the
+        plan cache, timeouts, and memory budgets (see
+        :class:`repro.Options`); anything unset inherits the database
+        defaults installed with :meth:`configure` / :meth:`session`.
         """
-        legacy = self._legacy_options({
-            "use_cache": use_cache, "timeout": timeout,
-            "memory_budget_bytes": memory_budget_bytes, "trace": trace,
-        })
-        effective = self._resolve_options(legacy, options)
+        effective = self._resolve_options(options)
         parse_started = time.perf_counter() if effective.trace else 0.0
         statement = parse(text)
         parse_seconds = (time.perf_counter() - parse_started
@@ -844,9 +812,7 @@ class Database:
                                        effective, parse_seconds)
 
     def execute_script(self, text: str,
-                       options: Optional[Options] = None, *,
-                       use_cache: Optional[bool] = None,
-                       timeout: Optional[float] = None
+                       options: Optional[Options] = None
                        ) -> List[QueryResult]:
         """Execute a ';'-separated script; returns one result per
         statement.
@@ -859,13 +825,9 @@ class Database:
         of statements 1..k-1 persist, statement *k* leaves no partial
         state behind, and statements k+1..n never run. There is no
         script-level rollback. ``options`` applies per statement, not
-        to the script as a whole (``use_cache=`` / ``timeout=`` are the
-        deprecated spelling).
+        to the script as a whole.
         """
-        legacy = self._legacy_options({
-            "use_cache": use_cache, "timeout": timeout,
-        })
-        effective = self._resolve_options(legacy, options)
+        effective = self._resolve_options(options)
         results = []
         for statement, span in Parser(text).parse_script_spans():
             results.append(
@@ -1026,7 +988,7 @@ class Database:
                 result = self.run_plan(
                     entry.plan, entry.metrics, config,
                     opts.timeout, opts.memory_budget_bytes,
-                    trace=builder, engine=opts.engine,
+                    trace=builder,
                     max_fixpoint_iterations=opts.max_fixpoint_iterations,
                 )
                 result.cached_plan = hit
@@ -1053,7 +1015,7 @@ class Database:
             result = self.run_plan(
                 plan, planner.metrics, config,
                 opts.timeout, opts.memory_budget_bytes,
-                trace=builder, engine=opts.engine,
+                trace=builder,
                 max_fixpoint_iterations=opts.max_fixpoint_iterations,
             )
             result.search = search
@@ -1296,8 +1258,8 @@ class PreparedStatement:
                 options: Optional[Options] = None) -> QueryResult:
         """Bind ``params`` (one value per ``?``, in order) and run.
 
-        ``options`` layers over the database defaults (engine, timeout,
-        memory budget); ``timeout`` is a shorthand that wins over both.
+        ``options`` layers over the database defaults (timeout, memory
+        budget); ``timeout`` is a shorthand that wins over both.
         """
         params = tuple(params)
         if len(params) != self.param_count:
@@ -1318,7 +1280,6 @@ class PreparedStatement:
                 entry.plan, entry.metrics,
                 self.config, opts.timeout,
                 opts.memory_budget_bytes,
-                engine=opts.engine,
                 max_fixpoint_iterations=opts.max_fixpoint_iterations,
             )
             result.cached_plan = hit

@@ -67,54 +67,29 @@ def lower(node: PlanNode, ctx: RuntimeContext) -> Operator:
     return _Lowering(ctx).lower(node)
 
 
-#: valid execution engines: tuple-at-a-time Volcano iterators, or the
-#: vectorized batch protocol (column-oriented batches of ~1024 rows)
-ENGINES = ("iterator", "vector")
+def execute_collect(root: Operator):
+    """Run a lowered operator tree to completion; returns the rows and
+    the root's output columns — ``(rows, columns_or_None)``.
 
-
-def execute(root: Operator, engine: str = "iterator") -> List[tuple]:
-    """Run a lowered operator tree to completion under ``engine``.
-
-    Both engines drive the *same* operator tree — the engine only
-    selects which protocol the root is drained through (``rows()`` or
-    ``batches()``); operators without a native batch implementation
-    transparently bridge to their iterator form, charging identically.
+    The root's batches are column-major already; concatenating them per
+    column preserves the typed arrays (and string dictionaries) that
+    :meth:`QueryResult.column` then exposes zero-copy. Columns are
+    retained *next to* the row materialization, never instead of it;
+    an empty result returns None for them.
     """
-    return execute_collect(root, engine)[0]
-
-
-def execute_collect(root: Operator, engine: str = "iterator"):
-    """Like :func:`execute`, but additionally returns the root's output
-    columns — ``(rows, columns_or_None)``.
-
-    Under the vector engine the root's batches are column-major
-    already; concatenating them per column preserves the typed arrays
-    (and string dictionaries) that :meth:`QueryResult.column` then
-    exposes zero-copy. The rows list is byte-identical to the plain
-    :func:`execute` result — columns are retained *next to* the row
-    materialization, never instead of it. The iterator engine (and an
-    empty result) returns None for the columns.
-    """
-    if engine == "vector":
-        batches = list(root.batches())
-        rows: List[tuple] = []
-        for batch in batches:
-            rows.extend(batch.rows())
-        width = len(root.schema)
-        columns = None
-        if batches and width:
-            columns = [
-                columnar.concat_columns(
-                    [batch.column(j) for batch in batches])
-                for j in range(width)
-            ]
-        return rows, columns
-    if engine == "iterator":
-        return list(root.rows()), None
-    raise PlanError(
-        "unknown engine %r (expected one of %s)"
-        % (engine, ", ".join(ENGINES))
-    )
+    batches = list(root.batches())
+    rows: List[tuple] = []
+    for batch in batches:
+        rows.extend(batch.rows())
+    width = len(root.schema)
+    columns = None
+    if batches and width:
+        columns = [
+            columnar.concat_columns(
+                [batch.column(j) for batch in batches])
+            for j in range(width)
+        ]
+    return rows, columns
 
 
 class SpanOperator(Operator):
@@ -122,12 +97,12 @@ class SpanOperator(Operator):
     trace span.
 
     The span is pushed onto the trace's stack around the initial
-    ``rows()`` call (eager operators like FilterJoinOp do all their work
-    there) *and* around every advancement of the resulting iterator, and
-    popped before each row is yielded — so every ledger charge routed by
-    the tee ledger lands on the innermost operator actually doing the
-    work, exactly once. Wall time accumulates inclusively over the same
-    windows; the builder derives self-time at finalize.
+    ``batches()`` call *and* around every advancement of the resulting
+    iterator, and popped before each batch is yielded — so every ledger
+    charge routed by the tee ledger lands on the innermost operator
+    actually doing the work, exactly once. Wall time accumulates
+    inclusively over the same windows; the builder derives self-time at
+    finalize.
     """
 
     def __init__(self, inner: Operator, plan_node: PlanNode, trace):
@@ -141,36 +116,10 @@ class SpanOperator(Operator):
             if hasattr(inner, attr):
                 setattr(self, attr, getattr(inner, attr))
 
-    def rows(self):
-        span = self.span
-        trace = self.trace
-        clock = time.perf_counter
-        span.executions += 1
-        trace.push(span)
-        started = clock()
-        try:
-            iterator = iter(self.inner.rows())
-        finally:
-            span.wall_seconds += clock() - started
-            trace.pop()
-        while True:
-            trace.push(span)
-            started = clock()
-            try:
-                try:
-                    row = next(iterator)
-                except StopIteration:
-                    return
-            finally:
-                span.wall_seconds += clock() - started
-                trace.pop()
-            span.actual_rows += 1
-            yield row
-
     def batches(self):
-        """Vectorized twin of :meth:`rows`: the span brackets every
-        *batch* advancement, so bulk charges land on the operator doing
-        the work and ``actual_rows`` counts rows, not batches."""
+        """The span brackets every *batch* advancement, so bulk charges
+        land on the operator doing the work; ``actual_rows`` counts
+        rows, not batches."""
         span = self.span
         trace = self.trace
         clock = time.perf_counter
@@ -196,27 +145,6 @@ class SpanOperator(Operator):
             span.actual_rows += batch.n
             span.batches += 1
             yield batch
-
-
-def lower_traced(node: PlanNode, ctx: RuntimeContext):
-    """Lower with per-node row counting (compatibility wrapper).
-
-    Returns (root operator, {id(plan node): span}) — after execution,
-    each span holds the actual row count (``rows_out``) and execution
-    count for its node. New code should trace through
-    ``db.sql(..., trace=True)`` and read ``QueryResult.trace`` instead;
-    this shim rides on the same span machinery without installing the
-    tee ledger (row counts only, no per-span cost attribution).
-    """
-    from ..obs.trace import TraceBuilder
-
-    builder = TraceBuilder()
-    ctx.trace = builder
-    try:
-        root = lower(node, ctx)
-    finally:
-        ctx.trace = None
-    return root, builder._by_node
 
 
 class _Lowering:

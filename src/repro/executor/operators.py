@@ -1,23 +1,20 @@
-"""Physical operators (iterator and vectorized batch models).
+"""Physical operators over one batch protocol.
 
-Every operator exposes ``rows()``, returning a fresh iterator per call;
-re-invoking ``rows()`` re-executes the subtree (and re-charges its cost),
-which is exactly what correlated nested iteration needs. All work is
-charged to the shared :class:`RuntimeContext` ledger using the same
-formulas as the optimizer's :class:`~repro.optimizer.cost.CostModel`, so
-measured and estimated cost components are directly comparable.
+Every operator implements ``batches()``, returning a fresh iterator per
+call: column-oriented :class:`~repro.executor.vectorize.Batch` objects
+of ~1024 rows flow between operators, with predicates and projections
+compiled once per execution into column-level closures. Re-invoking
+``batches()`` re-executes the subtree (and re-charges its cost), which
+is exactly what correlated nested iteration needs. All work is charged
+to the shared :class:`RuntimeContext` ledger using the same formulas as
+the optimizer's :class:`~repro.optimizer.cost.CostModel` — one
+``charge_cpu(n)`` per batch where the formula says one step per row —
+so measured and estimated cost components are directly comparable.
 
-Operators additionally expose ``batches()``, the vectorized execution
-protocol: column-oriented :class:`~repro.executor.vectorize.Batch`
-objects of ~1024 rows flow between operators, with predicates and
-projections compiled once per execution into column-level closures.
-Batch implementations charge the *same* ledger unit counts as their
-iterator twins, just chunked (one ``charge_cpu(n)`` per batch instead of
-``n`` unit charges), so cost totals, golden plans, memory budgets, and
-trace reconciliation are engine-independent. Operators without a native
-batch implementation inherit a bridge that runs their ``rows()``
-iterator and chunks it — trivially charge-identical — and the two
-protocols compose freely within one tree.
+``Operator.rows()`` flattens ``batches()`` into tuples. The five
+operators that are tuple-at-a-time by nature (merge, block and index
+nested loops, nested iteration, function join) consume their children
+through it and chunk their own generator with ``batches_from_rows``.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .vectorize import (
     key_hashes,
 )
 
-_np = columnar.np  # None when numpy is unavailable
+_np = columnar.np
 
 Row = tuple
 
@@ -110,23 +107,19 @@ class Operator:
         stats = self.kernel_stats
         return stats.fallback if stats is not None else None
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
         raise NotImplementedError
 
-    def batches(self) -> Iterator[Batch]:
-        """Vectorized protocol; the default bridges through ``rows()``,
-        running this subtree tuple-at-a-time (identical charges)."""
-        return batches_from_rows(self.rows(), len(self.schema))
+    def rows(self) -> Iterator[Row]:
+        """``batches()`` flattened into row tuples."""
+        for batch in self.batches():
+            yield from batch.rows()
 
-    def drain(self) -> List[Row]:
-        """Materialize ``batches()`` back into row tuples."""
+    def to_list(self) -> List[Row]:
         out: List[Row] = []
         for batch in self.batches():
             out.extend(batch.rows())
         return out
-
-    def to_list(self) -> List[Row]:
-        return list(self.rows())
 
 
 def _sort_key(values: Sequence) -> tuple:
@@ -145,34 +138,18 @@ class SeqScanOp(Operator):
         self.table = table
         self.predicate = predicate
 
-    def rows(self) -> Iterator[Row]:
-        self.ctx.charge_scan(self.table.num_pages)
-        bind_memberships(self.predicate, self.ctx)
-        for row in self.table.rows:
-            self.ctx.charge_cpu(1)
-            if self.predicate is not None:
-                self.ctx.charge_cpu(1)
-                if self.predicate.eval(row) is not True:
-                    continue
-            yield row
-
     def batches(self) -> Iterator[Batch]:
         self.ctx.charge_scan(self.table.num_pages)
         bind_memberships(self.predicate, self.ctx)
         predicate = compile_optional_filter(self.predicate,
                                             stats=self.kernel_counter())
-        width = len(self.schema)
         # the snapshot's rows straight off the columnar base, hidden
         # versions already masked out, so batches are cut over visible
-        # ordinals (boundaries — and therefore every batch-granularity
-        # charge — are identical to the row layout); rows only when
-        # there is no base (no numpy)
+        # ordinals; an empty table has no base
         store = self.table.columnar_view()
-        if store is not None:
-            source = batches_from_store(store)
-        else:
-            source = batches_from_list(self.table.rows, width)
-        for batch in source:
+        if store is None:
+            return
+        for batch in batches_from_store(store):
             self.ctx.charge_cpu(batch.n)
             if predicate is not None:
                 self.ctx.charge_cpu(batch.n)
@@ -217,20 +194,6 @@ class IndexScanOp(Operator):
         return self.table.visible_positions(
             index.search(self.op, self.value))
 
-    def rows(self) -> Iterator[Row]:
-        positions = self._positions()
-        self.ctx.ledger.charge_reads(1.0 + _probe_data_pages(
-            self.table, self.column, len(positions)))
-        self.ctx.charge_cpu(len(positions) + 1)
-        bind_memberships(self.residual, self.ctx)
-        for position in positions:
-            row = self.table.row_at(position)
-            if self.residual is not None:
-                self.ctx.charge_cpu(1)
-                if self.residual.eval(row) is not True:
-                    continue
-            yield row
-
     def batches(self) -> Iterator[Batch]:
         positions = self._positions()
         self.ctx.ledger.charge_reads(1.0 + _probe_data_pages(
@@ -255,11 +218,6 @@ class FilterSetScanOp(Operator):
         super().__init__(ctx, schema)
         self.param_id = param_id
 
-    def rows(self) -> Iterator[Row]:
-        temp = self.ctx.filter_set(self.param_id)
-        self.ctx.charge_rescan(temp)
-        return iter(temp.rows)
-
     def batches(self) -> Iterator[Batch]:
         temp = self.ctx.filter_set(self.param_id)
         self.ctx.charge_rescan(temp)
@@ -275,10 +233,6 @@ class ValuesOp(Operator):
         super().__init__(ctx, schema)
         self._rows = rows
 
-    def rows(self) -> Iterator[Row]:
-        self.ctx.charge_cpu(len(self._rows))
-        return iter(self._rows)
-
     def batches(self) -> Iterator[Batch]:
         self.ctx.charge_cpu(len(self._rows))
         return batches_from_list(self._rows, len(self.schema))
@@ -291,13 +245,6 @@ class FilterOp(Operator):
         super().__init__(ctx, child.schema)
         self.child = child
         self.predicate = predicate
-
-    def rows(self) -> Iterator[Row]:
-        bind_memberships(self.predicate, self.ctx)
-        for row in self.child.rows():
-            self.ctx.charge_cpu(1)
-            if self.predicate.eval(row) is True:
-                yield row
 
     def batches(self) -> Iterator[Batch]:
         bind_memberships(self.predicate, self.ctx)
@@ -317,13 +264,6 @@ class ProjectOp(Operator):
         self.child = child
         self.exprs = list(exprs)
 
-    def rows(self) -> Iterator[Row]:
-        for expr in self.exprs:
-            bind_memberships(expr, self.ctx)
-        for row in self.child.rows():
-            self.ctx.charge_cpu(1)
-            yield tuple(expr.eval(row) for expr in self.exprs)
-
     def batches(self) -> Iterator[Batch]:
         for expr in self.exprs:
             bind_memberships(expr, self.ctx)
@@ -338,22 +278,6 @@ class DistinctOp(Operator):
     def __init__(self, ctx: RuntimeContext, child: Operator):
         super().__init__(ctx, child.schema)
         self.child = child
-
-    def rows(self) -> Iterator[Row]:
-        seen = set()
-        width = self.schema.row_width()
-        held = 0.0
-        try:
-            for row in self.child.rows():
-                self.ctx.charge_cpu(1)
-                if row not in seen:
-                    seen.add(row)
-                    if not (len(seen) & _MEM_CHUNK_MASK):
-                        self.ctx.mem_acquire(_MEM_CHUNK_ROWS * width)
-                        held += _MEM_CHUNK_ROWS * width
-                    yield row
-        finally:
-            self.ctx.mem_release(held)
 
     def batches(self) -> Iterator[Batch]:
         seen = set()
@@ -388,8 +312,7 @@ class SortOp(Operator):
         self.keys = list(keys)
 
     def _sort(self, data: List[Row]) -> None:
-        """Charge the sort and order ``data`` in place (shared by both
-        protocols so the charge sequence is identical)."""
+        """Charge the sort and order ``data`` in place."""
         n = len(data)
         if n > 1:
             self.ctx.charge_cpu(n * math.log2(n))
@@ -406,20 +329,8 @@ class SortOp(Operator):
                 reverse=not ascending,
             )
 
-    def rows(self) -> Iterator[Row]:
-        data = list(self.child.rows())
-        n = len(data)
-        width = self.schema.row_width()
-        self.ctx.mem_acquire(n * width)
-        try:
-            self._sort(data)
-            for row in data:
-                yield row
-        finally:
-            self.ctx.mem_release(n * width)
-
     def batches(self) -> Iterator[Batch]:
-        data = self.child.drain()
+        data = self.child.to_list()
         n = len(data)
         width = self.schema.row_width()
         self.ctx.mem_acquire(n * width)
@@ -437,20 +348,11 @@ class LimitOp(Operator):
         self.child = child
         self.limit = limit
 
-    def rows(self) -> Iterator[Row]:
-        count = 0
-        for row in self.child.rows():
-            if count >= self.limit:
-                break
-            count += 1
-            yield row
-
     def batches(self) -> Iterator[Batch]:
-        # Batch granularity: the child charges for whole batches, so a
-        # limit over a *streaming* child can charge for up to one
-        # batch's worth of rows the iterator engine never produced
-        # (blocking children — sorts, aggregates — have already done
-        # their work and are unaffected). See docs/execution.md.
+        # Batch granularity: a *streaming* child has charged for the
+        # whole batch the limit cuts, up to one batch's worth of rows
+        # beyond the limit (blocking children — sorts, aggregates —
+        # have already done all their work). See docs/execution.md.
         remaining = self.limit
         if remaining <= 0:
             return
@@ -474,40 +376,6 @@ class AggregateOp(Operator):
         self.child = child
         self.group_positions = list(group_positions)
         self.aggregates = list(aggregates)  # (spec, resolved argument)
-
-    def rows(self) -> Iterator[Row]:
-        groups = {}
-        width = self.schema.row_width()
-        held = 0.0
-        for spec, argument in self.aggregates:
-            bind_memberships(argument, self.ctx)
-        try:
-            for row in self.child.rows():
-                self.ctx.charge_cpu(1)
-                key = tuple(row[p] for p in self.group_positions)
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [
-                        Accumulator.for_spec(spec)
-                        for spec, _ in self.aggregates
-                    ]
-                    groups[key] = accumulators
-                    if not (len(groups) & _MEM_CHUNK_MASK):
-                        self.ctx.mem_acquire(_MEM_CHUNK_ROWS * width)
-                        held += _MEM_CHUNK_ROWS * width
-                for (spec, argument), accumulator in zip(self.aggregates,
-                                                         accumulators):
-                    value = None if argument is None else argument.eval(row)
-                    accumulator.add(value)
-            if not groups and not self.group_positions and self.aggregates:
-                groups[()] = [
-                    Accumulator.for_spec(spec) for spec, _ in self.aggregates
-                ]
-            for key, accumulators in groups.items():
-                self.ctx.charge_cpu(1)
-                yield key + tuple(a.result() for a in accumulators)
-        finally:
-            self.ctx.mem_release(held)
 
     def batches(self) -> Iterator[Batch]:
         groups = {}
@@ -596,8 +464,6 @@ class AggregateOp(Operator):
         group keys, overflow-risky int sums); the caller then runs the
         per-row path on this batch.
         """
-        if _np is None:
-            return False
         n = batch.n
         key_cols = []
         for p in self.group_positions:
@@ -843,26 +709,8 @@ class MaterializeOp(Operator):
         super().__init__(ctx, child.schema)
         self.child = child
 
-    def build(self) -> TempTable:
-        data = list(self.child.rows())
-        temp_pages = self.ctx.charge_materialize(
-            len(data), self.schema.row_width()
-        )
-        return TempTable(data, self.schema,
-                         spilled=not self.ctx.fits(temp_pages))
-
-    def rows(self) -> Iterator[Row]:
-        temp = self.build()
-        nbytes = len(temp.rows) * self.schema.row_width()
-        self.ctx.mem_acquire(nbytes)
-        try:
-            for row in temp.rows:
-                yield row
-        finally:
-            self.ctx.mem_release(nbytes)
-
     def batches(self) -> Iterator[Batch]:
-        data = self.child.drain()
+        data = self.child.to_list()
         self.ctx.charge_materialize(len(data), self.schema.row_width())
         nbytes = len(data) * self.schema.row_width()
         self.ctx.mem_acquire(nbytes)
@@ -879,9 +727,6 @@ class RelabelOp(Operator):
     def __init__(self, ctx: RuntimeContext, child: Operator, schema: Schema):
         super().__init__(ctx, schema)
         self.child = child
-
-    def rows(self) -> Iterator[Row]:
-        return self.child.rows()
 
     def batches(self) -> Iterator[Batch]:
         return self.child.batches()
@@ -903,18 +748,10 @@ class ShipOp(Operator):
         self.from_site = from_site
         self.to_site = to_site
 
-    def rows(self) -> Iterator[Row]:
-        data = list(self.child.rows())
-        self.ctx.charge_ship(len(data), self.schema.row_width(),
-                             from_site=self.from_site,
-                             to_site=self.to_site)
-        return iter(data)
-
     def batches(self) -> Iterator[Batch]:
-        # both protocols drain the child fully before transferring, so
-        # the simulated network sees one transfer of the same size at
-        # the same point in the fault schedule regardless of engine
-        data = self.child.drain()
+        # the child is drained fully before transferring, so the
+        # simulated network sees one transfer of the whole result
+        data = self.child.to_list()
         self.ctx.charge_ship(len(data), self.schema.row_width(),
                              from_site=self.from_site,
                              to_site=self.to_site)
@@ -930,25 +767,6 @@ class UnionOp(Operator):
         self.left = left
         self.right = right
         self.distinct = distinct
-
-    def rows(self) -> Iterator[Row]:
-        seen = set() if self.distinct else None
-        width = self.schema.row_width()
-        held = 0.0
-        try:
-            for source in (self.left, self.right):
-                for row in source.rows():
-                    self.ctx.charge_cpu(1)
-                    if seen is not None:
-                        if row in seen:
-                            continue
-                        seen.add(row)
-                        if not (len(seen) & _MEM_CHUNK_MASK):
-                            self.ctx.mem_acquire(_MEM_CHUNK_ROWS * width)
-                            held += _MEM_CHUNK_ROWS * width
-                    yield row
-        finally:
-            self.ctx.mem_release(held)
 
     def batches(self) -> Iterator[Batch]:
         seen = set() if self.distinct else None
@@ -988,10 +806,6 @@ class FixpointOp(Operator):
     (UNION) only genuinely new rows enter the next delta, which
     guarantees termination; without it (UNION ALL) every produced row
     does, and ``ctx.max_fixpoint_iterations`` guards cyclic data.
-
-    Both engines share one evaluation routine (the template is drained
-    whole each pass either way), so iterator and vector runs write
-    identical charge totals to the ledger.
     """
 
     def __init__(self, ctx: RuntimeContext, base: Operator,
@@ -1003,16 +817,19 @@ class FixpointOp(Operator):
         self.delta_param = delta_param
         self.distinct = distinct
 
-    def _evaluate(self, drain) -> Tuple[List[Row], float]:
-        """Run the fixpoint; returns (result rows, bytes still held)."""
+    def batches(self) -> Iterator[Batch]:
         width = self.schema.row_width()
         limit = self.ctx.max_fixpoint_iterations
         held = 0.0
-        try:
-            seen = set() if self.distinct else None
-            out: List[Row] = []
+        seen = set() if self.distinct else None
+        out: List[Row] = []
+
+        def absorb(rows: List[Row]) -> List[Row]:
+            """Add ``rows`` to the result; returns the next delta (under
+            UNION, only the rows not seen before)."""
+            nonlocal held
             delta: List[Row] = []
-            for row in drain(self.base):
+            for row in rows:
                 self.ctx.charge_cpu(1)
                 if seen is not None:
                     if row in seen:
@@ -1023,6 +840,10 @@ class FixpointOp(Operator):
                 if not (len(out) & _MEM_CHUNK_MASK):
                     self.ctx.mem_acquire(_MEM_CHUNK_ROWS * width)
                     held += _MEM_CHUNK_ROWS * width
+            return delta
+
+        try:
+            delta = absorb(self.base.to_list())
             iterations = 0
             while delta:
                 if limit is not None and iterations >= limit:
@@ -1038,37 +859,8 @@ class FixpointOp(Operator):
                 temp = TempTable(delta, self.schema,
                                  spilled=not self.ctx.fits(temp_pages))
                 self.ctx.bind_filter_set(self.delta_param, temp)
-                new: List[Row] = []
-                for row in drain(self.template):
-                    self.ctx.charge_cpu(1)
-                    if seen is not None:
-                        if row in seen:
-                            continue
-                        seen.add(row)
-                    out.append(row)
-                    new.append(row)
-                    if not (len(out) & _MEM_CHUNK_MASK):
-                        self.ctx.mem_acquire(_MEM_CHUNK_ROWS * width)
-                        held += _MEM_CHUNK_ROWS * width
-                delta = new
-        except BaseException:
-            self.ctx.mem_release(held)
-            raise
-        return out, held
-
-    def rows(self) -> Iterator[Row]:
-        out, held = self._evaluate(lambda op: op.rows())
-        try:
-            for row in out:
-                yield row
-        finally:
-            self.ctx.mem_release(held)
-
-    def batches(self) -> Iterator[Batch]:
-        out, held = self._evaluate(lambda op: op.drain())
-        try:
-            for batch in batches_from_list(out, len(self.schema)):
-                yield batch
+                delta = absorb(self.template.to_list())
+            yield from batches_from_list(out, len(self.schema))
         finally:
             self.ctx.mem_release(held)
 
@@ -1095,54 +887,6 @@ class HashJoinOp(Operator):
         self.residual = residual
         self.semi = semi
 
-    def rows(self) -> Iterator[Row]:
-        bind_memberships(self.residual, self.ctx)
-        table = {}
-        build_rows = 0
-        build_width = self.inner.schema.row_width()
-        held = 0.0
-        try:
-            for row in self.inner.rows():
-                self.ctx.charge_cpu(1)
-                build_rows += 1
-                if not (build_rows & _MEM_CHUNK_MASK):
-                    self.ctx.mem_acquire(_MEM_CHUNK_ROWS * build_width)
-                    held += _MEM_CHUNK_ROWS * build_width
-                key = tuple(row[p] for p in self.inner_positions)
-                if _null_free(key):
-                    table.setdefault(key, []).append(row)
-            tail = (build_rows & _MEM_CHUNK_MASK) * build_width
-            self.ctx.mem_acquire(tail)
-            held += tail
-            build_pages = pages_for(build_rows, build_width)
-            probe_rows = 0
-            emitted_inner = set() if self.semi else None
-            for outer_row in self.outer.rows():
-                self.ctx.charge_cpu(1)
-                probe_rows += 1
-                key = tuple(outer_row[p] for p in self.outer_positions)
-                if not _null_free(key):
-                    continue
-                for inner_row in table.get(key, ()):
-                    self.ctx.charge_cpu(1)
-                    if self.semi:
-                        if id(inner_row) not in emitted_inner:
-                            emitted_inner.add(id(inner_row))
-                            yield inner_row
-                        continue
-                    combined = outer_row + inner_row
-                    if self.residual is not None and \
-                            self.residual.eval(combined) is not True:
-                        continue
-                    yield combined
-            if not self.ctx.fits(build_pages):
-                probe_pages = pages_for(probe_rows,
-                                        self.outer.schema.row_width())
-                self.ctx.ledger.charge_writes(build_pages + probe_pages)
-                self.ctx.ledger.charge_reads(build_pages + probe_pages)
-        finally:
-            self.ctx.mem_release(held)
-
     def batches(self) -> Iterator[Batch]:
         bind_memberships(self.residual, self.ctx)
         stats = self.kernel_counter()
@@ -1154,8 +898,8 @@ class HashJoinOp(Operator):
             build_batches = []
             for batch in self.inner.batches():
                 self.ctx.charge_cpu(batch.n)
-                # replicate the iterator's every-1024-rows memory
-                # acquisitions: one per chunk boundary this batch crosses
+                # working memory is acquired every 1024 build rows:
+                # one acquisition per chunk boundary this batch crosses
                 crossings = ((build_rows + batch.n) // _MEM_CHUNK_ROWS
                              - build_rows // _MEM_CHUNK_ROWS)
                 build_rows += batch.n
@@ -1198,8 +942,8 @@ class _HashBuild:
 
     Single-column keys (the common case) whose build columns arrived
     columnar end-to-end probe sorted key arrays; anything else (semi
-    joins, multi-column keys, row-backed batches) builds the iterator
-    engine's bucket table, at most once."""
+    joins, multi-column keys, row-backed batches) builds a bucket
+    table, at most once."""
 
     def __init__(self, build_batches: List[Batch],
                  outer_positions: Sequence[int],
@@ -1215,15 +959,14 @@ class _HashBuild:
         self.single = (len(inner_positions) == 1)
         self.emitted_inner = set() if semi else None
         self.vec = (self._vector_build()
-                    if self.single and not semi and _np is not None
-                    else None)
+                    if self.single and not semi else None)
         self.table = None if self.vec is not None \
             else self._bucket_table()
 
     def probe(self, batch: Batch, stats: Optional[KernelStats] = None
               ) -> Tuple[Optional[Batch], int]:
         """(joined batch or None when nothing matched, pair count) for
-        one probe batch, in the iterator engine's emission order.
+        one probe batch: outer order, build order within a key.
         ``stats`` tallies whether the batch probed the sorted arrays or
         fell to the per-row bucket path."""
         if self.vec is not None:
@@ -1248,8 +991,8 @@ class _HashBuild:
         return Batch.from_rows(out, width), pairs
 
     def _bucket_table(self) -> dict:
-        """The iterator engine's bucket table, built from collected
-        build batches (identical insertion order)."""
+        """key -> build rows in build order, over the collected build
+        batches."""
         table = {}
         setdefault = table.setdefault
         for batch in self.build_batches:
@@ -1501,10 +1244,13 @@ class MergeJoinOp(Operator):
         self.inner_positions = list(inner_positions)
         self.residual = residual
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self._merge(), len(self.schema))
+
+    def _merge(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
-        left = list(self.outer.rows())
-        right = list(self.inner.rows())
+        left = self.outer.to_list()
+        right = self.inner.to_list()
         held = (len(left) * self.outer.schema.row_width()
                 + len(right) * self.inner.schema.row_width())
         self.ctx.mem_acquire(held)
@@ -1567,9 +1313,12 @@ class BlockNLJoinOp(Operator):
         self.inner_positions = list(inner_positions)
         self.residual = residual
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self._loop(), len(self.schema))
+
+    def _loop(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
-        inner_rows = list(self.inner.rows())
+        inner_rows = self.inner.to_list()
         inner_held = len(inner_rows) * self.inner.schema.row_width()
         self.ctx.mem_acquire(inner_held)
         inner_pages = pages_for(len(inner_rows),
@@ -1655,7 +1404,10 @@ class IndexNLJoinOp(Operator):
         self.local_site = local_site
         self.remote_site = remote_site
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self._probe(), len(self.schema))
+
+    def _probe(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
         index = self.table.index_on(self.index_column)
         if index is None:
@@ -1699,7 +1451,10 @@ class NestedIterationOp(Operator):
         self.filter_schema = filter_schema
         self.residual = residual
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self._iterate(), len(self.schema))
+
+    def _iterate(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
         # Figure 6's "optimized nested iteration": consecutive outer rows
         # with the same binding reuse the previous probe's result, so a
@@ -1714,7 +1469,7 @@ class NestedIterationOp(Operator):
             if key != last_key:
                 temp = TempTable([key], self.filter_schema)
                 self.ctx.bind_filter_set(self.param_id, temp)
-                cached = list(self.template.rows())
+                cached = self.template.to_list()
                 last_key = key
             for inner_row in cached:
                 combined = outer_row + inner_row
@@ -1758,7 +1513,7 @@ class FilterJoinOp(Operator):
         self.bloom_bits = bloom_bits
         self.ship_filter = ship_filter
         self.measured_components = {}
-        # filter effectiveness, filled in by rows() and lifted into the
+        # filter effectiveness, filled in by batches() and lifted into the
         # operator's trace span: how many production rows there were, how
         # many distinct keys the filter carried, and how many inner rows
         # survived the restriction
@@ -1770,118 +1525,11 @@ class FilterJoinOp(Operator):
         delta = self.ctx.ledger.delta(before)
         self.measured_components[name] = delta.total(self.ctx.params)
 
-    def rows(self) -> Iterator[Row]:
-        bind_memberships(self.residual, self.ctx)
-        ledger = self.ctx.ledger
-        outer_width = self.outer.schema.row_width()
-
-        # 1. Production set (JoinCost_P + ProductionCost_P)
-        before = ledger.snapshot()
-        production = list(self.outer.rows())
-        self.ctx.mem_acquire(len(production) * outer_width)
-        self._component("JoinCost_P", before)
-        before = ledger.snapshot()
-        if self.materialize_production:
-            temp_pages = self.ctx.charge_materialize(
-                len(production), outer_width
-            )
-            production_spilled = not self.ctx.fits(temp_pages)
-        else:
-            production_spilled = False
-        self._component("ProductionCost_P", before)
-
-        # 2. Distinct projection into the filter set (ProjCost_F)
-        before = ledger.snapshot()
-        keys = set()
-        for row in production:
-            self.ctx.charge_cpu(1)
-            key = tuple(row[p] for p in self.bind_positions)
-            if _null_free(key):
-                keys.add(key)
-        self._component("ProjCost_F", before)
-        self.production_rows = len(production)
-        self.filter_set_size = len(keys)
-
-        # 3. Make the filter available (AvailCost_F)
-        before = ledger.snapshot()
-        if self.lossy:
-            bloom = BloomFilter(self.bloom_bits,
-                                expected_items=max(1, len(keys)))
-            for key in keys:
-                self.ctx.charge_cpu(1)
-                bloom.add(key if len(key) > 1 else key[0])
-            self.ctx.bind_membership(self.param_id, bloom)
-            if self.ship_filter:
-                self.ctx.charge_message(bloom.size_bytes,
-                                        from_site=self.site,
-                                        to_site=self.filter_site)
-        else:
-            temp = TempTable(sorted(keys, key=_sort_key),
-                             self.filter_schema)
-            self.ctx.mem_acquire(
-                len(keys) * self.filter_schema.row_width())
-            self.ctx.bind_filter_set(self.param_id, temp)
-            if self.ship_filter:
-                self.ctx.charge_ship(len(keys),
-                                     self.filter_schema.row_width(),
-                                     from_site=self.site,
-                                     to_site=self.filter_site)
-        self._component("AvailCost_F", before)
-
-        # 4. Restricted inner (FilterCost_Rk). Any ship-home of a remote
-        # restriction is performed by the template's own Ship operator,
-        # so AvailCost_Rk' is zero here (it pipelines into the join).
-        before = ledger.snapshot()
-        restricted = list(self.template.rows())
-        self.ctx.mem_acquire(
-            len(restricted) * self.template.schema.row_width())
-        self._component("FilterCost_Rk", before)
-        self.measured_components["AvailCost_Rk'"] = 0.0
-        self.restricted_rows = len(restricted)
-
-        # 5. Final join (FinalJoinCost): hash join production x restricted
-        before = ledger.snapshot()
-        if self.materialize_production:
-            self.ctx.charge_cpu(len(production))
-            if production_spilled:
-                ledger.charge_reads(pages_for(len(production), outer_width))
-        else:
-            # recompute the production set instead of re-reading a temp
-            production = list(self.outer.rows())
-        table = {}
-        for row in restricted:
-            self.ctx.charge_cpu(1)
-            key = tuple(row[p] for p in self.final_inner_positions)
-            if _null_free(key):
-                table.setdefault(key, []).append(row)
-        build_pages = pages_for(len(restricted),
-                                self.template.schema.row_width())
-        matches: List[Row] = []
-        for outer_row in production:
-            self.ctx.charge_cpu(1)
-            key = tuple(outer_row[p] for p in self.final_outer_positions)
-            if not _null_free(key):
-                continue
-            for inner_row in table.get(key, ()):
-                self.ctx.charge_cpu(1)
-                combined = outer_row + inner_row
-                if self.residual is not None and \
-                        self.residual.eval(combined) is not True:
-                    continue
-                matches.append(combined)
-        if not self.ctx.fits(build_pages):
-            probe_pages = pages_for(len(production), outer_width)
-            ledger.charge_writes(build_pages + probe_pages)
-            ledger.charge_reads(build_pages + probe_pages)
-        self._component("FinalJoinCost", before)
-        return iter(matches)
-
     def batches(self) -> Iterator[Batch]:
-        """Vectorized Filter Join: same phases and same Table 1
-        component charges as ``rows()``, columnar from the production
+        """The five phases of Table 1, columnar from the production
         set to the emitted batch.
 
-        Three phases run batch-wise and report kernel-vs-fallback
+        Three of them run batch-wise and report kernel-vs-fallback
         through ``kernel_counter()``: the filter-set build (a sorted
         distinct over the typed bind columns; a bind column that is not
         exactly encodable builds the Python set instead), the lossy
@@ -1966,7 +1614,9 @@ class FilterJoinOp(Operator):
                                      to_site=self.filter_site)
         self._component("AvailCost_F", before)
 
-        # 4. Restricted inner (FilterCost_Rk); AvailCost_Rk' pipelines
+        # 4. Restricted inner (FilterCost_Rk). Any ship-home of a remote
+        # restriction is performed by the template's own Ship operator,
+        # so AvailCost_Rk' is zero here (it pipelines into the join).
         before = ledger.snapshot()
         restricted = _gather(self.template.batches(),
                              len(self.template.schema))
@@ -2036,7 +1686,7 @@ def _distinct_keys(columns: Sequence) -> Optional[List[ColumnVector]]:
     dictionary rank); among equal values (``0.0`` / ``-0.0``) the first
     one seen survives, as in a Python set. None when a column is not a
     ColumnVector — the caller then builds the set row-wise."""
-    if _np is None or not columns or not all(
+    if not columns or not all(
             isinstance(c, ColumnVector) for c in columns):
         return None
     valid = None
@@ -2090,7 +1740,10 @@ class FunctionJoinOp(Operator):
         results = self.fn.invoke(args)
         return [args + tuple(r) for r in results]
 
-    def rows(self) -> Iterator[Row]:
+    def batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self._invoke_all(), len(self.schema))
+
+    def _invoke_all(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
 
         def emit(outer_row: Row, fn_rows: List[tuple]) -> Iterator[Row]:
@@ -2123,7 +1776,7 @@ class FunctionJoinOp(Operator):
                     yield result
             return
         # filter mode: materialize, distinct args, consecutive invocation
-        production = list(self.outer.rows())
+        production = self.outer.to_list()
         self.ctx.charge_materialize(len(production),
                                     self.outer.schema.row_width())
         args_seen = set()

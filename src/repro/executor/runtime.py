@@ -129,9 +129,9 @@ class RuntimeContext:
 
     def _charge_cpu_with_deadline(self, steps: float = 1.0) -> None:
         self.ledger.charge_cpu(steps)
-        # count *steps*, not calls: the vector engine charges a whole
-        # batch in one call, and must hit deadline checks as often per
-        # row as the iterator engine does
+        # count *steps*, not calls: an operator charges a whole batch
+        # in one call, and must hit deadline checks as often per row as
+        # one that charges row by row
         self._tick += int(steps) if steps > 1 else 1
         if self._tick > _DEADLINE_CHECK_MASK:
             self._tick = 0

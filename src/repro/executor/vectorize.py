@@ -1,9 +1,9 @@
 """Columnar batches and the batch-at-a-time expression compiler.
 
-The vector engine moves data between operators as :class:`Batch` objects
-— column-oriented slices of ~:data:`BATCH_ROWS` rows. A column is either
-a plain Python sequence (a join output reassembled from tuples, the
-iterator-engine bridge) or a typed numpy
+Operators exchange :class:`Batch` objects — column-oriented slices of
+~:data:`BATCH_ROWS` rows. A column is either a plain Python sequence (a
+join output reassembled from tuples, a tuple-at-a-time operator's
+chunked output) or a typed numpy
 :class:`~repro.storage.columnar.ColumnVector` — values array + validity
 bitmap (+ string dictionary) — flowing straight out of columnar table
 storage. Scalar expression trees are *compiled once per operator
@@ -14,27 +14,23 @@ back to the per-element path whenever exact Python semantics cannot be
 guaranteed wholesale (mixed-type arithmetic, int64 overflow risk,
 unhashable literals, floats as hash keys).
 
-Two invariants tie the vector engine to the iterator engine:
+Two invariants specify the kernels against ``Expr.eval``:
 
 - **Value fidelity.** Rows materialized from columns hold exactly the
   Python objects the storage layer holds (int64 ↔ int, float64 ↔ float,
   dictionary code ↔ the stored str), and every kernel implements the
   same SQL three-valued logic — and raises the same errors — as
-  ``Expr.eval``, so reassembled rows are byte-identical to the iterator
-  engine's output. Any value or operation that cannot round-trip
-  exactly refuses the kernel and runs per-element.
-- **Chunked cost parity.** Batch operators charge the same ledger unit
-  counts as their tuple-at-a-time twins, just in bulk (one
-  ``charge_cpu(n)`` per batch instead of ``n`` calls of 1); every count
-  is an exact integer, so the totals — and therefore estimated-vs-
-  measured comparisons — are identical between engines.
+  ``Expr.eval`` row by row. Any value or operation that cannot
+  round-trip exactly refuses the kernel and runs per-element.
+- **Chunked cost.** Where the cost formulas say one unit per row,
+  operators charge one ``charge_cpu(n)`` per batch; every count is an
+  exact integer, so ledger totals do not depend on where batch
+  boundaries fall.
 """
 
 from __future__ import annotations
 
 import operator as _operator
-import sys
-import warnings
 from itertools import compress
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
@@ -61,14 +57,11 @@ from ..expr.nodes import (
 from ..storage import columnar
 from ..storage.columnar import ColumnVector
 
-np = columnar.np  # None when numpy is unavailable (kernels disabled)
+np = columnar.np
 
 #: target rows per batch; chosen so a batch of typical rows stays within
 #: L2-cache-ish sizes while amortizing per-batch interpreter overhead
 BATCH_ROWS = 1024
-
-# once-per-call-site registry for the legacy Batch(rows=...) shim
-_warned_batch_sites = set()
 
 
 def _as_list(column) -> Sequence:
@@ -100,28 +93,7 @@ class Batch:
 
     __slots__ = ("_columns", "_rows", "n", "width")
 
-    def __init__(self, columns: Sequence[Sequence] = None, n: int = None,
-                 *, rows: Sequence[tuple] = None, width: int = None):
-        if rows is not None:
-            # Legacy row-backed constructor path (pre-columnar API).
-            frame = sys._getframe(1)
-            site = (frame.f_code.co_filename, frame.f_lineno)
-            if site not in _warned_batch_sites:
-                _warned_batch_sites.add(site)
-                warnings.warn(
-                    "Batch(rows=...) is deprecated; use "
-                    "Batch.from_rows(rows, width) (or pass typed "
-                    "columns to the constructor)",
-                    DeprecationWarning, stacklevel=2,
-                )
-            self._columns = None
-            self._rows = rows if isinstance(rows, list) else list(rows)
-            self.n = len(self._rows)
-            self.width = (width if width is not None
-                          else (len(self._rows[0]) if self._rows else 0))
-            return
-        if columns is None or n is None:
-            raise TypeError("Batch() requires columns and n")
+    def __init__(self, columns: Sequence[Sequence], n: int):
         self._columns = list(columns)
         self._rows = None
         self.n = n
@@ -160,10 +132,9 @@ class Batch:
         return [row[j] for row in self._rows]
 
     def rows(self) -> List[tuple]:
-        """The rows as plain tuples (the iterator engine's row
-        representation, byte for byte). This is the late-
-        materialization pipeline breaker for columnar batches. Cached;
-        treat as immutable."""
+        """The rows as plain tuples of exactly the stored Python
+        objects. This is the late-materialization pipeline breaker for
+        columnar batches. Cached; treat as immutable."""
         rows = self._rows
         if rows is None:
             if not self._columns:
@@ -179,7 +150,7 @@ class Batch:
         if self._columns is None:
             return Batch.from_rows(
                 list(compress(self._rows, flags)), self.width)
-        is_array = np is not None and isinstance(flags, np.ndarray)
+        is_array = isinstance(flags, np.ndarray)
         if not is_array and any(isinstance(c, ColumnVector)
                                 for c in self._columns):
             flags = np.fromiter((bool(f) for f in flags),
@@ -248,12 +219,8 @@ class Batch:
 
 def batches_from_rows(rows: Iterable[tuple], width: int,
                       batch_rows: int = BATCH_ROWS) -> Iterator[Batch]:
-    """Chunk a row stream into batches (the iterator-engine bridge).
-
-    Pulling through this helper executes the producing subtree in
-    iterator mode, so its ledger charges are trivially identical; it is
-    the fallback for operators without a native batch implementation.
-    """
+    """Chunk a row stream into batches: how a tuple-at-a-time operator
+    exposes its generator through ``batches()``."""
     chunk: List[tuple] = []
     for row in rows:
         chunk.append(row)
@@ -266,7 +233,7 @@ def batches_from_rows(rows: Iterable[tuple], width: int,
 
 def batches_from_list(rows: Sequence[tuple], width: int,
                       batch_rows: int = BATCH_ROWS) -> Iterator[Batch]:
-    """Batches over an already-materialized row list (no bridge pull)."""
+    """Batches over an already-materialized row list."""
     for start in range(0, len(rows), batch_rows):
         yield Batch.from_rows(rows[start:start + batch_rows], width)
 
@@ -363,7 +330,7 @@ def compile_expr(expr: Expr,
     The closure takes a :class:`Batch` and returns a sequence of ``n``
     values — the expression evaluated for every row — with semantics
     identical to calling ``expr.eval(row)`` per row (SQL three-valued
-    logic, the iterator engine's error messages, late-bound parameters
+    logic, ``Expr.eval``'s error messages, late-bound parameters
     and filter-set memberships). Over ColumnVector inputs the result is
     itself a ColumnVector whenever a numpy kernel applies.
 
@@ -429,7 +396,7 @@ def compile_filter(expr: Expr,
     """Compile a predicate into a selection-flag closure.
 
     Rows are kept only when the predicate is exactly ``True`` (never for
-    NULL), matching the iterator engine's ``eval(row) is True`` checks.
+    NULL): ``eval(row) is True``.
     Returns a numpy boolean array when the predicate evaluated as a
     kernel, else a Python list of bools. ``stats`` tallies per batch
     exactly as in :func:`compile_expr`.
@@ -463,8 +430,7 @@ def _combined_mask(lvec: Optional[ColumnVector],
 
 
 def _is_plain_number(value) -> bool:
-    return isinstance(value, (int, float)) or (
-        np is not None and isinstance(value, (np.integer, np.floating)))
+    return isinstance(value, (int, float, np.integer, np.floating))
 
 
 #: |int| bound under which an int64 -> float64 cast is exact. Python
@@ -657,8 +623,8 @@ def _arith_kernel(op: str, lvec, rvec, lconst, rconst,
             return None
         elif r_int and not scalar_r and not _int_vals_float_exact(rvals):
             return None
-        # the iterator engine raises whenever any row divides a non-NULL
-        # numerator by zero — before producing a single value
+        # the per-element path raises whenever any row divides a
+        # non-NULL numerator by zero — before producing a single value
         lvalid = (lvec.valid_mask() if lvec is not None
                   and lvec.mask is not None else None)
         if scalar_r:
@@ -733,8 +699,7 @@ def _compile_comparison(expr: Comparison) -> ColumnFn:
     def run(batch: Batch):
         lv = None if lconst is not None else left_fn(batch)
         rv = None if rconst is not None else right_fn(batch)
-        if np is not None and (isinstance(lv, ColumnVector)
-                               or isinstance(rv, ColumnVector)):
+        if isinstance(lv, ColumnVector) or isinstance(rv, ColumnVector):
             result = _cmp_kernel(
                 op,
                 lv if isinstance(lv, ColumnVector) else None,
@@ -775,8 +740,7 @@ def _compile_arithmetic(expr: Arithmetic) -> ColumnFn:
     def run(batch: Batch):
         lv = None if lconst is not None else left_fn(batch)
         rv = None if rconst is not None else right_fn(batch)
-        if np is not None and (isinstance(lv, ColumnVector)
-                               or isinstance(rv, ColumnVector)):
+        if isinstance(lv, ColumnVector) or isinstance(rv, ColumnVector):
             result = _arith_kernel(
                 op,
                 lv if isinstance(lv, ColumnVector) else None,
@@ -820,7 +784,7 @@ def _compile_boolean(expr: BooleanExpr) -> ColumnFn:
 
         def run_not(batch: Batch):
             values = inner(batch)
-            if np is not None and isinstance(values, ColumnVector) \
+            if isinstance(values, ColumnVector) \
                     and values.dictionary is None \
                     and values.values.dtype == np.bool_:
                 return ColumnVector(~values.values, values.mask)
@@ -829,16 +793,14 @@ def _compile_boolean(expr: BooleanExpr) -> ColumnFn:
 
         return run_not
 
-    # AND / OR short-circuit *per row across arguments* in the iterator
-    # engine (a row decided by an earlier argument never evaluates later
+    # AND / OR short-circuit *per row across arguments* in ``Expr.eval``
+    # (a row decided by an earlier argument never evaluates later
     # ones — guards like ``b != 0 AND a / b > 1`` rely on this). The
     # batch version keeps that contract by narrowing to the still-
     # undecided rows before evaluating the next argument's column.
     decided_value = False if op == "AND" else True  # value that decides
 
     def run(batch: Batch) -> Sequence:
-        if np is None:
-            return _run_boolean_plain(batch, arg_fns, decided_value)
         n = batch.n
         result = np.full(n, not decided_value, dtype=np.bool_)
         saw_null = np.zeros(n, dtype=np.bool_)
@@ -869,33 +831,6 @@ def _compile_boolean(expr: BooleanExpr) -> ColumnFn:
         return ColumnVector(result, ~null_out if null_out.any() else None)
 
     return run
-
-
-def _run_boolean_plain(batch: Batch, arg_fns, decided_value):
-    result: list = [not decided_value] * batch.n
-    saw_null = [False] * batch.n
-    alive = list(range(batch.n))
-    current = batch
-    for fn in arg_fns:
-        if not alive:
-            break
-        values = _as_list(fn(current))
-        survivors = []
-        for local, v in enumerate(values):
-            row = alive[local]
-            if v is decided_value:
-                result[row] = decided_value
-            else:
-                if v is None:
-                    saw_null[row] = True
-                survivors.append(row)
-        if len(survivors) != len(alive):
-            alive = survivors
-            current = batch.take(alive)
-    for row in alive:
-        if saw_null[row]:
-            result[row] = None
-    return result
 
 
 def _probe_array(vec: ColumnVector, candidates):
@@ -952,7 +887,7 @@ def _compile_in_list(expr: InList) -> ColumnFn:
 
     def run(batch: Batch):
         operand = operand_fn(batch)
-        if np is not None and isinstance(operand, ColumnVector):
+        if isinstance(operand, ColumnVector):
             result = kernel(operand, batch.n)
             if result is not None:
                 return result
@@ -1047,8 +982,7 @@ def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
         keys = [fn(batch) for fn in arg_fns]
         lossy = isinstance(membership, BloomFilter)
         result = None
-        if np is not None and all(isinstance(k, ColumnVector)
-                                  for k in keys):
+        if all(isinstance(k, ColumnVector) for k in keys):
             if lossy:
                 if ARRAY_KERNELS:
                     result = ColumnVector(membership.contains_hashes(

@@ -39,8 +39,7 @@ def _actual_text(span) -> str:
     q = span.q_error
     if q is not None and q >= 1.5:
         text += " (q-err %.1f)" % q
-    # vector engine: say so when part of this operator's batch-wise
-    # work fell off its numpy kernels onto the per-element path
+    # say so when part of this operator's batch-wise work fell off its numpy kernels onto the per-element path
     fallback = span.extras.get("fallback_batches")
     if fallback:
         text += " (%d of %d batches interpreted)" % (

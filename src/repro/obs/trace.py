@@ -85,7 +85,7 @@ class Span:
         self.est_cost = est_cost
         self.actual_rows = 0
         self.executions = 0
-        self.batches = 0  # batch advancements (vector engine only)
+        self.batches = 0  # batch advancements
         self.wall_seconds = 0.0
         self.self_seconds = 0.0
         # raw per-field accumulation while executing; folded into
@@ -96,11 +96,6 @@ class Span:
         self.ledger = CostLedger()
         self.extras: Dict[str, object] = {}
         self.children: List["Span"] = []
-
-    # Compatibility with the pre-span TracingOperator API.
-    @property
-    def rows_out(self) -> int:
-        return self.actual_rows
 
     @property
     def q_error(self) -> Optional[float]:

@@ -1,10 +1,7 @@
-"""Execution options: one value object instead of a kwarg sprawl.
+"""Execution options: one value object for every per-call knob.
 
-Three PRs of feature growth left ``db.sql(...)`` accepting ``trace=``,
-``timeout=``, ``use_cache=``, and ``memory_budget_bytes=`` as loose
-keywords, and the vectorized engine would have added a fifth. The
-:class:`Options` dataclass is the stable replacement: every per-call
-execution knob in one immutable value that can be passed per call
+The :class:`Options` dataclass holds every per-call execution knob in
+one immutable value that can be passed per call
 (``db.sql(q, options=...)``), installed as database defaults
 (``db.configure(...)``), or scoped to a block (``with db.session(...)``).
 
@@ -12,26 +9,16 @@ Each field defaults to ``None``, meaning *inherit* — from the database
 defaults, and ultimately from :data:`BUILTIN`. ``Options.merged`` layers
 one options value over another, so resolution is simply::
 
-    BUILTIN <- db.defaults <- per-call options (<- legacy kwargs)
-
-The old keywords keep working through a deprecation shim in
-``Database.sql`` that emits a :class:`DeprecationWarning` once per call
-site (see :func:`warn_legacy_kwargs`).
+    BUILTIN <- db.defaults <- per-call options
 """
 
 from __future__ import annotations
 
 import dataclasses
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .obs.adaptive import AdaptivePolicy
-
-#: valid execution engines (mirrors executor.lowering.ENGINES, kept
-#: literal here so importing Options never pulls in the executor)
-ENGINES = ("iterator", "vector")
 
 #: valid durability levels for the write-ahead log (see
 #: docs/transactions.md): "off" = no WAL at all, "lazy" = append commit
@@ -61,9 +48,6 @@ class Options:
       plan cache.
     - ``memory_budget_bytes``: cap on operator working memory
       (:class:`~repro.errors.ResourceExhausted` when exceeded).
-    - ``engine``: ``"iterator"`` (tuple-at-a-time Volcano) or
-      ``"vector"`` (columnar batches of ~1024 rows); identical rows and
-      identical cost-ledger totals, different wall-clock speed.
     - ``search_trace``: record the optimizer's full DP search (every
       memo entry, pruning verdict, and parametric anchor) onto
       ``QueryResult.search`` as an
@@ -105,7 +89,6 @@ class Options:
     timeout: Optional[float] = None
     use_cache: Optional[bool] = None
     memory_budget_bytes: Optional[float] = None
-    engine: Optional[str] = None
     search_trace: Optional[bool] = None
     max_fixpoint_iterations: Optional[int] = None
     durability: Optional[str] = None
@@ -122,11 +105,6 @@ class Options:
             # resolved() always see a policy object
             object.__setattr__(
                 self, "adaptive", AdaptivePolicy.coerce(self.adaptive))
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                "unknown engine %r (expected one of %s)"
-                % (self.engine, ", ".join(ENGINES))
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(
                 "timeout must be positive, got %r" % (self.timeout,)
@@ -191,42 +169,10 @@ class Options:
 
 #: the bottom of the resolution chain: what you get with no configure()
 #: and no per-call options
-BUILTIN = Options(trace=False, use_cache=False, engine="vector",
+BUILTIN = Options(trace=False, use_cache=False,
                   search_trace=False, max_fixpoint_iterations=1000,
                   durability="off", isolation="snapshot",
                   adaptive=AdaptivePolicy.OFF, telemetry=False,
                   slow_query_seconds=0.25)
 
 OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(Options))
-
-# (filename, lineno, keyword) triples that have already warned — the
-# deprecation shim fires once per call site, not once per call
-_warned_sites = set()
-
-
-def warn_legacy_kwargs(names, stacklevel: int = 3) -> None:
-    """Emit the legacy-kwarg DeprecationWarning once per call site.
-
-    ``stacklevel`` addresses the frame of the *user's* call (3 = the
-    caller of the public method invoking this helper), both for the
-    warning's reported location and for the once-per-site dedup key.
-    """
-    try:
-        frame = sys._getframe(stacklevel - 1)
-        site = (frame.f_code.co_filename, frame.f_lineno)
-    except ValueError:  # stack shallower than expected; warn anyway
-        site = None
-    names = tuple(sorted(names))
-    key = (site, names)
-    if site is not None and key in _warned_sites:
-        return
-    _warned_sites.add(key)
-    warnings.warn(
-        "passing %s as keyword argument(s) is deprecated; pass "
-        "repro.Options (e.g. db.sql(q, options=Options(%s))) or set "
-        "defaults with db.configure(...)"
-        % (", ".join("%s=" % n for n in names),
-           ", ".join("%s=..." % n for n in names)),
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )

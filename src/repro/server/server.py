@@ -190,7 +190,6 @@ class Server:
             return {"ok": True, "pong": True}
         if op == "status":
             status = await self._engine(session._run, self.db.txn.status)
-            status["engine"] = self.db.defaults.resolved().engine
             return {"ok": True, "status": status}
         if op == "metrics":
             return {"ok": True, "metrics": self.db.metrics()}

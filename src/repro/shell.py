@@ -17,12 +17,9 @@ start with a backslash:
                    nearest rejected candidate and the ledger terms
                    that lost it
     \\config        show the optimizer configuration
-    \\set           show the active execution option set (engine, trace,
-                    timeout, ...) — the database's repro.Options defaults
+    \\set           show the active execution option set (trace, timeout,
+                    ...) — the database's repro.Options defaults
     \\set KEY VAL   change an optimizer switch (e.g. \\set enable_filter_join off)
-    \\engine NAME   switch the execution engine: vector (the default,
-                    columnar batches) | iterator (tuple-at-a-time, the
-                    reference); with no NAME, show the current one
     \\cache         show plan-cache counters (hits/misses/invalidations)
                     and the restriction-memo line
     \\cache clear   empty the plan cache and reset its counters
@@ -56,8 +53,8 @@ start with a backslash:
 
 The execution state lives in one place — the database's default
 :class:`repro.Options` — and ``\\set`` (no arguments) shows it;
-``\\timeout``, ``\\trace``, and ``\\engine`` are aliases that update
-single fields of that option set.
+``\\timeout`` and ``\\trace`` are aliases that update single fields of
+that option set.
 
 Syntax errors point at the offending token with a caret line, and a
 ``Ctrl-C`` mid-statement abandons the buffered input without killing
@@ -78,7 +75,7 @@ from typing import Iterable, Optional, TextIO
 from .database import Database, QueryResult
 from .errors import ReproError, SqlSyntaxError
 from .harness.report import TextTable
-from .options import ENGINES, OPTION_FIELDS, Options
+from .options import OPTION_FIELDS, Options
 
 PROMPT = "repro> "
 CONTINUATION = "  ...> "
@@ -156,7 +153,7 @@ class Shell:
         self.done = False
 
     # The shell's execution state IS the database's default option set;
-    # \timeout / \trace / \engine are views onto single fields of it.
+    # \timeout / \trace are views onto single fields of it.
     @property
     def timeout(self) -> Optional[float]:
         return self.db.defaults.timeout
@@ -211,9 +208,6 @@ class Shell:
         if command == "\\set":
             self._set_config(argument)
             return
-        if command == "\\engine":
-            self._engine_command(argument)
-            return
         if command == "\\cache":
             self._cache_command(argument)
             return
@@ -249,7 +243,7 @@ class Shell:
             self._txn_command(argument)
             return
         self.write("unknown command %r (try \\d, \\e, \\ea, \\explain, "
-                   "\\whynot, \\config, \\set, \\engine, \\cache, "
+                   "\\whynot, \\config, \\set, \\cache, "
                    "\\timeout, \\faults, \\metrics, \\drift, \\slow, "
                    "\\sessions, \\adaptive, \\log, \\trace, \\txn, \\q)"
                    % command)
@@ -386,17 +380,6 @@ class Shell:
         self.write("active options:")
         for name in OPTION_FIELDS:
             self.write("  %-22s %r" % (name, getattr(resolved, name)))
-
-    def _engine_command(self, argument: str) -> None:
-        if not argument:
-            self.write("engine = %s" % self.db.defaults.resolved().engine)
-            return
-        name = argument.lower()
-        if name not in ENGINES:
-            self.write("usage: \\engine [%s]" % " | ".join(ENGINES))
-            return
-        self.db.configure(engine=name)
-        self.write("engine = %s" % name)
 
     def _trace_command(self, argument: str) -> None:
         if not argument:

@@ -1,4 +1,4 @@
-"""Typed numpy column storage: the vector engine's native table layout.
+"""Typed numpy column storage: the executor's native table layout.
 
 A :class:`ColumnStore` holds one :class:`ColumnVector` per schema column:
 a dtype-homogeneous numpy array (``int64`` for INT, ``float64`` for
@@ -11,7 +11,7 @@ probes and GROUP BY over strings run as integer kernels.
 
 The store is a *derived acceleration structure*: the row-form list on
 :class:`~repro.storage.table.Table` remains the authoritative version
-store (MVCC stamps, WAL serialization, and the iterator oracle all read
+store (MVCC stamps, WAL serialization, and index probes all read
 rows), and the columnar base covers a prefix of the *physical* row list,
 append-only like the heap: dead and uncommitted versions sit in it and
 a scan masks out the positions its snapshot cannot see
@@ -23,9 +23,9 @@ next scan. See docs/execution.md ("Columnar storage").
 
 Value fidelity is absolute: a value must round-trip ``Python ->
 array -> Python`` bit-exactly or the column refuses encoding and falls
-back to a plain Python list (``None`` slot in the store), keeping the
-engine-differential guarantee intact. In particular ints beyond 64 bits
-are never narrowed.
+back to a plain Python list (``None`` slot in the store), so kernels
+and ``Expr.eval`` always see the same values. In particular ints beyond
+64 bits are never narrowed.
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ from __future__ import annotations
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence
 
-try:  # numpy is an optional accelerator; everything degrades to rows
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None
+import numpy as np
 
 from .schema import DataType, Schema
-
-#: whether the columnar fast path is available in this interpreter
-AVAILABLE = np is not None
 
 #: |value| bound under which int64 arithmetic kernels cannot overflow
 #: (two operands summed or multiplied stay inside the int64 range)
@@ -147,8 +141,6 @@ class ColumnVector:
             Optional["ColumnVector"]:
         """Encode one column of Python values, or ``None`` when the
         values cannot round-trip exactly (the caller keeps rows)."""
-        if np is None:
-            return None
         n = len(column)
         mask = None
         if any(v is None for v in column):
@@ -165,7 +157,7 @@ class ColumnVector:
                     dtype=np.float64, count=n)
                 if np.isnan(values).any():
                     # NaN breaks hash/identity-vs-equality parity with
-                    # the row engines (dict buckets, set membership);
+                    # the row paths (dict buckets, set membership);
                     # such columns stay on the Python path
                     return None
             elif dtype is DataType.BOOL:
@@ -414,7 +406,7 @@ def encode_exact(column):
     breaker turns a row-backed input columnar without trusting a
     declared schema: ``True`` in an INT column, or an int among floats,
     keeps the column a list."""
-    if isinstance(column, ColumnVector) or np is None:
+    if isinstance(column, ColumnVector):
         return column
     kinds = set(map(type, column))
     kinds.discard(type(None))

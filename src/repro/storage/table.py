@@ -163,14 +163,11 @@ class Table:
 
     def compact(self) -> Optional["columnar.ColumnStore"]:
         """(Re)build or extend the columnar base to cover every
-        *physical* row; ``None`` when numpy is unavailable or the table
-        is empty.
+        *physical* row; ``None`` when the table is empty.
 
         Called lazily by :meth:`columnar_view` at scan time, and
         eagerly by :meth:`vacuum` right after physical compaction.
         """
-        if not columnar.AVAILABLE:
-            return None
         n = len(self._rows)
         if self._colstore is None:
             if n == 0:

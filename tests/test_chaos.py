@@ -24,7 +24,8 @@ import random
 
 import pytest
 
-from repro import DataType, QueryTimeout, ReproError, SiteUnavailable
+from repro import (DataType, Options, QueryTimeout, ReproError,
+                   SiteUnavailable)
 from repro.distributed import (
     DistributedDatabase,
     FaultPlan,
@@ -109,7 +110,8 @@ def test_chaos_schedule(db, baseline, seed):
     restore(db)
     db.set_fault_plan(plan, seed=seed)
     try:
-        result = db.sql(QUERY, timeout=timeout, use_cache=use_cache)
+        result = db.sql(QUERY,
+                        options=Options(timeout=timeout, use_cache=use_cache))
     except QueryTimeout:
         OUTCOMES["timeout"] += 1
     except SiteUnavailable:
@@ -161,7 +163,7 @@ def test_deadline_abort_is_prompt_and_typed(db):
     db.set_fault_plan(FaultPlan(latency_rate=1.0, latency_seconds=30.0),
                       seed=0)
     with pytest.raises(QueryTimeout) as exc_info:
-        db.sql(QUERY, timeout=0.2)
+        db.sql(QUERY, options=Options(timeout=0.2))
     assert exc_info.value.elapsed >= 0.2
     restore(db)
 
@@ -188,9 +190,9 @@ def test_site_down_schedule_with_cached_plan(db, baseline):
     — the catalog version bump forces a re-plan and the rows stay
     exact."""
     restore(db)
-    db.sql(QUERY, use_cache=True)
+    db.sql(QUERY, options=Options(use_cache=True))
     db.set_fault_plan(FaultPlan(down_sites=frozenset({"east"})), seed=0)
-    result = db.sql(QUERY, use_cache=True)
+    result = db.sql(QUERY, options=Options(use_cache=True))
     assert sorted(result.rows) == baseline
     assert db.degradation_events
     restore(db)
@@ -292,8 +294,8 @@ def test_chaos_recursive_schedule(rec_db, rec_baseline, seed):
     restore(rec_db)
     rec_db.set_fault_plan(plan, seed=seed)
     try:
-        result = rec_db.sql(RECURSIVE_QUERY, timeout=timeout,
-                            use_cache=use_cache)
+        result = rec_db.sql(RECURSIVE_QUERY, options=Options(
+            timeout=timeout, use_cache=use_cache))
     except QueryTimeout:
         REC_OUTCOMES["timeout"] += 1
     except (SiteUnavailable, FixpointLimitExceeded):
@@ -326,7 +328,7 @@ def test_deadline_interrupts_fixpoint_iterations(rec_db):
     rec_db.set_fault_plan(FaultPlan(latency_rate=1.0, latency_seconds=30.0),
                           seed=0)
     with pytest.raises(QueryTimeout) as exc_info:
-        rec_db.sql(RECURSIVE_QUERY, timeout=0.2)
+        rec_db.sql(RECURSIVE_QUERY, options=Options(timeout=0.2))
     assert exc_info.value.elapsed >= 0.2
     restore(rec_db)
 

@@ -3,9 +3,9 @@
 Covers the dictionary encoding of string columns (NULL ordering, 3VL
 comparisons, DISTINCT/GROUP BY over encoded columns), MVCC
 freeze/compaction round-trips that must preserve dictionaries, the
-``QueryResult.columns()`` / ``column(name)`` surface, the typed-schema
-``SchemaError`` path, engine-name validation in :class:`Options`, and
-the deprecation of the legacy row-backed ``Batch`` constructor.
+``QueryResult.columns()`` / ``column(name)`` surface and the
+typed-schema ``SchemaError`` path. Query answers are checked against
+the naive interpreter in :mod:`tests.reference_engine`.
 """
 
 import warnings
@@ -15,13 +15,11 @@ import pytest
 import repro
 from repro import DataType, Options, ReproError, Schema, SchemaError
 from repro.errors import CatalogError
-from repro.executor import vectorize
 from repro.executor.vectorize import Batch
 from repro.storage import columnar
 from repro.storage.columnar import ColumnVector, StringDictionary
 
-pytestmark = pytest.mark.skipif(not columnar.AVAILABLE,
-                                reason="numpy is unavailable")
+from tests.reference_engine import evaluate_query_naive
 
 
 def _db(**options):
@@ -36,12 +34,10 @@ def _db(**options):
     return db
 
 
-def _both_engines(db, query):
-    it = db.sql(query, options=Options(engine="iterator"))
-    vec = db.sql(query, options=Options(engine="vector"))
-    assert vec.rows == it.rows
-    assert vec.ledger.as_dict() == it.ledger.as_dict()
-    return vec
+def _checked(db, query):
+    result = db.sql(query)
+    assert result.rows == evaluate_query_naive(db.bind(query))
+    return result
 
 
 # --------------------------------------------- dictionary-encoded strings
@@ -66,36 +62,36 @@ class TestDictionaryColumns:
         assert dictionary.lookup("kiwi") == -1
 
     def test_null_ordering(self):
-        # NULLs sort first under the engine's total order, identically
-        # on the encoded vector path and the iterator oracle
+        # NULLs sort first under the engine's total order, on the
+        # encoded path as in the naive oracle
         db = _db()
-        result = _both_engines(
+        result = _checked(
             db, "SELECT name, city FROM people ORDER BY city, name")
         assert result.rows[0][1] is None
 
     def test_three_valued_comparisons(self):
         db = _db()
-        eq = _both_engines(
+        eq = _checked(
             db, "SELECT name FROM people WHERE city = 'lima'")
         assert sorted(row[0] for row in eq.rows) == ["cal", "dee"]
-        ne = _both_engines(
+        ne = _checked(
             db, "SELECT name FROM people WHERE city <> 'oslo'")
         # NULL city is UNKNOWN, never emitted — not even by <>
         assert sorted(row[0] for row in ne.rows) == ["ann", "cal", "dee"]
-        lt = _both_engines(
+        lt = _checked(
             db, "SELECT name FROM people WHERE city < 'oslo'")
         assert sorted(row[0] for row in lt.rows) == ["cal", "dee"]
 
     def test_distinct_over_encoded_column(self):
         db = _db()
-        result = _both_engines(db, "SELECT DISTINCT city FROM people")
+        result = _checked(db, "SELECT DISTINCT city FROM people")
         assert sorted(row[0] for row in result.rows
                       if row[0] is not None) == ["lima", "oslo", "pune"]
         assert any(row[0] is None for row in result.rows)
 
     def test_group_by_encoded_column(self):
         db = _db()
-        result = _both_engines(
+        result = _checked(
             db, "SELECT city, COUNT(*), MIN(name), MAX(age) FROM people"
                 " GROUP BY city")
         by_city = {row[0]: row[1:] for row in result.rows}
@@ -157,8 +153,6 @@ class TestMvccCompaction:
                             (session.sql, ["ann", None, "dee", "gus"])):
             result = run(query, options=Options(trace=True))
             assert [row[0] for row in result.rows] == expect
-            assert run(query, options=Options(engine="iterator")
-                       ).rows == result.rows
             scan, = [span for span in result.trace.operator_spans()
                      if span.node_type == "SeqScanNode"]
             assert scan.extras["kernel_batches"] == 1
@@ -187,7 +181,7 @@ class TestMvccCompaction:
         db.delete("people", "name = 'bob'")
         db.insert("people", [("hal", "lima", 77)])
         db.vacuum()
-        _both_engines(
+        _checked(
             db, "SELECT city, COUNT(*) FROM people GROUP BY city")
 
 
@@ -196,7 +190,7 @@ class TestMvccCompaction:
 
 class TestColumnarResults:
     def test_columns_is_names_and_callable(self):
-        db = _db(engine="vector")
+        db = _db()
         result = db.sql("SELECT name, age FROM people")
         assert list(result.columns) == ["name", "age"]
         view = result.columns()
@@ -204,7 +198,7 @@ class TestColumnarResults:
         assert view["age"].dtype == columnar.np.int64
 
     def test_column_zero_copy_after_vector_run(self):
-        db = _db(engine="vector")
+        db = _db()
         result = db.sql("SELECT age FROM people WHERE age >= 28")
         assert result.column_data is not None
         vec = result.column_data[0]
@@ -215,7 +209,7 @@ class TestColumnarResults:
         assert not nulls.any()
 
     def test_column_null_mask_and_string_decode(self):
-        db = _db(engine="vector")
+        db = _db()
         result = db.sql("SELECT city, age FROM people")
         city, city_nulls = result.column("city")
         assert city.tolist() == [row[0] for row in result.rows]
@@ -225,9 +219,10 @@ class TestColumnarResults:
         assert age_nulls.sum() == 1
 
     def test_column_from_iterator_rows(self):
-        db = _db(engine="iterator")
+        """Without retained columns the arrays are built from the rows."""
+        db = _db()
         result = db.sql("SELECT age FROM people")
-        assert result.column_data is None
+        result.column_data = None
         values, nulls = result.column("age")
         assert len(values) == len(result.rows)
         assert nulls.tolist() == [row[0] is None for row in result.rows]
@@ -296,47 +291,24 @@ class TestTypedSchema:
         assert "SchemaError" in repro.__all__
 
 
-# ----------------------------------------- Options engine validation
+# ------------------------------------------------ no engine to choose
 
 
 class TestEngineValidation:
     def test_rejects_unknown_engine_at_construction(self):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(TypeError):
             Options(engine="columnar")
-        message = str(excinfo.value)
-        assert "iterator" in message and "vector" in message
 
     def test_configure_rejects_unknown_engine(self):
         db = repro.connect()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             db.configure(engine="gpu")
 
-    def test_valid_engines_accepted(self):
-        for engine in ("iterator", "vector"):
-            assert Options(engine=engine).engine == engine
 
-
-# ------------------------------------------- legacy Batch constructor
+# ------------------------------------------------- warning hygiene
 
 
 class TestBatchDeprecation:
-    def test_rows_kwarg_warns_once_per_call_site(self):
-        saved = set(vectorize._warned_batch_sites)
-        vectorize._warned_batch_sites.clear()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for _ in range(3):
-                    batch = Batch(rows=[(1, "x")])  # same call site
-            assert batch.n == 1 and batch.width == 2
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1
-            assert "Batch.from_rows" in str(deprecations[0].message)
-        finally:
-            vectorize._warned_batch_sites.clear()
-            vectorize._warned_batch_sites.update(saved)
-
     def test_from_rows_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -346,5 +318,5 @@ class TestBatchDeprecation:
     def test_vector_engine_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            db = _db(engine="vector")
+            db = _db()
             db.sql("SELECT city, COUNT(*) FROM people GROUP BY city")

@@ -27,7 +27,6 @@ from repro import (
     QueryTimeout,
     ResourceExhausted,
 )
-from repro.distributed import DistributedDatabase, distributed_config
 from repro.distributed.network import FaultPlan, RetryPolicy
 from repro.optimizer.plans import FilterJoinNode, FunctionJoinNode
 from repro.workloads import MOTIVATING_QUERY, StarConfig, build_star

@@ -14,8 +14,8 @@ import string
 
 import pytest
 
-from repro import (Database, DataType, ExecutionError, ProtocolError,
-                   ReproError)
+from repro import (Database, DataType, ExecutionError, Options,
+                   ProtocolError, ReproError)
 from repro.distributed import DistributedDatabase, FaultPlan
 
 # Internal exception types that must NEVER escape a public entry point.
@@ -93,7 +93,7 @@ def test_sql_entry_points_raise_only_typed_errors(seed):
     text = mutate_sql(rng)
     entry_points = [
         lambda: db.sql(text),
-        lambda: db.sql(text, use_cache=True),
+        lambda: db.sql(text, options=Options(use_cache=True)),
         lambda: db.explain(text),
         lambda: db.explain_analyze(text),
         lambda: db.prepare(text),
@@ -172,9 +172,10 @@ class TestApiArgumentFuzz:
     def test_sql_bad_run_options(self):
         db = make_db()
         self.check(lambda: db.sql("SELECT name FROM Emp",
-                                  timeout="soon"))
+                                  options=Options(timeout="soon")))
         self.check(lambda: db.sql("SELECT name FROM Emp",
-                                  memory_budget_bytes="lots"))
+                                  options=Options(
+                                      memory_budget_bytes="lots")))
 
     def test_view_bad_args(self):
         db = make_db()
@@ -335,7 +336,7 @@ def test_distributed_fuzz_stays_typed(seed):
                       seed=seed)
     text = mutate_sql(rng).replace("Emp", "R").replace("Dept", "R")
     try:
-        db.sql(text, timeout=rng.choice([None, 0.01, 1.0]))
+        db.sql(text, options=Options(timeout=rng.choice([None, 0.01, 1.0])))
     except ReproError:
         pass
     except _LEAKY as exc:

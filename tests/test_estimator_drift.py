@@ -12,7 +12,7 @@ next ``analyze``.
 
 import pytest
 
-from repro import Database, DataType
+from repro import Database, DataType, Options
 from repro.obs.drift import DriftRecorder, DriftSample
 from repro.obs.trace import q_error
 from repro.workloads import (
@@ -81,14 +81,14 @@ class TestTrainedWorkloadBounds:
 
     def test_empdept_q_errors_bounded(self, empdept):
         for query in EMPDEPT_QUERIES:
-            trace = empdept.sql(query, trace=True).trace
+            trace = empdept.sql(query, options=Options(trace=True)).trace
             assert trace.max_q_error <= EMPDEPT_Q_BOUND, query
             for q in _scan_q_errors(trace):
                 assert q <= SCAN_Q_BOUND, query
 
     def test_star_q_errors_bounded(self, star):
         for query in STAR_QUERIES:
-            trace = star.sql(query, trace=True).trace
+            trace = star.sql(query, options=Options(trace=True)).trace
             assert trace.max_q_error <= STAR_Q_BOUND, query
             for q in _scan_q_errors(trace):
                 assert q <= SCAN_Q_BOUND, query
@@ -96,7 +96,7 @@ class TestTrainedWorkloadBounds:
     def test_drift_report_reflects_trained_accuracy(self, empdept):
         empdept.drift.clear()
         for query in EMPDEPT_QUERIES:
-            empdept.sql(query, trace=True)
+            empdept.sql(query, options=Options(trace=True))
         report = empdept.drift_report()
         assert report.groups, "traced queries must populate the recorder"
         assert report.worst.max_q_error <= EMPDEPT_Q_BOUND
@@ -124,8 +124,10 @@ class TestMisstatedTableRanking:
     def test_drift_report_ranks_misstated_table_first(self):
         db = self._db_with_stale_table()
         for _ in range(3):
-            db.sql("SELECT G.b FROM Good G WHERE G.a = 3", trace=True)
-            db.sql("SELECT S.b FROM Stale S WHERE S.a = 3", trace=True)
+            db.sql("SELECT G.b FROM Good G WHERE G.a = 3",
+                   options=Options(trace=True))
+            db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
+                   options=Options(trace=True))
         report = db.drift_report()
         assert report.worst is not None
         # the top group references the stale table (its Project span
@@ -147,12 +149,13 @@ class TestMisstatedTableRanking:
 
     def test_reanalyze_restores_accuracy(self):
         db = self._db_with_stale_table()
-        db.sql("SELECT S.b FROM Stale S WHERE S.a = 3", trace=True)
+        db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
+               options=Options(trace=True))
         assert db.drift_report().worst.max_q_error > 10
         db.analyze()
         db.drift.clear()
         trace = db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
-                       trace=True).trace
+                       options=Options(trace=True)).trace
         assert trace.max_q_error <= SCAN_Q_BOUND
 
 

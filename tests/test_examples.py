@@ -85,3 +85,12 @@ def test_server_client():
     assert "balance 70" in output
     assert "the connection survives: ping=True" in output
     assert "0 connections left open" in output
+
+
+@pytest.mark.parametrize("name, marker", [
+    ("columnar_results.py", "px mean over non-NULL fills"),
+    ("recursive_views.py", "recursive view Chain agrees with the CTE"),
+    ("fault_tolerance.py", "resilience stats"),
+])
+def test_library_tours(name, marker):
+    assert marker in run_example(name)

@@ -7,11 +7,13 @@ from repro.executor.operators import (
     FilterJoinOp,
     FunctionJoinOp,
     NestedIterationOp,
+    Operator,
     ShipOp,
     SortOp,
     ValuesOp,
 )
 from repro.executor.runtime import RuntimeContext, TempTable
+from repro.executor.vectorize import batches_from_rows
 from repro.storage.schema import DataType, Schema
 from repro.udf import FunctionRelation
 
@@ -24,20 +26,19 @@ def ctx(memory_pages=16):
     return RuntimeContext(memory_pages=memory_pages)
 
 
-class _FilterSetEcho:
+class _FilterSetEcho(Operator):
     """A fake 'restricted inner': emits (k, k*10) for each filter key."""
 
     def __init__(self, context, param_id):
-        self.ctx = context
+        super().__init__(context, KW)
         self.param_id = param_id
-        self.schema = KW
         self.run_count = 0
 
-    def rows(self):
+    def batches(self):
         self.run_count += 1
         temp = self.ctx.filter_set(self.param_id)
-        for (key,) in temp.rows:
-            yield (key, key * 10)
+        return batches_from_rows(
+            ((key, key * 10) for (key,) in temp.rows), len(KW))
 
 
 class TestFilterJoinOp:
@@ -85,9 +86,9 @@ class TestFilterJoinOp:
         counter = {"runs": 0}
 
         class CountingValues(ValuesOp):
-            def rows(self_inner):
+            def batches(self_inner):
                 counter["runs"] += 1
-                return super().rows()
+                return super().batches()
 
         outer = CountingValues(context, [(1, 0)], KV)
         template = _FilterSetEcho(context, "p")
@@ -108,21 +109,17 @@ class TestFilterJoinOp:
         context = ctx()
         outer = ValuesOp(context, [(1, 0), (2, 1)], KV)
 
-        class MembershipEcho:
+        class MembershipEcho(Operator):
             """Emits every candidate key that passes the membership."""
 
-            def __init__(self, inner_ctx):
-                self.ctx = inner_ctx
-                self.schema = KW
-
-            def rows(self):
+            def batches(self):
                 membership = self.ctx.membership("p")
-                for key in range(10):
-                    if key in membership:
-                        yield (key, key * 10)
+                return batches_from_rows(
+                    ((key, key * 10) for key in range(10)
+                     if key in membership), len(KW))
 
         op = FilterJoinOp(
-            context, outer, MembershipEcho(context), "p", [0], K,
+            context, outer, MembershipEcho(context, KW), "p", [0], K,
             [0], [0], None, KV.concat(KW.qualified("I")), lossy=True,
             bloom_bits=4096,
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, OptimizerConfig
+from repro import Database, OptimizerConfig, Options
 from repro.storage.schema import DataType
 from repro.errors import PlanError
 from repro.executor.lowering import lower
@@ -175,26 +175,20 @@ class TestDistributedLowering:
 
 class TestTracedLowering:
     def test_tracers_count_rows(self, db):
-        from repro.executor.lowering import lower_traced
-
-        plan, _ = db.plan("SELECT a FROM R WHERE b < 4")
-        ctx = RuntimeContext()
-        root, tracers = lower_traced(plan, ctx)
-        rows = list(root.rows())
-        root_tracer = tracers[id(plan)]
-        assert root_tracer.rows_out == len(rows)
-        assert root_tracer.executions == 1
-        # every executed node in the tree has a tracer
-        assert len(tracers) >= 2
+        result = db.sql("SELECT a FROM R WHERE b < 4",
+                        options=Options(trace=True))
+        root = result.trace.operator_root
+        assert root.actual_rows == len(result.rows)
+        assert root.executions == 1
+        # every executed node in the tree has a span
+        assert len(list(root.walk())) >= 2
 
     def test_tracing_does_not_change_results(self, db):
-        from repro.executor.lowering import lower_traced
-
         sql = "SELECT R.a, S.c FROM R, S WHERE R.a = S.a"
-        plan, _ = db.plan(sql)
-        plain = sorted(lower(plan, RuntimeContext()).rows())
-        traced_root, _tracers = lower_traced(plan, RuntimeContext())
-        assert sorted(traced_root.rows()) == plain
+        plain = db.sql(sql)
+        traced = db.sql(sql, options=Options(trace=True))
+        assert sorted(traced.rows) == sorted(plain.rows)
+        assert traced.ledger.as_dict() == plain.ledger.as_dict()
 
     def test_explain_analyze_shows_actuals(self, db):
         text = db.explain_analyze("SELECT a FROM R WHERE b < 4")

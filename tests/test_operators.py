@@ -1,8 +1,11 @@
 """Unit tests for individual executor operators."""
 
-import pytest
+import dataclasses
+import types
 
+from repro import Options
 from repro.bloom import BloomFilter
+from repro.executor import lowering  # noqa: F401 - defines SpanOperator
 from repro.executor.operators import (
     AggregateOp,
     BlockNLJoinOp,
@@ -10,20 +13,26 @@ from repro.executor.operators import (
     FilterOp,
     FilterSetScanOp,
     HashJoinOp,
+    IndexNLJoinOp,
     IndexScanOp,
     LimitOp,
     MaterializeOp,
     MergeJoinOp,
+    NestedIterationOp,
+    Operator,
     ProjectOp,
     SeqScanOp,
     SortOp,
     ValuesOp,
 )
 from repro.executor.runtime import RuntimeContext, TempTable
+from repro.storage.columnar import ColumnStore
 from repro.expr.aggregates import AggregateSpec
 from repro.expr.nodes import ColumnRef, Comparison, Literal, RuntimeMembership
 from repro.storage.schema import DataType, Schema
 from repro.storage.table import Table
+
+from tests.test_plan_golden import check_golden, exec_entry
 
 AB = Schema.of(("a", DataType.INT), ("b", DataType.INT))
 CD = Schema.of(("c", DataType.INT), ("d", DataType.INT))
@@ -35,6 +44,79 @@ def ctx():
 
 def values(context, rows, schema=AB):
     return ValuesOp(context, [tuple(r) for r in rows], schema)
+
+
+class TestOneProtocol:
+    """``batches()`` is the only protocol an operator implements."""
+
+    def test_one_body_per_operator_and_no_engine_option(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        engine_ops = [cls for cls in subclasses(Operator)
+                      if cls.__module__.startswith("repro.")]
+        assert len(engine_ops) >= 23
+        for cls in engine_ops:
+            assert "batches" in vars(cls), cls.__name__
+            assert "rows" not in vars(cls), cls.__name__
+        assert "engine" not in {
+            field.name for field in dataclasses.fields(Options)}
+
+    def indexed_table(self, n=3000):
+        table = Table("T", AB)
+        table.insert_many((i % 1500, i) for i in range(n))
+        table.create_index("a", kind="hash")
+        return table
+
+    def test_tuple_parents_over_batch_children_match_snapshot(
+            self, update_golden):
+        """The rows() adapter under the tuple-at-a-time operators: an
+        index join over a columnar filter set, and a nested iteration
+        re-running an index-scan template per binding."""
+        key = Schema.of(("c", DataType.INT))
+        entries = []
+
+        context = ctx()
+        keys = [(k,) for k in range(0, 1500, 7)]
+        context.bind_filter_set("f", TempTable(
+            keys, key, store=ColumnStore.build(key, keys)))
+        join = IndexNLJoinOp(
+            context, FilterSetScanOp(context, "f", key),
+            self.indexed_table(), AB, "a", 0, None, key.concat(AB))
+        entries.append(exec_entry("index_nl_over_filter_set",
+                                  types.SimpleNamespace(
+                                      rows=join.to_list(),
+                                      ledger=context.ledger)))
+
+        context = ctx()
+        bound = RuntimeMembership("p", [ColumnRef("b")]).resolve(AB)
+        template = IndexScanOp(context, self.indexed_table(), AB,
+                               "a", "=", 9, residual=bound)
+        nested = NestedIterationOp(
+            context,
+            values(context, [((9, 1509, 5)[k % 3], k) for k in range(300)],
+                   CD),
+            template, "p", [0], key, None, CD.concat(AB))
+        entries.append(exec_entry("nested_iteration_over_index_scan",
+                                  types.SimpleNamespace(
+                                      rows=nested.to_list(),
+                                      ledger=context.ledger)))
+        check_golden("exec__mixed_protocol", "\n".join(entries),
+                     update_golden)
+
+    def test_limit_closing_the_adapter_releases_memory(self):
+        context = ctx()
+        outer = SortOp(context, values(
+            context, [(k % 1500, k) for k in range(4000)], CD), [(0, True)])
+        join = IndexNLJoinOp(context, outer, self.indexed_table(), AB,
+                             "a", 0, None, CD.concat(AB))
+        assert LimitOp(context, join, 5).to_list() == [
+            (0, 0, 0, 0), (0, 0, 0, 1500), (0, 1500, 0, 0),
+            (0, 1500, 0, 1500), (0, 3000, 0, 0)]
+        assert context.mem_peak_bytes > 0
+        assert context.mem_held_bytes == 0
 
 
 class TestScans:

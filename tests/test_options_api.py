@@ -1,9 +1,8 @@
-"""The redesigned public API: Options, connect(), and the legacy-kwarg
-deprecation shim.
+"""The public API: Options, connect(), and the facade surface.
 
-Covers the resolution chain (BUILTIN <- db.defaults <- per-call options
-<- legacy kwargs), configure()/session() scoping, the once-per-call-site
-DeprecationWarning, and the stable ``repro`` facade surface.
+Covers the resolution chain (BUILTIN <- db.defaults <- per-call
+options), configure()/session() scoping, the ``TypeError`` every
+pre-Options spelling now raises, and the stable ``repro`` facade.
 """
 
 import os
@@ -17,7 +16,8 @@ import pytest
 
 import repro
 from repro import Database, DataType, Options
-from repro.options import BUILTIN, warn_legacy_kwargs
+from repro.executor.vectorize import Batch
+from repro.options import BUILTIN
 
 
 def _tiny_db():
@@ -43,21 +43,20 @@ class TestOptions:
         resolved = Options().resolved()
         assert resolved.trace is False
         assert resolved.use_cache is False
-        assert resolved.engine == "vector"
         assert resolved.timeout is None  # genuinely "unlimited"
 
     def test_merged_layers_non_none_fields(self):
         base = Options(trace=True, timeout=5.0)
-        over = Options(timeout=1.0, engine="vector")
+        over = Options(timeout=1.0, use_cache=True)
         merged = base.merged(over)
         assert merged.trace is True
         assert merged.timeout == 1.0
-        assert merged.engine == "vector"
+        assert merged.use_cache is True
         assert base.merged(None) is base
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Options(engine="warp")
+            Options(durability="warp")
         with pytest.raises(ValueError):
             Options(timeout=0)
         with pytest.raises(ValueError):
@@ -70,7 +69,6 @@ class TestOptions:
     def test_builtin_is_fully_specified_for_flags(self):
         assert BUILTIN.trace is False
         assert BUILTIN.use_cache is False
-        assert BUILTIN.engine == "vector"
 
 
 # --------------------------------------------------- configure() / session()
@@ -79,8 +77,8 @@ class TestOptions:
 class TestDatabaseDefaults:
     def test_configure_sets_defaults(self):
         db = _tiny_db()
-        db.configure(engine="vector", trace=True)
-        assert db.defaults.engine == "vector"
+        db.configure(use_cache=True, trace=True)
+        assert db.defaults.use_cache is True
         result = db.sql(Q)
         assert result.trace is not None  # default trace applied
 
@@ -91,12 +89,12 @@ class TestDatabaseDefaults:
 
     def test_session_scopes_and_restores(self):
         db = _tiny_db()
-        db.configure(engine="vector")
-        with db.session(engine="iterator", trace=True) as scoped:
+        db.configure(use_cache=True)
+        with db.session(use_cache=False, trace=True) as scoped:
             assert scoped is db
-            assert db.defaults.engine == "iterator"
+            assert db.defaults.use_cache is False
             assert db.defaults.trace is True
-        assert db.defaults.engine == "vector"
+        assert db.defaults.use_cache is True
         assert db.defaults.trace is None
 
     def test_session_restores_on_error(self):
@@ -124,8 +122,8 @@ class TestDatabaseDefaults:
 
 
 def test_server_started_with_no_flags_runs_the_vector_engine():
-    """``python -m repro serve`` takes its engine from BUILTIN and says
-    so in ``status``."""
+    """``python -m repro serve`` with no flags answers queries, reports
+    no engine to choose in ``status``, and exits cleanly on SIGINT."""
     from repro.server import Client
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -137,7 +135,10 @@ def test_server_started_with_no_flags_runs_the_vector_engine():
         match = re.search(r"listening on (\S+):(\d+)", banner)
         assert match, banner
         with Client(match.group(1), int(match.group(2))) as client:
-            assert client.status()["engine"] == "vector"
+            assert "engine" not in client.status()
+            client.sql("CREATE TABLE t (x INT)")
+            client.sql("INSERT INTO t VALUES (1), (2)")
+            assert client.sql("SELECT x FROM t").rows == [(1,), (2,)]
     finally:
         server.send_signal(signal.SIGINT)
         try:
@@ -154,9 +155,9 @@ def test_server_started_with_no_flags_runs_the_vector_engine():
 
 class TestConnect:
     def test_local_connect_with_options(self):
-        db = repro.connect(engine="vector", use_cache=True)
+        db = repro.connect(trace=True, use_cache=True)
         assert isinstance(db, Database)
-        assert db.defaults.engine == "vector"
+        assert db.defaults.trace is True
         assert db.defaults.use_cache is True
 
     def test_distributed_connect(self):
@@ -181,95 +182,48 @@ class TestConnect:
             assert name in repro.__all__
 
 
-# --------------------------------------------------------- deprecation shim
+# ------------------------------------------------------- removed spellings
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_still_bind(self):
-        db = _tiny_db()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            traced = db.sql(Q, trace=True)
-            cached = db.sql(Q, use_cache=True)
-            warm = db.sql(Q, use_cache=True)
-        assert traced.trace is not None
-        assert cached.cached_plan is False
-        assert warm.cached_plan is True
+    """The pre-``Options`` keywords and the engine selector are gone,
+    not deprecated: each old spelling is an ordinary ``TypeError``."""
 
-    def test_legacy_kwargs_warn(self):
+    def test_old_spellings_raise_type_error(self):
         db = _tiny_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            db.sql(Q, trace=True)
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "trace=" in str(caught[0].message)
-        assert "Options" in str(caught[0].message)
-
-    def test_warns_once_per_call_site(self):
-        db = _tiny_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                db.sql(Q, use_cache=True)  # one site, five calls
-        assert len(caught) == 1
-
-    def test_distinct_sites_warn_separately(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warn_legacy_kwargs(["timeout"], stacklevel=2)
-            warn_legacy_kwargs(["timeout"], stacklevel=2)
-        # distinct lines in this file -> two warnings
-        assert len(caught) == 2
+        for call in (
+            lambda: db.sql(Q, trace=True),
+            lambda: db.sql(Q, use_cache=True),
+            lambda: db.sql(Q, timeout=1.0),
+            lambda: db.sql(Q, memory_budget_bytes=1 << 20),
+            lambda: db.execute_script(Q + ";", use_cache=True),
+            lambda: db.execute_script(Q + ";", timeout=1.0),
+            lambda: Batch(rows=[(1, "x")]),
+            lambda: repro.connect(engine="vector"),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert not hasattr(repro, "ENGINES")
 
     def test_options_path_is_warning_free(self):
         db = _tiny_db()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             db.sql(Q, options=Options(trace=True, use_cache=True))
-            db.configure(engine="vector")
+            db.configure(use_cache=True)
             db.sql(Q)
 
-    def test_legacy_and_options_compose(self):
-        """Per-call options win over legacy kwargs, which win over
-        defaults."""
-        db = _tiny_db()
-        db.configure(trace=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = db.sql(Q, trace=True, options=Options(trace=False))
-        assert result.trace is None
 
-    def test_execute_script_shim(self):
-        db = _tiny_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = db.execute_script(
-                "SELECT T.a FROM T; SELECT T.b FROM T;", use_cache=True)
-        assert len(results) == 2
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-
-
-# ------------------------------------------------------------ engine option
+# ------------------------------------------------------ no engine to choose
 
 
 class TestEngineOption:
     def test_unknown_engine_rejected_at_options(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Options(engine="gpu")
 
     def test_run_plan_rejects_unknown_engine(self):
-        from repro.errors import PlanError
         db = _tiny_db()
         plan, planner = db.plan(Q)
-        with pytest.raises(PlanError):
+        with pytest.raises(TypeError):
             db.run_plan(plan, planner.metrics, engine="gpu")
-
-    def test_engine_default_applies_to_sql(self):
-        db = _tiny_db()
-        base = db.sql(Q)
-        db.configure(engine="vector")
-        vec = db.sql(Q)
-        assert vec.rows == base.rows
-        assert vec.ledger.as_dict() == base.ledger.as_dict()

@@ -13,6 +13,7 @@ from repro import (
     DataType,
     ExecutionError,
     OptimizerConfig,
+    Options,
     ParameterError,
 )
 
@@ -57,7 +58,8 @@ class TestArity:
 
     def test_shell_cached_path_demands_prepare(self, db):
         with pytest.raises(ParameterError, match="prepare"):
-            db.sql("SELECT T.a FROM T WHERE T.a = ?", use_cache=True)
+            db.sql("SELECT T.a FROM T WHERE T.a = ?",
+                   options=Options(use_cache=True))
 
 
 class TestTypes:

@@ -1,15 +1,13 @@
-"""Recursive-query differential suite: naive oracle vs both engines.
+"""Recursive-query differential suite: naive oracle vs the executor.
 
 Every seed derives a graph workload (shape, size, self-loops) and a
 recursive query variant (UNION vs UNION ALL, outer bindings, restricted
-base) and asserts that four independent evaluation strategies agree:
+base) and asserts that three independent evaluation strategies agree:
 
 - the *naive* fixpoint oracle in ``tests/reference_engine.py`` (full
   re-derivation from the accumulated set each round, no optimizer, no
   physical operators);
-- the semi-naive iterator engine under the cost-based plan;
-- the semi-naive vector engine under the cost-based plan (which must
-  also charge a ledger identical to the iterator's);
+- the semi-naive executor under the cost-based plan;
 - the magic-restricted and full-fixpoint plans forced explicitly, so
   both sides of the DP's costed pair are exercised regardless of which
   one the cost model picks.
@@ -22,7 +20,7 @@ import random
 
 import pytest
 
-from repro import Options, OptimizerConfig
+from repro import OptimizerConfig
 from repro.workloads import GraphConfig, fresh_graph, tc_query
 
 from tests.reference_engine import evaluate_query_naive
@@ -74,19 +72,13 @@ def _workload_for_seed(seed):
 
 
 def _check_agreement(db, sql):
-    """All strategies agree on rows; engines agree on the ledger."""
-    oracle = sorted(evaluate_query_naive(db.bind(sql)))
-    it = db.sql(sql, options=Options(engine="iterator"))
-    ve = db.sql(sql, options=Options(engine="vector"))
-    full = db.sql(sql, config=OptimizerConfig(forced_recursive="full"))
-    magic = db.sql(sql, config=OptimizerConfig(forced_recursive="magic"))
-    assert sorted(it.rows) == oracle
-    assert sorted(ve.rows) == oracle
-    assert sorted(full.rows) == oracle
-    assert sorted(magic.rows) == oracle
-    # ordered output must match exactly too, engine to engine
-    assert it.rows == ve.rows
-    assert it.ledger.as_dict() == ve.ledger.as_dict()
+    """All strategies agree on rows, in the query's ORDER BY order
+    (every query here orders by the whole row)."""
+    oracle = evaluate_query_naive(db.bind(sql))
+    assert db.sql(sql).rows == oracle
+    for forced in ("full", "magic"):
+        config = OptimizerConfig(forced_recursive=forced)
+        assert db.sql(sql, config=config).rows == oracle
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))

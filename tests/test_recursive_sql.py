@@ -260,10 +260,10 @@ class TestFixpointLimit:
 
     def test_vector_engine_enforces_the_same_limit(self):
         db = _cycle_db(3)
-        with pytest.raises(FixpointLimitExceeded):
+        with pytest.raises(FixpointLimitExceeded) as exc:
             db.sql(self.DIVERGENT,
-                   options=Options(engine="vector",
-                                   max_fixpoint_iterations=25))
+                   options=Options(max_fixpoint_iterations=25))
+        assert exc.value.iterations == exc.value.limit == 25
 
 
 class TestDeadline:

@@ -9,6 +9,7 @@ import pytest
 from repro import (
     Database,
     DataType,
+    Options,
     QueryTimeout,
     ResourceExhausted,
     SiteUnavailable,
@@ -176,11 +177,11 @@ class TestDeadline:
     def test_zero_timeout_aborts(self):
         db = make_db()
         with pytest.raises(QueryTimeout):
-            db.sql(QUERY, timeout=1e-9)
+            db.sql(QUERY, options=Options(timeout=1e-9))
 
     def test_generous_timeout_passes(self):
         db = make_db()
-        result = db.sql(QUERY, timeout=60.0)
+        result = db.sql(QUERY, options=Options(timeout=60.0))
         assert len(result.rows) > 0
 
     def test_default_timeout_on_database(self):
@@ -196,7 +197,7 @@ class TestDeadline:
         db.set_fault_plan(FaultPlan(latency_rate=1.0,
                                     latency_seconds=10.0), seed=1)
         with pytest.raises(QueryTimeout) as exc_info:
-            db.sql(QUERY, timeout=0.5)
+            db.sql(QUERY, options=Options(timeout=0.5))
         assert exc_info.value.timeout == 0.5
         assert exc_info.value.elapsed > 0.5
 
@@ -207,11 +208,12 @@ class TestMemoryGovernor:
     def test_tiny_budget_raises(self):
         db = make_db()
         with pytest.raises(ResourceExhausted):
-            db.sql(QUERY, memory_budget_bytes=64)
+            db.sql(QUERY, options=Options(memory_budget_bytes=64))
 
     def test_generous_budget_passes(self):
         db = make_db()
-        result = db.sql(QUERY, memory_budget_bytes=64 * 1024 * 1024)
+        result = db.sql(QUERY,
+                        options=Options(memory_budget_bytes=64 * 1024 * 1024))
         assert len(result.rows) > 0
 
     def test_budget_from_config(self):
@@ -226,7 +228,7 @@ class TestMemoryGovernor:
     def test_exhaustion_reports_budget(self):
         db = make_db()
         with pytest.raises(ResourceExhausted) as exc_info:
-            db.sql(QUERY, memory_budget_bytes=64)
+            db.sql(QUERY, options=Options(memory_budget_bytes=64))
         assert exc_info.value.budget_bytes == 64
 
     def test_memory_released_across_statements(self):
@@ -235,7 +237,8 @@ class TestMemoryGovernor:
         db = make_db()
         budget = 512 * 1024
         for _ in range(5):
-            assert len(db.sql(QUERY, memory_budget_bytes=budget).rows) > 0
+            options = Options(memory_budget_bytes=budget)
+            assert len(db.sql(QUERY, options=options).rows) > 0
 
 
 # ------------------------------------------------------------ site status
@@ -269,13 +272,13 @@ class TestSiteStatusAndReplicas:
 
     def test_cached_plan_invalidated_by_site_change(self):
         db = make_db()
-        db.sql(QUERY, use_cache=True)
-        db.sql(QUERY, use_cache=True)
+        db.sql(QUERY, options=Options(use_cache=True))
+        db.sql(QUERY, options=Options(use_cache=True))
         stats = db.cache_stats()
         assert stats["hits"] >= 1
         db.mark_site_down("east")
         invalidations = db.plan_cache.invalidations
-        result = db.sql(QUERY, use_cache=True)
+        result = db.sql(QUERY, options=Options(use_cache=True))
         assert db.plan_cache.invalidations > invalidations
         assert len(result.rows) > 0
 

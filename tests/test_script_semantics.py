@@ -9,7 +9,7 @@ atomicity is per statement.
 
 import pytest
 
-from repro import Database, DataType, QueryTimeout, ReproError
+from repro import Database, DataType, Options, QueryTimeout, ReproError
 from repro.distributed import DistributedDatabase, FaultPlan
 
 
@@ -76,12 +76,12 @@ def test_timeout_applies_per_statement():
     script = "SELECT x FROM R; SELECT x FROM R;"
     results = []
     with pytest.raises(QueryTimeout):
-        for result in db.execute_script(script, timeout=0.1):
+        for result in db.execute_script(script, options=Options(timeout=0.1)):
             results.append(result)
     # the first statement already timed out; nothing was yielded
     assert results == []
     # fault-free, the same script completes: both statements got their
     # own fresh 5-second budget
     db.set_fault_plan(None)
-    results = list(db.execute_script(script, timeout=5.0))
+    results = list(db.execute_script(script, options=Options(timeout=5.0)))
     assert len(results) == 2

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro import DataType, OptimizerConfig
+from repro import DataType, OptimizerConfig, Options
 from repro.distributed import DistributedDatabase, distributed_config
 from tests.test_differential import CONFIGS, make_random_db, random_query
 
@@ -30,7 +30,7 @@ def assert_trace_invariant(db, query, config):
     """Run traced and untraced; assert observational equivalence and
     span-ledger reconciliation."""
     plain = db.sql(query, config=config)
-    traced = db.sql(query, config=config, trace=True)
+    traced = db.sql(query, config=config, options=Options(trace=True))
 
     assert traced.rows == plain.rows, query
     assert traced.ledger == plain.ledger, (
@@ -122,10 +122,8 @@ def test_span_ledgers_attribute_to_operators():
     reads, and no single span hoards the whole query's charges."""
     rng = random.Random(21)
     db = make_random_db(rng)
-    result = db.sql(
-        "SELECT T1.b, T2.d FROM T1, T2 WHERE T1.a = T2.a",
-        trace=True,
-    )
+    result = db.sql("SELECT T1.b, T2.d FROM T1, T2 WHERE T1.a = T2.a",
+                    options=Options(trace=True))
     spans = result.trace.operator_spans()
     scan_spans = [s for s in spans if s.node_type == "SeqScanNode"]
     assert scan_spans, "expected scan spans in the tree"
@@ -144,7 +142,8 @@ def test_execute_phase_ledger_is_exact():
     db = make_random_db(rng)
     for _ in range(4):
         query = random_query(rng)
-        result = db.sql(query, config=rng.choice(CONFIGS), trace=True)
+        result = db.sql(query, config=rng.choice(CONFIGS),
+                        options=Options(trace=True))
         assert result.trace.total_ledger == result.ledger, query
 
 
@@ -153,8 +152,8 @@ def test_cached_plan_execution_trace_invariant():
     rng = random.Random(68)
     db = make_random_db(rng)
     query = "SELECT T1.b, T2.d FROM T1, T2 WHERE T1.a = T2.a"
-    warm = db.sql(query, use_cache=True)
-    traced = db.sql(query, use_cache=True, trace=True)
+    warm = db.sql(query, options=Options(use_cache=True))
+    traced = db.sql(query, options=Options(use_cache=True, trace=True))
     assert traced.cached_plan
     assert traced.rows == warm.rows
     assert traced.ledger == warm.ledger

@@ -22,6 +22,7 @@ from repro import (
     BindError,
     Database,
     DataType,
+    Options,
     ReproError,
     TransactionAborted,
     TransactionError,
@@ -293,13 +294,14 @@ class TestPlanCacheVersioning:
         db.sql("CREATE TABLE Tmp (a INT)")
         db.sql("INSERT INTO Tmp VALUES (1)")
         # plan + cache a query against the uncommitted table
-        assert db.sql("SELECT a FROM Tmp", use_cache=True).rows == [(1,)]
+        assert db.sql("SELECT a FROM Tmp",
+                      options=Options(use_cache=True)).rows == [(1,)]
         cached_version = db.cache_stats()["catalog_version"]
         db.sql("ROLLBACK")
         assert db.catalog.version > cached_version  # never reused
         # the table is gone; the cached plan must not resurrect it
         with pytest.raises(ReproError):
-            db.sql("SELECT a FROM Tmp", use_cache=True)
+            db.sql("SELECT a FROM Tmp", options=Options(use_cache=True))
 
     def test_version_monotonic_across_rollback(self):
         db = make_db()
@@ -316,13 +318,14 @@ class TestPlanCacheVersioning:
         bump (content is identical, but the conservative contract is
         exact-version match) — and re-planning gives the same rows."""
         db = make_db()
-        baseline = sorted(db.sql(self.QUERY, use_cache=True).rows)
-        hit = db.sql(self.QUERY, use_cache=True)
+        baseline = sorted(db.sql(self.QUERY,
+                                 options=Options(use_cache=True)).rows)
+        hit = db.sql(self.QUERY, options=Options(use_cache=True))
         assert hit.cached_plan
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('x', 1, 1)")
         db.sql("ROLLBACK")
-        replanned = db.sql(self.QUERY, use_cache=True)
+        replanned = db.sql(self.QUERY, options=Options(use_cache=True))
         assert not replanned.cached_plan
         assert sorted(replanned.rows) == baseline
 
