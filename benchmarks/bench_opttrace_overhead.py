@@ -10,8 +10,7 @@ This benchmark enforces that residual: *planning time* for the EmpDept
 motivating query with the instrumented ``_add_entry`` must stay within
 ``MAX_OVERHEAD`` of a faithful replica of the pre-instrumentation
 (seed) ``_add_entry`` swapped onto the same class, A/B-interleaved on
-the same database instance (min-of-trials, same discipline as
-``bench_obs_overhead.py``).
+the same database instance (min-of-trials).
 
 Run standalone: ``PYTHONPATH=src python benchmarks/bench_opttrace_overhead.py``
 """

@@ -18,6 +18,7 @@ import gc
 import statistics
 import time
 
+from repro import Options
 from repro.distributed import SimulatedNetwork
 from repro.workloads import EmpDeptConfig, MOTIVATING_QUERY, fresh_empdept
 
@@ -32,10 +33,10 @@ def bench_db():
     ))
 
 
-def run_loop(db, repeats=REPEATS, **run_options):
+def run_loop(db, repeats=REPEATS, options=None):
     rows = None
     for _ in range(repeats):
-        rows = db.sql(MOTIVATING_QUERY, **run_options).rows
+        rows = db.sql(MOTIVATING_QUERY, options=options).rows
     return rows
 
 
@@ -51,11 +52,11 @@ def measured_overhead():
     bare_db = bench_db()
     armed_db = bench_db()
     armed_db.network = SimulatedNetwork()  # attached, no fault plan
-    armed_options = dict(timeout=3600.0,
-                         memory_budget_bytes=1 << 30)
+    armed_options = Options(timeout=3600.0,
+                            memory_budget_bytes=1 << 30)
     # warm both paths (first-run costs: stats, imports, allocator)
     expected = run_loop(bare_db, 2)
-    got = run_loop(armed_db, 2, **armed_options)
+    got = run_loop(armed_db, 2, armed_options)
     assert sorted(got) == sorted(expected), \
         "resilience plumbing changed the answer"
 
@@ -70,7 +71,7 @@ def measured_overhead():
             run_loop(bare_db)
             bare_trial = time.perf_counter() - started
             started = time.perf_counter()
-            run_loop(armed_db, **armed_options)
+            run_loop(armed_db, options=armed_options)
             armed_trial = time.perf_counter() - started
             ratios.append(armed_trial / bare_trial)
             bare = min(bare, bare_trial)

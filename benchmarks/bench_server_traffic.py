@@ -107,16 +107,9 @@ def client_workload(index, address, latencies, errors, barrier):
         client.close()
 
 
-def run_traffic(configure=None):
-    """(qps, p50, p99, errors, elapsed_seconds, db).
-
-    ``configure``, when given, is called with the freshly built
-    database before the server starts — e.g. to turn telemetry on for
-    ``bench_adaptive_overhead``.
-    """
+def run_traffic():
+    """(qps, p50, p99, errors, elapsed_seconds, db)."""
     db = build_db()
-    if configure is not None:
-        configure(db)
     latencies, errors = [], []
     barrier = threading.Barrier(N_CLIENTS + 1)
     with ServerThread(db) as harness:

@@ -13,7 +13,7 @@ JSON frames; see docs/server.md)::
 
     python -m repro serve --port 7878
     python -m repro serve --workload empdept --durability lazy --wal db.wal
-    python -m repro serve --telemetry --slow-query 0.05
+    python -m repro serve --slow-query 0.05
 
 ``python -m repro top`` renders a live snapshot of a running server —
 connections, per-kind latency, in-flight sessions, the slow-query log,
@@ -105,13 +105,11 @@ def _serve(argv) -> int:
                              "an existing log is recovered first")
     parser.add_argument("--log-events", action="store_true",
                         help="stream the structured event log to stderr")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="record per-query telemetry (query log, "
-                             "latency histograms, slow-query capture)")
     parser.add_argument("--slow-query", type=float, default=None,
                         metavar="SECONDS",
-                        help="slow-query threshold in seconds "
-                             "(implies --telemetry)")
+                        help="slow-query threshold in seconds: a "
+                             "statement this slow is recorded with its "
+                             "plan (default 0.25)")
     parser.add_argument("--adaptive", action="store_true",
                         help="enable drift-triggered adaptive "
                              "re-analyze for traced statements")
@@ -144,8 +142,6 @@ def _serve(argv) -> int:
         (build_empdept if args.workload == "empdept" else build_star)(db)
     if args.log_events:
         db.event_log.enable(sink=sys.stderr)
-    if args.telemetry or args.slow_query is not None:
-        db.configure(telemetry=True)
     if args.slow_query is not None:
         db.configure(slow_query_seconds=args.slow_query)
     if args.adaptive:

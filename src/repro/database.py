@@ -41,7 +41,7 @@ from .obs.adaptive import AdaptiveController
 from .obs.drift import DriftRecorder, DriftReport
 from .obs.log import EventLog
 from .obs.metrics import MetricsRegistry, global_metrics
-from .obs.querylog import QueryLog
+from .obs.querylog import QueryLog, QueryLogEntry
 from .obs.opttrace import OptimizerTrace, WhyNotReport
 from .obs.render import render_explain_analyze
 from .obs.trace import QueryTrace, TraceBuilder
@@ -93,6 +93,9 @@ _STATEMENT_KINDS = {
     "SavepointStmt": "savepoint",
     "ReleaseStmt": "release",
 }
+
+
+_QUERY_STATEMENTS = (ast.SelectStmt, ast.UnionStmt, ast.WithStmt)
 
 
 class ColumnNames(list):
@@ -227,15 +230,15 @@ class Database:
         self.metrics_registry = MetricsRegistry("db",
                                                 parent=global_metrics())
         self.drift = DriftRecorder()
-        # serving telemetry: per-query ring buffer + latency histograms
-        # (records only when the telemetry option is on)
+        # one record per executed statement (ring buffer + latency
+        # histograms); every other collector is fed from that record,
+        # in _observe()
         self.querylog = QueryLog()
         # the drift->re-analyze feedback loop; acts only when a traced
         # query ran with an enabled Options.adaptive policy
         self.adaptive = AdaptiveController(self)
         # structured query-lifecycle log (off until .enable() is called)
         self.event_log = EventLog()
-        self._current_query_id: Optional[str] = None
         # cross-statement cache of optimized plans; size 0 disables it
         self.plan_cache = PlanCache(plan_cache_size,
                                     listener=self._plan_cache_event)
@@ -324,26 +327,6 @@ class Database:
         with self._lock:
             return Session(self, self.txn.new_session(name))
 
-    # Pre-Options attributes, kept as views over self.defaults so
-    # existing ``db.tracing = True`` / ``db.default_timeout = 2.0``
-    # call sites keep their exact behavior.
-
-    @property
-    def tracing(self) -> bool:
-        return bool(self.defaults.trace)
-
-    @tracing.setter
-    def tracing(self, value: bool) -> None:
-        self.defaults = self.defaults.replace(trace=bool(value))
-
-    @property
-    def default_timeout(self) -> Optional[float]:
-        return self.defaults.timeout
-
-    @default_timeout.setter
-    def default_timeout(self, value: Optional[float]) -> None:
-        self.defaults = self.defaults.replace(timeout=value)
-
     # ---------------------------------------------------------- observability
 
     def _plan_cache_event(self, event: str, count: int) -> None:
@@ -367,16 +350,6 @@ class Database:
         """Estimate drift over the recent traced-query window, worst
         operators first (see ``docs/observability.md``)."""
         return self.drift.report()
-
-    def _record_trace(self, result: "QueryResult") -> None:
-        trace = result.trace
-        self.drift.record_trace(trace)
-        registry = self.metrics_registry
-        registry.observe("query_qerror", trace.max_q_error)
-        for span in trace.operator_spans():
-            if span.executions:
-                registry.inc("operator_rows_total", span.actual_rows,
-                             label=span.node_type)
 
     # ----------------------------------------------------------------- DDL
 
@@ -530,8 +503,8 @@ class Database:
         bound form."""
         return self._bind_statement(parse(sql_text))
 
-    def _bind_statement(self, statement):
-        binder = self.binder()
+    def _bind_statement(self, statement, binder: Optional[Binder] = None):
+        binder = binder or self.binder()
         Binder.check_bindable(statement)
         if isinstance(statement, ast.WithStmt):
             return binder.bind_with(statement)
@@ -649,8 +622,7 @@ class Database:
         parse_started = time.perf_counter()
         statement = parse(sql_text)
         parse_seconds = time.perf_counter() - parse_started
-        if not isinstance(statement, (ast.SelectStmt, ast.UnionStmt,
-                                      ast.WithStmt)):
+        if not isinstance(statement, _QUERY_STATEMENTS):
             raise ReproError(
                 "EXPLAIN ANALYZE requires a query, got %s"
                 % type(statement).__name__
@@ -692,28 +664,39 @@ class Database:
         )
         return stats
 
-    def _plan_entry(self, text: str, statement,
-                    config: Optional[OptimizerConfig]
-                    ) -> Tuple[PlanCacheEntry, bool]:
-        """The cached plan for a query statement, planning on a miss.
+    def _resolve_plan(self, statement, text: str,
+                      config: OptimizerConfig, record: QueryLogEntry,
+                      use_cache: bool,
+                      search: Optional[OptimizerTrace] = None
+                      ) -> PlanCacheEntry:
+        """The plan for a query statement: the plan cache's entry when
+        ``use_cache`` and it is current, else bind + optimize (stored
+        on a miss). Fills the record's bind/plan seconds, cache verdict
+        and planner counts.
 
-        Returns ``(entry, hit)``. The entry's catalog version is
-        captured *after* planning so that lazy statistics builds
-        triggered by the planner itself do not invalidate the new entry.
+        A fresh entry's catalog version is captured *after* planning so
+        that lazy statistics builds triggered by the planner itself do
+        not invalidate it.
         """
-        config = config or self.config
-        key = cache_key(text, config)
-        entry = self.plan_cache.lookup(key, self.catalog.version)
-        if entry is not None:
-            return entry, True
+        clock = time.perf_counter
+        started = clock()
+        key = None
+        if use_cache:
+            key = cache_key(text, config)
+            entry = self.plan_cache.lookup(key, self.catalog.version)
+            if entry is not None:
+                record.plan_cache = "hit"
+                record.plan_seconds = clock() - started
+                return entry
+            record.plan_cache = "miss"
         binder = self.binder()
-        if isinstance(statement, ast.WithStmt):
-            block = binder.bind_with(statement)
-        elif isinstance(statement, ast.UnionStmt):
-            block = binder.bind_union(statement)
-        else:
-            block = binder.bind(statement)
-        plan, planner = self.plan(block, config)
+        block = self._bind_statement(statement, binder)
+        bound = clock()
+        plan, planner = self.plan(block, config, search=search)
+        record.bind_seconds = bound - started
+        record.plan_seconds = clock() - bound
+        record.plans_considered = planner.metrics.plans_considered
+        record.memo_entries = planner.metrics.dp_entries
         entry = PlanCacheEntry(
             key=key,
             plan=plan,
@@ -721,76 +704,73 @@ class Database:
             parameters=binder.parameter_list(),
             catalog_version=self.catalog.version,
         )
-        self.plan_cache.store(entry)
-        return entry, False
+        if use_cache:
+            self.plan_cache.store(entry)
+        return entry
 
     # ------------------------------------------------------------- execution
 
     def run_plan(self, plan: PlanNode,
                  metrics: Optional[PlannerMetrics] = None,
                  config: Optional[OptimizerConfig] = None,
-                 timeout: Optional[float] = None,
-                 memory_budget_bytes: Optional[float] = None,
+                 opts: Optional[Options] = None,
                  trace: Optional[TraceBuilder] = None,
-                 max_fixpoint_iterations: Optional[int] = None
+                 record: Optional[QueryLogEntry] = None
                  ) -> QueryResult:
         """Execute a physical plan and collect rows + measured costs.
 
         ``config`` supplies the runtime environment (memory, cost
         weights); it should match the config the plan was optimized
-        under, defaulting to the database-wide config. ``timeout`` is a
-        per-call deadline in seconds (defaulting to
-        ``self.default_timeout``); ``memory_budget_bytes`` caps operator
-        working memory (defaulting to the config's budget). ``trace``
-        is an optional :class:`TraceBuilder` to record this execution
-        into; the finished span tree rides on ``result.trace`` and
-        feeds the drift recorder and metrics registry.
+        under, defaulting to the database-wide config. ``opts`` is a
+        resolved :class:`Options` (defaulting to the database's) whose
+        ``timeout``, ``memory_budget_bytes`` (else the config's budget)
+        and ``max_fixpoint_iterations`` bound the run. ``trace`` is an
+        optional :class:`TraceBuilder` to record this execution into;
+        the finished span tree rides on ``result.trace``. ``record`` is
+        the statement's record, given the lower/execute seconds, rows
+        and ledger total; a bare call gets a scratch one.
         """
         config = config or self.config
-        deadline = timeout if timeout is not None else self.default_timeout
-        budget = (memory_budget_bytes if memory_budget_bytes is not None
-                  else config.memory_budget_bytes)
-        if max_fixpoint_iterations is None:
-            max_fixpoint_iterations = \
-                self._resolve_options().max_fixpoint_iterations
+        opts = opts or self._resolve_options()
+        record = record or QueryLogEntry()
+        budget = opts.memory_budget_bytes
         ctx = RuntimeContext(
             params=config.cost_params,
             memory_pages=config.memory_pages,
             message_payload_bytes=config.message_payload_bytes,
             network=self.network,
-            deadline_seconds=deadline,
-            memory_budget_bytes=budget,
-            max_fixpoint_iterations=max_fixpoint_iterations,
+            deadline_seconds=opts.timeout,
+            memory_budget_bytes=(budget if budget is not None
+                                 else config.memory_budget_bytes),
+            max_fixpoint_iterations=opts.max_fixpoint_iterations,
         )
-        started = time.perf_counter()
+        clock = time.perf_counter
         with self._lock:
-            if trace is None:
-                operator = lower(plan, ctx)
-                rows, column_data = execute_tree(operator)
-                elapsed = time.perf_counter() - started
-                ledger = ctx.ledger
-            else:
+            if trace is not None:
                 trace.install(ctx)
-                with trace.phase("lower"):
-                    operator = lower(plan, ctx)
-                with trace.phase("execute"):
-                    rows, column_data = execute_tree(operator)
-                elapsed = time.perf_counter() - started
-                # a plain snapshot, not the tee subclass, so ledger
-                # equality against untraced runs behaves normally
-                ledger = ctx.ledger.snapshot()
+            started = clock()
+            operator = lower(plan, ctx)
+            lowered = clock()
+            rows, column_data = execute_tree(operator)
+            done = clock()
+        record.lower_seconds = lowered - started
+        record.execute_seconds = done - lowered
+        record.rows = len(rows)
+        # a plain snapshot, not the tracing tee subclass, so ledger
+        # equality against untraced runs behaves normally
+        ledger = ctx.ledger if trace is None else ctx.ledger.snapshot()
+        record.cost = ledger.total()
         result = QueryResult(
             rows=rows,
             schema=plan.schema,
             plan=plan,
             ledger=ledger,
             metrics=metrics,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=done - started,
             column_data=column_data,
         )
         if trace is not None:
-            result.trace = trace.finish(plan)
-            self._record_trace(result)
+            result.trace = trace.finish(plan, record)
         return result
 
     def sql(self, text: str,
@@ -804,10 +784,9 @@ class Database:
         defaults installed with :meth:`configure` / :meth:`session`.
         """
         effective = self._resolve_options(options)
-        parse_started = time.perf_counter() if effective.trace else 0.0
+        parse_started = time.perf_counter()
         statement = parse(text)
-        parse_seconds = (time.perf_counter() - parse_started
-                         if effective.trace else 0.0)
+        parse_seconds = time.perf_counter() - parse_started
         return self._execute_statement(statement, text, config,
                                        effective, parse_seconds)
 
@@ -838,198 +817,106 @@ class Database:
 
     # ------------------------------------------------------------- internals
 
-    def _execute_statement(self, statement, original_text: str,
+    def _execute_statement(self, statement, text: str,
                            config: Optional[OptimizerConfig],
-                           opts: Options, parse_seconds: float = 0.0
+                           opts: Options, parse_seconds: float = 0.0,
+                           params: Optional[tuple] = None
                            ) -> QueryResult:
-        """``opts`` is already resolved (:meth:`_resolve_options`)."""
+        """The one way a statement runs, whatever the entry point
+        (``sql``, ``execute_script``, a session, a prepared handle —
+        which passes its ``params`` — ``explain_analyze``, the server):
+        under the database lock, inside the session's statement
+        snapshot, and described by one record that is written in the
+        ``finally`` and handed to :meth:`_observe`. ``opts`` is already
+        resolved (:meth:`_resolve_options`)."""
         with self._lock:
-            return self._execute_locked(statement, original_text, config,
-                                        opts, parse_seconds)
-
-    def _execute_locked(self, statement, original_text: str,
-                        config: Optional[OptimizerConfig],
-                        opts: Options,
-                        parse_seconds: float) -> QueryResult:
-        kind = _STATEMENT_KINDS.get(type(statement).__name__, "other")
-        self.metrics_registry.inc("queries_total", label=kind)
-        log = self.event_log
-        qid = log.new_query_id() if log.enabled else None
-        self._current_query_id = qid
-        if qid is not None:
-            log.emit("query_start", query_id=qid, kind=kind,
-                     statement=" ".join(original_text.split())[:200],
-                     session=self.txn.session.name)
-            log.emit("parse", query_id=qid,
-                     seconds=round(parse_seconds, 6))
-        telemetry = bool(opts.telemetry)
-        started = time.perf_counter() if telemetry else 0.0
-        try:
-            with self.txn.statement_snapshot():
-                result = self._dispatch_statement(statement,
-                                                  original_text,
-                                                  config, opts,
-                                                  parse_seconds, qid)
-        except Exception as exc:
-            self.txn.note_error(exc)
-            if qid is not None:
-                log.emit("error", query_id=qid,
-                         error=type(exc).__name__,
-                         message=str(exc)[:200])
-                log.emit("query_end", query_id=qid, status="error")
-            raise
-        except BaseException as exc:
-            # Ctrl-C and friends: atomic() already undid the statement;
-            # the open explicit transaction still becomes aborted
-            self.txn.note_error(exc)
-            raise
-        result.query_id = qid
-        if telemetry:
-            self._record_telemetry(result, original_text, kind, opts,
-                                   time.perf_counter() - started)
-        if qid is not None:
-            log.emit("query_end", query_id=qid, status="ok",
-                     rows=len(result.rows))
-        # the feedback loop: a traced query just fed the drift recorder;
-        # let the adaptive policy act on it (outside the statement
-        # snapshot, so a triggered re-analyze is its own transaction)
-        policy = opts.adaptive
-        if result.trace is not None and policy is not None \
-                and policy.enabled:
-            self.adaptive.observe(policy, result)
-        return result
-
-    def _record_telemetry(self, result: QueryResult, original_text: str,
-                          kind: str, opts: Options,
-                          seconds: float) -> None:
-        """One QueryLog entry for a completed statement; slow offenders
-        carry the full plan text and (when traced) the span tree."""
-        slow = seconds >= opts.slow_query_seconds
-        plan_text = None
-        trace_dict = None
-        if slow:
-            if result.plan is not None:
-                plan_text = result.plan.explain()
-            if result.trace is not None:
-                trace_dict = result.trace.to_dict()
-            self.metrics_registry.inc("slow_queries_total", label=kind)
-        self.querylog.record(
-            statement=" ".join(original_text.split())[:500],
-            kind=kind,
-            seconds=seconds,
-            rows=len(result.rows),
-            cost=result.ledger.total(),
-            session=self.txn.session.name,
-            cached_plan=result.cached_plan,
-            slow=slow,
-            plan=plan_text,
-            trace=trace_dict,
-        )
-
-    def _emit_execute(self, qid: Optional[str],
-                      result: QueryResult) -> None:
-        if qid is not None:
-            self.event_log.emit(
-                "execute", query_id=qid, rows=len(result.rows),
-                seconds=round(result.elapsed_seconds, 6),
-                measured_cost=round(result.ledger.total(), 3),
+            record = QueryLogEntry(
+                statement=text,
+                kind=_STATEMENT_KINDS.get(type(statement).__name__,
+                                          "other"),
+                session=self.txn.session.name,
+                query_id=self.event_log.new_query_id(),
+                parse_seconds=parse_seconds,
             )
+            started = time.perf_counter()
+            result = None
+            try:
+                with self.txn.statement_snapshot():
+                    result = self._dispatch_statement(
+                        statement, text, config, opts, record, params)
+                result.query_id = record.query_id
+                return result
+            except BaseException as exc:
+                # Ctrl-C and friends included: atomic() already undid
+                # the statement; the open explicit transaction still
+                # becomes aborted
+                self.txn.note_error(exc)
+                record.fail(exc)
+                exc.query_id = record.query_id
+                raise
+            finally:
+                record.seconds = (parse_seconds + time.perf_counter()
+                                  - started)
+                self._observe(record, result, opts)
 
-    def _dispatch_statement(self, statement, original_text: str,
-                            config: Optional[OptimizerConfig],
-                            opts: Options, parse_seconds: float,
-                            qid: Optional[str]) -> QueryResult:
+    def _observe(self, record: QueryLogEntry,
+                 result: Optional[QueryResult], opts: Options) -> None:
+        """Feed every collector from one finished statement's record —
+        the only code that does: ``queries_total``, the query log with
+        its latency histograms and slow capture, the event-log chain,
+        and for a traced statement the drift recorder, the q-error and
+        operator-row metrics and the adaptive policy (outside the
+        statement snapshot, so a triggered re-analyze is its own
+        transaction)."""
+        registry = self.metrics_registry
+        registry.inc("queries_total", label=record.kind)
+        trace = result.trace if result is not None else None
+        record.slow = record.seconds >= opts.slow_query_seconds
+        if record.slow:
+            registry.inc("slow_queries_total", label=record.kind)
+            if result is not None and result.plan is not None:
+                record.plan = result.plan.explain()
+            if trace is not None:
+                record.trace = trace.to_dict()
+        self.querylog.record(record)
         log = self.event_log
+        if log.enabled:
+            for offset, event, fields in record.events():
+                log.emit(event, record.query_id,
+                         record.started_at + offset, **fields)
+        if trace is not None:
+            self.drift.record_trace(trace)
+            registry.observe("query_qerror", trace.max_q_error)
+            for span in trace.operator_spans():
+                if span.executions:
+                    registry.inc("operator_rows_total", span.actual_rows,
+                                 label=span.node_type)
+            self.adaptive.observe(opts.adaptive, result)
+
+    def _dispatch_statement(self, statement, text: str,
+                            config: Optional[OptimizerConfig],
+                            opts: Options, record: QueryLogEntry,
+                            params: Optional[tuple] = None
+                            ) -> QueryResult:
         if isinstance(statement, ast.TXN_STATEMENTS):
             return self._txn_statement(statement, opts)
         # an aborted explicit transaction refuses everything except
         # COMMIT/ROLLBACK (handled above) until it is rolled back
         self.txn.check_usable()
-        if isinstance(statement, (ast.SelectStmt, ast.UnionStmt,
-                                  ast.WithStmt)):
-            builder = None
-            if opts.trace:
-                builder = TraceBuilder(original_text)
-                builder.add_phase("parse", parse_seconds)
-            # a search trace documents *this* optimization run, so the
-            # plan cache is bypassed while it is on
-            search = OptimizerTrace() if opts.search_trace else None
-            if opts.use_cache and search is None:
-                lookup_started = time.perf_counter()
-                if builder is None:
-                    entry, hit = self._plan_entry(original_text,
-                                                  statement, config)
-                else:
-                    # the cache path folds bind into optimize on a miss
-                    with builder.phase("optimize") as span:
-                        entry, hit = self._plan_entry(original_text,
-                                                      statement, config)
-                        span.extras["plan_cache"] = (
-                            "hit" if hit else "miss")
-                if qid is not None:
-                    if not hit:
-                        # a miss planned from scratch inside the lookup
-                        log.emit(
-                            "optimize", query_id=qid,
-                            seconds=round(
-                                time.perf_counter() - lookup_started, 6),
-                            plans_considered=entry.metrics.plans_considered,
-                            memo_entries=entry.metrics.dp_entries,
-                        )
-                    log.emit("plan_cache", query_id=qid,
-                             outcome="hit" if hit else "miss")
-                if entry.parameters:
-                    raise ParameterError(
-                        "statement has %d unbound parameter(s); use "
-                        "db.prepare(...).execute(values)"
-                        % len(entry.parameters)
-                    )
-                entry.executions += 1
-                result = self.run_plan(
-                    entry.plan, entry.metrics, config,
-                    opts.timeout, opts.memory_budget_bytes,
-                    trace=builder,
-                    max_fixpoint_iterations=opts.max_fixpoint_iterations,
-                )
-                result.cached_plan = hit
-                self._emit_execute(qid, result)
-                return result
-            optimize_started = time.perf_counter()
-            if builder is None:
-                block = self._bind_statement(statement)
-                plan, planner = self.plan(block, config, search=search)
-            else:
-                with builder.phase("bind"):
-                    block = self._bind_statement(statement)
-                with builder.phase("optimize"):
-                    plan, planner = self.plan(block, config,
-                                              search=search)
-            if qid is not None:
-                log.emit(
-                    "optimize", query_id=qid,
-                    seconds=round(
-                        time.perf_counter() - optimize_started, 6),
-                    plans_considered=planner.metrics.plans_considered,
-                    memo_entries=planner.metrics.dp_entries,
-                )
-            result = self.run_plan(
-                plan, planner.metrics, config,
-                opts.timeout, opts.memory_budget_bytes,
-                trace=builder,
-                max_fixpoint_iterations=opts.max_fixpoint_iterations,
-            )
-            result.search = search
-            self._emit_execute(qid, result)
-            return result
+        config = config or self.config
+        if isinstance(statement, _QUERY_STATEMENTS):
+            return self._query(statement, text, config, opts, record,
+                               params)
         if isinstance(statement, ast.ExplainStmt):
-            block = self._bind_statement(statement.select)
-            plan, planner = self.plan(block, config)
-            text_rows = [(line,) for line in plan.explain().splitlines()]
+            entry = self._resolve_plan(statement.select, text, config,
+                                       record, use_cache=False)
+            lines = entry.plan.explain().splitlines()
+            record.rows = len(lines)
             return QueryResult(
-                rows=text_rows,
+                rows=[(line,) for line in lines],
                 schema=Schema([Column("plan", DataType.STR)]),
-                plan=plan,
-                metrics=planner.metrics,
+                plan=entry.plan,
+                metrics=entry.metrics,
                 statement_kind="explain",
             )
         if isinstance(statement, ast.CreateTableStmt):
@@ -1042,17 +929,14 @@ class Database:
         if isinstance(statement, ast.CreateTableAsStmt):
             # run the query first (outside the mutation scope: a failing
             # query leaves nothing behind), then create+fill atomically
-            block = self._bind_statement(statement.query)
-            plan, planner = self.plan(block, config)
-            result = self.run_plan(plan, planner.metrics, config)
+            result = self._query(statement.query, text, config,
+                                 opts.replace(use_cache=False), record)
             with self.txn.atomic():
                 self.txn.do_create_table(statement.name, result.schema)
                 if result.rows:
                     self.txn.do_insert(statement.name, result.rows)
-            out = _ddl_result("create table as")
-            out.rows = [(len(result.rows),)]
-            out.schema = Schema([Column("inserted", DataType.INT)])
-            return out
+            return _count_result("create table as", "inserted",
+                                 len(result.rows), record)
         if isinstance(statement, ast.CreateViewStmt):
             self.create_view(
                 statement.name, statement.select_text,
@@ -1066,12 +950,9 @@ class Database:
             return _ddl_result("create index")
         if isinstance(statement, ast.InsertStmt):
             count = self.insert(statement.table, statement.rows)
-            result = _ddl_result("insert")
-            result.rows = [(count,)]
-            result.schema = Schema([Column("inserted", DataType.INT)])
-            return result
+            return _count_result("insert", "inserted", count, record)
         if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
-            return self._dml_statement(statement, qid)
+            return self._dml_statement(statement, record)
         if isinstance(statement, ast.DropStmt):
             if statement.kind == "table":
                 self.drop_table(statement.name)
@@ -1080,7 +961,37 @@ class Database:
             return _ddl_result("drop")
         raise ReproError("unsupported statement %r" % type(statement).__name__)
 
-    def _dml_statement(self, statement, qid: Optional[str]
+    def _query(self, statement, text: str, config: OptimizerConfig,
+               opts: Options, record: QueryLogEntry,
+               params: Optional[tuple] = None) -> QueryResult:
+        """Every query, straight through: resolve the plan (a prepared
+        handle's ``params`` always go through the plan cache, an ad-hoc
+        text when ``use_cache``; a search trace documents *this*
+        optimization run, so it bypasses the cache), bind the parameter
+        values onto it, run it."""
+        search = OptimizerTrace() if opts.search_trace else None
+        use_cache = search is None and bool(
+            opts.use_cache or params is not None)
+        entry = self._resolve_plan(statement, text, config, record,
+                                   use_cache, search)
+        params = params or ()
+        if len(entry.parameters) != len(params):
+            raise ParameterError(
+                "statement has %d parameter(s) not bound; use "
+                "db.prepare(...).execute(values)"
+                % (len(entry.parameters) - len(params))
+            )
+        for node, value in zip(entry.parameters, params):
+            node.bind(value)
+        entry.executions += 1
+        result = self.run_plan(
+            entry.plan, entry.metrics, config, opts,
+            TraceBuilder(text) if opts.trace else None, record)
+        result.cached_plan = record.plan_cache == "hit"
+        result.search = search
+        return result
+
+    def _dml_statement(self, statement, record: QueryLogEntry
                        ) -> QueryResult:
         """UPDATE/DELETE: compiled against the target table's schema;
         the transaction manager finds the target rows through an index
@@ -1096,21 +1007,14 @@ class Database:
                 for column, expr in statement.assignments
             ]
             with self.txn.atomic():
-                count, access, examined = self.txn.do_update(
-                    statement.table, assignments, where)
-            kind, column = "update", "updated"
-        else:
-            with self.txn.atomic():
-                count, access, examined = self.txn.do_delete(
-                    statement.table, where)
-            kind, column = "delete", "deleted"
-        if qid is not None:
-            self.event_log.emit("execute", query_id=qid, rows=count,
-                                access=access, rows_examined=examined)
-        result = _ddl_result(kind)
-        result.rows = [(count,)]
-        result.schema = Schema([Column(column, DataType.INT)])
-        return result
+                count, record.access, record.rows_examined = \
+                    self.txn.do_update(statement.table, assignments,
+                                       where)
+            return _count_result("update", "updated", count, record)
+        with self.txn.atomic():
+            count, record.access, record.rows_examined = \
+                self.txn.do_delete(statement.table, where)
+        return _count_result("delete", "deleted", count, record)
 
     def _txn_statement(self, statement, opts: Options) -> QueryResult:
         """BEGIN/COMMIT/ROLLBACK/SAVEPOINT/RELEASE. The result's
@@ -1224,9 +1128,7 @@ class PreparedStatement:
         self.statement = statement
         self.param_count = param_count
         self.config = config
-        self.is_query = isinstance(
-            statement, (ast.SelectStmt, ast.UnionStmt, ast.WithStmt)
-        )
+        self.is_query = isinstance(statement, _QUERY_STATEMENTS)
         if param_count and not self.is_query and not isinstance(
             statement, ast.InsertStmt
         ):
@@ -1236,7 +1138,9 @@ class PreparedStatement:
             )
         if self.is_query:
             # plan (or find) eagerly so prepare-time errors surface here
-            self.db._plan_entry(self.text, self.statement, self.config)
+            with db._lock:
+                db._resolve_plan(statement, text, config or db.config,
+                                 QueryLogEntry(), use_cache=True)
 
     def __repr__(self) -> str:
         return "PreparedStatement(%r, %d param(s))" % (
@@ -1254,13 +1158,11 @@ class PreparedStatement:
         return entry.plan if entry is not None else None
 
     def execute(self, params: Sequence = (),
-                timeout: Optional[float] = None,
                 options: Optional[Options] = None) -> QueryResult:
-        """Bind ``params`` (one value per ``?``, in order) and run.
-
-        ``options`` layers over the database defaults (timeout, memory
-        budget); ``timeout`` is a shorthand that wins over both.
-        """
+        """Bind ``params`` (one value per ``?``, in order) and run —
+        through the same statement path as ``db.sql``, so a prepared
+        execution has the ad-hoc one's isolation, failover, tracing and
+        logging. ``options`` layers over the database defaults."""
         params = tuple(params)
         if len(params) != self.param_count:
             raise ParameterError(
@@ -1268,22 +1170,10 @@ class PreparedStatement:
                 % (self.param_count, len(params))
             )
         opts = self.db._resolve_options(options)
-        if timeout is not None:
-            opts = opts.replace(timeout=timeout)
         if self.is_query:
-            entry, hit = self.db._plan_entry(self.text, self.statement,
-                                             self.config)
-            for node, value in zip(entry.parameters, params):
-                node.bind(value)
-            entry.executions += 1
-            result = self.db.run_plan(
-                entry.plan, entry.metrics,
-                self.config, opts.timeout,
-                opts.memory_budget_bytes,
-                max_fixpoint_iterations=opts.max_fixpoint_iterations,
-            )
-            result.cached_plan = hit
-            return result
+            return self.db._execute_statement(
+                self.statement, self.text, self.config, opts,
+                params=params)
         statement = self._substituted(params) if params else self.statement
         return self.db._execute_statement(statement, self.text,
                                           self.config, opts)
@@ -1311,3 +1201,13 @@ class PreparedStatement:
 
 def _ddl_result(kind: str) -> QueryResult:
     return QueryResult(rows=[], schema=Schema(()), statement_kind=kind)
+
+
+def _count_result(kind: str, column: str, count: int,
+                  record: QueryLogEntry) -> QueryResult:
+    """The one-row result of a statement that reports how many rows it
+    wrote; the record's ``rows`` is that count."""
+    record.rows = count
+    return QueryResult(rows=[(count,)],
+                       schema=Schema([Column(column, DataType.INT)]),
+                       statement_kind=kind)

@@ -169,7 +169,7 @@ class DistributedDatabase(Database):
     # ------------------------------------------------------------ execution
 
     def _execute_statement(self, statement, original_text, config,
-                           opts, parse_seconds=0.0):
+                           opts, parse_seconds=0.0, params=None):
         """Execute with graceful degradation: on ``SiteUnavailable``,
         mark the site down, record the event, and re-optimize against
         the surviving placement. Bounded by the number of known sites,
@@ -182,7 +182,7 @@ class DistributedDatabase(Database):
             try:
                 result = super()._execute_statement(
                     statement, original_text, config, opts,
-                    parse_seconds,
+                    parse_seconds, params,
                 )
                 if log.enabled:
                     delta = self.network.stats.retries - retries_before
@@ -214,10 +214,10 @@ class DistributedDatabase(Database):
                 self.metrics_registry.inc("degradation_events_total",
                                           label=site)
                 if log.enabled:
-                    # the failed attempt's query id; the re-optimized
-                    # retry below gets a fresh one
-                    log.emit("degradation",
-                             query_id=self._current_query_id,
+                    # the failed attempt's query id (its record ended
+                    # with status "error"); the re-optimized retry
+                    # below gets a fresh one
+                    log.emit("degradation", query_id=exc.query_id,
                              site=site, attempts=exc.attempts,
                              fallback_sites=survivors)
                 fallbacks += 1

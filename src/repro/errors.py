@@ -11,6 +11,10 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
+    #: id of the statement record (``db.querylog``, the event log)
+    #: that ended with this error; set as the error leaves the engine
+    query_id = None
+
 
 class SqlSyntaxError(ReproError):
     """The SQL text could not be tokenized or parsed.

@@ -12,8 +12,9 @@ search trace.
   behind ``db.drift_report()``, now also aggregated per owning table;
 - :mod:`~repro.obs.adaptive` — the feedback loop acting on drift:
   policy-driven automatic re-analyze with plan-cache invalidation;
-- :mod:`~repro.obs.querylog` — ring-buffer serving telemetry: per-query
-  wall/rows/cost, slow-query capture with plan + trace, and per-kind
+- :mod:`~repro.obs.querylog` — the statement record every collector
+  reads (id, phase seconds, plan-cache verdict, rows, cost, status) in
+  a ring buffer, slow-query capture with plan + trace, and per-kind
   latency histograms;
 - :mod:`~repro.obs.render` — the shared EXPLAIN ANALYZE renderer;
 - :mod:`~repro.obs.log` — JSON-lines query-lifecycle events behind

@@ -124,8 +124,8 @@ class AdaptiveAction:
 class AdaptiveController:
     """Executes one database's adaptive policy after traced queries.
 
-    ``observe`` is called by ``Database.run_plan`` once per traced
-    execution, *after* the drift recorder ingested the trace. It is
+    ``observe`` is called by ``Database._observe`` once per traced
+    statement, *after* the drift recorder ingested the trace. It is
     deliberately cheap on the common path: a disabled policy costs one
     attribute read, and an enabled-but-quiet one costs a cooldown
     decrement plus a pass over the (bounded) per-table aggregates.

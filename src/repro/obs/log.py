@@ -11,7 +11,11 @@ buffer exports as JSON-lines for external tooling.
 Logging is off by default and ``emit`` bails on a single attribute
 check, so the hot path pays nothing until ``db.event_log.enable()`` is
 called (the opttrace overhead benchmark enforces this). ``enable`` may
-tee every event to a file-like sink as it is recorded.
+tee every event to a file-like sink as it is recorded. A statement's
+chain is not emitted as it happens: ``Database._observe`` emits it from
+the statement's record (:meth:`QueryLogEntry.events`) when the
+statement ends, so a chain is contiguous in the buffer and its ``ts``
+values are the record's start plus phase offsets.
 """
 
 from __future__ import annotations
@@ -81,11 +85,14 @@ class EventLog:
         return "q%d" % next(self._query_ids)
 
     def emit(self, event: str, query_id: Optional[str] = None,
-             **fields) -> Optional[dict]:
-        """Record one event; returns the record, or None when disabled."""
+             ts: Optional[float] = None, **fields) -> Optional[dict]:
+        """Record one event; returns the record, or None when disabled.
+        ``ts`` backdates it: a statement's chain is emitted when the
+        statement ends, each event stamped start + its phase offset."""
         if not self.enabled:
             return None
-        record = {"ts": round(self.clock(), 6), "event": event}
+        record = {"ts": round(self.clock() if ts is None else ts, 6),
+                  "event": event}
         if query_id is not None:
             record["query_id"] = query_id
         record.update(fields)

@@ -11,10 +11,9 @@ kind, plan-cache hit/miss/invalidation, network retries and degradation
 events, rows produced per operator class, and the per-query cardinality
 q-error distribution. Instruments are deliberately primitive — plain
 dict bumps, no timestamps, one flat lock per registry so concurrent
-sessions never lose an update — so always-on recording costs
-nanoseconds (enforced by ``benchmarks/bench_obs_overhead.py``); a
-registry can still be disabled wholesale via ``enabled`` for A/B
-overhead measurements.
+sessions never lose an update — so always-on recording costs well
+under a microsecond a bump; there is no switch, and ``bench/run.py``
+measures every workload with the registry recording.
 """
 
 from __future__ import annotations
@@ -147,11 +146,9 @@ class MetricsRegistry:
     """
 
     def __init__(self, name: str = "",
-                 parent: Optional["MetricsRegistry"] = None,
-                 enabled: bool = True):
+                 parent: Optional["MetricsRegistry"] = None):
         self.name = name
         self.parent = parent
-        self.enabled = enabled
         self._instruments: Dict[str, object] = {}
         # read-modify-write bumps are not atomic under concurrent
         # sessions; each registry locks its own instruments (the parent
@@ -187,25 +184,22 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0, label: str = "",
             help: str = "") -> None:
-        if self.enabled:
-            with self._lock:
-                self.counter(name, help).inc(amount, label)
+        with self._lock:
+            self.counter(name, help).inc(amount, label)
         if self.parent is not None:
             self.parent.inc(name, amount, label, help)
 
     def set_gauge(self, name: str, value: float, help: str = "") -> None:
-        if self.enabled:
-            with self._lock:
-                self.gauge(name, help).set(value)
+        with self._lock:
+            self.gauge(name, help).set(value)
         if self.parent is not None:
             self.parent.set_gauge(name, value, help)
 
     def observe(self, name: str, value: float,
                 bounds: Sequence[float] = QERROR_BUCKETS,
                 help: str = "") -> None:
-        if self.enabled:
-            with self._lock:
-                self.histogram(name, help, bounds).observe(value)
+        with self._lock:
+            self.histogram(name, help, bounds).observe(value)
         if self.parent is not None:
             self.parent.observe(name, value, bounds, help)
 

@@ -1,24 +1,24 @@
-"""Serving-layer query telemetry: a ring-buffer query log plus
+"""The statement record: one :class:`QueryLogEntry` per executed
+statement, kept in a ring-buffer :class:`QueryLog` with
 per-statement-kind latency histograms.
 
-With ``Options(telemetry=True)`` (or ``db.configure(telemetry=True)``,
-or ``python -m repro serve --telemetry``) every executed statement
-records one entry — wall seconds, rows, total ledger cost, statement
-kind, owning session — into the database's bounded :class:`QueryLog`.
-Statements slower than ``slow_query_seconds`` are *slow-query* entries
-and additionally capture the full ``explain`` plan text (and the span
-trace as a dict when the statement was traced), so an offender on a
-production server arrives with everything needed to replay and diagnose
-it.
+``Database._execute_statement`` — the only way a statement runs —
+creates one entry, fills it while the statement goes through its
+phases, and writes it once, in a ``finally``, whether the statement
+succeeded or raised. Every collector reads that entry
+(``Database._observe``): the ``queries_total`` counter, this log and
+its histograms, the event-log chain (:meth:`QueryLogEntry.events`), the
+trace's phase spans (:meth:`QueryLogEntry.phases`). The entry holds
+numbers and short strings only — never rows, plan nodes or the ledger
+object — so the ring's memory is bounded by its window.
 
-Latencies also feed fixed-bucket histograms per statement kind
-(select/insert/update/...), giving ``db.metrics()`` and the server's
-``metrics`` admin request p50/p99-style summaries without storing
-per-query state beyond the ring buffer.
-
-Telemetry off (the default) records nothing and costs one resolved-
-options boolean test per statement — enforced, together with the
-serving-path budget, by ``benchmarks/bench_adaptive_overhead.py``.
+Statements slower than ``Options.slow_query_seconds`` are *slow-query*
+entries and additionally capture the full ``explain`` plan text (and
+the span trace as a dict when the statement was traced), so an offender
+on a production server arrives with everything needed to replay and
+diagnose it. There is no switch: taking the times and writing the record
+costs a few microseconds a statement, and ``bench/run.py`` measures every
+workload with it on.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .metrics import Histogram
 
@@ -36,47 +36,133 @@ from .metrics import Histogram
 LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
+#: longest statement text a record keeps
+STATEMENT_CHARS = 500
+
+
+def one_line(text: str, limit: int = STATEMENT_CHARS) -> str:
+    """``text`` with whitespace runs collapsed, cut to ``limit``
+    characters (only a bounded prefix is looked at, so a megabyte
+    INSERT costs what a one-liner does). Idempotent."""
+    return " ".join(text[:4 * limit].split())[:limit]
+
 
 class QueryLogEntry:
-    """One executed statement's telemetry record."""
+    """One executed statement, start to finish.
 
-    __slots__ = ("statement", "kind", "seconds", "rows", "cost",
-                 "session", "cached_plan", "slow", "plan", "trace",
-                 "recorded_at")
+    ``seconds`` is the wall time including parse; the five phase fields
+    are the parts of it that belong to a layer (a phase the statement
+    never entered, or raised in, stays 0). ``plan_cache`` is ``"hit"``
+    / ``"miss"`` when the statement went through the plan cache, and
+    the planner counts are set when an optimization actually ran.
+    ``rows`` is rows returned by a query, rows affected by DML;
+    ``access`` / ``rows_examined`` say how UPDATE/DELETE found them.
+    """
 
-    def __init__(self, statement: str, kind: str, seconds: float,
-                 rows: int, cost: float, session: str,
-                 cached_plan: bool, slow: bool,
+    __slots__ = ("query_id", "session", "kind", "_text", "status",
+                 "error", "message", "started_at", "seconds",
+                 "parse_seconds", "bind_seconds", "plan_seconds",
+                 "lower_seconds", "execute_seconds", "plan_cache",
+                 "plans_considered", "memo_entries", "rows", "cost",
+                 "access", "rows_examined", "slow", "plan", "trace")
+
+    def __init__(self, statement: str = "", kind: str = "other",
+                 seconds: float = 0.0, rows: int = 0, cost: float = 0.0,
+                 session: str = "", slow: bool = False,
                  plan: Optional[str] = None,
-                 trace: Optional[dict] = None):
-        self.statement = statement
+                 trace: Optional[dict] = None,
+                 query_id: Optional[str] = None,
+                 parse_seconds: float = 0.0):
+        self.query_id = query_id
+        self.session = session
         self.kind = kind
+        # a bounded prefix of the raw text; nobody pays for cutting it
+        # to one line until somebody reads it
+        self._text = statement[:4 * STATEMENT_CHARS]
+        self.status = "ok"
+        self.error: Optional[str] = None
+        self.message: Optional[str] = None
+        self.started_at = time.time()
         self.seconds = seconds
+        self.parse_seconds = parse_seconds
+        self.bind_seconds = 0.0
+        self.plan_seconds = 0.0
+        self.lower_seconds = 0.0
+        self.execute_seconds = 0.0
+        self.plan_cache: Optional[str] = None
+        self.plans_considered: Optional[int] = None
+        self.memo_entries: Optional[int] = None
         self.rows = rows
         self.cost = cost
-        self.session = session
-        self.cached_plan = cached_plan
+        self.access: Optional[str] = None
+        self.rows_examined: Optional[int] = None
         self.slow = slow
         self.plan = plan
         self.trace = trace
-        self.recorded_at = time.time()
+
+    @property
+    def statement(self) -> str:
+        """The statement text on one line, at most
+        :data:`STATEMENT_CHARS` characters."""
+        text = self._text = one_line(self._text)
+        return text
+
+    def fail(self, exc: BaseException) -> None:
+        self.status = "error"
+        self.error = type(exc).__name__
+        self.message = str(exc)[:200]
+
+    def phases(self) -> Tuple[Tuple[str, float], ...]:
+        """``(phase name, seconds)`` in pipeline order — the trace's
+        phase spans are built from exactly this."""
+        return (("parse", self.parse_seconds),
+                ("bind", self.bind_seconds),
+                ("optimize", self.plan_seconds),
+                ("lower", self.lower_seconds),
+                ("execute", self.execute_seconds))
+
+    def events(self) -> Iterator[Tuple[float, str, dict]]:
+        """The statement's event-log chain as ``(seconds after start,
+        event, fields)``, in ``QUERY_EVENT_ORDER``."""
+        yield 0.0, "query_start", {
+            "kind": self.kind, "statement": self.statement[:200],
+            "session": self.session}
+        at = self.parse_seconds
+        yield at, "parse", {"seconds": round(self.parse_seconds, 6)}
+        at += self.bind_seconds + self.plan_seconds
+        if self.plans_considered is not None:
+            yield at, "optimize", {
+                "seconds": round(self.plan_seconds, 6),
+                "plans_considered": self.plans_considered,
+                "memo_entries": self.memo_entries}
+        if self.plan_cache is not None:
+            yield at, "plan_cache", {"outcome": self.plan_cache}
+        if self.status != "ok":
+            yield self.seconds, "error", {
+                "error": self.error, "message": self.message}
+            yield self.seconds, "query_end", {"status": self.status}
+            return
+        if self.access is not None:
+            yield self.seconds, "execute", {
+                "rows": self.rows, "access": self.access,
+                "rows_examined": self.rows_examined}
+        elif self.execute_seconds:  # a plan ran
+            ran = self.lower_seconds + self.execute_seconds
+            yield at + ran, "execute", {
+                "rows": self.rows, "seconds": round(ran, 6),
+                "measured_cost": round(self.cost, 3)}
+        yield self.seconds, "query_end", {
+            "status": self.status, "rows": self.rows}
 
     def as_dict(self) -> dict:
-        data = {
-            "statement": self.statement,
-            "kind": self.kind,
-            "seconds": self.seconds,
-            "rows": self.rows,
-            "cost": self.cost,
-            "session": self.session,
-            "cached_plan": self.cached_plan,
-            "slow": self.slow,
-            "recorded_at": self.recorded_at,
-        }
-        if self.plan is not None:
-            data["plan"] = self.plan
-        if self.trace is not None:
-            data["trace"] = self.trace
+        data = {name: getattr(self, name) for name in self.__slots__
+                if name != "_text"}
+        data["statement"] = self.statement
+        for name in ("error", "message", "plan_cache",
+                     "plans_considered", "memo_entries", "access",
+                     "rows_examined", "plan", "trace"):
+            if data[name] is None:
+                del data[name]
         return data
 
     def __repr__(self) -> str:
@@ -87,7 +173,7 @@ class QueryLogEntry:
 
 
 class QueryLog:
-    """Bounded, thread-safe telemetry for one database.
+    """Bounded, thread-safe statement records for one database.
 
     Two ring buffers — all recent statements and the slow-query subset
     (slow entries are heavy: they carry plan text and trace dicts, so
@@ -113,28 +199,24 @@ class QueryLog:
 
     # ---------------------------------------------------------- recording
 
-    def record(self, statement: str, kind: str, seconds: float,
-               rows: int, cost: float, session: str = "",
-               cached_plan: bool = False, slow: bool = False,
-               plan: Optional[str] = None,
-               trace: Optional[dict] = None) -> QueryLogEntry:
-        entry = QueryLogEntry(
-            statement=statement, kind=kind, seconds=seconds, rows=rows,
-            cost=cost, session=session, cached_plan=cached_plan,
-            slow=slow, plan=plan, trace=trace,
-        )
+    def record(self, entry: Optional[QueryLogEntry] = None,
+               **fields) -> QueryLogEntry:
+        """Write one finished statement's record (built from ``fields``
+        when no ``entry`` is handed in)."""
+        if entry is None:
+            entry = QueryLogEntry(**fields)
         with self._lock:
             self._entries.append(entry)
             self.recorded += 1
-            if slow:
+            if entry.slow:
                 self._slow.append(entry)
                 self.slow_recorded += 1
-            histogram = self._latency.get(kind)
+            histogram = self._latency.get(entry.kind)
             if histogram is None:
-                histogram = self._latency[kind] = Histogram(
-                    "query_latency_seconds{%s}" % kind,
+                histogram = self._latency[entry.kind] = Histogram(
+                    "query_latency_seconds{%s}" % entry.kind,
                     bounds=LATENCY_BUCKETS)
-            histogram.observe(seconds)
+            histogram.observe(entry.seconds)
         return entry
 
     def clear(self) -> None:
@@ -190,17 +272,16 @@ class QueryLog:
 
     def render(self, limit: int = 10) -> str:
         """The shell's ``\\slow`` view: slowest statements, one line
-        each, plan attached when captured."""
+        each."""
         entries = self.slowest(limit)
         if not entries:
             return ("no slow queries recorded "
-                    "(telemetry off, or nothing crossed the threshold)")
+                    "(nothing crossed slow_query_seconds)")
         lines = ["%-10s %-8s %-8s %-6s %s"
                  % ("ms", "kind", "rows", "sess", "statement")]
         for entry in entries:
             lines.append("%-10.2f %-8s %-8d %-6s %s" % (
                 entry.seconds * 1e3, entry.kind, entry.rows,
-                entry.session or "-",
-                " ".join(entry.statement.split())[:60],
+                entry.session or "-", entry.statement[:60],
             ))
         return "\n".join(lines)

@@ -20,25 +20,23 @@ as a direct snapshot delta and therefore reconciles *exactly* with
 ``QueryResult.ledger``; per-span self-ledgers reconcile up to float
 addition reordering (see :meth:`QueryTrace.reconcile`).
 
-Tracing is opt-in (``db.sql(..., trace=True)`` or ``db.tracing = True``);
-with it off none of this code runs and the engine's hot paths are
-untouched (enforced by ``benchmarks/bench_obs_overhead.py``).
+Tracing is opt-in (``Options(trace=True)`` per call or
+``db.configure(trace=True)``); with it off none of this code runs. The
+phase spans are not timed here: they are read at :meth:`TraceBuilder.finish`
+from the statement's record (:class:`~repro.obs.querylog.QueryLogEntry`),
+which times every statement's phases whether it is traced or not.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import fields
 from typing import Dict, Iterator, List, Optional
 
 from ..ledger import CostLedger
 
 LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
-
-#: order in which pipeline phases are reported
-PHASE_ORDER = ("parse", "bind", "optimize", "lower", "execute")
 
 
 def q_error(est: float, actual: float) -> float:
@@ -240,37 +238,11 @@ class TraceBuilder:
     def __init__(self, statement: str = ""):
         self.statement = statement
         self.root = Span("query", kind="query")
-        self.phases: Dict[str, Span] = {}
         self._stack: List[Span] = []
         self._by_node: Dict[int, Span] = {}
         self._op_of: Dict[int, object] = {}
         self._ledger_start: Optional[CostLedger] = None
         self._ctx = None
-        self.extras: Dict[str, object] = {}
-
-    # ------------------------------------------------------------- phases
-
-    def add_phase(self, name: str, seconds: float, **extras) -> Span:
-        """Record a phase measured externally (e.g. parse time)."""
-        span = Span(name, kind="phase")
-        span.wall_seconds = span.self_seconds = seconds
-        span.executions = 1
-        span.extras.update(extras)
-        self.phases[name] = span
-        return span
-
-    @contextmanager
-    def phase(self, name: str, **extras):
-        span = Span(name, kind="phase")
-        span.extras.update(extras)
-        started = time.perf_counter()
-        try:
-            yield span
-        finally:
-            span.wall_seconds = span.self_seconds = (
-                time.perf_counter() - started)
-            span.executions = 1
-            self.phases[name] = span
 
     # ---------------------------------------------------------- operators
 
@@ -307,9 +279,18 @@ class TraceBuilder:
 
     # ----------------------------------------------------------- assembly
 
-    def finish(self, plan=None) -> "QueryTrace":
+    def finish(self, plan, record) -> "QueryTrace":
         """Assemble the span tree (mirroring the plan tree), fold raw
-        counts into ledgers, and compute inclusive totals."""
+        counts into ledgers, and compute inclusive totals. The phase
+        spans come from ``record``, the statement's
+        :class:`~repro.obs.querylog.QueryLogEntry`."""
+        phases = {}
+        for name, seconds in record.phases():
+            span = phases[name] = Span(name, kind="phase")
+            span.wall_seconds = span.self_seconds = seconds
+            span.executions = 1
+        if record.plan_cache is not None:
+            phases["optimize"].extras["plan_cache"] = record.plan_cache
         for span in self._by_node.values():
             span.self_ledger = CostLedger(**span.self_counts)
             op = self._op_of.get(id(span))
@@ -321,26 +302,19 @@ class TraceBuilder:
             if components:
                 span.extras["measured_components"] = dict(components)
 
-        operator_root = None
-        if plan is not None:
-            operator_root = self._link(plan)
+        operator_root = self._link(plan)
+        execute = phases["execute"]
+        if self._ctx is not None and self._ledger_start is not None:
+            # exact by construction: a snapshot delta, not a sum
+            execute.ledger = self._ctx.ledger.delta(self._ledger_start)
+            execute.self_ledger = execute.ledger.snapshot()
+        if operator_root is not None:
+            execute.children = [operator_root]
 
-        execute = self.phases.get("execute")
-        if execute is not None:
-            if self._ctx is not None and self._ledger_start is not None:
-                # exact by construction: a snapshot delta, not a sum
-                execute.ledger = self._ctx.ledger.delta(self._ledger_start)
-                execute.self_ledger = execute.ledger.snapshot()
-            if operator_root is not None:
-                execute.children = [operator_root]
-
-        self.root.children = [
-            self.phases[name] for name in PHASE_ORDER if name in self.phases
-        ]
+        self.root.children = list(phases.values())
         self.root.wall_seconds = sum(
             c.wall_seconds for c in self.root.children)
         self.root.executions = 1
-        self.root.extras.update(self.extras)
         return QueryTrace(self.statement, self.root, self._by_node)
 
     def _link(self, plan_node) -> Optional[Span]:

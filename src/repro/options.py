@@ -75,14 +75,11 @@ class Options:
       letting traced queries trigger automatic re-analyze when
       estimate drift crosses the policy threshold. Off by default;
       see docs/observability.md ("Closing the loop").
-    - ``telemetry``: record every statement's wall time, row count,
-      and cost into the database's ring-buffer
-      :class:`~repro.obs.querylog.QueryLog` with per-kind latency
-      histograms; statements slower than ``slow_query_seconds``
-      additionally capture the full plan (and span trace when traced).
-      Off by default.
-    - ``slow_query_seconds``: telemetry's slow-query threshold in
-      seconds (default 0.25).
+    - ``slow_query_seconds``: a statement at least this slow (default
+      0.25 s) is a slow-query record: its entry in the database's
+      :class:`~repro.obs.querylog.QueryLog` — which records every
+      statement, there is no switch — additionally captures the full
+      plan text (and the span trace when traced).
     """
 
     trace: Optional[bool] = None
@@ -95,7 +92,6 @@ class Options:
     wal_path: Optional[str] = None
     isolation: Optional[str] = None
     adaptive: Optional[Union[AdaptivePolicy, bool]] = None
-    telemetry: Optional[bool] = None
     slow_query_seconds: Optional[float] = None
 
     def __post_init__(self):
@@ -172,7 +168,6 @@ class Options:
 BUILTIN = Options(trace=False, use_cache=False,
                   search_trace=False, max_fixpoint_iterations=1000,
                   durability="off", isolation="snapshot",
-                  adaptive=AdaptivePolicy.OFF, telemetry=False,
-                  slow_query_seconds=0.25)
+                  adaptive=AdaptivePolicy.OFF, slow_query_seconds=0.25)
 
 OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(Options))

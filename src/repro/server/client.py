@@ -143,9 +143,10 @@ class Client:
         return self.request("sessions")["sessions"]
 
     def slowlog(self, limit: int = 20) -> List[dict]:
-        """The server's slowest telemetry entries, worst first. Slow
-        entries carry the full plan text and span trace for offline
-        replay."""
+        """The server's slow-query records (statements that crossed
+        ``slow_query_seconds``), worst first, each with its phase
+        seconds, the full plan text and — when traced — the span
+        trace."""
         return self.request("slowlog", limit=limit)["slowlog"]
 
     def drift(self) -> dict:

@@ -24,9 +24,9 @@ sessions  —                                      ``sessions`` (one dict
                                                  per live connection,
                                                  incl. in-flight SQL)
 slowlog   ``limit`` (optional int, 1..1000)      ``slowlog`` (slowest
-                                                 telemetry entries;
-                                                 slow ones carry the
-                                                 full plan + trace)
+                                                 statement records,
+                                                 each with the full
+                                                 plan + trace)
 drift     —                                      ``drift`` (the drift
                                                  report, worst
                                                  operators/tables

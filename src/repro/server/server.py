@@ -21,6 +21,7 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..errors import ProtocolError, ReproError
+from ..obs.querylog import one_line
 from .protocol import (
     HEADER,
     PROTOCOL_VERSION,
@@ -211,10 +212,8 @@ class Server:
         """Run a sql/script engine call with in-flight bookkeeping, so
         the ``sessions`` admin view can show what each connection is
         executing right now."""
-        self.inflight[session.name] = {
-            "sql": " ".join(text.split())[:200],
-            "started": time.time(),
-        }
+        self.inflight[session.name] = {"sql": text,
+                                       "started": time.time()}
         try:
             return await self._engine(method, text)
         finally:
@@ -229,7 +228,8 @@ class Server:
         now = time.time()
         for entry in overview:
             running = self.inflight.get(entry["session"])
-            entry["running"] = running["sql"] if running else None
+            entry["running"] = (one_line(running["sql"], 200)
+                                if running else None)
             entry["running_seconds"] = (
                 round(now - running["started"], 3) if running else None)
         return overview

@@ -47,8 +47,7 @@ def _header_line(metrics: dict) -> str:
 def _latency_section(metrics: dict) -> List[str]:
     latency = metrics.get("latency")
     if not latency:
-        return ["latency: no telemetry recorded "
-                "(start the server with --telemetry)"]
+        return ["latency: no statements recorded"]
     lines = ["latency by statement kind:",
              "  %-10s %-8s %-10s %-10s %-10s"
              % ("kind", "count", "mean ms", "p50 ms", "p99 ms")]
@@ -91,7 +90,7 @@ def _slowlog_section(slowlog: List[dict], limit: int = 5) -> List[str]:
         lines.append("  %-10.2f %-8s %-8s %-6s %s" % (
             entry.get("seconds", 0.0) * 1e3, entry.get("kind", "?"),
             entry.get("rows", 0), entry.get("session") or "-",
-            " ".join(str(entry.get("statement", "")).split())[:50],
+            str(entry.get("statement", ""))[:50],
         ))
     return lines
 

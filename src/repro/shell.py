@@ -28,8 +28,8 @@ start with a backslash:
     \\faults ...    configure network fault injection (\\faults help)
     \\metrics       dump the database metrics registry
     \\drift         estimate-drift report (worst-misestimated operators)
-    \\slow [N]      the N slowest telemetry entries; first use turns
-                    query telemetry on for subsequent statements
+    \\slow [N]      the N slowest of the recorded statements that
+                    crossed slow_query_seconds
     \\sessions      one line per live session: bound flag, open txn,
                     statement count
     \\adaptive [on|off]
@@ -290,10 +290,6 @@ class Shell:
                 return
         else:
             limit = 10
-        if not self.db.defaults.resolved().telemetry:
-            self.db.configure(telemetry=True)
-            self.write("query telemetry on "
-                       "(subsequent statements are recorded)")
         self.write(self.db.querylog.render(limit))
 
     def _sessions_command(self) -> None:
@@ -384,13 +380,13 @@ class Shell:
     def _trace_command(self, argument: str) -> None:
         if not argument:
             self.write("tracing is %s"
-                       % ("on" if self.db.tracing else "off"))
+                       % ("on" if self.db.defaults.trace else "off"))
             return
         value = _BOOL_WORDS.get(argument.lower())
         if value is None:
             self.write("usage: \\trace [on | off]")
             return
-        self.db.tracing = value
+        self.db.configure(trace=value)
         self.write("tracing %s" % ("on" if value else "off"))
 
     def _timeout_command(self, argument: str) -> None:

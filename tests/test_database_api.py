@@ -7,7 +7,10 @@ from repro import (
     Database,
     DataType,
     OptimizerConfig,
+    Options,
+    QueryTimeout,
     ReproError,
+    ResourceExhausted,
     SqlSyntaxError,
 )
 
@@ -178,3 +181,176 @@ class TestStatsLifecycle:
         db.analyze("T")
         after = db.catalog.stats("T").num_rows
         assert (before, after) == (1, 3)
+
+
+class TestCreateTableAsOptions:
+    """CREATE TABLE AS runs its query through the one query path, so
+    the per-call limits apply to it."""
+
+    def make_db(self):
+        db = Database()
+        db.create_table("T", [("a", DataType.INT)],
+                        rows=[(i,) for i in range(2000)])
+        return db
+
+    def test_timeout_applies_and_leaves_no_table(self):
+        db = self.make_db()
+        with pytest.raises(QueryTimeout):
+            db.sql("CREATE TABLE u AS SELECT a FROM T WHERE a > 5",
+                   options=Options(timeout=1e-9))
+        assert not db.catalog.has_table("u")
+        db.sql("CREATE TABLE u AS SELECT a FROM T WHERE a > 5")
+        assert db.catalog.table("u").num_rows == 1994
+
+    def test_memory_budget_applies_and_leaves_no_table(self):
+        db = self.make_db()
+        with pytest.raises(ResourceExhausted):
+            db.sql("CREATE TABLE u AS SELECT x.a FROM T x, T y "
+                   "WHERE x.a = y.a",
+                   options=Options(memory_budget_bytes=64))
+        assert not db.catalog.has_table("u")
+
+
+class TestOnePath:
+    """Every entry point runs through ``_execute_statement`` and appends
+    exactly one record, with the right kind/status/rows, whose phase
+    seconds fit inside its wall seconds."""
+
+    def make_db(self):
+        db = Database()
+        db.create_table("T", [("a", DataType.INT), ("b", DataType.INT)],
+                        rows=[(i, i % 3) for i in range(12)])
+        db.create_index("T", "a")
+        db.analyze()
+        return db
+
+    def one_record(self, db, run):
+        before = db.querylog.recorded
+        try:
+            outcome = run()
+        except ReproError as exc:
+            outcome = exc
+        assert db.querylog.recorded == before + 1, \
+            "expected exactly one record"
+        record = db.querylog.recent(1)[0]
+        # results and errors name their record; explain_analyze's text
+        # cannot
+        assert getattr(outcome, "query_id", record.query_id) \
+            == record.query_id
+        phases = sum(seconds for _name, seconds in record.phases())
+        assert 0.0 <= phases <= record.seconds
+        return record
+
+    def shape(self, record):
+        return record.kind, record.status, record.rows
+
+    def test_sql(self):
+        db = self.make_db()
+        record = self.one_record(
+            db, lambda: db.sql("SELECT a FROM T WHERE b = 1"))
+        assert self.shape(record) == ("select", "ok", 4)
+        assert record.parse_seconds > 0 and record.plan_seconds > 0
+        assert record.execute_seconds > 0 and record.cost > 0
+        assert record.plans_considered >= 1 and record.plan_cache is None
+
+    def test_execute_script_records_each_statement(self):
+        db = self.make_db()
+        before = db.querylog.recorded
+        results = db.execute_script(
+            "INSERT INTO T VALUES (100, 1); SELECT a FROM T WHERE b = 1;")
+        assert db.querylog.recorded == before + 2
+        select, insert = db.querylog.recent(2)
+        assert self.shape(insert) == ("insert", "ok", 1)
+        assert self.shape(select) == ("select", "ok", 5)
+        assert [r.query_id for r in results] == \
+            [insert.query_id, select.query_id]
+
+    def test_session_sql(self):
+        db = self.make_db()
+        with db.new_session("s9") as session:
+            record = self.one_record(
+                db, lambda: session.sql("SELECT a FROM T"))
+        assert self.shape(record) == ("select", "ok", 12)
+        assert record.session == "s9"
+
+    def test_prepared_query_and_insert(self):
+        db = self.make_db()
+        query = db.prepare("SELECT a FROM T WHERE a < ?")
+        record = self.one_record(db, lambda: query.execute([5]))
+        assert self.shape(record) == ("select", "ok", 5)
+        assert record.plan_cache == "hit"
+        insert = db.prepare("INSERT INTO T VALUES (?, ?)")
+        record = self.one_record(db, lambda: insert.execute([50, 2]))
+        assert self.shape(record) == ("insert", "ok", 1)
+
+    def test_explain_analyze_and_explain_statement(self):
+        db = self.make_db()
+        record = self.one_record(
+            db, lambda: db.explain_analyze("SELECT a FROM T WHERE b = 1"))
+        assert self.shape(record) == ("select", "ok", 4)
+        record = self.one_record(
+            db, lambda: db.sql("EXPLAIN SELECT a FROM T WHERE b = 1"))
+        assert (record.kind, record.status) == ("explain", "ok")
+        assert record.rows >= 1 and record.plans_considered >= 1
+        assert record.execute_seconds == 0.0
+
+    def test_create_table_as(self):
+        db = self.make_db()
+        record = self.one_record(
+            db, lambda: db.sql("CREATE TABLE U AS SELECT a FROM T "
+                               "WHERE b = 0"))
+        assert self.shape(record) == ("create_table_as", "ok", 4)
+        assert record.execute_seconds > 0
+
+    def test_update_carries_access_and_rows_examined(self):
+        db = self.make_db()
+        record = self.one_record(
+            db, lambda: db.sql("UPDATE T SET b = 9 WHERE a = 3"))
+        assert self.shape(record) == ("update", "ok", 1)
+        assert (record.access, record.rows_examined) == ("index(T.a)", 1)
+        record = self.one_record(db, lambda: db.sql("DELETE FROM T"))
+        assert self.shape(record) == ("delete", "ok", 12)
+        assert (record.access, record.rows_examined) == ("scan", 12)
+
+    def test_failing_statement(self):
+        db = self.make_db()
+        record = self.one_record(
+            db, lambda: db.sql("SELECT nope FROM T"))
+        assert self.shape(record) == ("select", "error", 0)
+        assert record.error == "BindError"
+        assert "nope" in record.message
+
+    def test_served_sql_op(self):
+        from tests.test_server import ServerHarness
+
+        db = self.make_db()
+        harness = ServerHarness(db).start()
+        try:
+            with harness.connect() as client:
+                before = db.querylog.recorded
+                result = client.sql("SELECT a FROM T WHERE b = 2")
+                assert db.querylog.recorded == before + 1
+                record = db.querylog.recent(1)[0]
+                assert self.shape(record) == ("select", "ok", 4)
+                assert record.session == client.conn_id
+                assert len(result.rows) == 4
+        finally:
+            harness.stop()
+
+    def test_removed_switches_are_type_errors(self):
+        with pytest.raises(TypeError):
+            Options(telemetry=True)
+        with pytest.raises(TypeError):
+            Database().configure(telemetry=True)
+        handle = self.make_db().prepare("SELECT a FROM T")
+        with pytest.raises(TypeError):
+            handle.execute(timeout=1.0)
+
+    def test_query_id_set_without_the_event_log(self):
+        db = self.make_db()
+        assert not db.event_log.enabled
+        first = db.sql("SELECT a FROM T")
+        second = db.sql("INSERT INTO T VALUES (77, 0)")
+        assert first.query_id and second.query_id
+        assert first.query_id != second.query_id
+        assert len(db.event_log) == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro import DataType, OptimizerConfig
 from repro.distributed import DistributedDatabase, distributed_config
+from repro.distributed.network import FaultPlan, RetryPolicy
 from repro.ledger import CostParams
 
 
@@ -140,3 +141,27 @@ class TestRemoteSemiJoin:
             if total > 950 and cid in counts
         )
         assert sorted(result.rows) == expected
+
+
+class TestPreparedFailover:
+    def test_prepared_join_fails_over_like_the_ad_hoc_text(self):
+        """The inner site dies: a prepared execution degrades the same
+        way db.sql does (one DegradationEvent, the site marked down,
+        re-optimized against the fallback copy) instead of raising."""
+        ad_hoc = two_site_db()
+        prepared = two_site_db()
+        handle = prepared.prepare(
+            QUERY.replace("O.total > 900", "O.total > ?"))
+        for db in (ad_hoc, prepared):
+            db.set_fault_plan(FaultPlan(down_sites=frozenset({"siteB"})),
+                              seed=1,
+                              retry_policy=RetryPolicy(max_attempts=2))
+        expected = ad_hoc.sql(QUERY).rows
+        result = handle.execute([900])
+        assert sorted(result.rows) == sorted(expected) == reference(prepared)
+        assert prepared.down_sites == ["siteB"]
+        (event,) = prepared.degradation_events
+        assert event.site == "siteB"
+        # the failed attempt and the retry are two records
+        statuses = [r.status for r in prepared.querylog.recent(2)]
+        assert statuses == ["ok", "error"]

@@ -12,6 +12,7 @@ lost update               prevented   test_lost_update_prevented
 read skew                 prevented   test_read_skew_prevented
 write skew                PERMITTED   test_write_skew_permitted
 read-committed nrr        PERMITTED   test_read_committed_permits_nrr
+phantom, prepared SELECT  prevented   TestPreparedStatements
 ========================  ==========  =================================
 
 Write skew is the textbook gap between snapshot isolation and full
@@ -167,3 +168,30 @@ class TestPermitted:
         second = balances(t1)[1]
         t1.sql("COMMIT")
         assert (first, second) == (100, 777)
+
+
+class TestPreparedStatements:
+    """A prepared SELECT reads through the same statement snapshot as
+    the ad-hoc text: it is not a second, unisolated path."""
+
+    Q = "SELECT id FROM acct WHERE owner = ?"
+
+    def run_pair(self, isolation):
+        db = make_db()
+        t1, t2 = db.new_session(), db.new_session()
+        handle = db.prepare(self.Q)
+        t1.sql("BEGIN", options=Options(isolation=isolation))
+        first = sorted(t1._run(handle.execute, ["alice"]).rows)
+        t2.sql("INSERT INTO acct VALUES (4, 'alice', 70)")
+        prepared = sorted(t1._run(handle.execute, ["alice"]).rows)
+        ad_hoc = sorted(t1.sql(self.Q.replace("?", "'alice'")).rows)
+        t1.sql("COMMIT")
+        assert first == [(1,), (2,)]
+        assert prepared == ad_hoc
+        return prepared
+
+    def test_prepared_select_pinned_under_snapshot(self):
+        assert self.run_pair("snapshot") == [(1,), (2,)]
+
+    def test_prepared_select_refreshes_under_read_committed(self):
+        assert self.run_pair("read-committed") == [(1,), (2,), (4,)]

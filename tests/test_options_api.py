@@ -110,16 +110,6 @@ class TestDatabaseDefaults:
         result = db.sql(Q, options=Options(trace=False))
         assert result.trace is None
 
-    def test_legacy_property_views(self):
-        db = _tiny_db()
-        db.tracing = True
-        assert db.defaults.trace is True
-        db.default_timeout = 3.5
-        assert db.defaults.timeout == 3.5
-        db.tracing = False
-        db.default_timeout = None
-        assert db.defaults.timeout is None
-
 
 def test_server_started_with_no_flags_runs_the_vector_engine():
     """``python -m repro serve`` with no flags answers queries, reports

@@ -15,7 +15,10 @@ from repro import (
     OptimizerConfig,
     Options,
     ParameterError,
+    ReproError,
+    TransactionAborted,
 )
+from repro.obs.log import QUERY_EVENT_ORDER
 
 
 @pytest.fixture
@@ -158,3 +161,52 @@ class TestPlanReuse:
                             config=no_fj)
         assert plain.plan is not forced.plan
         assert plain.execute([1]).rows == forced.execute([1]).rows
+
+
+class TestSameStatementPath:
+    """A prepared execution is an ordinary statement: refused in an
+    aborted transaction, traceable, and recorded once everywhere."""
+
+    Q = "SELECT T.a, T.b FROM T WHERE T.a < ?"
+
+    def test_prepared_select_refused_in_aborted_transaction(self, db):
+        handle = db.prepare(self.Q)
+        db.sql("BEGIN")
+        with pytest.raises(ReproError):
+            db.sql("SELECT nope FROM T")
+        with pytest.raises(TransactionAborted):
+            handle.execute([5])
+        db.sql("ROLLBACK")
+        assert len(handle.execute([5]).rows) == 5
+
+    def test_prepared_execution_is_traceable(self, db):
+        handle = db.prepare(self.Q)
+        result = handle.execute([4], options=Options(trace=True))
+        assert result.trace is not None
+        result.trace.reconcile(result.ledger)
+        assert result.trace.phases["optimize"].extras["plan_cache"] \
+            == "hit"
+        assert result.ledger == handle.execute([4]).ledger
+        assert not db.drift_report().empty
+
+    def test_one_execution_is_recorded_once_everywhere(self, db):
+        handle = db.prepare(self.Q)
+        db.event_log.enable()
+        recorded = db.querylog.recorded
+        selects = db.metrics().get("queries_total", {}).get(
+            "by_label", {}).get("select", 0)
+        result = handle.execute([3])
+        assert db.querylog.recorded == recorded + 1
+        record = db.querylog.recent(1)[0]
+        assert (record.kind, record.rows, record.plan_cache) == \
+            ("select", 3, "hit")
+        assert record.query_id == result.query_id
+        assert db.metrics()["queries_total"]["by_label"]["select"] \
+            == selects + 1
+        events = db.event_log.events(query_id=result.query_id)
+        chain = [e["event"] for e in events]
+        assert chain == ["query_start", "parse", "plan_cache",
+                         "execute", "query_end"]
+        assert chain == sorted(chain, key=QUERY_EVENT_ORDER.index)
+        assert events[2]["outcome"] == "hit"
+        assert len(db.event_log.events(event="query_start")) == 1

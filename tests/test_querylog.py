@@ -4,9 +4,9 @@ slow-query capture path.
 Unit coverage for the ring-buffer semantics and the latency summaries,
 a thread hammer proving exact counts under concurrent recording (the
 log is shared by every server connection), and the database-level
-telemetry wiring: ``Options(telemetry=True)`` records every statement,
-a statement over ``slow_query_seconds`` carries its full plan text and
-span trace, and telemetry off records nothing at all.
+wiring: every statement is recorded (there is no switch), and a
+statement over ``slow_query_seconds`` carries its full plan text and
+span trace.
 """
 
 import threading
@@ -175,18 +175,10 @@ class TestDatabaseTelemetry:
         db.analyze()
         return db
 
-    def test_telemetry_off_records_nothing(self):
-        db = self.make_db()
-        db.sql("SELECT id FROM t")
-        db.sql("SELECT id FROM t", options=Options(trace=True))
-        assert db.querylog.recorded == 0
-        assert "latency" not in db.metrics()
-
     def test_telemetry_records_every_statement(self):
         db = self.make_db()
-        with db.session(telemetry=True):
-            db.sql("SELECT id FROM t WHERE id < 5")
-            db.sql("INSERT INTO t VALUES (99)")
+        db.sql("SELECT id FROM t WHERE id < 5")
+        db.sql("INSERT INTO t VALUES (99)")
         assert db.querylog.recorded == 2
         kinds = {e.kind for e in db.querylog.recent()}
         assert kinds == {"select", "insert"}
@@ -195,8 +187,7 @@ class TestDatabaseTelemetry:
     def test_slow_query_captures_plan_and_trace(self):
         db = self.make_db()
         # a zero threshold makes every statement "slow"
-        opts = Options(telemetry=True, slow_query_seconds=1e-9,
-                       trace=True)
+        opts = Options(slow_query_seconds=1e-9, trace=True)
         db.sql("SELECT id FROM t WHERE id < 5", options=opts)
         slow = db.querylog.slowest()
         assert len(slow) == 1
@@ -209,7 +200,7 @@ class TestDatabaseTelemetry:
 
     def test_fast_query_not_marked_slow(self):
         db = self.make_db()
-        opts = Options(telemetry=True, slow_query_seconds=60.0)
+        opts = Options(slow_query_seconds=60.0)
         db.sql("SELECT id FROM t", options=opts)
         assert db.querylog.recorded == 1
         assert db.querylog.slow_recorded == 0
@@ -226,7 +217,7 @@ class TestDatabaseTelemetry:
     def test_statement_text_normalized_and_capped(self):
         db = self.make_db()
         sql = "SELECT   id\nFROM    t   WHERE id <" + " 5"
-        db.sql(sql, options=Options(telemetry=True))
+        db.sql(sql)
         entry = db.querylog.recent()[0]
         assert "\n" not in entry.statement
         assert "  " not in entry.statement

@@ -186,10 +186,10 @@ class TestDeadline:
 
     def test_default_timeout_on_database(self):
         db = make_db()
-        db.default_timeout = 1e-9
+        db.configure(timeout=1e-9)
         with pytest.raises(QueryTimeout):
             db.sql(QUERY)
-        db.default_timeout = None
+        db.configure(timeout=None)
         assert len(db.sql(QUERY).rows) > 0
 
     def test_timeout_error_carries_fields(self):

@@ -299,14 +299,13 @@ class TestAdminSurface:
             assert mine["running_seconds"] is None
             a.sql("ROLLBACK")
 
-    def test_slowlog_empty_without_telemetry(self, harness):
+    def test_slowlog_empty_below_threshold(self, harness):
         with harness.connect() as client:
             client.sql("SELECT id FROM t")
             assert client.slowlog() == []
 
     def test_slow_entry_carries_plan_and_trace(self, harness):
-        harness.db.configure(telemetry=True, slow_query_seconds=1e-9,
-                             trace=True)
+        harness.db.configure(slow_query_seconds=1e-9, trace=True)
         with harness.connect() as client:
             client.sql("SELECT id, v FROM t WHERE id = 2")
             entries = client.slowlog(limit=5)
@@ -320,7 +319,7 @@ class TestAdminSurface:
             assert entry["trace"]["root"]
 
     def test_slowlog_respects_limit(self, harness):
-        harness.db.configure(telemetry=True, slow_query_seconds=1e-9)
+        harness.db.configure(slow_query_seconds=1e-9)
         with harness.connect() as client:
             for _ in range(4):
                 client.sql("SELECT id FROM t")
@@ -337,8 +336,7 @@ class TestAdminSurface:
             tables = {t["table"] for t in report["tables"]}
             assert "t" in tables
 
-    def test_metrics_include_latency_when_telemetry_on(self, harness):
-        harness.db.configure(telemetry=True)
+    def test_metrics_include_latency(self, harness):
         with harness.connect() as client:
             client.sql("SELECT id FROM t")
             metrics = client.metrics()
