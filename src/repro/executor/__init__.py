@@ -2,12 +2,12 @@
 
 from .lowering import lower
 from .operators import Operator, bind_memberships
-from .runtime import RuntimeContext, TempTable
+from .runtime import FilterSet, RuntimeContext
 
 __all__ = [
+    "FilterSet",
     "Operator",
     "RuntimeContext",
-    "TempTable",
     "bind_memberships",
     "lower",
 ]

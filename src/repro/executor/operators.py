@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bloom.filter import ARRAY_KERNELS, BloomFilter
 from ..errors import ExecutionError, FixpointLimitExceeded
 from ..expr.aggregates import Accumulator, AggregateSpec
 from ..expr.nodes import Expr, RuntimeMembership
 from ..stats.estimator import yao_blocks
 from ..storage.schema import Schema
 from ..storage.table import Table, pages_for
-from .runtime import RuntimeContext, TempTable
+from .runtime import FilterSet, RuntimeContext
 from ..storage import columnar
 from ..storage.columnar import ColumnVector
 from .vectorize import (
@@ -40,7 +39,6 @@ from .vectorize import (
     batches_from_store,
     compile_expr,
     compile_optional_filter,
-    key_hashes,
 )
 
 _np = columnar.np
@@ -56,15 +54,15 @@ _MEM_CHUNK_ROWS = _MEM_CHUNK_MASK + 1
 
 
 def bind_memberships(expr: Optional[Expr], ctx: RuntimeContext) -> None:
-    """Bind every RuntimeMembership node in a resolved tree to its
-    run-time structure before evaluation."""
+    """Bind every RuntimeMembership node in a resolved tree to the
+    execution's filter set before evaluation."""
     if expr is None:
         return
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, RuntimeMembership):
-            node.membership = ctx.membership(node.param_id)
+            node.filter_set = ctx.filter_set(node.param_id)
         for attr in ("left", "right"):
             child = getattr(node, attr, None)
             if isinstance(child, Expr):
@@ -219,11 +217,9 @@ class FilterSetScanOp(Operator):
         self.param_id = param_id
 
     def batches(self) -> Iterator[Batch]:
-        temp = self.ctx.filter_set(self.param_id)
-        self.ctx.charge_rescan(temp)
-        if temp.store is not None:
-            return batches_from_store(temp.store)
-        return batches_from_list(temp.rows, len(self.schema))
+        filter_set = self.ctx.filter_set(self.param_id)
+        self.ctx.charge_rescan(filter_set)
+        return filter_set.scan()
 
 
 class ValuesOp(Operator):
@@ -856,9 +852,9 @@ class FixpointOp(Operator):
                     )
                 iterations += 1
                 temp_pages = self.ctx.charge_materialize(len(delta), width)
-                temp = TempTable(delta, self.schema,
-                                 spilled=not self.ctx.fits(temp_pages))
-                self.ctx.bind_filter_set(self.delta_param, temp)
+                self.ctx.bind_filter_set(self.delta_param, FilterSet(
+                    self.schema, rows=delta,
+                    spilled=not self.ctx.fits(temp_pages)))
                 delta = absorb(self.template.to_list())
             yield from batches_from_list(out, len(self.schema))
         finally:
@@ -1467,8 +1463,8 @@ class NestedIterationOp(Operator):
             if not _null_free(key):
                 continue
             if key != last_key:
-                temp = TempTable([key], self.filter_schema)
-                self.ctx.bind_filter_set(self.param_id, temp)
+                self.ctx.bind_filter_set(
+                    self.param_id, FilterSet(self.filter_schema, rows=[key]))
                 cached = self.template.to_list()
                 last_key = key
             for inner_row in cached:
@@ -1526,17 +1522,18 @@ class FilterJoinOp(Operator):
         self.measured_components[name] = delta.total(self.ctx.params)
 
     def batches(self) -> Iterator[Batch]:
+        return _releasing(self.ctx, self._phases)
+
+    def _phases(self, hold) -> Iterator[Batch]:
         """The five phases of Table 1, columnar from the production
         set to the emitted batch.
 
         Three of them run batch-wise and report kernel-vs-fallback
-        through ``kernel_counter()``: the filter-set build (a sorted
-        distinct over the typed bind columns; a bind column that is not
-        exactly encodable builds the Python set instead), the lossy
-        membership probe inside the template (tallied by the compiled
-        probe through the filter's ``probe_stats``), and the final
-        join, which is :class:`_HashBuild` — the hash join's own build
-        and probe."""
+        through ``kernel_counter()``: the filter-set build
+        (:meth:`FilterSet.distinct`), the lossy membership probe inside
+        the template (tallied by the set through its ``probe_stats``),
+        and the final join, which is :class:`_HashBuild` — the hash
+        join's own build and probe."""
         bind_memberships(self.residual, self.ctx)
         stats = self.kernel_counter()
         residual = compile_optional_filter(self.residual, stats=stats)
@@ -1546,7 +1543,7 @@ class FilterJoinOp(Operator):
         # 1. Production set (JoinCost_P + ProductionCost_P)
         before = ledger.snapshot()
         production = _gather(self.outer.batches(), len(self.outer.schema))
-        self.ctx.mem_acquire(production.n * outer_width)
+        hold(production.n * outer_width)
         self._component("JoinCost_P", before)
         before = ledger.snapshot()
         if self.materialize_production:
@@ -1561,57 +1558,27 @@ class FilterJoinOp(Operator):
         # 2. Distinct projection into the filter set (ProjCost_F)
         before = ledger.snapshot()
         self.ctx.charge_cpu(production.n)
-        bind_columns = [production.column(p) for p in self.bind_positions]
-        key_columns = _distinct_keys(bind_columns)
+        filter_set = FilterSet.distinct(
+            self.filter_schema,
+            [production.column(p) for p in self.bind_positions],
+            bloom_bits=self.bloom_bits if self.lossy else None)
+        filter_set.probe_stats = stats
         if stats is not None:
-            stats.count(key_columns is not None)
-        if key_columns is not None:
-            keys = None  # tuples are made only for an exact filter set
-            filter_set_size = len(key_columns[0])
-        else:
-            key_rows = (zip(*map(columnar.materialize, bind_columns))
-                        if bind_columns else [()] * production.n)
-            keys = sorted(set(filter(_null_free, key_rows)),
-                          key=_sort_key)
-            filter_set_size = len(keys)
+            stats.count(filter_set.columns is not None)
         self._component("ProjCost_F", before)
         self.production_rows = production.n
-        self.filter_set_size = filter_set_size
+        self.filter_set_size = filter_set.size
 
         # 3. Make the filter available (AvailCost_F)
         before = ledger.snapshot()
         if self.lossy:
-            bloom = BloomFilter(self.bloom_bits,
-                                expected_items=max(1, filter_set_size))
-            bloom.probe_stats = stats
-            self.ctx.charge_cpu(filter_set_size)
-            if keys is None and ARRAY_KERNELS:
-                bloom.add_hashes(key_hashes(key_columns, {}))
-            else:
-                if keys is None:
-                    keys = _key_rows(key_columns)
-                bloom.add_all(key if len(key) > 1 else key[0]
-                              for key in keys)
-            self.ctx.bind_membership(self.param_id, bloom)
-            if self.ship_filter:
-                self.ctx.charge_message(bloom.size_bytes,
-                                        from_site=self.site,
-                                        to_site=self.filter_site)
+            self.ctx.charge_cpu(filter_set.size)  # setting the bits
         else:
-            store = None
-            if keys is None:
-                keys = _key_rows(key_columns)
-                store = columnar.ColumnStore(
-                    self.filter_schema, key_columns, filter_set_size)
-            temp = TempTable(keys, self.filter_schema, store=store)
-            self.ctx.mem_acquire(
-                filter_set_size * self.filter_schema.row_width())
-            self.ctx.bind_filter_set(self.param_id, temp)
-            if self.ship_filter:
-                self.ctx.charge_ship(filter_set_size,
-                                     self.filter_schema.row_width(),
-                                     from_site=self.site,
-                                     to_site=self.filter_site)
+            hold(filter_set.size * self.filter_schema.row_width())
+        self.ctx.bind_filter_set(self.param_id, filter_set)
+        if self.ship_filter:
+            self.ctx.charge_filter_ship(filter_set, from_site=self.site,
+                                        to_site=self.filter_site)
         self._component("AvailCost_F", before)
 
         # 4. Restricted inner (FilterCost_Rk). Any ship-home of a remote
@@ -1620,8 +1587,7 @@ class FilterJoinOp(Operator):
         before = ledger.snapshot()
         restricted = _gather(self.template.batches(),
                              len(self.template.schema))
-        self.ctx.mem_acquire(
-            restricted.n * self.template.schema.row_width())
+        hold(restricted.n * self.template.schema.row_width())
         self._component("FilterCost_Rk", before)
         self.measured_components["AvailCost_Rk'"] = 0.0
         self.restricted_rows = restricted.n
@@ -1661,6 +1627,23 @@ class FilterJoinOp(Operator):
         yield from result.chunks()
 
 
+def _releasing(ctx: RuntimeContext, body) -> Iterator:
+    """Run the generator ``body(hold)``, where ``hold(nbytes)`` accounts
+    working memory against the per-query budget, and release everything
+    it held when it finishes, fails, or is closed early."""
+    held = 0.0
+
+    def hold(nbytes: float) -> None:
+        nonlocal held
+        ctx.mem_acquire(nbytes)
+        held += nbytes
+
+    try:
+        yield from body(hold)
+    finally:
+        ctx.mem_release(held)
+
+
 def _gather(batches: Iterator[Batch], width: int) -> Batch:
     """Every row of ``batches`` as one column-backed batch: typed
     pieces are concatenated, and a column that arrived as Python
@@ -1673,43 +1656,6 @@ def _gather(batches: Iterator[Batch], width: int) -> Batch:
         for j in range(width)
     ]
     return Batch(columns, sum(b.n for b in batches))
-
-
-def _key_rows(key_columns: List[ColumnVector]) -> List[Row]:
-    return list(zip(*[column.tolist() for column in key_columns]))
-
-
-def _distinct_keys(columns: Sequence) -> Optional[List[ColumnVector]]:
-    """The distinct null-free key tuples over typed ``columns``, one
-    ColumnVector per key column, in the order
-    ``sorted(keys, key=_sort_key)`` gives the same tuples (strings by
-    dictionary rank); among equal values (``0.0`` / ``-0.0``) the first
-    one seen survives, as in a Python set. None when a column is not a
-    ColumnVector — the caller then builds the set row-wise."""
-    if not columns or not all(
-            isinstance(c, ColumnVector) for c in columns):
-        return None
-    valid = None
-    for column in columns:
-        if column.mask is not None:
-            valid = column.mask if valid is None else valid & column.mask
-    if valid is not None:
-        columns = [column.select(valid) for column in columns]
-    sort_keys = [
-        (c.dictionary.sort_ranks()[c.values] if c.dictionary is not None
-         else c.values)
-        for c in columns
-    ]
-    order = _np.lexsort(sort_keys[::-1])  # stable; first column primary
-    if len(order) > 1:
-        first_of_run = _np.ones(len(order), dtype=_np.bool_)
-        changed = False
-        for key in sort_keys:
-            ordered = key[order]
-            changed = changed | (ordered[1:] != ordered[:-1])
-        first_of_run[1:] = changed
-        order = order[first_of_run]
-    return [column.take(order) for column in columns]
 
 
 class FunctionJoinOp(Operator):
@@ -1743,25 +1689,23 @@ class FunctionJoinOp(Operator):
     def batches(self) -> Iterator[Batch]:
         return batches_from_rows(self._invoke_all(), len(self.schema))
 
+    def _emit(self, outer_row: Row, fn_rows: List[tuple]) -> Iterator[Row]:
+        for fn_row in fn_rows:
+            combined = outer_row + fn_row
+            if self.residual is not None and \
+                    self.residual.eval(combined) is not True:
+                continue
+            yield combined
+
     def _invoke_all(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
-
-        def emit(outer_row: Row, fn_rows: List[tuple]) -> Iterator[Row]:
-            for fn_row in fn_rows:
-                combined = outer_row + fn_row
-                if self.residual is not None and \
-                        self.residual.eval(combined) is not True:
-                    continue
-                yield combined
-
         if self.mode == "repeated":
             for outer_row in self.outer.rows():
                 self.ctx.charge_cpu(1)
                 args = tuple(outer_row[p] for p in self.bind_positions)
                 if not _null_free(args):
                     continue
-                for result in emit(outer_row, self._invoke(args)):
-                    yield result
+                yield from self._emit(outer_row, self._invoke(args))
             return
         if self.mode == "memo":
             cache = {}
@@ -1772,26 +1716,33 @@ class FunctionJoinOp(Operator):
                     continue
                 if args not in cache:
                     cache[args] = self._invoke(args)
-                for result in emit(outer_row, cache[args]):
-                    yield result
+                yield from self._emit(outer_row, cache[args])
             return
-        # filter mode: materialize, distinct args, consecutive invocation
-        production = self.outer.to_list()
-        self.ctx.charge_materialize(len(production),
-                                    self.outer.schema.row_width())
-        args_seen = set()
-        for row in production:
-            self.ctx.charge_cpu(1)
-            args = tuple(row[p] for p in self.bind_positions)
-            if _null_free(args):
-                args_seen.add(args)
-        results = {}
-        for args in sorted(args_seen, key=_sort_key):
-            results[args] = self._invoke(args, consecutive=True)
-        for outer_row in production:
+        yield from _releasing(self.ctx, self._filter_mode)
+
+    def _filter_mode(self, hold) -> Iterator[Row]:
+        """The Filter Join over a function: materialize the production
+        set, invoke the function on its distinct arguments in sorted
+        order (consecutive calls earn the locality discount), join
+        back."""
+        outer_schema = self.outer.schema
+        production = _gather(self.outer.batches(), len(outer_schema))
+        hold(production.n * outer_schema.row_width())
+        self.ctx.charge_materialize(production.n, outer_schema.row_width())
+        self.ctx.charge_cpu(production.n)
+        arg_schema = Schema(
+            self.fn.base_schema.columns[:len(self.bind_positions)])
+        filter_set = FilterSet.distinct(
+            arg_schema, [production.column(p) for p in self.bind_positions])
+        hold(filter_set.size * arg_schema.row_width())
+        results = {
+            args: self._invoke(args, consecutive=True)
+            for args in filter_set.rows
+        }
+        hold(sum(map(len, results.values()))
+             * self.fn.base_schema.row_width())
+        for outer_row in production.rows():
             self.ctx.charge_cpu(1)
             args = tuple(outer_row[p] for p in self.bind_positions)
-            if not _null_free(args):
-                continue
-            for result in emit(outer_row, results[args]):
-                yield result
+            # a NULL argument is in no filter set
+            yield from self._emit(outer_row, results.get(args, ()))

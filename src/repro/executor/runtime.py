@@ -4,8 +4,9 @@ The :class:`RuntimeContext` is threaded through every operator. It holds
 the measured :class:`CostLedger`, the memory budget that decides when
 temps/sorts/hash tables "spill" (spills are charged, not performed — the
 page model substitutes for a disk, see DESIGN.md), the run-time bindings
-of filter sets produced by Filter Join / nested-iteration operators, and
-the resilience state added for distributed execution:
+of the :class:`FilterSet` values produced by Filter Join /
+nested-iteration / fixpoint operators, and the resilience state added
+for distributed execution:
 
 - an optional :class:`~repro.distributed.network.SimulatedNetwork` that
   every shipment routes through (fault injection, retry/backoff);
@@ -26,34 +27,192 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
+from ..bloom.filter import ARRAY_KERNELS, BloomFilter
 from ..errors import ExecutionError, QueryTimeout, ResourceExhausted
 from ..ledger import CostLedger, CostParams
-from ..storage.columnar import ColumnStore
+from ..storage import columnar
+from ..storage.columnar import ColumnStore, ColumnVector
 from ..storage.schema import Schema
 from ..storage.table import pages_for
+from .vectorize import (
+    Batch,
+    KernelStats,
+    batches_from_list,
+    batches_from_store,
+    key_hashes,
+    probe_array,
+)
+
+_np = columnar.np
 
 #: how many charge_cpu calls between deadline checks (power of two - 1)
 _DEADLINE_CHECK_MASK = 255
 
 
-@dataclass
-class TempTable:
-    """A materialized intermediate: rows plus spill bookkeeping.
+def _distinct_keys(columns: Sequence) -> Optional[List[ColumnVector]]:
+    """The distinct null-free key tuples over typed ``columns``, one
+    ColumnVector per key column, in the order ``sorted(keys)`` gives
+    the same tuples (strings by dictionary rank); among equal values
+    (``0.0`` / ``-0.0``) the first one seen survives, as in a Python
+    set. None when a column is not a ColumnVector — the caller then
+    builds the set row-wise."""
+    if not columns or not all(
+            isinstance(c, ColumnVector) for c in columns):
+        return None
+    valid = None
+    for column in columns:
+        if column.mask is not None:
+            valid = column.mask if valid is None else valid & column.mask
+    if valid is not None:
+        columns = [column.select(valid) for column in columns]
+    sort_keys = [
+        (c.dictionary.sort_ranks()[c.values] if c.dictionary is not None
+         else c.values)
+        for c in columns
+    ]
+    order = _np.lexsort(sort_keys[::-1])  # stable; first column primary
+    if len(order) > 1:
+        first_of_run = _np.ones(len(order), dtype=_np.bool_)
+        changed = False
+        for key in sort_keys:
+            ordered = key[order]
+            changed = changed | (ordered[1:] != ordered[:-1])
+        first_of_run[1:] = changed
+        order = order[first_of_run]
+    return [column.take(order) for column in columns]
 
-    ``store`` holds the same rows column-major when the producer had
-    them as typed vectors, so a batch-wise rescan stays columnar."""
 
-    rows: List[tuple]
-    schema: Schema
-    spilled: bool = False
-    store: Optional[ColumnStore] = None
+class FilterSet:
+    """A bound filter set — the one run-time object behind magic sets,
+    the semi-join, the Bloom join and consecutive-call UDF evaluation:
+    built from a production set, made available under a parameter id,
+    used to restrict the inner, joined back.
+
+    The keys are held once, as typed ``columns`` when the producer had
+    them and as ``rows`` otherwise. The other views are derived on
+    first use: :attr:`rows` (exact Python tuples, for per-element
+    consumers), :attr:`keys` (the Python set an exact probe tests) and,
+    when ``bloom_bits`` makes the set lossy, the :attr:`bloom` bitmap.
+    """
+
+    def __init__(self, schema: Schema, rows: Optional[List[tuple]] = None,
+                 columns: Optional[List[ColumnVector]] = None,
+                 bloom_bits: Optional[int] = None, spilled: bool = False):
+        self.schema = schema
+        self.columns = columns
+        self._rows = rows
+        self.size = len(rows) if columns is None else len(columns[0])
+        self.bloom_bits = bloom_bits
+        self.spilled = spilled
+        #: KernelStats of the Filter Join that built this set, when its
+        #: execution is traced: lossy probes tally kernel-vs-fallback
+        #: batches there
+        self.probe_stats: Optional[KernelStats] = None
+        self._keys = None
+        self._bloom: Optional[BloomFilter] = None
+        # probe arrays / hash tables per probing column domain: built
+        # once per bound set however many batches probe it
+        self._probe_cache: dict = {}
+
+    @classmethod
+    def distinct(cls, schema: Schema, bind_columns: Sequence,
+                 bloom_bits: Optional[int] = None) -> "FilterSet":
+        """The distinct null-free keys of a production set's bind
+        columns, sorted: one stable lexsort over typed columns, the
+        Python set when a column is not exactly encodable."""
+        columns = _distinct_keys(bind_columns)
+        if columns is not None:
+            return cls(schema, columns=columns, bloom_bits=bloom_bits)
+        key_rows = zip(*map(columnar.materialize, bind_columns))
+        rows = sorted(key for key in set(key_rows) if None not in key)
+        return cls(schema, rows=rows, bloom_bits=bloom_bits)
+
+    @property
+    def lossy(self) -> bool:
+        return self.bloom_bits is not None
 
     @property
     def num_pages(self) -> float:
-        return pages_for(len(self.rows), self.schema.row_width())
+        return pages_for(self.size, self.schema.row_width())
+
+    @property
+    def rows(self) -> List[tuple]:
+        if self._rows is None:
+            self._rows = list(zip(*[c.tolist() for c in self.columns]))
+        return self._rows
+
+    @property
+    def keys(self) -> set:
+        """What ``in`` tests exactly: bare values for a one-column
+        set, tuples for a composite one."""
+        if self._keys is None:
+            rows = self.rows
+            self._keys = ({row[0] for row in rows}
+                          if len(self.schema) == 1 else set(rows))
+        return self._keys
+
+    @property
+    def bloom(self) -> BloomFilter:
+        if self._bloom is None:
+            bloom = BloomFilter(self.bloom_bits,
+                                expected_items=max(1, self.size))
+            if self.columns is not None and ARRAY_KERNELS:
+                bloom.add_hashes(key_hashes(self.columns, {}))
+            else:
+                bloom.add_all(key if len(key) > 1 else key[0]
+                              for key in self.rows)
+            self._bloom = bloom
+        return self._bloom
+
+    def scan(self) -> Iterator[Batch]:
+        """The set as batches, typed when the keys are."""
+        if self.columns is not None:
+            return batches_from_store(
+                ColumnStore(self.schema, self.columns, self.size))
+        return batches_from_list(self._rows, len(self.schema))
+
+    def __contains__(self, key) -> bool:
+        return key in (self.bloom if self.lossy else self.keys)
+
+    def contains(self, key_columns: Sequence):
+        """``key in self`` for every row of ``key_columns``, as one
+        column: the bitmap kernel over hashed lanes for a lossy set,
+        ``np.isin`` against a probe array for an exact one-column set,
+        else element by element over exact Python objects."""
+        result = None
+        if all(isinstance(k, ColumnVector) for k in key_columns):
+            if self.lossy:
+                if ARRAY_KERNELS:
+                    result = ColumnVector(self.bloom.contains_hashes(
+                        key_hashes(key_columns, self._probe_cache)), None)
+            elif len(key_columns) == 1:
+                result = self._isin(key_columns[0])
+        if self.lossy and self.probe_stats is not None:
+            self.probe_stats.note(result)
+        if result is not None:
+            return result
+        member = self.bloom if self.lossy else self.keys
+        columns = [columnar.materialize(c) for c in key_columns]
+        if len(columns) == 1:
+            return [key in member for key in columns[0]]
+        return [key in member for key in zip(*columns)]
+
+    def _isin(self, vec: ColumnVector) -> Optional[ColumnVector]:
+        domain = (vec.dictionary if vec.dictionary is not None
+                  else str(vec.values.dtype))
+        if domain not in self._probe_cache:
+            self._probe_cache[domain] = probe_array(vec, self.keys)
+        probe = self._probe_cache[domain]
+        if probe is None:
+            return None
+        found = (_np.isin(vec.values, probe) if len(probe)
+                 else _np.zeros(len(vec.values), dtype=_np.bool_))
+        if vec.mask is not None:
+            # a NULL key behaves like ``None in keys``
+            found = _np.where(vec.mask, found, None in self.keys)
+        return ColumnVector(found, None)
 
 
 class RuntimeContext:
@@ -74,10 +233,9 @@ class RuntimeContext:
         self.trace = None
         self.memory_pages = memory_pages
         self.message_payload_bytes = message_payload_bytes
-        # param_id -> TempTable holding the exact filter set
-        self.filter_sets: Dict[str, TempTable] = {}
-        # param_id -> membership structure (set of keys, or a BloomFilter)
-        self.memberships: Dict[str, object] = {}
+        # param_id -> the set a Filter Join, nested iteration or
+        # fixpoint pass bound; scans and membership probes both read it
+        self.filter_sets: Dict[str, FilterSet] = {}
         # --- resilience state ---
         self.network = network
         self.deadline_seconds = deadline_seconds
@@ -145,10 +303,10 @@ class RuntimeContext:
             self.ledger.charge_writes(temp_pages)
         return temp_pages
 
-    def charge_rescan(self, temp: TempTable) -> None:
-        self.ledger.charge_cpu(len(temp.rows))
-        if temp.spilled:
-            self.ledger.charge_reads(temp.num_pages)
+    def charge_rescan(self, filter_set: FilterSet) -> None:
+        self.ledger.charge_cpu(filter_set.size)
+        if filter_set.spilled:
+            self.ledger.charge_reads(filter_set.num_pages)
 
     # ------------------------------------------------------------ networking
 
@@ -177,6 +335,19 @@ class RuntimeContext:
             self.network.transfer(self, from_site, to_site, nbytes)
         else:
             self.ledger.charge_message(nbytes)
+
+    def charge_filter_ship(self, filter_set: FilterSet,
+                           from_site: Optional[str] = None,
+                           to_site: Optional[str] = None) -> None:
+        """Ship a filter set to the inner's site: its rows when exact,
+        the fixed-size bitmap in one message when lossy."""
+        if filter_set.lossy:
+            self.charge_message(filter_set.bloom.size_bytes,
+                                from_site=from_site, to_site=to_site)
+        else:
+            self.charge_ship(filter_set.size,
+                             filter_set.schema.row_width(),
+                             from_site=from_site, to_site=to_site)
 
     def charge_probe_roundtrip(self, local_site: Optional[str],
                                remote_site: Optional[str],
@@ -217,30 +388,13 @@ class RuntimeContext:
 
     # --------------------------------------------------------- filter sets
 
-    def bind_filter_set(self, param_id: str, temp: TempTable) -> None:
-        self.filter_sets[param_id] = temp
-        # Exact sets double as membership structures for RuntimeMembership.
-        if len(temp.schema) == 1:
-            keys = {row[0] for row in temp.rows}
-        else:
-            keys = set(temp.rows)
-        self.memberships[param_id] = keys
+    def bind_filter_set(self, param_id: str, filter_set: FilterSet) -> None:
+        self.filter_sets[param_id] = filter_set
 
-    def bind_membership(self, param_id: str, structure) -> None:
-        self.memberships[param_id] = structure
-
-    def filter_set(self, param_id: str) -> TempTable:
+    def filter_set(self, param_id: str) -> FilterSet:
         try:
             return self.filter_sets[param_id]
         except KeyError:
             raise ExecutionError(
                 "filter set %r was not bound before execution" % param_id
-            )
-
-    def membership(self, param_id: str):
-        try:
-            return self.memberships[param_id]
-        except KeyError:
-            raise ExecutionError(
-                "membership %r was not bound before execution" % param_id
             )

@@ -35,9 +35,7 @@ from itertools import compress
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..bloom.filter import (
-    ARRAY_KERNELS,
     NONE_HASH,
-    BloomFilter,
     combine_hash_arrays,
     hash_int64,
     stable_hash,
@@ -833,7 +831,7 @@ def _compile_boolean(expr: BooleanExpr) -> ColumnFn:
     return run
 
 
-def _probe_array(vec: ColumnVector, candidates):
+def probe_array(vec: ColumnVector, candidates):
     """Candidate match values encoded into ``vec``'s value domain, for
     set-membership kernels (IN lists, filter-set probes). Returns None
     when an exact encoding is impossible (fall back to per-element);
@@ -874,7 +872,7 @@ def _compile_in_list(expr: InList) -> ColumnFn:
         lookup = values
 
     def kernel(vec: ColumnVector, n: int) -> Optional[ColumnVector]:
-        probe = _probe_array(vec, [v for v in values if v is not None])
+        probe = probe_array(vec, [v for v in values if v is not None])
         if probe is None:
             return None
         found = (np.isin(vec.values, probe) if len(probe)
@@ -946,58 +944,15 @@ def key_hashes(key_columns: Sequence[ColumnVector], cache: dict):
 
 def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
     arg_fns = [compile_expr(arg) for arg in expr.args]
-    # probe structures derived from the bound membership, per column
-    # domain; a membership is bound once per Filter Join execution, so
-    # these are built once however many batches probe it
-    bound_to = None
-    cache: dict = {}
-
-    def exact_kernel(vec: ColumnVector, membership) \
-            -> Optional[ColumnVector]:
-        domain = (vec.dictionary if vec.dictionary is not None
-                  else str(vec.values.dtype))
-        if domain not in cache:
-            cache[domain] = _probe_array(vec, membership)
-        probe = cache[domain]
-        if probe is None:
-            return None
-        found = (np.isin(vec.values, probe) if len(probe)
-                 else np.zeros(len(vec.values), dtype=np.bool_))
-        if vec.mask is not None:
-            # a NULL key behaves like ``None in membership``
-            found = np.where(vec.mask, found, None in membership)
-        return ColumnVector(found, None)
 
     def run(batch: Batch):
-        nonlocal bound_to
-        membership = expr.membership  # bound by bind_memberships()
-        if membership is None:
+        filter_set = expr.filter_set  # bound by bind_memberships()
+        if filter_set is None:
             raise ExecutionError(
-                "membership %r was not bound before execution"
+                "filter set %r was not bound before execution"
                 % expr.param_id
             )
-        if membership is not bound_to:
-            cache.clear()
-            bound_to = membership
-        keys = [fn(batch) for fn in arg_fns]
-        lossy = isinstance(membership, BloomFilter)
-        result = None
-        if all(isinstance(k, ColumnVector) for k in keys):
-            if lossy:
-                if ARRAY_KERNELS:
-                    result = ColumnVector(membership.contains_hashes(
-                        key_hashes(keys, cache)), None)
-            elif len(keys) == 1 and \
-                    isinstance(membership, (set, frozenset)):
-                result = exact_kernel(keys[0], membership)
-        if lossy and membership.probe_stats is not None:
-            membership.probe_stats.note(result)
-        if result is not None:
-            return result
-        if len(keys) == 1:
-            return [key in membership for key in _as_list(keys[0])]
-        columns = [_as_list(column) for column in keys]
-        return [key in membership for key in zip(*columns)]
+        return filter_set.contains([fn(batch) for fn in arg_fns])
 
     return run
 

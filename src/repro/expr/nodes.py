@@ -410,14 +410,15 @@ class InList(Expr):
 
 
 class RuntimeMembership(Expr):
-    """Membership of a column tuple in a run-time-bound filter structure.
+    """Membership of a column tuple in a run-time-bound filter set.
 
     This is how a *lossy* filter set (a Bloom filter) restricts an inner
     relation: the predicate ``RuntimeMembership(param_id, cols)`` is
     planted in the inner's block and pushed to the relation owning the
-    columns. The executor binds ``membership`` to the Bloom filter (or an
-    exact set) before evaluation; the optimizer estimates its selectivity
-    from ``assumed_selectivity``, set by the filter-join costing.
+    columns. The executor binds ``filter_set`` to the execution's
+    :class:`~repro.executor.runtime.FilterSet` before evaluation; the
+    optimizer estimates its selectivity from ``assumed_selectivity``,
+    set by the filter-join costing.
     """
 
     def __init__(self, param_id: str, args: Sequence["ColumnRef"],
@@ -427,7 +428,7 @@ class RuntimeMembership(Expr):
         self.param_id = param_id
         self.args = list(args)
         self.assumed_selectivity = assumed_selectivity
-        self.membership = None  # bound by the executor
+        self.filter_set = None  # bound by the executor
 
     def columns(self) -> Set[str]:
         out: Set[str] = set()
@@ -441,18 +442,18 @@ class RuntimeMembership(Expr):
             [arg.resolve(schema) for arg in self.args],
             self.assumed_selectivity,
         )
-        resolved.membership = self.membership
+        resolved.filter_set = self.filter_set
         return resolved
 
     def eval(self, row: Sequence):
-        if self.membership is None:
+        if self.filter_set is None:
             raise ExecutionError(
-                "membership %r was not bound before execution" % self.param_id
+                "filter set %r was not bound before execution" % self.param_id
             )
         key = tuple(arg.eval(row) for arg in self.args)
         if len(key) == 1:
             key = key[0]
-        return key in self.membership
+        return key in self.filter_set
 
     def dtype(self, schema: Schema) -> DataType:
         return DataType.BOOL
@@ -463,7 +464,7 @@ class RuntimeMembership(Expr):
             [arg.rename_columns(mapping) for arg in self.args],
             self.assumed_selectivity,
         )
-        renamed.membership = self.membership
+        renamed.filter_set = self.filter_set
         return renamed
 
     def display(self) -> str:

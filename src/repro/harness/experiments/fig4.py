@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from ...executor.lowering import lower
-from ...executor.runtime import RuntimeContext, TempTable
+from ...executor.runtime import FilterSet, RuntimeContext
 from ...optimizer.config import OptimizerConfig
 from ...optimizer.planner import Planner
 from ...storage.schema import Column, DataType, Schema
@@ -36,8 +36,9 @@ def _actual_restricted_rows(db, coster, config, filter_values) -> int:
     ctx = RuntimeContext(params=config.cost_params,
                          memory_pages=config.memory_pages)
     schema = Schema([Column("did", DataType.INT)])
-    ctx.bind_filter_set(coster.param_id,
-                        TempTable([(v,) for v in filter_values], schema))
+    ctx.bind_filter_set(
+        coster.param_id,
+        FilterSet(schema, rows=[(v,) for v in filter_values]))
     operator = lower(template, ctx)
     return len(list(operator.rows()))
 

@@ -57,8 +57,8 @@ PlanFn = Callable[..., PlanNode]
 # What the restriction memo keeps per coster: ((slope, intercept),
 # ((anchor rows, cost, rows, est_components as six floats), ...)).
 # Numbers only. A template plan carries the statement's own filter-set
-# parameter id, lowering mutates its membership expressions, and a few
-# hundred kept plans showed as resident memory, so plans never go in.
+# parameter id, and a few hundred kept plans showed as resident memory,
+# so plans never go in.
 ClassNumbers = Tuple[Tuple[float, float], Tuple[tuple, ...]]
 
 

@@ -44,10 +44,7 @@ from ..ledger import CostLedger
 from ..rewrite.magic import (
     bindable_columns,
     recursive_magic_bindings,
-    restricted_stored_block,
-    restricted_stored_block_lossy,
-    restricted_view_block,
-    restricted_view_block_lossy,
+    restricted_block,
 )
 from ..storage.catalog import Catalog
 from .config import OptimizerConfig, config_fingerprint
@@ -1161,7 +1158,6 @@ class Planner:
             inner_template=inner_labeled,
             param_id=coster_param_id(coster),
             bind_pairs=[(o, v) for o, v in chosen],
-            final_method=JoinMethod.HASH,
             final_equi_pairs=final_pairs,
             residual=residual,
             materialize_production=materialize_production,
@@ -1251,51 +1247,22 @@ class Planner:
         if coster is not None:
             return coster
         param_id = "fset%d" % next(self._param_counter)
+        bound = list(bound_cols)
         locals_: List[Expr] = []
-        if rel.kind == "view":
-            domain = 1.0
-            inner_props = self.estimator.block_output_props(rel.block)
-            base_names = rel.base_schema.names()
-            block_names = rel.block.output_schema().names()
-            to_block = dict(zip(base_names, block_names))
-            for col in bound_cols:
-                domain *= max(1.0, inner_props.column(to_block[col]).distinct)
+        if rel.kind == "stored" and block is not None:
+            locals_ = local_predicates(block.predicates, rel.alias)
+        props = self.estimator.relation_props(rel)
+        domain = 1.0
+        for col in bound:
+            domain *= max(
+                1.0, props.column("%s.%s" % (rel.alias, col)).distinct)
 
-            if lossy:
-                def builder(assumed_rows, assumed_sel, rel=rel,
-                            bound=tuple(bound_cols), pid=param_id):
-                    return restricted_view_block_lossy(
-                        rel, list(bound), pid, assumed_sel)
-            else:
-                def builder(assumed_rows, assumed_sel, rel=rel,
-                            bound=tuple(bound_cols), pid=param_id):
-                    restricted = restricted_view_block(rel, list(bound), pid)
-                    restricted.filter_relation.assumed_rows = assumed_rows
-                    return restricted
-        else:  # stored relation semi-join
-            if block is not None:
-                locals_ = local_predicates(block.predicates, rel.alias)
-            stats = self.estimator.relation_props(rel)
-            domain = 1.0
-            for col in bound_cols:
-                domain *= max(
-                    1.0, stats.column("%s.%s" % (rel.alias, col)).distinct
-                )
-
-            if lossy:
-                def builder(assumed_rows, assumed_sel, rel=rel,
-                            bound=tuple(bound_cols), pid=param_id,
-                            locals_=tuple(locals_)):
-                    return restricted_stored_block_lossy(
-                        rel, list(bound), pid, list(locals_), assumed_sel)
-            else:
-                def builder(assumed_rows, assumed_sel, rel=rel,
-                            bound=tuple(bound_cols), pid=param_id,
-                            locals_=tuple(locals_)):
-                    restricted = restricted_stored_block(
-                        rel, list(bound), pid, list(locals_))
-                    restricted.filter_relation.assumed_rows = assumed_rows
-                    return restricted
+        def builder(assumed_rows, assumed_sel):
+            restricted = restricted_block(
+                rel, bound, param_id, lossy=lossy,
+                local_predicates=locals_, assumed_selectivity=assumed_sel)
+            restricted.filter_relation.assumed_rows = assumed_rows
+            return restricted
 
         fpr_fn = (self.cost_model.bloom_false_positive_rate
                   if lossy else None)

@@ -421,8 +421,7 @@ class FilterJoinNode(PlanNode):
        (``lossy`` builds a Bloom filter instead of an exact set)
     3. run ``inner_template`` — the inner restricted by the filter set
        via a :class:`FilterSetScanNode` leaf
-    4. join the production set with the restricted inner using
-       ``final_method``
+    4. hash-join the production set with the restricted inner
 
     ``bind_pairs`` maps outer columns to filter-set columns; the
     ``inner_template``'s filter-set leaf shares ``param_id``.
@@ -431,7 +430,6 @@ class FilterJoinNode(PlanNode):
     def __init__(self, outer: PlanNode, inner_template: PlanNode,
                  param_id: str,
                  bind_pairs: Sequence[Tuple[str, str]],
-                 final_method: JoinMethod,
                  final_equi_pairs: Sequence[Tuple[str, str]],
                  residual: Optional[Expr] = None,
                  materialize_production: bool = True,
@@ -442,7 +440,6 @@ class FilterJoinNode(PlanNode):
         self.inner_template = inner_template
         self.param_id = param_id
         self.bind_pairs = list(bind_pairs)
-        self.final_method = final_method
         self.final_equi_pairs = list(final_equi_pairs)
         self.residual = residual
         self.materialize_production = materialize_production
@@ -462,7 +459,7 @@ class FilterJoinNode(PlanNode):
     def label(self) -> str:
         pairs = ", ".join("%s->%s" % pair for pair in self.bind_pairs)
         kind = "BloomFilterJoin" if self.lossy else "FilterJoin"
-        return "%s(%s) final=%s" % (kind, pairs, self.final_method.value)
+        return "%s(%s) final=hash" % (kind, pairs)
 
 
 class FixpointNode(PlanNode):

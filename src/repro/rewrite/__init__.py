@@ -5,10 +5,7 @@ from .magic import (
     RestrictedInner,
     bindable_columns,
     magic_rewrite,
-    restricted_stored_block,
-    restricted_stored_block_lossy,
-    restricted_view_block,
-    restricted_view_block_lossy,
+    restricted_block,
 )
 
 __all__ = [
@@ -16,8 +13,5 @@ __all__ = [
     "RestrictedInner",
     "bindable_columns",
     "magic_rewrite",
-    "restricted_stored_block",
-    "restricted_stored_block_lossy",
-    "restricted_view_block",
-    "restricted_view_block_lossy",
+    "restricted_block",
 ]

@@ -2,10 +2,10 @@
 
 Two consumers share this module:
 
-- The optimizer, which uses :func:`restricted_view_block` /
-  :func:`restricted_stored_block` to build the *restricted inner* of a
-  Filter Join: the inner's definition with the filter set injected as an
-  extra relation (exactly Figure 2's ``RestrictedDepAvgSal``).
+- The optimizer, which uses :func:`restricted_block` to build the
+  *restricted inner* of a Filter Join: the inner's definition with the
+  filter set injected as an extra relation (exactly Figure 2's
+  ``RestrictedDepAvgSal``) or, lossily, as a Bloom-filter probe.
 - The textual rewriter :func:`magic_rewrite`, which, given a SIPS choice
   (production aliases + bound columns), emits the full Figure-2 shape —
   PartialResult / Filter / RestrictedView / final query — as query blocks
@@ -15,7 +15,7 @@ Two consumers share this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.block import QueryBlock, SelectItem
@@ -101,185 +101,78 @@ def _fresh_filter_alias(relations) -> str:
     return alias
 
 
-def restricted_view_block(view: VirtualRelation,
-                          bound_output_cols: Sequence[str],
-                          param_id: str) -> RestrictedInner:
-    """The view's block with the filter set joined in (magic rewriting).
+def _bindable_body_columns(view: VirtualRelation) -> Dict[str, str]:
+    """The view's bindable columns, by the names callers see (after any
+    view column aliases), mapped to the body columns they expose."""
+    bindable = bindable_columns(view.block)
+    names = zip(view.base_schema.names(), view.block.output_schema().names())
+    return {base: bindable[inner] for base, inner in names
+            if inner in bindable}
 
-    ``bound_output_cols`` are names in the view's *base schema* (i.e. the
-    names callers see, after any view column aliases). The result block
-    produces the same output schema as the original view block.
+
+def restricted_block(rel: RelationRef, bound_cols: Sequence[str],
+                     param_id: str, *, lossy: bool,
+                     local_predicates: Sequence[Expr] = (),
+                     assumed_selectivity: float = 1.0) -> RestrictedInner:
+    """``rel`` restricted by the filter set ``param_id`` on
+    ``bound_cols`` — magic rewriting of a view, the (local or remote)
+    semi-join of a stored relation, and the Bloom-filter form of either.
+
+    The kind of ``rel`` decides only where the inner body comes from: a
+    view's own block, restricted on the body columns its bound output
+    columns expose, or the stored relation with ``local_predicates``
+    applied and its full (unqualified) row as output. ``lossy`` decides
+    only how the restriction enters that body: exactly, the filter set
+    joins in as one more relation (Figure 2's ``RestrictedDepAvgSal``);
+    lossily, a :class:`RuntimeMembership` tests a Bloom filter whose
+    false positives the Filter Join's final join discards (Section
+    3.2's "lossy fashion"). Either way the result has the output schema
+    of the unrestricted inner.
     """
-    block = view.block
-    # Translate through view column aliases to the block's own output names.
-    base_names = view.base_schema.names()
-    block_names = block.output_schema().names()
-    to_block_name = dict(zip(base_names, block_names))
-    bindable = bindable_columns(block)
-
-    filter_alias = _fresh_filter_alias(block.relations)
-    filter_columns: List[Column] = []
-    predicates: List[Expr] = []
-    bound: List[str] = []
-    output_schema = view.base_schema
-    for name in bound_output_cols:
-        block_name = to_block_name.get(name)
-        if block_name is None or block_name not in bindable:
-            raise PlanError(
-                "column %r of view %s is not bindable" % (name, view.view_name)
-            )
-        body_col = bindable[block_name]
-        filter_col_name = name
-        filter_columns.append(
-            Column(filter_col_name, output_schema.column(name).dtype)
+    if not bound_cols:
+        raise PlanError("a filter set needs at least one bound column")
+    if rel.kind == "view":
+        body = rel.block
+        exposed = _bindable_body_columns(rel)
+        for name in bound_cols:
+            if name not in exposed:
+                raise PlanError("column %r of view %s is not bindable"
+                                % (name, rel.view_name))
+        body_cols = [ColumnRef(exposed[name]) for name in bound_cols]
+    else:
+        body = QueryBlock(
+            relations=[StoredRelation(rel.alias, rel.table, site=rel.site)],
+            predicates=list(local_predicates),
+            select_items=[
+                SelectItem(ColumnRef("%s.%s" % (rel.alias, col.name)),
+                           alias=col.name)
+                for col in rel.base_schema.columns
+            ],
         )
-        predicates.append(Comparison(
-            "=",
-            ColumnRef("%s.%s" % (filter_alias, filter_col_name)),
-            ColumnRef(body_col),
-        ))
-        bound.append(name)
-    if not filter_columns:
-        raise PlanError("no bindable columns for view %s" % view.view_name)
-
-    filter_schema = Schema(filter_columns)
-    filter_rel = FilterSetRelation(filter_alias, filter_schema, param_id)
-    new_block = QueryBlock(
-        relations=[filter_rel] + list(block.relations),
-        predicates=predicates + list(block.predicates),
-        select_items=list(block.select_items),
-        group_by=list(block.group_by),
-        aggregates=list(block.aggregates),
-        having=block.having,
-        distinct=block.distinct,
-        order_by=[],
-        limit=block.limit,
-    )
-    return RestrictedInner(new_block, filter_rel, filter_schema, bound)
-
-
-def restricted_stored_block(relation: StoredRelation,
-                            bound_columns: Sequence[str],
-                            param_id: str,
-                            local_predicates: Sequence[Expr] = ()) -> RestrictedInner:
-    """A stored relation restricted by a filter set (local/remote
-    semi-join). ``bound_columns`` are unqualified column names of the
-    table; the block's output is the full (unqualified) row.
-    """
-    if not bound_columns:
-        raise PlanError("semi-join needs at least one bound column")
-    schema = relation.base_schema
-    filter_columns = [
-        Column(name, schema.column(name).dtype) for name in bound_columns
-    ]
-    filter_schema = Schema(filter_columns)
-    filter_alias = _fresh_filter_alias([relation])
-    filter_rel = FilterSetRelation(filter_alias, filter_schema, param_id)
-    inner_copy = StoredRelation(relation.alias, relation.table,
-                                site=relation.site)
-    predicates: List[Expr] = [
-        Comparison(
-            "=",
-            ColumnRef("%s.%s" % (filter_alias, name)),
-            ColumnRef("%s.%s" % (relation.alias, name)),
-        )
-        for name in bound_columns
-    ]
-    predicates.extend(local_predicates)
-    select_items = [
-        SelectItem(ColumnRef("%s.%s" % (relation.alias, col.name)),
-                   alias=col.name)
-        for col in schema.columns
-    ]
-    block = QueryBlock(
-        relations=[filter_rel, inner_copy],
-        predicates=predicates,
-        select_items=select_items,
-    )
-    return RestrictedInner(block, filter_rel, filter_schema,
-                           list(bound_columns))
-
-
-def restricted_view_block_lossy(view: VirtualRelation,
-                                bound_output_cols: Sequence[str],
-                                param_id: str,
-                                assumed_selectivity: float = 1.0) -> RestrictedInner:
-    """The lossy variant: restrict the view body with a run-time Bloom
-    filter instead of joining an exact filter set.
-
-    Lossiness is safe here because a Bloom filter only admits a superset
-    of the true filter values; the Filter Join's final join discards the
-    false positives (Section 3.2's "lossy fashion").
-    """
-    block = view.block
-    base_names = view.base_schema.names()
-    block_names = block.output_schema().names()
-    to_block_name = dict(zip(base_names, block_names))
-    bindable = bindable_columns(block)
-    body_cols: List[ColumnRef] = []
-    bound: List[str] = []
-    for name in bound_output_cols:
-        block_name = to_block_name.get(name)
-        if block_name is None or block_name not in bindable:
-            raise PlanError(
-                "column %r of view %s is not bindable" % (name, view.view_name)
-            )
-        body_cols.append(ColumnRef(bindable[block_name]))
-        bound.append(name)
-    if not body_cols:
-        raise PlanError("no bindable columns for view %s" % view.view_name)
-    membership = RuntimeMembership(param_id, body_cols, assumed_selectivity)
+        body_cols = [ColumnRef("%s.%s" % (rel.alias, name))
+                     for name in bound_cols]
     filter_schema = Schema(
-        Column(name, view.base_schema.column(name).dtype) for name in bound
+        Column(name, rel.base_schema.column(name).dtype)
+        for name in bound_cols
     )
-    filter_rel = FilterSetRelation(_FILTER_ALIAS, filter_schema, param_id)
-    new_block = QueryBlock(
-        relations=list(block.relations),
-        predicates=[membership] + list(block.predicates),
-        select_items=list(block.select_items),
-        group_by=list(block.group_by),
-        aggregates=list(block.aggregates),
-        having=block.having,
-        distinct=block.distinct,
-        order_by=[],
-        limit=block.limit,
-    )
-    return RestrictedInner(new_block, filter_rel, filter_schema, bound)
-
-
-def restricted_stored_block_lossy(relation: StoredRelation,
-                                  bound_columns: Sequence[str],
-                                  param_id: str,
-                                  local_predicates: Sequence[Expr] = (),
-                                  assumed_selectivity: float = 1.0) -> RestrictedInner:
-    """A stored relation restricted by a Bloom filter on the given
-    columns (the "Bloom Filter" cell of Figure 6)."""
-    if not bound_columns:
-        raise PlanError("lossy semi-join needs at least one bound column")
-    schema = relation.base_schema
-    membership = RuntimeMembership(
-        param_id,
-        [ColumnRef("%s.%s" % (relation.alias, name)) for name in bound_columns],
-        assumed_selectivity,
-    )
-    filter_schema = Schema(
-        Column(name, schema.column(name).dtype) for name in bound_columns
-    )
-    filter_rel = FilterSetRelation(_FILTER_ALIAS, filter_schema, param_id)
-    inner_copy = StoredRelation(relation.alias, relation.table,
-                                site=relation.site)
-    select_items = [
-        SelectItem(ColumnRef("%s.%s" % (relation.alias, col.name)),
-                   alias=col.name)
-        for col in schema.columns
-    ]
-    block = QueryBlock(
-        relations=[inner_copy],
-        predicates=[membership] + list(local_predicates),
-        select_items=select_items,
-    )
+    filter_rel = FilterSetRelation(_fresh_filter_alias(body.relations),
+                                   filter_schema, param_id)
+    if lossy:
+        relations = list(body.relations)
+        restriction: List[Expr] = [
+            RuntimeMembership(param_id, body_cols, assumed_selectivity)]
+    else:
+        relations = [filter_rel] + list(body.relations)
+        restriction = [
+            Comparison("=", ColumnRef("%s.%s" % (filter_rel.alias, name)),
+                       body_col)
+            for name, body_col in zip(bound_cols, body_cols)
+        ]
+    block = replace(body, relations=relations,
+                    predicates=restriction + list(body.predicates),
+                    order_by=[])
     return RestrictedInner(block, filter_rel, filter_schema,
-                           list(bound_columns))
+                           list(bound_cols))
 
 
 # --------------------------------------------------------------- Figure 2
@@ -362,13 +255,9 @@ def magic_rewrite(block: QueryBlock, view_alias: str,
                 (sorted(production_cols)[0],
                  sorted(view_cols)[0].split(".", 1)[1])
             )
-    bindable = bindable_columns(view.block)
-    base_names = view.base_schema.names()
-    block_names = view.block.output_schema().names()
-    to_block_name = dict(zip(base_names, block_names))
+    exposed = _bindable_body_columns(view)
     candidates = [
-        (prod, vcol) for prod, vcol in candidates
-        if to_block_name.get(vcol) in bindable
+        (prod, vcol) for prod, vcol in candidates if vcol in exposed
     ]
     if bound_columns is not None:
         chosen = [c for c in candidates if c[1] in set(bound_columns)]
@@ -417,8 +306,8 @@ def magic_rewrite(block: QueryBlock, view_alias: str,
     )
 
     # RestrictedView: the view body joined with the filter set.
-    restricted = restricted_view_block(
-        view, [vcol for _, vcol in chosen], param_id="magic"
+    restricted = restricted_block(
+        view, [vcol for _, vcol in chosen], "magic", lossy=False
     )
     f_rel = VirtualRelation("F", "FilterSet", filter_block)
     restricted_relations = [f_rel] + [
@@ -446,7 +335,7 @@ def magic_rewrite(block: QueryBlock, view_alias: str,
         if r.alias != view_alias and r.alias not in production_set
     ]
     rv_rel = VirtualRelation(view_alias, "RestrictedView", restricted_view,
-                             column_aliases=base_names)
+                             column_aliases=view.base_schema.names())
     pr_rename = {name: "P.%s" % name.replace(".", "_") for name in needed}
     final_preds = []
     for pred in block.predicates:

@@ -18,10 +18,12 @@ from repro.bloom.filter import (
     hash_int64,
     stable_hash,
 )
-from repro.executor import vectorize
+from repro.executor import runtime
+from repro.executor.runtime import FilterSet
 from repro.executor.vectorize import Batch, compile_expr
 from repro.expr.nodes import ColumnRef, RuntimeMembership
 from repro.storage import columnar
+from repro.storage.schema import DataType, Schema
 
 
 class TestBloomBasics:
@@ -141,14 +143,22 @@ class TestContainsMany:
         assert array.items_added == scalar.items_added
 
 
-def _membership_flags(membership, columns):
-    """The compiled membership probe over typed columns — the path the
-    batch path runs — as a list of bools."""
+def _key_schema(width):
+    return Schema.of(*[("c%d" % j, DataType.INT) for j in range(width)])
+
+
+def _membership_flags(members, num_bits, columns):
+    """The compiled membership probe of a lossy FilterSet over
+    ``members``, run over typed columns — the path the batch path
+    runs — as a list of bools."""
     args = [ColumnRef("c%d" % j) for j in range(len(columns))]
     for j, arg in enumerate(args):
         arg.position = j
     expr = RuntimeMembership("f", args)
-    expr.membership = membership
+    expr.filter_set = FilterSet(
+        _key_schema(len(columns)),
+        rows=[m if isinstance(m, tuple) else (m,) for m in members],
+        bloom_bits=num_bits)
     vectors = [columnar.encode_exact(column) for column in columns]
     assert all(isinstance(v, columnar.ColumnVector) for v in vectors)
     result = compile_expr(expr)(Batch(vectors, len(columns[0])))
@@ -170,15 +180,16 @@ class TestMembershipKernel:
         xs = _seeded_int64(5, 3000)
         column = [None if i % 7 == 0 else x for i, x in enumerate(xs)]
         bloom = _filter_over(xs[:300])
-        assert _membership_flags(bloom, [column]) \
+        assert _membership_flags(xs[:300], 4096, [column]) \
             == _scalar_flags(bloom, [column])
 
     def test_dictionary_coded_strings(self):
         rng = random.Random(6)
         names = ["name-%d" % rng.randrange(400) for _ in range(3000)]
         column = [None if i % 11 == 0 else n for i, n in enumerate(names)]
-        bloom = _filter_over(sorted(set(names))[:60], 1024)
-        assert _membership_flags(bloom, [column]) \
+        members = sorted(set(names))[:60]
+        bloom = _filter_over(members, 1024)
+        assert _membership_flags(members, 1024, [column]) \
             == _scalar_flags(bloom, [column])
 
     def test_floats_and_bools(self):
@@ -186,9 +197,10 @@ class TestMembershipKernel:
         floats = [rng.choice([0.0, -0.0, 1.5, 2.0, -3.25, 1e300, None])
                   for _ in range(500)]
         bools = [rng.choice([True, False, None]) for _ in range(500)]
-        bloom = _filter_over([1.5, 2, True, -3.25], 256)
+        members = [1.5, 2, True, -3.25]
+        bloom = _filter_over(members, 256)
         for column in (floats, bools):
-            assert _membership_flags(bloom, [column]) \
+            assert _membership_flags(members, 256, [column]) \
                 == _scalar_flags(bloom, [column])
 
     def test_composite_keys(self):
@@ -200,15 +212,15 @@ class TestMembershipKernel:
         members = [(i, s) for i, s in zip(ints[:150], strs[:150])
                    if i is not None and s is not None]
         bloom = _filter_over(members, 2048)
-        assert _membership_flags(bloom, [ints, strs]) \
+        assert _membership_flags(members, 2048, [ints, strs]) \
             == _scalar_flags(bloom, [ints, strs])
 
     def test_exact_set_probe_array_is_built_once_per_binding(
             self, monkeypatch):
         built = []
-        real = vectorize._probe_array
+        real = runtime.probe_array
         monkeypatch.setattr(
-            vectorize, "_probe_array",
+            runtime, "probe_array",
             lambda vec, cands: built.append(1) or real(vec, cands))
         arg = ColumnRef("c0")
         arg.position = 0
@@ -216,11 +228,12 @@ class TestMembershipKernel:
         probe = compile_expr(expr)
         vector = columnar.encode_exact(list(range(50)))
         for membership in ({1, 2, 3}, {4, 5}):
-            expr.membership = membership
+            expr.filter_set = FilterSet(
+                _key_schema(1), rows=[(v,) for v in sorted(membership)])
             for _ in range(5):
                 flags = probe(Batch([vector], 50)).tolist()
                 assert flags == [v in membership for v in range(50)]
-        assert len(built) == 2  # once per bound membership, not per batch
+        assert len(built) == 2  # once per bound filter set, not per batch
 
 
 _SEED_PROBE = """

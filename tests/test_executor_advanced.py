@@ -3,6 +3,7 @@ spill charging, function joins — exercised directly on operators."""
 
 import pytest
 
+from repro import ResourceExhausted
 from repro.executor.operators import (
     FilterJoinOp,
     FunctionJoinOp,
@@ -12,7 +13,7 @@ from repro.executor.operators import (
     SortOp,
     ValuesOp,
 )
-from repro.executor.runtime import RuntimeContext, TempTable
+from repro.executor.runtime import RuntimeContext
 from repro.executor.vectorize import batches_from_rows
 from repro.storage.schema import DataType, Schema
 from repro.udf import FunctionRelation
@@ -36,9 +37,9 @@ class _FilterSetEcho(Operator):
 
     def batches(self):
         self.run_count += 1
-        temp = self.ctx.filter_set(self.param_id)
+        filter_set = self.ctx.filter_set(self.param_id)
         return batches_from_rows(
-            ((key, key * 10) for (key,) in temp.rows), len(KW))
+            ((key, key * 10) for (key,) in filter_set.rows), len(KW))
 
 
 class TestFilterJoinOp:
@@ -113,10 +114,11 @@ class TestFilterJoinOp:
             """Emits every candidate key that passes the membership."""
 
             def batches(self):
-                membership = self.ctx.membership("p")
+                filter_set = self.ctx.filter_set("p")
+                assert filter_set.lossy
                 return batches_from_rows(
                     ((key, key * 10) for key in range(10)
-                     if key in membership), len(KW))
+                     if key in filter_set), len(KW))
 
         op = FilterJoinOp(
             context, outer, MembershipEcho(context, KW), "p", [0], K,
@@ -237,6 +239,27 @@ class TestFunctionJoinOp:
                             self.schema_for(fn))
         assert list(op.rows()) == []
         assert fn.call_log == []
+
+    def test_filter_mode_skips_null_args_and_accounts_its_memory(self):
+        rows = [(None, 0)] + [(i % 5, i) for i in range(100)]
+        context = ctx()
+        fn = self.make_fn()
+        op = FunctionJoinOp(context, ValuesOp(context, rows, KV), fn, [0],
+                            "filter", None, self.schema_for(fn))
+        assert len(list(op.rows())) == 100
+        assert fn.call_log == [(0,), (1,), (2,), (3,), (4,)]
+        # production set + distinct arguments + function results
+        assert context.mem_peak_bytes == (
+            101 * KV.row_width() + 5 * K.row_width()
+            + 5 * fn.base_schema.row_width())
+        assert context.mem_held_bytes == 0
+
+        tight = RuntimeContext(memory_budget_bytes=50 * KV.row_width())
+        op = FunctionJoinOp(tight, ValuesOp(tight, rows, KV), self.make_fn(),
+                            [0], "filter", None, self.schema_for(fn))
+        with pytest.raises(ResourceExhausted):
+            list(op.rows())
+        assert tight.mem_held_bytes == 0
 
 
 class TestOptimizedNestedIteration:

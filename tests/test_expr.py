@@ -155,7 +155,7 @@ class TestTransforms:
 class TestRuntimeMembership:
     def test_eval_against_set(self):
         expr = RuntimeMembership("p", [ColumnRef("a")]).resolve(SCHEMA)
-        expr.membership = {1, 2}
+        expr.filter_set = {1, 2}
         assert expr.eval((1, 0, "")) is True
         assert expr.eval((9, 0, "")) is False
 
@@ -163,7 +163,7 @@ class TestRuntimeMembership:
         expr = RuntimeMembership(
             "p", [ColumnRef("a"), ColumnRef("b")]
         ).resolve(SCHEMA)
-        expr.membership = {(1, 2)}
+        expr.filter_set = {(1, 2)}
         assert expr.eval((1, 2, "")) is True
         assert expr.eval((2, 1, "")) is False
 

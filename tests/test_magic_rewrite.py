@@ -10,10 +10,7 @@ from repro.optimizer.planner import Planner
 from repro.rewrite.magic import (
     bindable_columns,
     magic_rewrite,
-    restricted_stored_block,
-    restricted_stored_block_lossy,
-    restricted_view_block,
-    restricted_view_block_lossy,
+    restricted_block,
 )
 from repro.workloads import MOTIVATING_QUERY
 
@@ -51,7 +48,7 @@ class TestBindableColumns:
 class TestRestrictedViewBlock:
     def test_adds_filter_relation_and_predicate(self, block):
         view = block.relation("V")
-        restricted = restricted_view_block(view, ["did"], "p1")
+        restricted = restricted_block(view, ["did"], "p1", lossy=False)
         kinds = [r.kind for r in restricted.block.relations]
         assert kinds[0] == "filterset"
         assert any("_F.did = E.did" in p.display()
@@ -59,18 +56,19 @@ class TestRestrictedViewBlock:
 
     def test_same_output_schema(self, block):
         view = block.relation("V")
-        restricted = restricted_view_block(view, ["did"], "p1")
+        restricted = restricted_block(view, ["did"], "p1", lossy=False)
         assert restricted.block.output_schema().names() == \
             view.block.output_schema().names()
 
     def test_unbindable_column_rejected(self, block):
         view = block.relation("V")
         with pytest.raises(PlanError):
-            restricted_view_block(view, ["avgsal"], "p1")
+            restricted_block(view, ["avgsal"], "p1", lossy=False)
 
     def test_lossy_uses_membership_predicate(self, block):
         view = block.relation("V")
-        restricted = restricted_view_block_lossy(view, ["did"], "p1", 0.3)
+        restricted = restricted_block(view, ["did"], "p1", lossy=True,
+                                      assumed_selectivity=0.3)
         membership = [p for p in restricted.block.predicates
                       if isinstance(p, RuntimeMembership)]
         assert len(membership) == 1
@@ -82,7 +80,7 @@ class TestRestrictedViewBlock:
 class TestRestrictedStoredBlock:
     def test_semi_join_block_shape(self, block):
         dept = block.relation("D")
-        restricted = restricted_stored_block(dept, ["did"], "p2")
+        restricted = restricted_block(dept, ["did"], "p2", lossy=False)
         assert [r.kind for r in restricted.block.relations] == [
             "filterset", "stored",
         ]
@@ -93,19 +91,20 @@ class TestRestrictedStoredBlock:
         dept = block.relation("D")
         extra = [p for p in block.predicates
                  if p.display() == "D.budget > 100000"]
-        restricted = restricted_stored_block(dept, ["did"], "p2", extra)
+        restricted = restricted_block(dept, ["did"], "p2", lossy=False,
+                                      local_predicates=extra)
         assert any("budget" in p.display()
                    for p in restricted.block.predicates)
 
     def test_lossy_stored(self, block):
         dept = block.relation("D")
-        restricted = restricted_stored_block_lossy(dept, ["did"], "p3")
+        restricted = restricted_block(dept, ["did"], "p3", lossy=True)
         assert isinstance(restricted.block.predicates[0], RuntimeMembership)
 
     def test_empty_bound_columns_rejected(self, block):
         dept = block.relation("D")
         with pytest.raises(PlanError):
-            restricted_stored_block(dept, [], "p")
+            restricted_block(dept, [], "p", lossy=False)
 
 
 class TestMagicRewrite:

@@ -1,15 +1,19 @@
 """Unit tests for individual executor operators."""
 
 import dataclasses
+import importlib
+import inspect
 import types
 
-from repro import Options
-from repro.bloom import BloomFilter
+import pytest
+
+from repro import Options, ResourceExhausted
 from repro.executor import lowering  # noqa: F401 - defines SpanOperator
 from repro.executor.operators import (
     AggregateOp,
     BlockNLJoinOp,
     DistinctOp,
+    FilterJoinOp,
     FilterOp,
     FilterSetScanOp,
     HashJoinOp,
@@ -25,12 +29,13 @@ from repro.executor.operators import (
     SortOp,
     ValuesOp,
 )
-from repro.executor.runtime import RuntimeContext, TempTable
-from repro.storage.columnar import ColumnStore
+from repro.executor.runtime import FilterSet, RuntimeContext
+from repro.storage.columnar import encode_exact
 from repro.expr.aggregates import AggregateSpec
 from repro.expr.nodes import ColumnRef, Comparison, Literal, RuntimeMembership
 from repro.storage.schema import DataType, Schema
-from repro.storage.table import Table
+from repro.optimizer.plans import FilterJoinNode
+from repro.storage.table import Table, pages_for
 
 from tests.test_plan_golden import check_golden, exec_entry
 
@@ -79,9 +84,8 @@ class TestOneProtocol:
         entries = []
 
         context = ctx()
-        keys = [(k,) for k in range(0, 1500, 7)]
-        context.bind_filter_set("f", TempTable(
-            keys, key, store=ColumnStore.build(key, keys)))
+        context.bind_filter_set("f", FilterSet(
+            key, columns=[encode_exact(list(range(0, 1500, 7)))]))
         join = IndexNLJoinOp(
             context, FilterSetScanOp(context, "f", key),
             self.indexed_table(), AB, "a", 0, None, key.concat(AB))
@@ -117,6 +121,131 @@ class TestOneProtocol:
             (0, 1500, 0, 1500), (0, 3000, 0, 0)]
         assert context.mem_peak_bytes > 0
         assert context.mem_held_bytes == 0
+
+    def filter_join(self, context, lossy, production=400):
+        """T restricted to the production set's keys: exactly through a
+        filter-set scan driving the index, lossily through a Bloom probe
+        on the scan."""
+        key = Schema.of(("k", DataType.INT))
+        outer = values(context, [(k % 40, k) for k in range(production)], CD)
+        if lossy:
+            template = SeqScanOp(
+                context, self.indexed_table(), AB,
+                RuntimeMembership("p", [ColumnRef("a")]).resolve(AB))
+            inner_key = 0
+        else:
+            template = IndexNLJoinOp(
+                context, FilterSetScanOp(context, "p", key),
+                self.indexed_table(), AB, "a", 0, None, key.concat(AB))
+            inner_key = 1
+        return FilterJoinOp(
+            context, outer, template, "p", [0], key, [0], [inner_key], None,
+            CD.concat(template.schema), lossy=lossy, bloom_bits=4096)
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_filter_join_releases_memory(self, lossy):
+        context = ctx()
+        assert len(self.filter_join(context, lossy).to_list()) == 800
+        assert context.mem_peak_bytes > 0
+        assert context.mem_held_bytes == 0
+        # ...also when a limit closes it before the last batch
+        assert len(LimitOp(context, self.filter_join(context, lossy),
+                           3).to_list()) == 3
+        assert context.mem_held_bytes == 0
+
+    def test_filter_join_rerun_as_template_fits_its_budget(self):
+        """A Filter Join re-executed per binding holds one execution's
+        working set, not the sum of all of them."""
+        context = ctx()
+        self.filter_join(context, lossy=False).to_list()
+        one_run = context.mem_peak_bytes
+
+        context = RuntimeContext(memory_pages=8,
+                                 memory_budget_bytes=2 * one_run)
+        binding = Schema.of(("x", DataType.INT))
+        template = self.filter_join(context, lossy=False)
+        nested = NestedIterationOp(
+            context, values(context, [(x,) for x in range(10)], binding),
+            template, "q", [0], binding, None,
+            binding.concat(template.schema))
+        assert len(nested.to_list()) == 10 * 800
+        assert context.mem_peak_bytes <= 2 * one_run
+        assert context.mem_held_bytes == 0
+
+        tight = RuntimeContext(memory_pages=8,
+                               memory_budget_bytes=one_run // 2)
+        with pytest.raises(ResourceExhausted):
+            self.filter_join(tight, lossy=False).to_list()
+        assert tight.mem_held_bytes == 0
+
+
+class TestOneFilterSet:
+    """One restricted-block builder, one run-time filter-set value, one
+    registry — the old spellings are gone, not aliased."""
+
+    def test_old_names_are_gone(self):
+        rewrite = importlib.import_module("repro.rewrite")
+        assert [name for name in rewrite.__all__
+                if name.startswith("restricted")] == ["restricted_block"]
+        for old in ("restricted_view_block", "restricted_stored_block",
+                    "restricted_view_block_lossy",
+                    "restricted_stored_block_lossy"):
+            assert not hasattr(rewrite, old)
+            assert not hasattr(rewrite.magic, old)
+        with pytest.raises(ImportError):
+            from repro.rewrite import restricted_view_block  # noqa: F401
+
+        executor = importlib.import_module("repro.executor")
+        assert "TempTable" not in executor.__all__
+        assert "FilterSet" in executor.__all__
+        with pytest.raises(ImportError):
+            from repro.executor.runtime import TempTable  # noqa: F401
+        context = ctx()
+        for old in ("memberships", "bind_membership", "membership"):
+            with pytest.raises(AttributeError):
+                getattr(context, old)
+        assert "final_method" not in inspect.signature(
+            FilterJoinNode).parameters
+        assert len(dataclasses.fields(Options)) == 11
+
+    def test_typed_filter_set_derives_its_views_lazily(self):
+        key = Schema.of(("k", DataType.INT))
+        filter_set = FilterSet.distinct(
+            key, [encode_exact([3, 1, None, 3, 2])], bloom_bits=1024)
+        assert filter_set.size == 3
+        assert filter_set.num_pages == pages_for(3, key.row_width())
+        assert [row for batch in filter_set.scan()
+                for row in batch.rows()] == [(1,), (2,), (3,)]
+        assert filter_set._rows is None
+        assert filter_set._keys is None
+        assert filter_set._bloom is None
+        # the first probe builds the bitmap, and only the bitmap
+        assert 2 in filter_set
+        assert filter_set._bloom is not None
+        assert filter_set._keys is None
+
+    def test_per_element_consumers_get_exact_python_objects(self):
+        key = Schema.of(("c", DataType.INT))
+        context = ctx()
+        filter_set = FilterSet.distinct(
+            key, [encode_exact([7, 7, 14, None])])
+        context.bind_filter_set("f", filter_set)
+        join = IndexNLJoinOp(
+            context, FilterSetScanOp(context, "f", key),
+            TestOneProtocol().indexed_table(), AB, "a", 0, None,
+            key.concat(AB))
+        rows = join.to_list()
+        assert sorted(rows) == [(7, 7, 7), (7, 7, 1507),
+                                (14, 14, 14), (14, 14, 1514)]
+        assert all(type(value) is int for row in rows for value in row)
+
+        probe = RuntimeMembership("f", [ColumnRef("a")]).resolve(AB)
+        probe.filter_set = filter_set
+        assert probe.eval((14, 0)) is True
+        assert probe.eval((15, 0)) is False
+        assert probe.eval((None, 0)) is False
+        assert filter_set.rows == [(7,), (14,)]
+        assert all(type(k) is int for k in filter_set.keys)
 
 
 class TestScans:
@@ -156,8 +285,8 @@ class TestScans:
 
     def test_filter_set_scan(self):
         context = ctx()
-        temp = TempTable([(1,), (2,)], Schema.of(("k", DataType.INT)))
-        context.bind_filter_set("p1", temp)
+        context.bind_filter_set("p1", FilterSet(
+            Schema.of(("k", DataType.INT)), rows=[(1,), (2,)]))
         op = FilterSetScanOp(context, "p1",
                              Schema.of(("k", DataType.INT)))
         assert op.to_list() == [(1,), (2,)]
@@ -173,7 +302,8 @@ class TestUnaryOps:
 
     def test_filter_runtime_membership(self):
         context = ctx()
-        context.bind_membership("m", {1, 5})
+        context.bind_filter_set("m", FilterSet(
+            Schema.of(("k", DataType.INT)), rows=[(1,), (5,)]))
         pred = RuntimeMembership("m", [ColumnRef("a")]).resolve(AB)
         op = FilterOp(context, values(context, [(1, 0), (2, 0), (5, 0)]),
                       pred)
@@ -181,9 +311,8 @@ class TestUnaryOps:
 
     def test_filter_bloom_membership(self):
         context = ctx()
-        bloom = BloomFilter(1024, expected_items=2)
-        bloom.add(7)
-        context.bind_membership("m", bloom)
+        context.bind_filter_set("m", FilterSet(
+            Schema.of(("k", DataType.INT)), rows=[(7,)], bloom_bits=1024))
         pred = RuntimeMembership("m", [ColumnRef("a")]).resolve(AB)
         op = FilterOp(context, values(context, [(7, 0), (100, 0)]), pred)
         assert (7, 0) in op.to_list()

@@ -6,7 +6,7 @@ from repro import OptimizerConfig
 from repro.optimizer.parametric import ParametricInnerCoster
 from repro.optimizer.planner import Planner
 from repro.optimizer.plans import PlanNode
-from repro.rewrite.magic import RestrictedInner, restricted_view_block
+from repro.rewrite.magic import RestrictedInner
 from repro.workloads import MOTIVATING_QUERY
 
 
