@@ -87,10 +87,13 @@ class Accumulator:
             if value in self._seen:
                 return
             self._seen.add(value)
-        if self.function == "count":
-            self.count += 1
-            return
-        self.count += 1
+        self.fold(1, value)
+
+    def fold(self, count: int, value) -> None:
+        """Fold in ``count`` non-NULL values already reduced to
+        ``value`` — their sum (SUM/AVG), least (MIN) or greatest (MAX);
+        ignored by COUNT."""
+        self.count += count
         if self.function in ("sum", "avg"):
             self.total += value
         elif self.function == "min":

@@ -44,8 +44,10 @@ class Options:
     - ``trace``: record a span tree onto ``QueryResult.trace``.
     - ``timeout``: per-statement deadline in seconds
       (:class:`~repro.errors.QueryTimeout` when exceeded).
-    - ``use_cache``: serve parameterless queries from the versioned
-      plan cache.
+    - ``use_cache``: serve queries from the versioned plan cache (on by
+      default; a one-shot text is stored on its second miss).
+      ``False`` opts one call out; ``db.plan_cache.resize(0)`` turns
+      the cache off for the database.
     - ``memory_budget_bytes``: cap on operator working memory
       (:class:`~repro.errors.ResourceExhausted` when exceeded).
     - ``search_trace``: record the optimizer's full DP search (every
@@ -165,7 +167,7 @@ class Options:
 
 #: the bottom of the resolution chain: what you get with no configure()
 #: and no per-call options
-BUILTIN = Options(trace=False, use_cache=False,
+BUILTIN = Options(trace=False, use_cache=True,
                   search_trace=False, max_fixpoint_iterations=1000,
                   durability="off", isolation="snapshot",
                   adaptive=AdaptivePolicy.OFF, slow_query_seconds=0.25)

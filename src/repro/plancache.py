@@ -4,7 +4,7 @@ The paper's Filter Join search stays cheap ("without changing the
 asymptotic complexity"), but in a server that re-optimizes every
 statement even a cheap search is paid on every call. This module
 amortizes it: a prepared statement plans once and repeated executions
-skip parse/bind/optimize entirely.
+skip bind/optimize entirely, and so does a one-shot text that recurs.
 
 Keying and invalidation rules:
 
@@ -21,6 +21,11 @@ Keying and invalidation rules:
   so a stale plan can never execute.
 - Capacity is LRU-bounded; a capacity of 0 disables caching (every
   lookup misses, stores are dropped).
+- Admission: a prepared handle's plan is stored on its first miss
+  (:meth:`PlanCache.store`); an ad-hoc text only on its *second* miss
+  (:meth:`PlanCache.admit`). A bounded record of recently missed keys,
+  as large as the cache, remembers the first one, so a stream of texts
+  that never repeat keeps no plan alive.
 
 Counters (hits / misses / invalidations / evictions) are exposed through
 :meth:`PlanCache.stats` and surfaced as ``db.cache_stats()`` and the
@@ -32,25 +37,28 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .optimizer.config import OptimizerConfig, config_fingerprint
 from .optimizer.planner import PlannerMetrics
 from .optimizer.plans import PlanNode
-from .sql.lexer import tokenize
+from .sql.lexer import Token, tokenize
 
 DEFAULT_CAPACITY = 128
 
 
-def normalize_statement(text: str) -> str:
+def normalize_statement(source: Union[str, Sequence[Token]]) -> str:
     """Whitespace/comment/keyword-case–insensitive form of a statement.
 
-    Tokenizes and re-joins, so ``select 1 from t`` and ``SELECT 1  FROM t``
-    share a cache entry. Identifier case is preserved (it shapes output
-    column names); string literals are re-quoted.
+    Re-joins the statement's tokens — the parser's own token list, or
+    ``source`` lexed when it is text — so ``select 1 from t`` and
+    ``SELECT 1  FROM t`` share a cache entry. Identifier case is
+    preserved (it shapes output column names); string literals are
+    re-quoted.
     """
+    tokens = tokenize(source) if isinstance(source, str) else source
     parts: List[str] = []
-    for token in tokenize(text):
+    for token in tokens:
         if token.kind == "eof":
             break
         if token.kind == "string":
@@ -63,9 +71,10 @@ def normalize_statement(text: str) -> str:
     return " ".join(parts)
 
 
-def cache_key(text: str, config: OptimizerConfig) -> Tuple[str, str]:
+def cache_key(source: Union[str, Sequence[Token]],
+              config: OptimizerConfig) -> Tuple[str, str]:
     """The (normalized statement, config fingerprint) cache key."""
-    return normalize_statement(text), config_fingerprint(config)
+    return normalize_statement(source), config_fingerprint(config)
 
 
 @dataclass
@@ -90,6 +99,8 @@ class PlanCache:
         self._entries: "OrderedDict[Tuple[str, str], PlanCacheEntry]" = (
             OrderedDict()
         )
+        # keys missed once and not yet admitted (values unused)
+        self._missed: "OrderedDict[Tuple[str, str], None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -123,7 +134,8 @@ class PlanCache:
         """The entry for ``key`` if present *and* current, else None.
 
         An entry built under an older catalog version is discarded and
-        counted as an invalidation (plus the miss the caller sees).
+        counted as an invalidation (plus the miss the caller sees); its
+        key has proven to recur, so the re-plan is admitted at once.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -133,6 +145,7 @@ class PlanCache:
                 return None
             if entry.catalog_version != catalog_version:
                 del self._entries[key]
+                self._missed[key] = None
                 self.invalidations += 1
                 self.misses += 1
                 self._emit("invalidation")
@@ -161,6 +174,18 @@ class PlanCache:
                 self.evictions += 1
                 self._emit("eviction")
 
+    def admit(self, entry: PlanCacheEntry) -> None:
+        """Store an ad-hoc statement's plan on its key's second miss; the
+        first only records the key, in a record bounded like the cache."""
+        with self._lock:
+            if entry.key in self._missed:
+                del self._missed[entry.key]
+                self.store(entry)
+            elif self.enabled:
+                self._missed[entry.key] = None
+                if len(self._missed) > self.capacity:
+                    self._missed.popitem(last=False)
+
     def invalidate_all(self) -> int:
         """Drop every entry (counted as invalidations); returns how many."""
         with self._lock:
@@ -174,6 +199,7 @@ class PlanCache:
         """Drop all entries and reset every counter."""
         with self._lock:
             self._entries.clear()
+            self._missed.clear()
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
@@ -184,6 +210,8 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 0")
         with self._lock:
             self.capacity = capacity
+            while len(self._missed) > capacity:
+                self._missed.popitem(last=False)
             while len(self._entries) > capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

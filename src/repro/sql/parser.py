@@ -116,18 +116,21 @@ class Parser:
 
     def parse_script(self) -> List[ast.Statement]:
         """Parse a ';'-separated sequence of statements."""
-        return [statement for statement, _ in self.parse_script_spans()]
+        return [statement for statement, _, _ in self.parse_script_spans()]
 
-    def parse_script_spans(self) -> List[Tuple[ast.Statement, str]]:
+    def parse_script_spans(self) -> List[Tuple[ast.Statement, str,
+                                               List[Token]]]:
         """Parse a ';'-separated script, keeping each statement's source
-        text so callers (plan cache, error messages) can refer to one
-        statement rather than the whole script."""
+        text and token slice so callers (plan cache, error messages) can
+        refer to one statement rather than the whole script."""
         statements = []
         while self.peek().kind != "eof":
+            first = self.pos
             start = self.peek().position
             statement = self._statement()
             end = self.peek().position
-            statements.append((statement, self.text[start:end].strip()))
+            statements.append((statement, self.text[start:end].strip(),
+                               self.tokens[first:self.pos]))
             while self.accept_symbol(";"):
                 pass
         return statements

@@ -146,6 +146,24 @@ def test_udf_invocation_counts_identical():
                 == len(relation.call_log) * per_call)
 
 
+def test_udf_call_log_covers_one_execution_of_a_cached_plan():
+    """The call log lives on the plan; a cached plan run twice reports
+    the current execution's calls, not the sum of both."""
+    db = WORKLOADS["udf"][0]()
+    _key, sql = WORKLOADS["udf"][1][0]
+    handle = db.prepare(sql)
+    runs = [handle.execute() for _ in range(2)]
+    assert all(result.cached_plan for result in runs)
+    node, = find_nodes(handle.plan, FunctionJoinNode)
+    relation = node.function_relation
+    per_call = relation.cost_per_invocation * (
+        relation.locality_factor if node.mode == "filter" else 1.0)
+    assert relation.call_log
+    assert runs[0].ledger.as_dict() == runs[1].ledger.as_dict()
+    assert (runs[1].ledger.fn_invocations
+            == len(relation.call_log) * per_call)
+
+
 def test_prepared_statement_vector_engine():
     """The prepared/plan-cache path executes like the ad-hoc one."""
     db = _db("empdept")

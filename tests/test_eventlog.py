@@ -81,7 +81,7 @@ class TestDatabaseThreading:
         result = db.sql("SELECT a FROM T")
         assert result.query_id == "q1"
         chain = [e["event"] for e in db.event_log.events(query_id="q1")]
-        assert chain == ["query_start", "parse", "optimize",
+        assert chain == ["query_start", "parse", "optimize", "plan_cache",
                          "execute", "query_end"]
         order = {name: i for i, name in enumerate(QUERY_EVENT_ORDER)}
         assert chain == sorted(chain, key=order.__getitem__)
@@ -100,12 +100,14 @@ class TestDatabaseThreading:
         db.event_log.enable()
         db.sql("SELECT a FROM T")
         db.sql("SELECT a FROM T")
+        db.sql("SELECT a FROM T")
         outcomes = [e["outcome"]
                     for e in db.event_log.events(event="plan_cache")]
-        assert outcomes == ["miss", "hit"]
-        # only the miss planned from scratch, so only it optimized
+        # a one-shot text is stored on its second miss
+        assert outcomes == ["miss", "miss", "hit"]
+        # only the misses planned from scratch, so only they optimized
         optimized = db.event_log.events(event="optimize")
-        assert len(optimized) == 1
+        assert len(optimized) == 2
         assert optimized[0]["query_id"] == "q1"
 
     def test_error_event_then_end(self):

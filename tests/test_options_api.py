@@ -42,7 +42,7 @@ class TestOptions:
     def test_resolved_fills_builtins(self):
         resolved = Options().resolved()
         assert resolved.trace is False
-        assert resolved.use_cache is False
+        assert resolved.use_cache is True
         assert resolved.timeout is None  # genuinely "unlimited"
 
     def test_merged_layers_non_none_fields(self):
@@ -68,7 +68,7 @@ class TestOptions:
 
     def test_builtin_is_fully_specified_for_flags(self):
         assert BUILTIN.trace is False
-        assert BUILTIN.use_cache is False
+        assert BUILTIN.use_cache is True
 
 
 # --------------------------------------------------- configure() / session()

@@ -97,10 +97,11 @@ class TestMetaCommands:
     def test_cache_stats(self):
         output = run_shell(
             SETUP
-            + "SELECT a FROM T;\nSELECT a FROM T;\n\\cache\n"
+            + "SELECT a FROM T;\nSELECT a FROM T;\nSELECT a FROM T;\n"
+            "\\cache\n"
         )
         assert "hits" in output and "misses" in output
-        # the repeated statement hit the cache
+        # stored on its second miss, the repeated statement hit the cache
         assert "hits             1" in output
 
     def test_cache_clear_and_resize(self):

@@ -152,6 +152,7 @@ def test_cached_plan_execution_trace_invariant():
     rng = random.Random(68)
     db = make_random_db(rng)
     query = "SELECT T1.b, T2.d FROM T1, T2 WHERE T1.a = T2.a"
+    db.sql(query)  # the first miss only records the text
     warm = db.sql(query, options=Options(use_cache=True))
     traced = db.sql(query, options=Options(use_cache=True, trace=True))
     assert traced.cached_plan

@@ -320,6 +320,7 @@ class TestPlanCacheVersioning:
         db = make_db()
         baseline = sorted(db.sql(self.QUERY,
                                  options=Options(use_cache=True)).rows)
+        db.sql(self.QUERY)  # the second miss stores the plan
         hit = db.sql(self.QUERY, options=Options(use_cache=True))
         assert hit.cached_plan
         db.sql("BEGIN")
