@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import sys
+
 import pytest
 
 from repro import Database, DataType
@@ -65,3 +67,22 @@ def reference_motivating_answer(db):
         for (_eid, did, sal, age) in emp
         if age < 30 and budget[did] > 100_000 and sal > avg[did]
     )
+
+
+def python_calls(fn, *args, **kwargs):
+    """``(entered, result)``: the code object of every Python function
+    entered while ``fn(*args, **kwargs)`` ran on this thread, in call
+    order, and what it returned. Counting calls instead of timing them
+    makes an overhead claim deterministic."""
+    entered = []
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return entered, result

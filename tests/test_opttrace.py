@@ -13,8 +13,11 @@ import json
 import pytest
 
 from repro import Database, Options, OptimizerTrace, PlanError
+from repro.obs import opttrace
 from repro.obs.opttrace import DOMINATED, KEPT, ORDER_PRUNED
 from repro.workloads import MOTIVATING_QUERY, build_empdept
+
+from tests.conftest import python_calls
 
 QUERY = " ".join(MOTIVATING_QUERY.split())
 
@@ -178,6 +181,18 @@ class TestOptionsIntegration:
 
     def test_off_by_default(self, db):
         assert db.sql(QUERY).search is None
+
+    def test_untraced_planning_enters_no_search_trace_code(self, db):
+        """Without a search trace the planner runs its plain methods:
+        no function of the trace module is entered at all."""
+        entered, (plan, _planner) = python_calls(db.plan, QUERY)
+        assert "FilterJoin" in plan.explain()
+        assert len(entered) > 1000  # the hook saw the planner run
+        assert not [code.co_name for code in entered
+                    if code.co_filename == opttrace.__file__]
+        traced, _ = python_calls(db.plan, QUERY, search=OptimizerTrace())
+        assert any(code.co_filename == opttrace.__file__
+                   for code in traced)
 
     def test_search_trace_bypasses_plan_cache(self):
         db = Database()

@@ -23,6 +23,9 @@ from repro.distributed import (
     distributed_config,
 )
 from repro.executor.runtime import RuntimeContext
+from repro.workloads import MOTIVATING_QUERY, fresh_empdept
+
+from tests.conftest import SMALL_EMPDEPT, python_calls
 
 
 def make_db(rng_seed=41):
@@ -200,6 +203,40 @@ class TestDeadline:
             db.sql(QUERY, options=Options(timeout=0.5))
         assert exc_info.value.timeout == 0.5
         assert exc_info.value.elapsed > 0.5
+
+
+class TestIdlePlumbing:
+    #: Python calls of an armed run over a bare one; armed measured
+    #: 1.009x on this workload when the bound was set
+    MAX_CALL_RATIO = 1.03
+
+    def test_armed_run_without_faults_costs_almost_nothing(self):
+        """A network attached with no fault plan, a deadline and a
+        memory budget: the same rows and ledger, and almost no extra
+        Python calls (the deadline hook and the memory accounting run
+        in coarse chunks; the transport takes its fast path)."""
+        bare, armed = fresh_empdept(SMALL_EMPDEPT), fresh_empdept(
+            SMALL_EMPDEPT)
+        armed.network = SimulatedNetwork()
+        armed_options = Options(timeout=3600.0,
+                                memory_budget_bytes=1 << 30)
+
+        def runs(db, options):
+            for _ in range(3):  # lazy stats, then the plan cache admits
+                db.sql(MOTIVATING_QUERY, options=options)
+            return python_calls(lambda: [
+                db.sql(MOTIVATING_QUERY, options=options)
+                for _ in range(5)])
+
+        bare_calls, bare_results = runs(bare, None)
+        armed_calls, armed_results = runs(armed, armed_options)
+        for plain, guarded in zip(bare_results, armed_results):
+            assert guarded.rows == plain.rows
+            assert guarded.ledger.as_dict() == plain.ledger.as_dict()
+        ratio = len(armed_calls) / len(bare_calls)
+        assert ratio <= self.MAX_CALL_RATIO, (
+            "armed run made %.3fx the bare run's Python calls (%d vs %d)"
+            % (ratio, len(armed_calls), len(bare_calls)))
 
 
 # ---------------------------------------------------------- memory budget

@@ -15,6 +15,7 @@ malformed-frame tests, raw sockets) drive it. The contract under test:
 """
 
 import asyncio
+import random
 import socket
 import struct
 import threading
@@ -282,6 +283,56 @@ class TestConcurrentClients:
             assert sorted(rows) == [(100 + i, 10) for i in range(8)]
         assert _wait_until(lambda: harness.server.connections == 0)
         assert harness.server.total_connections >= 9
+
+    def test_mixed_traffic_loses_nothing(self):
+        """16 clients x 20 seeded requests: point reads, a GROUP BY, and
+        every fifth request a read-modify-write transaction on the
+        client's own row (disjoint rows, so never a conflict)."""
+        clients, requests = 16, 20
+        db = Database()
+        db.create_table("acct", [("id", DataType.INT),
+                                 ("owner", DataType.INT),
+                                 ("bal", DataType.INT)])
+        db.insert("acct", [(i, i % 10, 100) for i in range(clients + 20)])
+        db.analyze("acct")
+        harness = ServerHarness(db).start()
+        errors = []
+
+        def worker(index):
+            rng = random.Random(2026 + index)
+            try:
+                with harness.connect() as client:
+                    for step in range(requests):
+                        if step % 5 == 4:
+                            client.sql("BEGIN")
+                            client.sql("UPDATE acct SET bal = bal + 1 "
+                                       "WHERE id = %d" % index)
+                            client.sql("COMMIT")
+                        elif rng.random() < 0.2:
+                            client.sql("SELECT owner, SUM(bal) AS s "
+                                       "FROM acct GROUP BY owner")
+                        else:
+                            client.sql("SELECT bal FROM acct WHERE id = %d"
+                                       % rng.randrange(clients + 20))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(clients)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, "first client error: %r (of %d)" % (
+                errors[0], len(errors))
+            assert harness.server.total_connections >= clients
+        finally:
+            harness.stop()
+        rows = db.sql("SELECT bal FROM acct WHERE id < %d" % clients).rows
+        assert rows == [(100 + requests // 5,)] * clients
+        assert not db.txn.any_open_txn(), "a session leaked a transaction"
 
 
 class TestAdminSurface:

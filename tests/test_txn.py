@@ -27,7 +27,10 @@ from repro import (
     TransactionAborted,
     TransactionError,
 )
+from repro.txn import wal as wal_module
 from repro.txn.state import state_dict
+
+from tests.conftest import python_calls
 
 
 def make_db(**configure):
@@ -411,6 +414,23 @@ class TestDurabilityPlumbing:
         db.create_table("R", [("x", DataType.INT)])
         db.insert("R", [(1,)])
         assert wal.records() == []
+
+    def test_durability_off_write_path_never_touches_the_wal(self):
+        """With durability off a write buffers no redo record and enters
+        no function of the WAL module, implicit or explicit txn."""
+        db = make_db()
+        entered, _ = python_calls(lambda: (
+            db.insert("Emp", [("x", 1, 5)]),
+            db.sql("UPDATE Emp SET sal = sal + 1 WHERE dept = 1"),
+            db.sql("DELETE FROM Emp WHERE name = 'e0'")))
+        assert len(entered) > 100  # the hook saw the writes run
+        assert not [code.co_name for code in entered
+                    if code.co_filename == wal_module.__file__]
+        db.sql("BEGIN")
+        db.sql("INSERT INTO Emp VALUES ('y', 2, 7)")
+        txn = db.txn.current
+        assert not txn.log_redo and txn.redo == []
+        db.sql("COMMIT")
 
     def test_lazy_does_not_sync_commit_does(self):
         from repro import MemoryStorage, WriteAheadLog
