@@ -84,7 +84,7 @@ def main() -> None:
     banner("EXPLAIN ANALYZE renders the same span tree")
     print(db.explain_analyze(QUERY))
 
-    banner("Process metrics (db.metrics() / shell \\metrics)")
+    banner("Metrics (db.metrics() / shell \\metrics)")
     metrics = db.metrics()
     queries = metrics["queries_total"]
     print("queries by kind: %s" % json.dumps(queries["by_label"]))
@@ -101,8 +101,7 @@ def main() -> None:
     print(db.drift_report().render(limit=5))
     print()
     print("after re-analyze, drift falls back to steady state:")
-    db.analyze()
-    db.drift.clear()
+    db.analyze()  # retires every sample taken under the old statistics
     db.sql(QUERY)
     worst = db.drift_report().worst
     print("  worst q-error now %.2f (%s)"

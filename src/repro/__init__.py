@@ -53,7 +53,6 @@ from .errors import (
 from .ledger import CostLedger, CostParams
 from .obs import (
     AdaptivePolicy,
-    DriftRecorder,
     DriftReport,
     EventLog,
     MetricsRegistry,
@@ -62,7 +61,6 @@ from .obs import (
     QueryTrace,
     Span,
     WhyNotReport,
-    global_metrics,
 )
 from .optimizer.config import OptimizerConfig
 from .plancache import PlanCache
@@ -118,7 +116,6 @@ __all__ = [
     "CostParams",
     "DataType",
     "Database",
-    "DriftRecorder",
     "DriftReport",
     "EventLog",
     "ExecutionError",
@@ -155,6 +152,5 @@ __all__ = [
     "WriteAheadLog",
     "__version__",
     "connect",
-    "global_metrics",
     "recover",
 ]

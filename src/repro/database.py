@@ -38,9 +38,9 @@ from .executor.runtime import RuntimeContext
 from .expr.nodes import PARAMETER_TYPES
 from .ledger import CostLedger
 from .obs.adaptive import AdaptiveController
-from .obs.drift import DriftRecorder, DriftReport
+from .obs.drift import DriftReport, trace_samples
 from .obs.log import EventLog
-from .obs.metrics import MetricsRegistry, global_metrics
+from .obs.metrics import MetricsRegistry, labelled_counter
 from .obs.querylog import QueryLog, QueryLogEntry
 from .obs.opttrace import OptimizerTrace, WhyNotReport
 from .obs.render import render_explain_analyze
@@ -73,7 +73,7 @@ _TYPE_MAP = {
     "bool": DataType.BOOL,
 }
 
-#: statement class -> label for the queries_total metric
+#: statement class -> the record's kind (the queries_total label)
 _STATEMENT_KINDS = {
     "SelectStmt": "select",
     "UnionStmt": "union",
@@ -134,8 +134,8 @@ class QueryResult:
     # the optimizer's DP search trace (only when the search_trace
     # option is on); see OptimizerTrace.render() / .why_not()
     search: Optional[OptimizerTrace] = None
-    # event-log correlation id ("q1", "q2", ...) assigned while the
-    # database's event log is enabled
+    # the id ("q1", "q2", ...) of this statement's record, which the
+    # event log's chain for it shares
     query_id: Optional[str] = None
     # per-column typed arrays retained from the execution (ColumnVector
     # or plain list per column); None on an empty or DML result —
@@ -225,14 +225,11 @@ class Database:
         # budget); per-call Options layer over these — see configure()
         self.defaults = Options()
         self._resolved_defaults = (self.defaults, self.defaults.resolved())
-        # observability: per-database metrics chained to the process
-        # registry and the estimate-drift window
-        self.metrics_registry = MetricsRegistry("db",
-                                                parent=global_metrics())
-        self.drift = DriftRecorder()
-        # one record per executed statement (ring buffer + latency
-        # histograms); every other collector is fed from that record,
-        # in _observe()
+        # observability: the counters no other object owns
+        self.metrics_registry = MetricsRegistry("db")
+        # one record per executed statement (ring buffer, per-kind
+        # counts and latency histograms, drift samples); every other
+        # collector is fed from that record, in _observe()
         self.querylog = QueryLog()
         # the drift->re-analyze feedback loop; acts only when a traced
         # query ran with an enabled Options.adaptive policy
@@ -240,8 +237,7 @@ class Database:
         # structured query-lifecycle log (off until .enable() is called)
         self.event_log = EventLog()
         # cross-statement cache of optimized plans; size 0 disables it
-        self.plan_cache = PlanCache(plan_cache_size,
-                                    listener=self._plan_cache_event)
+        self.plan_cache = PlanCache(plan_cache_size)
         # cross-statement equivalence-class numbers of the parametric
         # inner costers (Section 4.2), shared by every planner
         self.restriction_memo = RestrictionMemo()
@@ -329,14 +325,20 @@ class Database:
 
     # ---------------------------------------------------------- observability
 
-    def _plan_cache_event(self, event: str, count: int) -> None:
-        self.metrics_registry.inc("plan_cache_events_total", count,
-                                  label=event)
-
     def metrics(self) -> dict:
         """A snapshot of every recorded metric, plus network counters
-        when a simulated network is installed."""
+        when a simulated network is installed. Each counter is read
+        from its one owner: the registry, the query log
+        (``queries_total`` / ``slow_queries_total``) or the plan cache
+        (``plan_cache_events_total``)."""
         data = self.metrics_registry.as_dict()
+        queries, slow = self.querylog.counts()
+        for name, values in (
+                ("plan_cache_events_total", self.plan_cache.events()),
+                ("queries_total", queries),
+                ("slow_queries_total", slow)):
+            if values:
+                data[name] = labelled_counter(values)
         if self.network is not None:
             data["network"] = self.network.stats.as_dict()
         wal = self.txn._wal  # peek: metrics must not open a WAL lazily
@@ -347,9 +349,12 @@ class Database:
         return data
 
     def drift_report(self) -> DriftReport:
-        """Estimate drift over the recent traced-query window, worst
-        operators first (see ``docs/observability.md``)."""
-        return self.drift.report()
+        """Estimate drift over the traced statements among the last
+        ``querylog.window`` records, worst operators first; a table's
+        samples stop counting once it is analyzed again (see
+        ``docs/observability.md``)."""
+        return DriftReport(self.querylog.drift_samples(),
+                           self.querylog.window)
 
     # ----------------------------------------------------------------- DDL
 
@@ -461,9 +466,15 @@ class Database:
             return self.txn.do_delete_values(table, rows)
 
     def analyze(self, table: Optional[str] = None) -> None:
-        """(Re)collect optimizer statistics."""
-        with self._lock, self.txn.atomic():
-            self.txn.do_analyze(table)
+        """(Re)collect optimizer statistics for ``table``, or for every
+        table; the drift samples taken under the old statistics stop
+        counting."""
+        with self._lock:
+            with self.txn.atomic():
+                self.txn.do_analyze(table)
+            self.querylog.retire(
+                [self.catalog.table(table).name] if table is not None
+                else [t.name for t in self.catalog.tables()])
 
     def vacuum(self) -> dict:
         """Compact away dead row versions in every table; returns
@@ -843,7 +854,7 @@ class Database:
                 kind=_STATEMENT_KINDS.get(type(statement).__name__,
                                           "other"),
                 session=self.txn.session.name,
-                query_id=self.event_log.new_query_id(),
+                query_id=self.querylog.new_query_id(),
                 parse_seconds=parse_seconds,
             )
             started = time.perf_counter()
@@ -871,22 +882,21 @@ class Database:
     def _observe(self, record: QueryLogEntry,
                  result: Optional[QueryResult], opts: Options) -> None:
         """Feed every collector from one finished statement's record —
-        the only code that does: ``queries_total``, the query log with
-        its latency histograms and slow capture, the event-log chain,
-        and for a traced statement the drift recorder, the q-error and
-        operator-row metrics and the adaptive policy (outside the
+        the only code that does: the query log with its per-kind counts,
+        latency histograms and slow capture, the event-log chain, and
+        for a traced statement the record's drift samples, the q-error
+        and operator-row metrics and the adaptive policy (outside the
         statement snapshot, so a triggered re-analyze is its own
         transaction)."""
-        registry = self.metrics_registry
-        registry.inc("queries_total", label=record.kind)
         trace = result.trace if result is not None else None
         record.slow = record.seconds >= opts.slow_query_seconds
         if record.slow:
-            registry.inc("slow_queries_total", label=record.kind)
             if result is not None and result.plan is not None:
                 record.plan = result.plan.explain()
             if trace is not None:
                 record.trace = trace.to_dict()
+        if trace is not None:
+            record.drift = trace_samples(trace)
         self.querylog.record(record)
         log = self.event_log
         if log.enabled:
@@ -894,7 +904,7 @@ class Database:
                 log.emit(event, record.query_id,
                          record.started_at + offset, **fields)
         if trace is not None:
-            self.drift.record_trace(trace)
+            registry = self.metrics_registry
             registry.observe("query_qerror", trace.max_q_error)
             for span in trace.operator_spans():
                 if span.executions:

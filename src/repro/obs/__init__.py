@@ -1,21 +1,24 @@
-"""Query observability: structured tracing, process metrics,
-estimate-drift recording, the query event log, and the optimizer
+"""Query observability: structured tracing, per-database metrics,
+estimate-drift reporting, the query event log, and the optimizer
 search trace.
 
 - :mod:`~repro.obs.trace` — per-operator span trees with exact
   cost-ledger attribution, attached to ``QueryResult.trace`` and
   exportable as JSON or Chrome-trace format;
-- :mod:`~repro.obs.metrics` — counters/gauges/histograms chained to a
-  process-global registry, surfaced via ``db.metrics()`` and the
+- :mod:`~repro.obs.querylog` — the statement record every collector
+  reads (id, phase seconds, plan-cache verdict, rows, cost, status,
+  drift samples) in the one per-statement ring buffer, slow-query
+  capture with plan + trace, and per-kind counts and latency
+  histograms;
+- :mod:`~repro.obs.metrics` — the per-database registry of the
+  counters/gauges/histograms no other object owns, surfaced with the
+  query log's and plan cache's counts via ``db.metrics()`` and the
   shell's ``\\metrics``;
-- :mod:`~repro.obs.drift` — a ring buffer of per-operator q-errors
-  behind ``db.drift_report()``, now also aggregated per owning table;
+- :mod:`~repro.obs.drift` — per-operator q-error samples and the
+  ``db.drift_report()`` fold over the query log's records, ranked by
+  operator and by owning table;
 - :mod:`~repro.obs.adaptive` — the feedback loop acting on drift:
   policy-driven automatic re-analyze with plan-cache invalidation;
-- :mod:`~repro.obs.querylog` — the statement record every collector
-  reads (id, phase seconds, plan-cache verdict, rows, cost, status) in
-  a ring buffer, slow-query capture with plan + trace, and per-kind
-  latency histograms;
 - :mod:`~repro.obs.render` — the shared EXPLAIN ANALYZE renderer;
 - :mod:`~repro.obs.log` — JSON-lines query-lifecycle events behind
   ``db.event_log`` and the shell's ``\\log``;
@@ -27,7 +30,7 @@ See ``docs/observability.md`` for the span schema and metrics catalog.
 """
 
 from .adaptive import AdaptiveController, AdaptivePolicy
-from .drift import DriftRecorder, DriftReport, DriftSample, TableDrift
+from .drift import DriftReport, DriftSample
 from .log import EventLog
 from .metrics import (
     Counter,
@@ -35,7 +38,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     QERROR_BUCKETS,
-    global_metrics,
 )
 from .opttrace import CandidateRecord, OptimizerTrace, WhyNotReport
 from .querylog import QueryLog, QueryLogEntry
@@ -47,7 +49,6 @@ __all__ = [
     "AdaptivePolicy",
     "CandidateRecord",
     "Counter",
-    "DriftRecorder",
     "DriftReport",
     "DriftSample",
     "EventLog",
@@ -60,11 +61,9 @@ __all__ = [
     "QueryLogEntry",
     "QueryTrace",
     "Span",
-    "TableDrift",
     "TraceBuilder",
     "WhyNotReport",
     "cost_ratio_text",
-    "global_metrics",
     "owning_table",
     "q_error",
     "render_explain_analyze",

@@ -1,16 +1,18 @@
 """Drift-triggered adaptive maintenance: close the estimate-feedback
-loop the drift recorder opened.
+loop the drift report opened.
 
-PR 3 made estimate rot *measurable* — every traced query feeds
-per-operator q-errors into :class:`~repro.obs.drift.DriftRecorder`, and
-``db.drift_report()`` ranks the tables whose statistics need attention.
-This module acts on that measurement: an :class:`AdaptivePolicy`
-(carried on :class:`repro.Options`) watches the drift window after each
-traced query, and when a table's aggregate q-error crosses the policy
-threshold the :class:`AdaptiveController` re-runs ``analyze`` on that
-table. Re-analyzing bumps the catalog version, which is all it takes to
-shed stale plans — the versioned plan cache discards any entry whose
-catalog version no longer matches at the next lookup.
+Estimate rot is *measurable*: every traced statement's record carries
+per-operator q-errors (:class:`~repro.obs.drift.DriftSample`), and
+``db.drift_report()`` folds the records in the query log's ring into a
+ranking of the tables whose statistics need attention. This module acts
+on that measurement: an :class:`AdaptivePolicy` (carried on
+:class:`repro.Options`) reads the report after each traced query, and
+when a table's aggregate q-error crosses the policy threshold the
+:class:`AdaptiveController` re-runs ``analyze`` on that table.
+Re-analyzing bumps the catalog version, which is all it takes to shed
+stale plans — the versioned plan cache discards any entry whose catalog
+version no longer matches at the next lookup — and retires the table's
+samples, so the stale era cannot trigger again on the new statistics.
 
 Every action is observable three ways:
 
@@ -44,9 +46,10 @@ class AdaptivePolicy:
     - ``enabled``: master switch; a disabled policy makes the whole
       feedback loop a no-op (the built-in default).
     - ``qerror_threshold``: a table whose *mean* q-error over the drift
-      window reaches this triggers re-analyze. The default 8.0 sits two
-      doublings past "estimates are merely imperfect" — routine
-      misestimates stay well under it, a stale table blows past it.
+      window (the last 512 statements) reaches this triggers
+      re-analyze. The default 8.0 sits two doublings past "estimates
+      are merely imperfect" — routine misestimates stay well under it,
+      a stale table blows past it.
     - ``min_samples``: drift samples required for a table before its
       aggregate is trusted (one unlucky operator execution is noise).
     - ``cooldown_queries``: traced queries to wait after an action
@@ -125,10 +128,11 @@ class AdaptiveController:
     """Executes one database's adaptive policy after traced queries.
 
     ``observe`` is called by ``Database._observe`` once per traced
-    statement, *after* the drift recorder ingested the trace. It is
-    deliberately cheap on the common path: a disabled policy costs one
-    attribute read, and an enabled-but-quiet one costs a cooldown
-    decrement plus a pass over the (bounded) per-table aggregates.
+    statement, *after* the statement's record (with its drift samples)
+    was written. It is deliberately cheap on the common path: a
+    disabled policy costs one attribute read, and an enabled-but-quiet
+    one costs a cooldown decrement plus one fold of the (bounded)
+    record ring.
     """
 
     #: actions remembered for the shell / admin surface
@@ -167,7 +171,7 @@ class AdaptiveController:
     def _worst_offender(self, policy: AdaptivePolicy):
         """The worst table whose aggregate drift crosses the policy
         threshold with enough samples, or None."""
-        for table in self.db.drift.report().tables:
+        for table in self.db.drift_report().tables:
             if table.samples < policy.min_samples:
                 continue
             if table.mean_q_error >= policy.qerror_threshold:
@@ -180,10 +184,9 @@ class AdaptiveController:
         db = self.db
         before_q = offender.mean_q_error
         worst = offender.worst
-        db.analyze(offender.table)  # bumps the catalog version: the
-        # versioned plan cache discards stale entries at next lookup
-        db.drift.drop_table(offender.table)  # stale-era samples must
-        # not re-trigger on statistics that no longer produced them
+        # bumps the catalog version (the plan cache discards stale
+        # entries at the next lookup) and retires the table's samples
+        db.analyze(offender.table)
         after_q = self._replan_q_error(worst, offender.table)
         self._cooldown_left = policy.cooldown_queries
         action = AdaptiveAction(

@@ -1,21 +1,22 @@
-"""Estimate-drift recording: which operators does the optimizer
-mis-estimate, and by how much?
+"""Estimate drift: which operators does the optimizer mis-estimate, and
+by how much?
 
-Every traced query feeds one :class:`DriftSample` per executed operator
-into a bounded ring buffer (old samples age out, so the report tracks
-*recent* behavior — rerunning ``analyze`` visibly resets the drift).
-``db.drift_report()`` aggregates the buffer by operator/predicate and
-ranks groups by their worst q-error, naming the tables and predicates
-whose statistics most need attention. This is the measurement half of
-the feedback loop PAPERS.md motivates ("Efficient Cost-Based Rewrite"):
-the optimizer's estimates become an auditable time series instead of
-values that vanish when the plan does.
+A traced statement's record (:class:`~repro.obs.querylog.QueryLogEntry`)
+carries one :class:`DriftSample` per executed operator. ``db.drift_report()``
+folds the samples of the records in the query log's ring — the last 512
+statements, so the report tracks *recent* behavior — by operator and by
+owning table, and ranks the groups by their worst q-error, naming the
+tables and predicates whose statistics most need attention. A table's
+samples stop counting once that table is analyzed again: they describe
+statistics that no longer exist. This is the measurement half of the
+feedback loop PAPERS.md motivates ("Efficient Cost-Based Rewrite"): the
+optimizer's estimates become an auditable time series instead of values
+that vanish when the plan does.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .trace import q_error
 
@@ -47,44 +48,26 @@ class DriftSample:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class DriftGroup:
-    """Aggregated samples for one operator label."""
+def trace_samples(trace) -> Tuple[DriftSample, ...]:
+    """One sample per executed operator span of a finished
+    :class:`~repro.obs.trace.QueryTrace` that carried an estimate."""
+    return tuple(
+        DriftSample(span.name, span.node_type, trace.statement,
+                    span.est_rows, span.actual_rows, span.table)
+        for span in trace.operator_spans()
+        if span.executions and span.est_rows is not None)
 
-    def __init__(self, operator: str, node_type: str):
+
+class DriftGroup:
+    """Aggregated samples for one operator label (``operator`` and
+    ``node_type`` set) or for one owning table (``table`` set) — the
+    adaptive policy's unit, since ``analyze`` targets tables."""
+
+    def __init__(self, operator: Optional[str] = None,
+                 node_type: Optional[str] = None,
+                 table: Optional[str] = None):
         self.operator = operator
         self.node_type = node_type
-        self.samples = 0
-        self.max_q_error = 1.0
-        self.sum_q_error = 0.0
-        self.worst: Optional[DriftSample] = None
-
-    def add(self, sample: DriftSample) -> None:
-        self.samples += 1
-        self.sum_q_error += sample.q_error
-        if sample.q_error >= self.max_q_error:
-            self.max_q_error = sample.q_error
-            self.worst = sample
-
-    @property
-    def mean_q_error(self) -> float:
-        return self.sum_q_error / self.samples if self.samples else 1.0
-
-    def as_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "node_type": self.node_type,
-            "samples": self.samples,
-            "max_q_error": self.max_q_error,
-            "mean_q_error": self.mean_q_error,
-            "worst": self.worst.as_dict() if self.worst else None,
-        }
-
-
-class TableDrift:
-    """Aggregated samples for one owning table — the unit the adaptive
-    policy acts on (``analyze`` targets tables, not operators)."""
-
-    def __init__(self, table: str):
         self.table = table
         self.samples = 0
         self.max_q_error = 1.0
@@ -103,32 +86,57 @@ class TableDrift:
         return self.sum_q_error / self.samples if self.samples else 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "samples": self.samples,
-            "max_q_error": self.max_q_error,
-            "mean_q_error": self.mean_q_error,
-            "worst": self.worst.as_dict() if self.worst else None,
-        }
+        key = ({"table": self.table} if self.table is not None else
+               {"operator": self.operator, "node_type": self.node_type})
+        return dict(
+            key,
+            samples=self.samples,
+            max_q_error=self.max_q_error,
+            mean_q_error=self.mean_q_error,
+            worst=self.worst.as_dict() if self.worst else None,
+        )
 
 
 class DriftReport:
     """Drift groups ranked worst-first, with a text rendering.
 
-    ``groups`` ranks operators (the original PR 3 view); ``tables``
-    ranks owning tables by *mean* q-error — the adaptive policy's
-    trigger metric, chosen over max because a single outlier execution
-    should not force a re-analyze but a consistently wrong table
-    should.
+    ``groups`` ranks operators by max q-error (ties broken by mean, then
+    sample count); ``tables`` ranks owning tables by *mean* q-error —
+    the adaptive policy's trigger metric, chosen over max because a
+    single outlier execution should not force a re-analyze but a
+    consistently wrong table should. ``window`` is the number of
+    statement records the samples were drawn from.
     """
 
-    def __init__(self, groups: List[DriftGroup], window: int,
-                 recorded: int,
-                 tables: Optional[List[TableDrift]] = None):
-        self.groups = groups
+    def __init__(self, samples: Iterable[DriftSample], window: int):
+        groups: Dict[str, DriftGroup] = {}
+        tables: Dict[str, DriftGroup] = {}
+        recorded = 0
+        for sample in samples:
+            recorded += 1
+            group = groups.get(sample.operator)
+            if group is None:
+                group = groups[sample.operator] = DriftGroup(
+                    sample.operator, sample.node_type)
+            group.add(sample)
+            if sample.table is not None:
+                aggregate = tables.get(sample.table)
+                if aggregate is None:
+                    aggregate = tables[sample.table] = DriftGroup(
+                        table=sample.table)
+                aggregate.add(sample)
+        self.groups: List[DriftGroup] = sorted(
+            groups.values(),
+            key=lambda g: (-g.max_q_error, -g.mean_q_error, -g.samples,
+                           g.operator),
+        )
+        self.tables: List[DriftGroup] = sorted(
+            tables.values(),
+            key=lambda t: (-t.mean_q_error, -t.max_q_error, -t.samples,
+                           t.table),
+        )
         self.window = window
         self.recorded = recorded
-        self.tables = tables if tables is not None else []
 
     @property
     def worst(self) -> Optional[DriftGroup]:
@@ -152,14 +160,15 @@ class DriftReport:
         if not self.groups:
             return "\n".join([
                 "estimate drift: no traced queries in the window "
-                "(0 of %d slots filled)." % self.window,
+                "(the last %d statements)." % self.window,
                 "Run queries with tracing on to collect samples:",
                 "  db.sql(q, options=Options(trace=True))  "
                 "or  db.configure(trace=True)",
             ])
         lines = [
             "estimate drift over the last %d operator executions "
-            "(window %d):" % (self.recorded, self.window),
+            "(window: %d statements):"
+            % (self.recorded, self.window),
             "%-6s %-10s %-9s %-44s %s"
             % ("rank", "max q-err", "mean", "operator", "worst est->actual"),
         ]
@@ -193,86 +202,3 @@ class DriftReport:
 
     def __str__(self) -> str:
         return self.render()
-
-
-class DriftRecorder:
-    """Bounded ring buffer of :class:`DriftSample`.
-
-    ``record_trace`` walks a finished :class:`~repro.obs.trace.QueryTrace`
-    and records every executed operator span; :meth:`report` aggregates
-    whatever is currently in the window.
-    """
-
-    def __init__(self, window: int = 2048):
-        self.window = window
-        self._samples: Deque[DriftSample] = deque(maxlen=window)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def record(self, sample: DriftSample) -> None:
-        self._samples.append(sample)
-
-    def record_trace(self, trace) -> int:
-        """Record every executed operator span of ``trace``; returns the
-        number of samples taken."""
-        taken = 0
-        for span in trace.operator_spans():
-            if not span.executions or span.est_rows is None:
-                continue
-            self.record(DriftSample(
-                operator=span.name,
-                node_type=span.node_type,
-                statement=trace.statement,
-                est_rows=span.est_rows,
-                actual_rows=span.actual_rows,
-                table=getattr(span, "table", None),
-            ))
-            taken += 1
-        return taken
-
-    def clear(self) -> None:
-        self._samples.clear()
-
-    def drop_table(self, table: str) -> int:
-        """Discard every sample owned by ``table``; returns how many
-        were dropped. Called after re-analyzing the table — samples
-        produced by the old statistics must not re-trigger against the
-        new ones."""
-        kept = [s for s in self._samples if s.table != table]
-        dropped = len(self._samples) - len(kept)
-        if dropped:
-            self._samples.clear()
-            self._samples.extend(kept)
-        return dropped
-
-    def report(self) -> DriftReport:
-        """Aggregate the current window: per-operator groups ranked by
-        max q-error (ties broken by mean, then sample count), and
-        per-table aggregates ranked by mean q-error."""
-        groups: Dict[str, DriftGroup] = {}
-        tables: Dict[str, TableDrift] = {}
-        for sample in self._samples:
-            group = groups.get(sample.operator)
-            if group is None:
-                group = groups[sample.operator] = DriftGroup(
-                    sample.operator, sample.node_type)
-            group.add(sample)
-            if sample.table is not None:
-                aggregate = tables.get(sample.table)
-                if aggregate is None:
-                    aggregate = tables[sample.table] = TableDrift(
-                        sample.table)
-                aggregate.add(sample)
-        ranked = sorted(
-            groups.values(),
-            key=lambda g: (-g.max_q_error, -g.mean_q_error, -g.samples,
-                           g.operator),
-        )
-        ranked_tables = sorted(
-            tables.values(),
-            key=lambda t: (-t.mean_q_error, -t.max_q_error, -t.samples,
-                           t.table),
-        )
-        return DriftReport(ranked, self.window, len(self._samples),
-                           tables=ranked_tables)

@@ -10,8 +10,8 @@ buffer exports as JSON-lines for external tooling.
 
 Logging is off by default and ``emit`` bails on a single attribute
 check, so the hot path pays nothing until ``db.event_log.enable()`` is
-called (the opttrace overhead benchmark enforces this). ``enable`` may
-tee every event to a file-like sink as it is recorded. A statement's
+called. ``enable`` may tee every event to a file-like sink as it is
+recorded. A statement's
 chain is not emitted as it happens: ``Database._observe`` emits it from
 the statement's record (:meth:`QueryLogEntry.events`) when the
 statement ends, so a chain is contiguous in the buffer and its ``ts``
@@ -20,7 +20,6 @@ values are the record's start plus phase offsets.
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
@@ -45,9 +44,9 @@ class EventLog:
     """A bounded ring buffer of structured query-lifecycle events.
 
     Every event is a flat dict with ``ts`` (epoch seconds), ``event``
-    (one of :data:`QUERY_EVENT_ORDER`), usually a ``query_id``
-    (``"q1"``, ``"q2"``, ... assigned per statement), and event-specific
-    fields. Old events age out at ``capacity``.
+    (one of :data:`QUERY_EVENT_ORDER`), usually a ``query_id`` (the
+    statement record's, see :meth:`QueryLog.new_query_id`), and
+    event-specific fields. Old events age out at ``capacity``.
     """
 
     def __init__(self, capacity: int = 4096,
@@ -56,11 +55,12 @@ class EventLog:
         self.capacity = capacity
         self.clock = clock
         self._events: deque = deque(maxlen=capacity)
-        self._query_ids = itertools.count(1)
         self._sink: Optional[TextIO] = None
         # shared by every session of a served database: the lock keeps
-        # append order and sink lines consistent across threads (emit
-        # still bails on the ``enabled`` check before touching it)
+        # append order and sink lines consistent across threads, and
+        # every reader copies the buffer under it (a deque mutated while
+        # Python iterates it raises); emit still bails on the
+        # ``enabled`` check before touching it
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ control
@@ -77,12 +77,10 @@ class EventLog:
         self._sink = None
 
     def clear(self) -> None:
-        self._events.clear()
+        with self._lock:
+            self._events.clear()
 
     # ---------------------------------------------------------- recording
-
-    def new_query_id(self) -> str:
-        return "q%d" % next(self._query_ids)
 
     def emit(self, event: str, query_id: Optional[str] = None,
              ts: Optional[float] = None, **fields) -> Optional[dict]:
@@ -106,12 +104,14 @@ class EventLog:
     # ------------------------------------------------------------ queries
 
     def __len__(self) -> int:
-        return len(self._events)
+        with self._lock:
+            return len(self._events)
 
     def events(self, event: Optional[str] = None,
                query_id: Optional[str] = None) -> List[dict]:
         """The buffered events, optionally filtered by type or query."""
-        out = list(self._events)
+        with self._lock:
+            out = list(self._events)
         if event is not None:
             out = [e for e in out if e["event"] == event]
         if query_id is not None:
@@ -122,19 +122,20 @@ class EventLog:
         """The buffer as JSON-lines (one event per line)."""
         return "\n".join(
             json.dumps(event, sort_keys=True, default=str)
-            for event in self._events
+            for event in self.events()
         )
 
     def render(self, limit: int = 25) -> str:
         """Human-readable tail of the log (the shell's ``\\log``)."""
-        if not self._events:
+        buffered = self.events()
+        if not buffered:
             return ("(event log %s, no events recorded)"
                     % ("enabled" if self.enabled else "disabled"))
-        events = list(self._events)[-limit:]
+        events = buffered[-limit:]
         lines = []
-        if len(self._events) > len(events):
+        if len(buffered) > len(events):
             lines.append("... (%d earlier events)"
-                         % (len(self._events) - len(events)))
+                         % (len(buffered) - len(events)))
         for event in events:
             extras = "  ".join(
                 "%s=%s" % (key, value)

@@ -1,19 +1,20 @@
-"""Process-wide metrics: counters, gauges, and histograms.
+"""Per-database metrics: counters, gauges, and histograms.
 
-Every :class:`~repro.database.Database` owns a :class:`MetricsRegistry`
-chained to the process-global registry (:func:`global_metrics`), so a
-multi-database process — a :class:`DistributedDatabase` coordinator with
-one embedded database per site, say — aggregates for free: instruments
-record into their owning registry *and* every parent up the chain.
+Every :class:`~repro.database.Database` owns one :class:`MetricsRegistry`
+for the counters nothing else keeps: planner work, DML access paths,
+transactions, the server, the adaptive loop, per-query q-errors and
+rows per operator class. There is no process-wide parent registry.
+Counters another object already owns are not copied in here:
+``db.metrics()`` reads ``queries_total`` / ``slow_queries_total`` from
+the query log and ``plan_cache_events_total`` from the plan cache, in
+the same shape (:func:`labelled_counter`).
 
-The catalog (see ``docs/observability.md``) covers queries by statement
-kind, plan-cache hit/miss/invalidation, network retries and degradation
-events, rows produced per operator class, and the per-query cardinality
-q-error distribution. Instruments are deliberately primitive — plain
-dict bumps, no timestamps, one flat lock per registry so concurrent
-sessions never lose an update — so always-on recording costs well
-under a microsecond a bump; there is no switch, and ``bench/run.py``
-measures every workload with the registry recording.
+Instruments are deliberately primitive — plain dict bumps, no
+timestamps, one flat lock per registry so concurrent sessions never
+lose an update — so always-on recording costs well under a microsecond
+a bump; there is no switch, and ``bench/run.py`` measures every
+workload with the registry recording. See ``docs/observability.md`` for
+the catalog.
 """
 
 from __future__ import annotations
@@ -136,24 +137,26 @@ class Histogram:
         return data
 
 
+def labelled_counter(values: Dict[str, float]) -> dict:
+    """The :meth:`MetricsRegistry.as_dict` entry of a counter split by
+    label, for counts whose owner is not the registry."""
+    return {"kind": "counter", "total": sum(values.values()),
+            "by_label": dict(sorted(values.items()))}
+
+
 class MetricsRegistry:
-    """A named collection of instruments, optionally chained to a parent.
+    """A named collection of instruments.
 
     ``counter``/``gauge``/``histogram`` get-or-create an instrument;
-    recording helpers (:meth:`inc`, :meth:`observe`) bump the local
-    instrument and recurse into the parent chain so process-level
-    aggregates need no extra plumbing.
+    the recording helpers (:meth:`inc`, :meth:`set_gauge`,
+    :meth:`observe`) bump it under the registry's lock.
     """
 
-    def __init__(self, name: str = "",
-                 parent: Optional["MetricsRegistry"] = None):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.parent = parent
         self._instruments: Dict[str, object] = {}
         # read-modify-write bumps are not atomic under concurrent
-        # sessions; each registry locks its own instruments (the parent
-        # chain locks registry by registry, so there is no lock order
-        # to get wrong)
+        # sessions
         self._lock = threading.Lock()
 
     # -------------------------------------------------------- instruments
@@ -186,69 +189,56 @@ class MetricsRegistry:
             help: str = "") -> None:
         with self._lock:
             self.counter(name, help).inc(amount, label)
-        if self.parent is not None:
-            self.parent.inc(name, amount, label, help)
 
     def set_gauge(self, name: str, value: float, help: str = "") -> None:
         with self._lock:
             self.gauge(name, help).set(value)
-        if self.parent is not None:
-            self.parent.set_gauge(name, value, help)
 
     def observe(self, name: str, value: float,
                 bounds: Sequence[float] = QERROR_BUCKETS,
                 help: str = "") -> None:
         with self._lock:
             self.histogram(name, help, bounds).observe(value)
-        if self.parent is not None:
-            self.parent.observe(name, value, bounds, help)
 
     # ------------------------------------------------------------- export
 
     def as_dict(self) -> dict:
         """``{metric name: {kind, help?, ...instrument data}}``, sorted."""
         out = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            entry = {"kind": instrument.kind}
-            if instrument.help:
-                entry["help"] = instrument.help
-            entry.update(instrument.as_dict())
-            out[name] = entry
+        with self._lock:  # a bump may add an instrument or a label
+            for name in sorted(self._instruments):
+                instrument = self._instruments[name]
+                entry = {"kind": instrument.kind}
+                if instrument.help:
+                    entry["help"] = instrument.help
+                entry.update(instrument.as_dict())
+                out[name] = entry
         return out
 
-    def render(self) -> str:
-        """A human-readable dump (the shell's ``\\metrics`` output)."""
-        lines = []
-        for name, entry in self.as_dict().items():
-            kind = entry["kind"]
-            if kind == "counter":
-                lines.append("%-42s %12g" % (name, entry["total"]))
-                for label, value in entry.get("by_label", {}).items():
-                    lines.append("  %-40s %12g" % ("{%s}" % label, value))
-            elif kind == "gauge":
-                lines.append("%-42s %12g" % (name, entry["value"]))
-            else:
-                mean = entry.get("mean")
-                lines.append(
-                    "%-42s count=%d mean=%s min=%s max=%s"
-                    % (name, entry["count"],
-                       "%.3g" % mean if mean is not None else "-",
-                       "%.3g" % entry["min"] if entry["min"] is not None else "-",
-                       "%.3g" % entry["max"] if entry["max"] is not None else "-")
-                )
-                for bucket, count in entry.get("buckets", {}).items():
-                    lines.append("  %-40s %12d" % (bucket, count))
-        return "\n".join(lines) if lines else "(no metrics recorded)"
 
-    def reset(self) -> None:
-        """Drop all local instruments (parents are untouched)."""
-        self._instruments = {}
-
-
-_GLOBAL = MetricsRegistry("process")
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry every Database chains to by default."""
-    return _GLOBAL
+def render_metrics(metrics: dict) -> str:
+    """A human-readable dump of ``db.metrics()``'s instruments (the
+    shell's ``\\metrics`` output); sections without a ``kind`` are
+    skipped."""
+    lines = []
+    for name in sorted(metrics):
+        entry = metrics[name]
+        kind = entry.get("kind")
+        if kind == "counter":
+            lines.append("%-42s %12g" % (name, entry["total"]))
+            for label, value in entry.get("by_label", {}).items():
+                lines.append("  %-40s %12g" % ("{%s}" % label, value))
+        elif kind == "gauge":
+            lines.append("%-42s %12g" % (name, entry["value"]))
+        elif kind == "histogram":
+            mean = entry.get("mean")
+            lines.append(
+                "%-42s count=%d mean=%s min=%s max=%s"
+                % (name, entry["count"],
+                   "%.3g" % mean if mean is not None else "-",
+                   "%.3g" % entry["min"] if entry["min"] is not None else "-",
+                   "%.3g" % entry["max"] if entry["max"] is not None else "-")
+            )
+            for bucket, count in entry.get("buckets", {}).items():
+                lines.append("  %-40s %12d" % (bucket, count))
+    return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -1,16 +1,19 @@
 """The statement record: one :class:`QueryLogEntry` per executed
-statement, kept in a ring-buffer :class:`QueryLog` with
-per-statement-kind latency histograms.
+statement, kept in a ring-buffer :class:`QueryLog` with per-statement-kind
+counts and latency histograms.
 
-``Database._execute_statement`` — the only way a statement runs —
-creates one entry, fills it while the statement goes through its
-phases, and writes it once, in a ``finally``, whether the statement
-succeeded or raised. Every collector reads that entry
-(``Database._observe``): the ``queries_total`` counter, this log and
-its histograms, the event-log chain (:meth:`QueryLogEntry.events`), the
-trace's phase spans (:meth:`QueryLogEntry.phases`). The entry holds
-numbers and short strings only — never rows, plan nodes or the ledger
-object — so the ring's memory is bounded by its window.
+``Database._execute_statement`` — the only way a statement runs — takes
+a query id from the log, creates one entry, fills it while the statement
+goes through its phases, and writes it once, in a ``finally``, whether
+the statement succeeded or raised. Every collector reads that entry
+(``Database._observe``): this log with its per-kind counts (behind
+``queries_total`` / ``slow_queries_total``) and histograms, the
+event-log chain (:meth:`QueryLogEntry.events`), the trace's phase spans
+(:meth:`QueryLogEntry.phases`), and the drift report, which folds the
+``drift`` samples of the entries in the ring (:meth:`QueryLog.drift_samples`).
+The entry holds numbers, short strings and drift samples only — never
+rows, plan nodes or the ledger object — so the ring's memory is bounded
+by its window.
 
 Statements slower than ``Options.slow_query_seconds`` are *slow-query*
 entries and additionally capture the full ``explain`` plan text (and
@@ -23,11 +26,13 @@ workload with it on.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from .drift import DriftSample
 from .metrics import Histogram
 
 #: latency bucket upper edges in seconds: half-millisecond floor, five
@@ -57,6 +62,8 @@ class QueryLogEntry:
     the planner counts are set when an optimization actually ran.
     ``rows`` is rows returned by a query, rows affected by DML;
     ``access`` / ``rows_examined`` say how UPDATE/DELETE found them.
+    ``drift`` is a traced query's :class:`~repro.obs.drift.DriftSample`
+    per executed operator.
     """
 
     __slots__ = ("query_id", "session", "kind", "_text", "status",
@@ -64,7 +71,8 @@ class QueryLogEntry:
                  "parse_seconds", "bind_seconds", "plan_seconds",
                  "lower_seconds", "execute_seconds", "plan_cache",
                  "plans_considered", "memo_entries", "rows", "cost",
-                 "access", "rows_examined", "slow", "plan", "trace")
+                 "access", "rows_examined", "slow", "plan", "trace",
+                 "drift")
 
     def __init__(self, statement: str = "", kind: str = "other",
                  seconds: float = 0.0, rows: int = 0, cost: float = 0.0,
@@ -99,6 +107,7 @@ class QueryLogEntry:
         self.slow = slow
         self.plan = plan
         self.trace = trace
+        self.drift: Optional[Tuple[DriftSample, ...]] = None
 
     @property
     def statement(self) -> str:
@@ -160,9 +169,11 @@ class QueryLogEntry:
         data["statement"] = self.statement
         for name in ("error", "message", "plan_cache",
                      "plans_considered", "memo_entries", "access",
-                     "rows_examined", "plan", "trace"):
+                     "rows_examined", "plan", "trace", "drift"):
             if data[name] is None:
                 del data[name]
+        if self.drift is not None:
+            data["drift"] = [sample.as_dict() for sample in self.drift]
         return data
 
     def __repr__(self) -> str:
@@ -178,9 +189,11 @@ class QueryLog:
     Two ring buffers — all recent statements and the slow-query subset
     (slow entries are heavy: they carry plan text and trace dicts, so
     they get their own smaller window and survive long after the fast
-    traffic around them aged out) — plus one latency histogram per
-    statement kind. One flat lock; every operation is a handful of
-    deque/dict steps, so sessions contend for nanoseconds.
+    traffic around them aged out) — plus, per statement kind, a latency
+    histogram (whose count is the kind's statement count) and a slow
+    count. The log also hands out query ids. One flat lock; every
+    operation is a handful of deque/dict steps, so sessions contend for
+    nanoseconds.
     """
 
     def __init__(self, window: int = 512, slow_window: int = 64):
@@ -189,13 +202,20 @@ class QueryLog:
         self._entries: deque = deque(maxlen=window)
         self._slow: deque = deque(maxlen=slow_window)
         self._latency: Dict[str, Histogram] = {}
+        self._slow_counts: Dict[str, int] = {}
+        # table -> statements recorded when it was last analyzed: drift
+        # samples from those statements no longer count
+        self._retired: Dict[str, int] = {}
+        self._query_ids = itertools.count(1)
         self._lock = threading.Lock()
-        self.recorded = 0
-        self.slow_recorded = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def new_query_id(self) -> str:
+        """The next statement's id: ``"q1"``, ``"q2"``, ..."""
+        return "q%d" % next(self._query_ids)
 
     # ---------------------------------------------------------- recording
 
@@ -207,10 +227,10 @@ class QueryLog:
             entry = QueryLogEntry(**fields)
         with self._lock:
             self._entries.append(entry)
-            self.recorded += 1
             if entry.slow:
                 self._slow.append(entry)
-                self.slow_recorded += 1
+                self._slow_counts[entry.kind] = (
+                    self._slow_counts.get(entry.kind, 0) + 1)
             histogram = self._latency.get(entry.kind)
             if histogram is None:
                 histogram = self._latency[entry.kind] = Histogram(
@@ -219,15 +239,56 @@ class QueryLog:
             histogram.observe(entry.seconds)
         return entry
 
+    def retire(self, tables: Iterable[str]) -> None:
+        """Stop counting the drift samples of ``tables`` recorded so
+        far (their statistics were just rebuilt)."""
+        with self._lock:
+            recorded = self._recorded()
+            for table in tables:
+                self._retired[table] = recorded
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._slow.clear()
             self._latency.clear()
-            self.recorded = 0
-            self.slow_recorded = 0
+            self._slow_counts.clear()
+            self._retired.clear()
 
     # ------------------------------------------------------------ reading
+
+    def _recorded(self) -> int:
+        return sum(h.count for h in self._latency.values())
+
+    @property
+    def recorded(self) -> int:
+        """Statements recorded since the log was created or cleared."""
+        with self._lock:
+            return self._recorded()
+
+    @property
+    def slow_recorded(self) -> int:
+        with self._lock:
+            return sum(self._slow_counts.values())
+
+    def counts(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``({kind: statements}, {kind: slow statements})``."""
+        with self._lock:
+            return ({kind: h.count for kind, h in self._latency.items()},
+                    dict(self._slow_counts))
+
+    def drift_samples(self) -> List[DriftSample]:
+        """The drift samples of the records in the ring, oldest first,
+        without those of a table analyzed after they were taken."""
+        with self._lock:
+            entries = list(self._entries)
+            first = self._recorded() - len(entries)
+            retired = dict(self._retired)
+        return [sample
+                for position, entry in enumerate(entries, first)
+                if entry.drift
+                for sample in entry.drift
+                if position >= retired.get(sample.table, 0)]
 
     def recent(self, limit: int = 50) -> List[QueryLogEntry]:
         """The most recent entries, newest first."""
@@ -256,17 +317,6 @@ class QueryLog:
             data["p99"] = histogram.quantile(0.99)
             out[kind] = data
         return out
-
-    def snapshot(self, limit: int = 50, slow_limit: int = 10) -> dict:
-        """Everything the server's admin surface ships over the wire."""
-        return {
-            "window": self.window,
-            "recorded": self.recorded,
-            "slow_recorded": self.slow_recorded,
-            "recent": [e.as_dict() for e in self.recent(limit)],
-            "slow": [e.as_dict() for e in self.slowest(slow_limit)],
-            "latency": self.latency_summary(),
-        }
 
     # ---------------------------------------------------------- rendering
 

@@ -28,8 +28,10 @@ Keying and invalidation rules:
   that never repeat keeps no plan alive.
 
 Counters (hits / misses / invalidations / evictions) are exposed through
-:meth:`PlanCache.stats` and surfaced as ``db.cache_stats()`` and the
-shell's ``\\cache`` command.
+:meth:`PlanCache.stats` and surfaced as ``db.cache_stats()``, the
+shell's ``\\cache`` command and, through :meth:`PlanCache.events`,
+``db.metrics()["plan_cache_events_total"]`` — one set of counters, so
+:meth:`PlanCache.clear` resets all three.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class PlanCacheEntry:
 class PlanCache:
     """LRU cache of optimized plans with version-based invalidation."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, listener=None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 0:
             raise ValueError("plan cache capacity must be >= 0")
         self.capacity = capacity
@@ -105,19 +107,11 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        # called with "hit"/"miss"/"invalidation"/"eviction" as counters
-        # move, so an owning Database can mirror them into its metrics
-        # registry without polling
-        self.listener = listener
         # the cache is shared by every session of a served database;
         # the lock keeps LRU moves and counter bumps consistent when
-        # statements from different connections race (re-entrant: the
-        # listener may call back into stats())
+        # statements from different connections race (re-entrant:
+        # admit() stores under it)
         self._lock = threading.RLock()
-
-    def _emit(self, event: str, count: int = 1) -> None:
-        if self.listener is not None and count:
-            self.listener(event, count)
 
     @property
     def enabled(self) -> bool:
@@ -141,19 +135,15 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                self._emit("miss")
                 return None
             if entry.catalog_version != catalog_version:
                 del self._entries[key]
                 self._missed[key] = None
                 self.invalidations += 1
                 self.misses += 1
-                self._emit("invalidation")
-                self._emit("miss")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._emit("hit")
             return entry
 
     def peek(self, key: Tuple[str, str]) -> Optional[PlanCacheEntry]:
@@ -172,7 +162,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                self._emit("eviction")
 
     def admit(self, entry: PlanCacheEntry) -> None:
         """Store an ad-hoc statement's plan on its key's second miss; the
@@ -192,7 +181,6 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries.clear()
             self.invalidations += dropped
-            self._emit("invalidation", dropped)
             return dropped
 
     def clear(self) -> None:
@@ -215,7 +203,16 @@ class PlanCache:
             while len(self._entries) > capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                self._emit("eviction")
+
+    def events(self) -> dict:
+        """``{"hit" | "miss" | "invalidation" | "eviction": count}`` for
+        the counters that moved — the labels of
+        ``plan_cache_events_total``."""
+        with self._lock:
+            counts = (("hit", self.hits), ("miss", self.misses),
+                      ("invalidation", self.invalidations),
+                      ("eviction", self.evictions))
+        return {label: count for label, count in counts if count}
 
     def stats(self) -> dict:
         total = self.hits + self.misses

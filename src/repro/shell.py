@@ -22,11 +22,12 @@ start with a backslash:
     \\set KEY VAL   change an optimizer switch (e.g. \\set enable_filter_join off)
     \\cache         show plan-cache counters (hits/misses/invalidations)
                     and the restriction-memo line
-    \\cache clear   empty the plan cache and reset its counters
+    \\cache clear   empty the plan cache and reset its counters (which
+                    are plan_cache_events_total in \\metrics)
     \\cache size N  resize the plan cache (0 disables it)
     \\timeout S     set a per-statement deadline in seconds (off = none)
     \\faults ...    configure network fault injection (\\faults help)
-    \\metrics       dump the database metrics registry
+    \\metrics       dump the database's counters, gauges and histograms
     \\drift         estimate-drift report (worst-misestimated operators)
     \\slow [N]      the N slowest of the recorded statements that
                     crossed slow_query_seconds
@@ -75,6 +76,7 @@ from typing import Iterable, Optional, TextIO
 from .database import Database, QueryResult
 from .errors import ReproError, SqlSyntaxError
 from .harness.report import TextTable
+from .obs.metrics import render_metrics
 from .options import OPTION_FIELDS, Options
 
 PROMPT = "repro> "
@@ -218,7 +220,7 @@ class Shell:
             self._faults_command(argument)
             return
         if command == "\\metrics":
-            self.write(self.db.metrics_registry.render())
+            self.write(render_metrics(self.db.metrics()))
             if self.db.network is not None:
                 self.write("network:")
                 for key, value in self.db.network.stats.as_dict().items():

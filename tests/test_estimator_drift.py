@@ -13,7 +13,8 @@ next ``analyze``.
 import pytest
 
 from repro import Database, DataType, Options
-from repro.obs.drift import DriftRecorder, DriftSample
+from repro.obs.drift import DriftGroup, DriftReport, DriftSample
+from repro.obs.querylog import QueryLog, QueryLogEntry
 from repro.obs.trace import q_error
 from repro.workloads import (
     EmpDeptConfig,
@@ -94,7 +95,7 @@ class TestTrainedWorkloadBounds:
                 assert q <= SCAN_Q_BOUND, query
 
     def test_drift_report_reflects_trained_accuracy(self, empdept):
-        empdept.drift.clear()
+        empdept.querylog.clear()
         for query in EMPDEPT_QUERIES:
             empdept.sql(query, options=Options(trace=True))
         report = empdept.drift_report()
@@ -153,54 +154,91 @@ class TestMisstatedTableRanking:
                options=Options(trace=True))
         assert db.drift_report().worst.max_q_error > 10
         db.analyze()
-        db.drift.clear()
+        # the analyze retired the stale-era samples by itself
+        assert db.drift_report().empty
         trace = db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
                        options=Options(trace=True)).trace
         assert trace.max_q_error <= SCAN_Q_BOUND
+        assert db.drift_report().worst.max_q_error <= SCAN_Q_BOUND
+
+    def test_analyze_retires_only_that_tables_samples(self):
+        db = self._db_with_stale_table()
+        for table in ("Good", "Stale"):
+            db.sql("SELECT X.b FROM %s X WHERE X.a = 3" % table,
+                   options=Options(trace=True))
+        assert [t.table for t in db.drift_report().tables] == \
+            ["Stale", "Good"]
+        db.analyze("stale")  # any spelling of the name
+        report = db.drift_report()
+        assert [t.table for t in report.tables] == ["Good"]
+        assert all("Stale" not in g.worst.statement for g in report.groups)
+        # the records themselves still carry what was measured
+        assert any(sample.table == "Stale"
+                   for entry in db.querylog.recent()
+                   for sample in entry.drift or ())
+
+
+def _traced(log, *samples):
+    """Record one statement carrying ``samples`` (none: untraced)."""
+    entry = QueryLogEntry("q", kind="select")
+    entry.drift = samples or None
+    log.record(entry)
+
+
+def _report(log):
+    return DriftReport(log.drift_samples(), log.window)
 
 
 class TestRecorderMechanics:
+    """The drift report is a fold over the query log's record ring."""
+
     def test_ring_buffer_evicts_oldest(self):
-        recorder = DriftRecorder(window=3)
+        log = QueryLog(window=3)
         for i in range(5):
-            recorder.record(DriftSample(
-                "op%d" % i, "SeqScanNode", "q", est_rows=10,
-                actual_rows=10 * (i + 1),
-            ))
-        assert len(recorder) == 3
-        report = recorder.report()
-        names = {g.operator for g in report.groups}
-        assert names == {"op2", "op3", "op4"}
+            samples = [DriftSample("op%d" % i, "SeqScanNode", "q",
+                                   est_rows=10, actual_rows=10 * (i + 1))]
+            if i == 3:
+                samples.append(DriftSample("op3b", "SeqScanNode", "q",
+                                           10, 10))
+            _traced(log, *samples)
+        report = _report(log)
+        assert {g.operator for g in report.groups} == \
+            {"op2", "op3", "op3b", "op4"}
+        assert report.recorded == 4 and report.window == 3
+        # the window counts statements, traced or not
+        _traced(log)
+        assert {g.operator for g in _report(log).groups} == \
+            {"op3", "op3b", "op4"}
 
     def test_ranking_breaks_ties_by_mean(self):
-        recorder = DriftRecorder()
+        log = QueryLog()
         # same max q-error (4.0) but different means
         for actual in (40, 40):
-            recorder.record(DriftSample("hot", "T", "q", 10, actual))
+            _traced(log, DriftSample("hot", "T", "q", 10, actual))
         for actual in (40, 10):
-            recorder.record(DriftSample("cool", "T", "q", 10, actual))
-        groups = recorder.report().groups
+            _traced(log, DriftSample("cool", "T", "q", 10, actual))
+        groups = _report(log).groups
         assert [g.operator for g in groups] == ["hot", "cool"]
 
     def test_empty_report_renders(self):
-        report = DriftRecorder().report()
-        assert report.worst is None
-        assert "no traced queries" in report.render()
-        assert report.empty
-        assert report.as_dict()["empty"] is True
+        for report in (_report(QueryLog()), Database().drift_report()):
+            assert report.worst is None
+            assert "no traced queries" in report.render()
+            assert report.empty
+            assert report.as_dict()["empty"] is True
 
     def test_group_mean_q_error_with_zero_samples(self):
-        from repro.obs.drift import DriftGroup
-
         group = DriftGroup("SeqScan(T)", "SeqScanNode")
         assert group.samples == 0
         # the zero-sample mean is the neutral q-error, not a ZeroDivision
         assert group.mean_q_error == 1.0
         assert group.as_dict()["mean_q_error"] == 1.0
+        assert DriftGroup(table="T").as_dict()["table"] == "T"
 
     def test_populated_report_not_empty(self):
-        recorder = DriftRecorder()
-        recorder.record(DriftSample("op", "T", "q", 10, 20))
-        report = recorder.report()
+        log = QueryLog()
+        _traced(log, DriftSample("op", "T", "q", 10, 20, table="T"))
+        report = _report(log)
         assert not report.empty
         assert "no traced queries" not in report.render()
+        assert [t.table for t in report.tables] == ["T"]

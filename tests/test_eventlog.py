@@ -31,10 +31,10 @@ class TestEventLogUnit:
     def test_enable_emit_filter(self):
         log = EventLog()
         log.enable()
-        qid = log.new_query_id()
+        qid = "q1"
         log.emit("query_start", query_id=qid, kind="select")
         log.emit("query_end", query_id=qid, status="ok")
-        log.emit("query_start", query_id=log.new_query_id())
+        log.emit("query_start", query_id="q2")
         assert len(log) == 3
         assert [e["event"] for e in log.events(query_id=qid)] == \
             ["query_start", "query_end"]

@@ -4,14 +4,19 @@ slow-query capture path.
 Unit coverage for the ring-buffer semantics and the latency summaries,
 a thread hammer proving exact counts under concurrent recording (the
 log is shared by every server connection), and the database-level
-wiring: every statement is recorded (there is no switch), and a
-statement over ``slow_query_seconds`` carries its full plan text and
-span trace.
+wiring: every statement is recorded (there is no switch), a statement
+over ``slow_query_seconds`` carries its full plan text and span trace,
+and the log is the one owner of the per-statement counts.
 """
 
+import importlib
+import pathlib
 import threading
 
-from repro import Database, DataType, Options
+import pytest
+
+from repro import Database, DataType, EventLog, Options, PlanCache
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import LATENCY_BUCKETS, QueryLog
 
 N_THREADS = 8
@@ -89,16 +94,6 @@ class TestQueryLogUnit:
         assert "plan" not in data and "trace" not in data
         assert data["rows"] == 2
 
-    def test_snapshot_shape(self):
-        log = QueryLog()
-        log.record(statement="q", kind="select", seconds=0.5,
-                   rows=1, cost=1.0, slow=True, plan="P")
-        snap = log.snapshot()
-        assert snap["recorded"] == 1
-        assert snap["slow_recorded"] == 1
-        assert snap["slow"][0]["plan"] == "P"
-        assert "select" in snap["latency"]
-
     def test_clear(self):
         log = QueryLog()
         log.record(statement="q", kind="select", seconds=0.1,
@@ -153,7 +148,8 @@ class TestQueryLogThreadSafety:
                 log.recent(10)
                 log.slowest(5)
                 log.latency_summary()
-                log.snapshot()
+                log.counts()
+                log.drift_samples()
 
         readers = [threading.Thread(target=reader) for _ in range(2)]
         for thread in readers:
@@ -221,3 +217,51 @@ class TestDatabaseTelemetry:
         entry = db.querylog.recent()[0]
         assert "\n" not in entry.statement
         assert "  " not in entry.statement
+
+
+class TestOneCollector:
+    """The record ring is the only per-statement collector, and each
+    counter has one owner; the second copies are gone, not aliased."""
+
+    def test_statement_counters_are_the_logs_counts(self):
+        db = TestDatabaseTelemetry().make_db()
+        opts = Options(slow_query_seconds=1e-9)
+        db.sql("SELECT id FROM t", options=opts)
+        db.sql("INSERT INTO t VALUES (7)")
+        queries, slow = db.querylog.counts()
+        assert queries == {"select": 1, "insert": 1}
+        assert slow == {"select": 1}
+        metrics = db.metrics()
+        assert metrics["queries_total"]["by_label"] == queries
+        assert metrics["slow_queries_total"] == {
+            "kind": "counter", "total": 1, "by_label": {"select": 1}}
+        assert db.querylog.recorded == 2 and db.querylog.slow_recorded == 1
+        assert metrics["latency"]["select"]["count"] == 1
+        db.querylog.clear()
+        assert "queries_total" not in db.metrics()
+
+    def test_removed_names_are_gone(self):
+        obs_drift = importlib.import_module("repro.obs.drift")
+        assert not hasattr(obs_drift, "TableDrift")
+        with pytest.raises(ImportError):
+            from repro.obs.drift import DriftRecorder  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro import global_metrics  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.obs.metrics import global_metrics  # noqa: F401,F811
+        import repro
+        assert "global_metrics" not in repro.__all__
+        assert "DriftRecorder" not in repro.__all__
+        with pytest.raises(TypeError):
+            MetricsRegistry("db", parent=MetricsRegistry("process"))
+        with pytest.raises(TypeError):
+            PlanCache(4, listener=print)
+        db = Database()
+        for owner, name in ((db, "drift"), (db, "_plan_cache_event"),
+                            (MetricsRegistry(), "reset"),
+                            (EventLog(), "new_query_id"),
+                            (QueryLog(), "snapshot")):
+            with pytest.raises(AttributeError):
+                getattr(owner, name)
+        root = pathlib.Path(__file__).resolve().parent.parent
+        assert not (root / "benchmarks").exists()

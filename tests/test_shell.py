@@ -110,6 +110,23 @@ class TestMetaCommands:
         assert "plan cache cleared" in output
         assert "hits             0" in output
 
+    def test_cache_clear_resets_plan_cache_events_total(self):
+        """The metric is the cache's own counters, so one clear resets
+        both views of them."""
+        db = Database()
+        output = run_shell(SETUP + "SELECT a FROM T;\nSELECT a FROM T;\n"
+                           "SELECT a FROM T;\n\\metrics\n", db)
+        assert "plan_cache_events_total" in output
+        assert db.metrics()["plan_cache_events_total"]["by_label"] == \
+            {"hit": 1, "miss": 2}
+        output = run_shell("\\cache clear\n\\metrics\n", db)
+        assert "plan_cache_events_total" not in output
+        assert "plan_cache_events_total" not in db.metrics()
+        assert db.cache_stats()["hits"] == db.cache_stats()["misses"] == 0
+        db.sql("SELECT a FROM T")
+        assert db.metrics()["plan_cache_events_total"]["by_label"] == \
+            {"miss": 1}
+
     def test_cache_bad_size_rejected(self):
         output = run_shell("\\cache size lots\n")
         assert "rejected" in output

@@ -2,18 +2,22 @@
 
 The server gives every connection its own MVCC session but they all
 share one :class:`~repro.plancache.PlanCache`, one
-:class:`~repro.obs.metrics.MetricsRegistry` (chained to the process
-global), and one :class:`~repro.obs.log.EventLog`. These tests hammer
-each from real threads and assert *exact* outcomes — lost updates under
-a data race are probabilistic, so every test loops enough iterations
-that a missing lock fails reliably, not occasionally.
+:class:`~repro.obs.metrics.MetricsRegistry`, one
+:class:`~repro.obs.querylog.QueryLog` and one
+:class:`~repro.obs.log.EventLog`. These tests hammer each from real
+threads and assert *exact* outcomes — lost updates under a data race
+are probabilistic, so every test loops enough iterations that a missing
+lock fails reliably, not occasionally.
 """
 
+import sys
 import threading
+import time
 
-from repro import Database, DataType, SerializationError
+from repro import Database, DataType, Options, SerializationError
 from repro.obs.log import EventLog
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.querylog import QueryLog
 from repro.plancache import PlanCacheEntry, cache_key
 
 N_THREADS = 8
@@ -66,16 +70,30 @@ class TestMetricsRegistry:
                           for _ in range(N_ITER)])
         assert registry.histogram("ratio").count == N_THREADS * N_ITER
 
-    def test_parent_chain_aggregates_exactly(self):
-        parent = MetricsRegistry("process")
-        children = [MetricsRegistry("db%d" % i, parent=parent)
-                    for i in range(N_THREADS)]
-        hammer(lambda i: [children[i].inc("queries_total")
-                          for _ in range(N_ITER)])
-        assert parent.counter("queries_total").total == \
-            N_THREADS * N_ITER
-        for child in children:
-            assert child.counter("queries_total").total == N_ITER
+    def test_concurrent_counters_and_export_are_exact(self):
+        """Each thread bumps its own counter and a shared one while
+        another exports the registry (a bump may add an instrument)."""
+        registry = MetricsRegistry("db")
+        stop = threading.Event()
+
+        def exporter():
+            while not stop.is_set():
+                registry.as_dict()
+
+        reader = threading.Thread(target=exporter)
+        reader.start()
+        try:
+            hammer(lambda i: [(registry.inc("own%d_total" % i),
+                               registry.inc("shared_total"))
+                              for _ in range(N_ITER)])
+        finally:
+            stop.set()
+            reader.join(10)
+        assert not reader.is_alive()
+        counters = registry.as_dict()
+        assert counters["shared_total"]["total"] == N_THREADS * N_ITER
+        for i in range(N_THREADS):
+            assert counters["own%d_total" % i]["total"] == N_ITER
 
 
 class TestEventLog:
@@ -85,8 +103,38 @@ class TestEventLog:
                           for _ in range(N_ITER)])
         assert len(log) == N_THREADS * N_ITER
 
+    def test_to_jsonl_while_emitting(self):
+        """Readers snapshot the ring under the log's lock: iterating
+        the deque while another thread appends would raise."""
+        log = EventLog(capacity=256).enable()
+        stop = threading.Event()
+
+        def emitter():
+            while not stop.is_set():
+                log.emit("tick", n=1)
+
+        writer = threading.Thread(target=emitter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer.start()
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                log.to_jsonl()
+                log.events(event="tick")
+                log.render(limit=5)
+                len(log)
+        finally:
+            stop.set()
+            writer.join(10)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert len(log) == 256
+
+
+class TestQueryLog:
     def test_concurrent_query_ids_are_unique(self):
-        log = EventLog().enable()
+        log = QueryLog()
         seen = [None] * N_THREADS
 
         def worker(index):
@@ -95,6 +143,40 @@ class TestEventLog:
         hammer(worker)
         ids = [qid for chunk in seen for qid in chunk]
         assert len(set(ids)) == len(ids)
+
+    def test_drift_report_while_sessions_run_traced_statements(self):
+        """Four threads fold the record ring while four sessions write
+        traced records into it."""
+        db = Database()
+        db.create_table("t", [("id", DataType.INT),
+                              ("v", DataType.INT)])
+        db.insert("t", [(i, i % 9) for i in range(200)])
+        db.analyze()
+        traced = Options(trace=True)
+        finished = []
+
+        def work(index):
+            if index >= 4:
+                while len(finished) < 4:
+                    db.drift_report().as_dict()
+                return
+            try:
+                with db.new_session() as session:
+                    for i in range(60):
+                        session.sql("SELECT id FROM t WHERE v = %d"
+                                    % (i % 9), options=traced)
+            finally:
+                finished.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(work)
+        finally:
+            sys.setswitchinterval(interval)
+        report = db.drift_report()
+        assert report.recorded == 4 * 60 * len(
+            db.querylog.recent(1)[0].drift)
 
 
 class TestPlanCache:
