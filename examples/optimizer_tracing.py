@@ -1,7 +1,7 @@
 """Optimizer-observability tour: the search trace, why-not, event log.
 
-Plans the paper's motivating query on the EmpDept workload with search
-tracing on and walks the DP lattice the optimizer explored — every
+Plans the paper's motivating query on the EmpDept workload with a
+search trace and walks the DP lattice the optimizer explored — every
 candidate it costed, which ones it pruned and why, and the exact
 cost-ledger terms separating a rejected Filter/Bloom Join from the
 plan that won. Then exports the trace (JSON + Graphviz DOT), turns on
@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from repro import Options, OptimizerTrace
+from repro import OptimizerTrace
 from repro.workloads import EmpDeptConfig, MOTIVATING_QUERY, fresh_empdept
 
 QUERY = " ".join(MOTIVATING_QUERY.split())
@@ -55,14 +55,14 @@ def main() -> None:
     )
     print(disabled.render())
 
-    banner("Capturing the raw trace: Options(search_trace=True)")
-    result = db.sql(QUERY, options=Options(search_trace=True))
-    trace = result.search
+    banner("Capturing the raw trace: db.plan(QUERY, search=OptimizerTrace())")
+    trace = OptimizerTrace()
+    db.plan(QUERY, search=trace)
     verdicts = {}
     for record in trace.records:
         verdicts[record.verdict] = verdicts.get(record.verdict, 0) + 1
-    print("%d candidates costed while planning %d rows of answers:"
-          % (len(trace.records), len(result.rows)))
+    print("%d candidates costed, %d of them in the chosen plan:"
+          % (len(trace.records), sum(r.chosen for r in trace.records)))
     for verdict in sorted(verdicts):
         print("  %-28s %4d" % (verdict, verdicts[verdict]))
     saved = sum(anchor.plans_saved for anchor in trace.anchors)

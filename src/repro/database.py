@@ -131,9 +131,6 @@ class QueryResult:
     cached_plan: bool = False
     # the span tree for this execution (only when traced)
     trace: Optional[QueryTrace] = None
-    # the optimizer's DP search trace (only when the search_trace
-    # option is on); see OptimizerTrace.render() / .why_not()
-    search: Optional[OptimizerTrace] = None
     # the id ("q1", "q2", ...) of this statement's record, which the
     # event log's chain for it shares
     query_id: Optional[str] = None
@@ -534,8 +531,8 @@ class Database:
              ) -> Tuple[PlanNode, Planner]:
         """Optimize a query; returns the plan and the planner (for its
         metrics and costers). Pass an :class:`OptimizerTrace` as
-        ``search`` to record the full DP search; the trace is finalized
-        against the winning plan before returning."""
+        ``search`` to record the full DP search; the planner finalizes
+        it against the winning plan."""
         block = (
             self.bind(sql_or_block) if isinstance(sql_or_block, str)
             else sql_or_block
@@ -548,8 +545,6 @@ class Database:
                           trace=search,
                           memo=self.restriction_memo if shared else None)
         plan = planner.plan(block)
-        if search is not None:
-            search.finalize(plan)
         self.last_planner = planner
         self._record_planner_metrics(planner)
         return plan, planner
@@ -574,42 +569,32 @@ class Database:
         for method, count in m.pruned_by_method.items():
             registry.inc("planner_candidates_pruned_total", count,
                          label=method)
-        saved = sum(
-            max(0, coster.estimate_calls - coster.nested_optimizations)
-            for coster in planner._costers.values()
-        )
+        saved = sum(coster.plans_saved for coster in planner._costers.values())
         if saved:
             registry.inc("planner_parametric_plans_saved_total", saved)
 
     def explain(self, sql_text: str,
                 config: Optional[OptimizerConfig] = None,
-                mode: str = "plan",
-                why_not: Optional[str] = None) -> str:
+                mode: str = "plan") -> str:
         """The chosen plan as text.
 
         ``mode="search"`` appends the optimizer's DP search trace: the
         memo lattice level by level with every candidate's cost delta
         and pruning verdict, the parametric-coster anchors, and the
-        join methods that never produced a candidate. ``why_not`` names
-        a join method (e.g. ``"filter_join"``) and appends a report on
-        why the chosen plan does not use it.
+        join methods that never produced a candidate. Why the plan does
+        not use a given join method is :meth:`why_not`.
         """
         if mode not in ("plan", "search"):
             raise ReproError(
                 'explain() mode must be "plan" or "search", got %r'
                 % (mode,)
             )
-        if mode == "plan" and why_not is None:
+        if mode == "plan":
             plan, _planner = self.plan(sql_text, config)
             return plan.explain()
         search = OptimizerTrace()
         plan, _planner = self.plan(sql_text, config, search=search)
-        sections = [plan.explain()]
-        if mode == "search":
-            sections.append(search.render())
-        if why_not is not None:
-            sections.append(search.why_not(why_not).render())
-        return "\n\n".join(sections)
+        return plan.explain() + "\n\n" + search.render()
 
     def why_not(self, sql_text: str, method: str,
                 config: Optional[OptimizerConfig] = None) -> WhyNotReport:
@@ -622,13 +607,10 @@ class Database:
         return search.why_not(method)
 
     def explain_analyze(self, sql_text: str,
-                        config: Optional[OptimizerConfig] = None,
-                        search: bool = False) -> str:
+                        config: Optional[OptimizerConfig] = None) -> str:
         """EXPLAIN plus execution: the plan annotated with per-operator
         actual row counts (from the query's span tree), followed by the
-        measured cost ledger and the measured/est cost q-error.
-        ``search=True`` also attaches an optimizer search trace, adding
-        a candidates-vs-memo summary line to the report."""
+        measured cost ledger and the measured/est cost q-error."""
         config = config or self.config
         parse_started = time.perf_counter()
         parser = Parser(sql_text)
@@ -639,8 +621,7 @@ class Database:
                 "EXPLAIN ANALYZE requires a query, got %s"
                 % type(statement).__name__
             )
-        opts = self._resolve_options(
-            Options(trace=True, search_trace=True if search else None))
+        opts = self._resolve_options(Options(trace=True))
         result = self._execute_statement(statement, sql_text,
                                          parser.tokens, config, opts,
                                          parse_seconds)
@@ -681,7 +662,6 @@ class Database:
     def _resolve_plan(self, statement, tokens: list,
                       config: OptimizerConfig,
                       record: QueryLogEntry, use_cache: bool,
-                      search: Optional[OptimizerTrace] = None,
                       prepared: bool = False) -> PlanCacheEntry:
         """The plan for a query statement: the plan cache's entry when
         ``use_cache`` and it is current, else bind + optimize. A miss is
@@ -708,7 +688,7 @@ class Database:
         binder = self.binder()
         block = self._bind_statement(statement, binder)
         bound = clock()
-        plan, planner = self.plan(block, config, search=search)
+        plan, planner = self.plan(block, config)
         record.bind_seconds = bound - started
         record.plan_seconds = clock() - bound
         record.plans_considered = planner.metrics.plans_considered
@@ -985,14 +965,12 @@ class Database:
                params: Optional[tuple] = None) -> QueryResult:
         """Every query, straight through: resolve the plan (a prepared
         handle's ``params`` always go through the plan cache, an ad-hoc
-        text when ``use_cache``; a search trace documents *this*
-        optimization run, so it bypasses the cache), bind the parameter
-        values onto it, run it."""
-        search = OptimizerTrace() if opts.search_trace else None
+        text when ``use_cache``), bind the parameter values onto it,
+        run it."""
         prepared = params is not None
-        use_cache = search is None and bool(opts.use_cache or prepared)
+        use_cache = bool(opts.use_cache or prepared)
         entry = self._resolve_plan(statement, tokens, config,
-                                   record, use_cache, search, prepared)
+                                   record, use_cache, prepared)
         params = params or ()
         if len(entry.parameters) != len(params):
             raise ParameterError(
@@ -1007,7 +985,6 @@ class Database:
             entry.plan, entry.metrics, config, opts,
             TraceBuilder(text) if opts.trace else None, record)
         result.cached_plan = record.plan_cache == "hit"
-        result.search = search
         return result
 
     def _dml_statement(self, statement, record: QueryLogEntry

@@ -23,8 +23,10 @@ search trace.
 - :mod:`~repro.obs.log` — JSON-lines query-lifecycle events behind
   ``db.event_log`` and the shell's ``\\log``;
 - :mod:`~repro.obs.opttrace` — the optimizer's DP search as data:
-  every memo entry, pruning verdict, and parametric anchor, behind
-  ``db.explain(sql, mode="search")`` / ``db.why_not(...)``.
+  every memo entry, the planner's pruning verdict on it, and every
+  parametric anchor, as reported by the planner itself, behind
+  ``db.plan(sql, search=OptimizerTrace())``,
+  ``db.explain(sql, mode="search")`` and ``db.why_not(...)``.
 
 See ``docs/observability.md`` for the span schema and metrics catalog.
 """

@@ -1,26 +1,26 @@
 """Optimizer search-space tracing: the DP memo made visible.
 
-PR 3 instrumented *execution*; this module instruments *planning*. An
-:class:`OptimizerTrace` attaches to a :class:`~repro.optimizer.planner.Planner`
-by method-swapping a handful of instance methods for observing wrappers
-(the same technique the distributed deadline hooks use), so that:
+An :class:`OptimizerTrace` handed to a
+:class:`~repro.optimizer.planner.Planner` is told what the planner
+decided, at the point where it decides:
 
 - every candidate :class:`PartialPlan` that reaches the DP memo
   (``Planner._add_entry``) is recorded with its full cost-ledger
-  breakdown and a pruning verdict — ``kept``, ``dominated-by-cost``,
+  breakdown, and the planner reports its pruning verdict — ``kept``,
+  ``dominated-by-cost`` (naming the entry that beat it),
   ``interesting-order-survivor`` (kept despite costing more than the
   unordered best) or ``order-pruned`` (evicted by the 4x rule);
 - every Filter Join candidate carries its production-set choice,
-  filter-column selection, and Table-1 component estimates;
+  filter-column selection, and Table-1 component estimates, read off
+  its :class:`~repro.optimizer.plans.FilterJoinNode`;
 - join methods a subset never generated are recorded as *skips* with
   the config flag or structural reason that excluded them;
 - each :class:`ParametricInnerCoster` contributes its equivalence-class
   anchors and interpolation fit.
 
-The wrappers observe and delegate — they never change planner behavior,
-which the golden-plan tests assert (plans are byte-identical with
-tracing on). When no trace is attached the planner runs its plain
-methods, so the off path costs nothing.
+The trace only records — it never changes planner behavior, which the
+golden-plan tests assert (plans are byte-identical with tracing on).
+An untraced planner calls no function of this module.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PlanError
-from ..optimizer.plans import method_label
-
-# Pruning verdicts.
-KEPT = "kept"
-DOMINATED = "dominated-by-cost"
-ORDER_PRUNED = "order-pruned"
-ORDER_SURVIVOR = "interesting-order-survivor"
+from ..optimizer.planner import (
+    DOMINATED,
+    KEPT,
+    ORDER_PRUNED,
+    ORDER_SURVIVOR,
+)
+from ..optimizer.plans import FilterJoinNode, method_label
 
 #: User-facing spellings accepted by :meth:`OptimizerTrace.why_not`.
 #: "magic"-family spellings are context-sensitive (see
@@ -99,7 +99,7 @@ class CandidateRecord:
     components: Dict[str, float]          # CostLedger.as_dict()
     sort_order: Optional[Tuple[str, ...]]
     site: Optional[str]
-    node_id: int
+    node: object = field(repr=False, compare=False)  # the plan's top node
     verdict: str = KEPT
     dominated_by: Optional[int] = None    # seq of the record that beat it
     chosen: bool = False                  # part of the final plan
@@ -166,13 +166,7 @@ class AnchorRecord:
     fit: Optional[Tuple[float, float]]         # (slope, intercept)
     estimate_calls: int
     nested_optimizations: int
-
-    @property
-    def plans_saved(self) -> int:
-        """Nested optimizations avoided vs. exact costing: exact costing
-        plans the restricted inner once per estimate call; the parametric
-        coster plans it once per anchor."""
-        return max(0, self.estimate_calls - self.nested_optimizations)
+    plans_saved: int
 
     def as_dict(self) -> dict:
         return {
@@ -276,13 +270,26 @@ def _append_detail(out: List[str], rec: CandidateRecord, indent: str) -> None:
                                         for kv in parts.items())))
 
 
+def _filter_join_detail(node: FilterJoinNode) -> dict:
+    return {
+        "production": list(node.production),
+        "production_rows": node.production_rows,
+        "filter_columns": ["%s->%s" % pair for pair in node.bind_pairs],
+        "lossy": node.lossy,
+        "components": dict(node.component_estimates),
+        "est_filter_rows": node.est_filter_rows,
+        "ship_filter": node.ship_filter,
+        "param_id": node.param_id,
+    }
+
+
 class OptimizerTrace:
     """Recorder for one optimization run's search space.
 
-    Create one, pass it to :meth:`Database.plan`/``db.sql(...,
-    options=Options(search_trace=True))``, then inspect it via
-    :meth:`render`, :meth:`why_not`, :meth:`to_json` or :meth:`to_dot`.
-    An instance is single-use: it attaches to exactly one planner.
+    Create one, pass it to :meth:`Database.plan` (``db.plan(sql,
+    search=trace)``), then inspect it via :meth:`render`,
+    :meth:`why_not`, :meth:`to_json` or :meth:`to_dot`. An instance is
+    single-use: it records exactly one planner's run.
     """
 
     def __init__(self) -> None:
@@ -291,202 +298,106 @@ class OptimizerTrace:
         self.anchors: List[AnchorRecord] = []
         self.metrics = None              # PlannerMetrics, set by finalize()
         self.final_plan = None
-        self._planner = None
+        self._config = None              # the planner's, set by begin()
+        # latest record per plan node (each record holds its node, so
+        # an id here always names a live node)
         self._by_node: Dict[int, CandidateRecord] = {}
-        self._fj_details: Dict[int, dict] = {}
-        self._coster_info: Dict[str, dict] = {}
         self._skip_seen = set()
         self._block_stack: List[int] = []
         self._block_counter = 0
-        # Recorded plan nodes are pinned so a collected node's id can
-        # never be recycled into a stale _by_node hit.
-        self._pins: List[object] = []
 
-    # ------------------------------------------------------------- attach
+    # ------------------------------------------ what the planner reports
 
-    def attach(self, planner) -> None:
-        """Swap observing wrappers over the planner's search methods."""
-        if self._planner is not None:
-            raise PlanError("OptimizerTrace is already attached to a planner")
-        self._planner = planner
+    def begin(self, config) -> None:
+        """A planner running under ``config`` starts recording here."""
+        if self._config is not None:
+            raise PlanError("an OptimizerTrace records one planner run; "
+                            "this one already has")
+        self._config = config
 
-        orig_add_entry = planner._add_entry
-        orig_join_candidates = planner._join_candidates
-        orig_one_filter_join = planner._one_filter_join
-        orig_coster_for = planner._coster_for
-        orig_plan_block = planner.plan_block
+    def enter_block(self) -> None:
+        self._block_stack.append(self._block_counter)
+        self._block_counter += 1
 
-        def add_entry(table, candidate):
-            before = dict(table.get(candidate.aliases, {}))
-            orig_add_entry(table, candidate)
-            self._record_entry(candidate, before,
-                               table.get(candidate.aliases, {}))
-
-        def join_candidates(block, partial, rel):
-            out = orig_join_candidates(block, partial, rel)
-            self._record_skips(partial, rel, out)
-            return out
-
-        orig_recursive_access = planner._recursive_access_plans
-
-        def recursive_access_plans(rel, block, locals_, props):
-            out = orig_recursive_access(rel, block, locals_, props)
-            self._record_recursive_skips(rel, out)
-            return out
-
-        planner._recursive_access_plans = recursive_access_plans
-
-        def one_filter_join(block, partial, production, rel, new_props,
-                            equi_names, residual, chosen, lossy):
-            out = orig_one_filter_join(block, partial, production, rel,
-                                       new_props, equi_names, residual,
-                                       chosen, lossy)
-            if out is not None:
-                node = out.plan
-                self._fj_details[id(node)] = {
-                    "production": sorted(production.aliases),
-                    "production_rows": production.props.rows,
-                    "filter_columns": ["%s->%s" % pair for pair in chosen],
-                    "lossy": lossy,
-                    "components": dict(node.component_estimates),
-                    "est_filter_rows": node.est_filter_rows,
-                    "ship_filter": node.ship_filter,
-                    "param_id": node.param_id,
-                }
-            return out
-
-        def coster_for(rel, bound_cols, lossy, block=None):
-            coster = orig_coster_for(rel, bound_cols, lossy, block=block)
-            self._coster_info.setdefault(coster.param_id, {
-                "relation": rel.alias,
-                "columns": tuple(bound_cols),
-                "lossy": lossy,
-            })
-            return coster
-
-        def plan_block(block):
-            self._block_stack.append(self._block_counter)
-            self._block_counter += 1
-            try:
-                return orig_plan_block(block)
-            finally:
-                self._block_stack.pop()
-
-        planner._add_entry = add_entry
-        planner._join_candidates = join_candidates
-        planner._one_filter_join = one_filter_join
-        planner._coster_for = coster_for
-        planner.plan_block = plan_block
-
-    # ---------------------------------------------------------- recording
+    def exit_block(self) -> None:
+        self._block_stack.pop()
 
     def _current_block(self) -> int:
         return self._block_stack[-1] if self._block_stack else 0
 
-    def _record_entry(self, candidate, before, after) -> None:
-        node = candidate.plan
+    def candidate(self, partial, depth: int) -> None:
+        """``partial`` reached the DP memo at restriction depth ``depth``."""
+        node = partial.plan
         rec = CandidateRecord(
             seq=len(self.records),
             block=self._current_block(),
-            depth=self._planner._restriction_depth,
-            aliases=tuple(sorted(candidate.aliases)),
-            sequence=tuple(candidate.sequence),
+            depth=depth,
+            aliases=tuple(sorted(partial.aliases)),
+            sequence=tuple(partial.sequence),
             method=method_label(node),
-            cost=candidate.cost,
-            est_rows=candidate.props.rows,
-            components=candidate.components.as_dict(),
-            sort_order=candidate.sort_order,
+            cost=partial.cost,
+            est_rows=partial.props.rows,
+            components=partial.components.as_dict(),
+            sort_order=partial.sort_order,
             site=node.site,
-            node_id=id(node),
-            detail=self._fj_details.pop(id(node), None),
+            node=node,
+            detail=(_filter_join_detail(node)
+                    if isinstance(node, FilterJoinNode) else None),
         )
         self.records.append(rec)
         self._by_node[id(node)] = rec
-        self._pins.append(node)
 
-        entry_key = (candidate.sort_order, node.site)
-        incumbent = before.get(entry_key)
-        now = after.get(entry_key)
+    def verdict(self, partial, verdict: str, by=None) -> None:
+        """The planner's verdict on a recorded entry; ``by`` is the
+        entry that dominated it. A pruned record keeps its verdict."""
+        rec = self._by_node[id(partial.plan)]
+        if rec.pruned:
+            return
+        rec.verdict = verdict
+        rec.dominated_by = (None if by is None
+                            else self._by_node[id(by.plan)].seq)
 
-        def demote(partial, verdict, by=None):
-            old = self._by_node.get(id(partial.plan))
-            if old is not None and not old.pruned:
-                old.verdict = verdict
-                old.dominated_by = by
+    def _skip(self, aliases, outer, inner, method, reason) -> None:
+        key = (self._current_block(), aliases, inner, method)
+        if key in self._skip_seen:
+            return
+        self._skip_seen.add(key)
+        self.skips.append(SkipRecord(
+            block=self._current_block(), aliases=aliases, outer=outer,
+            inner=inner, method=method, reason=reason,
+        ))
 
-        if now is candidate:
-            rec.verdict = KEPT
-            if incumbent is not None:
-                demote(incumbent, DOMINATED, rec.seq)
-            if candidate.sort_order is not None:
-                unordered = after.get((None, node.site))
-                if unordered is not None and unordered.cost < candidate.cost:
-                    rec.verdict = ORDER_SURVIVOR
-        elif incumbent is not None and now is incumbent:
-            rec.verdict = DOMINATED
-            beat_by = self._by_node.get(id(incumbent.plan))
-            rec.dominated_by = beat_by.seq if beat_by is not None else None
-        else:
-            # Inserted (possibly displacing the incumbent) and then
-            # evicted in the same call by the 4x interesting-order rule.
-            rec.verdict = ORDER_PRUNED
-            if incumbent is not None and candidate.cost < incumbent.cost:
-                demote(incumbent, DOMINATED, rec.seq)
-        for key, partial in before.items():
-            if key != entry_key and key not in after:
-                demote(partial, ORDER_PRUNED)
-
-    def _record_recursive_skips(self, rel, produced) -> None:
+    def skipped_fixpoints(self, rel, produced) -> None:
         """Why one side of the magic/fixpoint costed pair is absent.
 
-        Fires at access-path generation (not join wrapping) so that
+        Reported at access-path generation (not join wrapping) so that
         single-relation recursive queries are covered too.
         """
-        planner = self._planner
-        if planner._restriction_depth > 0:
-            return
-        cfg = planner.config
+        cfg = self._config
         made = {method_label(c.plan) for c in produced}
         subset = (rel.alias,)
-
-        def skip(method, reason):
-            key = (self._current_block(), subset, rel.alias, method)
-            if key in self._skip_seen:
-                return
-            self._skip_seen.add(key)
-            self.skips.append(SkipRecord(
-                block=self._current_block(), aliases=subset,
-                outer=(), inner=rel.alias, method=method, reason=reason,
-            ))
-
         if "magic" not in made:
             if cfg.forced_recursive == "full":
-                skip("magic", "excluded by forced_recursive='full'")
+                reason = "excluded by forced_recursive='full'"
             else:
-                skip("magic",
-                     "no pushable literal binding on a magic-safe "
-                     "column of %s" % rel.alias)
+                reason = ("no pushable literal binding on a magic-safe "
+                          "column of %s" % rel.alias)
+            self._skip(subset, (), rel.alias, "magic", reason)
         if "fixpoint" not in made and cfg.forced_recursive == "magic":
-            skip("fixpoint", "excluded by forced_recursive='magic'")
+            self._skip(subset, (), rel.alias, "fixpoint",
+                       "excluded by forced_recursive='magic'")
 
-    def _record_skips(self, partial, rel, produced) -> None:
-        planner = self._planner
-        if planner._restriction_depth > 0:
-            return
-        cfg = planner.config
+    def skipped_joins(self, partial, rel, produced) -> None:
+        """Why a join method produced no candidate for ``partial``
+        joined with ``rel``: a config flag, a forced strategy, or the
+        query's structure."""
+        cfg = self._config
         subset = tuple(sorted(partial.aliases | {rel.alias}))
         made = {method_label(c.plan) for c in produced}
 
         def skip(method, reason):
-            key = (self._current_block(), subset, rel.alias, method)
-            if key in self._skip_seen:
-                return
-            self._skip_seen.add(key)
-            self.skips.append(SkipRecord(
-                block=self._current_block(), aliases=subset,
-                outer=tuple(partial.sequence), inner=rel.alias,
-                method=method, reason=reason,
-            ))
+            self._skip(subset, tuple(partial.sequence), rel.alias, method,
+                       reason)
 
         forced = cfg.forced_view_join if rel.kind == "view" else None
         forced_stored = (cfg.forced_stored_join if rel.kind == "stored"
@@ -544,7 +455,7 @@ class OptimizerTrace:
 
     # ---------------------------------------------------------- finalize
 
-    def finalize(self, plan) -> None:
+    def finalize(self, plan, metrics, costers) -> None:
         """Mark the records making up the final plan and snapshot the
         planner's metrics and parametric costers."""
         self.final_plan = plan
@@ -555,29 +466,23 @@ class OptimizerTrace:
             chosen_ids.add(id(node))
             stack.extend(node.children())
         for rec in self.records:
-            if rec.node_id in chosen_ids and not rec.pruned:
+            if id(rec.node) in chosen_ids and not rec.pruned:
                 rec.chosen = True
-        planner = self._planner
-        if planner is None:
-            return
-        self.metrics = planner.metrics
-        self.anchors = []
-        for coster in planner._costers.values():
-            info = self._coster_info.get(coster.param_id, {})
-            self.anchors.append(AnchorRecord(
-                param_id=coster.param_id,
-                relation=info.get("relation", "?"),
-                columns=tuple(info.get("columns", ())),
-                lossy=bool(info.get("lossy", False)),
-                domain_distinct=coster.domain_distinct,
-                num_classes=coster.num_classes,
-                enabled=coster.enabled,
-                anchors=[(c.anchor_rows, c.cost, c.rows)
-                         for c in coster.classes],
-                fit=coster._fit,
-                estimate_calls=coster.estimate_calls,
-                nested_optimizations=coster.nested_optimizations,
-            ))
+        self.metrics = metrics
+        self.anchors = [AnchorRecord(
+            param_id=coster.param_id,
+            relation=coster.relation,
+            columns=coster.columns,
+            lossy=coster.lossy,
+            domain_distinct=coster.domain_distinct,
+            num_classes=coster.num_classes,
+            enabled=coster.enabled,
+            anchors=[(c.anchor_rows, c.cost, c.rows) for c in coster.classes],
+            fit=coster._fit,
+            estimate_calls=coster.estimate_calls,
+            nested_optimizations=coster.nested_optimizations,
+            plans_saved=coster.plans_saved,
+        ) for coster in costers]
 
     # ------------------------------------------------------------ why-not
 

@@ -99,12 +99,4 @@ def render_explain_analyze(result, cost_params=None) -> str:
                result.metrics.filter_joins_considered,
                result.metrics.nested_optimizations)
         )
-        if getattr(result, "search", None) is not None:
-            metrics = result.metrics
-            pruned = sum(metrics.pruned_by_method.values())
-            lines.append(
-                "search: %d candidates -> %d memo entries kept "
-                "(%d pruned); full trace on result.search"
-                % (metrics.plans_considered, metrics.dp_entries, pruned)
-            )
     return "\n".join(lines)

@@ -186,6 +186,13 @@ class ParametricInnerCoster:
                 for anchor, cost, rows, components in numbers
             ]
 
+    @property
+    def plans_saved(self) -> int:
+        """Nested optimizations avoided vs. exact costing: exact costing
+        plans the restricted inner once per estimate call; this coster
+        plans it once per anchor."""
+        return max(0, self.estimate_calls - self.nested_optimizations)
+
     # ---------------------------------------------------------------- anchors
 
     def anchor_cardinalities(self) -> List[float]:

@@ -76,6 +76,14 @@ from .plans import (
 )
 from .properties import RelProps, StatsEstimator
 
+# The DP memo's verdicts on a candidate, as a search trace reports them:
+# kept; beaten at its (interesting order, site) entry; kept although the
+# unordered best is cheaper; evicted by the 4x interesting-order rule.
+KEPT = "kept"
+DOMINATED = "dominated-by-cost"
+ORDER_SURVIVOR = "interesting-order-survivor"
+ORDER_PRUNED = "order-pruned"
+
 
 @dataclass
 class PlannerMetrics:
@@ -145,13 +153,13 @@ class Planner:
         # The caches above key by id(); keep the keyed objects alive so
         # a dead object's id can never be recycled into a stale hit.
         self._cache_pins: List[object] = []
-        # Optional search-space observer (obs.opttrace.OptimizerTrace).
-        # Attaching swaps a handful of methods for observing wrappers;
-        # when trace is None the planner runs the plain methods, so the
-        # off path costs nothing.
+        # Optional search-space recorder (obs.opttrace.OptimizerTrace):
+        # the planner reports each block, candidate, verdict and skipped
+        # join method to it where it decides them; with trace None each
+        # report is one skipped `if`.
         self.trace = trace
         if trace is not None:
-            trace.attach(self)
+            trace.begin(self.config)
 
     # ------------------------------------------------------------ public API
 
@@ -159,6 +167,8 @@ class Planner:
         """Plan a bound query (a single block or a UNION chain)."""
         plan = self._plan_query(block)
         self._resolve_templates(plan)
+        if self.trace is not None:
+            self.trace.finalize(plan, self.metrics, self._costers.values())
         return plan
 
     def _plan_query(self, block) -> PlanNode:
@@ -214,7 +224,11 @@ class Planner:
     # ---------------------------------------------------------- block plans
 
     def plan_block(self, block: QueryBlock) -> PlanNode:
+        if self.trace is not None:
+            self.trace.enter_block()
         best = self._plan_joins(block)
+        if self.trace is not None:
+            self.trace.exit_block()
         plan = best.plan
         components = best.components.snapshot()
         props = best.props
@@ -314,9 +328,12 @@ class Planner:
                     partners = self._join_partners(block, partial, relations)
                     for alias in partners:
                         rel = relations[alias]
-                        for candidate in self._join_candidates(
-                            block, partial, rel
-                        ):
+                        candidates = self._join_candidates(block, partial,
+                                                           rel)
+                        if self.trace is not None \
+                                and self._restriction_depth == 0:
+                            self.trace.skipped_joins(partial, rel, candidates)
+                        for candidate in candidates:
                             self._add_entry(table, candidate)
 
         full = frozenset(relations)
@@ -352,39 +369,51 @@ class Planner:
 
     def _add_entry(self, table, candidate: PartialPlan) -> None:
         self.metrics.plans_considered += 1
-        self._note_candidate(candidate.plan)
+        self._note_candidate(candidate)
         bucket = table.setdefault(candidate.aliases, {})
         # Entries are comparable only at the same (interesting order,
         # site): a differently-sited plan owes a future shipping cost.
-        entry_key = (candidate.sort_order, candidate.plan.site)
+        site = candidate.plan.site
+        entry_key = (candidate.sort_order, site)
         incumbent = bucket.get(entry_key)
         if incumbent is None or candidate.cost < incumbent.cost:
             bucket[entry_key] = candidate
             if incumbent is not None:
-                self._note_pruned(incumbent.plan)
+                self._note_pruned(incumbent, DOMINATED, by=candidate)
         else:
-            self._note_pruned(candidate.plan)
+            self._note_pruned(candidate, DOMINATED, by=incumbent)
         # Prune ordered entries dominated by the same-site unordered best.
-        same_site = [p for p in bucket.values()
-                     if p.plan.site == candidate.plan.site]
+        same_site = [p for p in bucket.values() if p.plan.site == site]
         best_any = min(same_site, key=lambda p: p.cost)
         for key in list(bucket):
             order_key, site_key = key
-            if site_key != candidate.plan.site or order_key is None:
+            if site_key != site or order_key is None:
                 continue
             if bucket[key].cost > best_any.cost * 4:
-                self._note_pruned(bucket[key].plan)
+                self._note_pruned(bucket[key], ORDER_PRUNED)
                 del bucket[key]
+        if self.trace is not None and candidate.sort_order is not None \
+                and bucket.get(entry_key) is candidate:
+            unordered = bucket.get((None, site))
+            if unordered is not None and unordered.cost < candidate.cost:
+                self.trace.verdict(candidate, ORDER_SURVIVOR)
 
-    def _note_candidate(self, node: PlanNode) -> None:
-        label = method_label(node)
+    def _note_candidate(self, candidate: PartialPlan) -> None:
+        label = method_label(candidate.plan)
         by = self.metrics.candidates_by_method
         by[label] = by.get(label, 0) + 1
+        if self.trace is not None:
+            self.trace.candidate(candidate, self._restriction_depth)
 
-    def _note_pruned(self, node: PlanNode) -> None:
-        label = method_label(node)
-        by = self.metrics.pruned_by_method
-        by[label] = by.get(label, 0) + 1
+    def _note_pruned(self, partial: PartialPlan, verdict: str,
+                     by: Optional[PartialPlan] = None) -> None:
+        """Count an entry the memo discarded, and report why: beaten by
+        ``by`` (``DOMINATED``) or evicted by the 4x rule."""
+        label = method_label(partial.plan)
+        counts = self.metrics.pruned_by_method
+        counts[label] = counts.get(label, 0) + 1
+        if self.trace is not None:
+            self.trace.verdict(partial, verdict, by)
 
     # ----------------------------------------------------------- access paths
 
@@ -446,6 +475,8 @@ class Planner:
         elif rel.kind == "recursive":
             plans.extend(self._recursive_access_plans(rel, block, locals_,
                                                       props))
+            if self.trace is not None and self._restriction_depth == 0:
+                self.trace.skipped_fixpoints(rel, plans)
         else:
             raise PlanError("cannot access relation kind %r" % rel.kind)
         return plans
@@ -1166,6 +1197,8 @@ class Planner:
         )
         node.component_estimates = parts
         node.est_filter_rows = filter_distinct
+        node.production = tuple(sorted(production.aliases))
+        node.production_rows = production.props.rows
         node.ship_filter = ship_filter
         node.sort_order = None
         node.site = join_site
@@ -1304,6 +1337,8 @@ class Planner:
             on_classes=keep_classes,
         )
         coster.param_id = param_id
+        coster.relation, coster.columns, coster.lossy = (
+            rel.alias, tuple(bound), lossy)
         self._costers[key] = coster
         self._cache_pins.append(rel)
         return coster

@@ -452,6 +452,9 @@ class FilterJoinNode(PlanNode):
         # Filled by the cost model for Table 1 reporting:
         self.component_estimates: dict = {}
         self.est_filter_rows: float = 0.0
+        # the production set the filter is projected from
+        self.production: Tuple[str, ...] = ()
+        self.production_rows: float = 0.0
 
     def children(self) -> List[PlanNode]:
         return [self.outer, self.inner_template]

@@ -206,7 +206,7 @@ class TestOneFilterSet:
                 getattr(context, old)
         assert "final_method" not in inspect.signature(
             FilterJoinNode).parameters
-        assert len(dataclasses.fields(Options)) == 11
+        assert len(dataclasses.fields(Options)) == 10
 
     def test_typed_filter_set_derives_its_views_lazily(self):
         key = Schema.of(("k", DataType.INT))

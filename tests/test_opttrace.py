@@ -129,9 +129,10 @@ class TestExplainModes:
         assert "== optimizer search trace" in text
         assert DOMINATED in text
 
-    def test_why_not_section(self, db):
-        text = db.explain(QUERY, why_not="merge")
-        assert "why-not merge" in text
+    def test_why_not_keyword_removed(self, db):
+        """``db.why_not`` is the one path to a why-not report."""
+        with pytest.raises(TypeError):
+            db.explain(QUERY, why_not="merge")
 
     def test_bad_mode_rejected(self, db):
         with pytest.raises(Exception, match="mode"):
@@ -173,14 +174,23 @@ class TestExports:
 
 
 class TestOptionsIntegration:
-    def test_search_trace_attaches_to_result(self, db):
-        result = db.sql(QUERY, options=Options(search_trace=True))
-        assert result.search is not None
-        assert result.search.records
-        assert result.search.final_plan is not None
+    """A search trace is asked for with ``db.plan(sql, search=...)``,
+    ``db.explain(mode="search")`` or ``db.why_not``; the execution-side
+    spellings are gone, not aliased."""
 
-    def test_off_by_default(self, db):
-        assert db.sql(QUERY).search is None
+    def test_search_trace_option_removed(self, db):
+        with pytest.raises(TypeError):
+            Options(search_trace=True)
+        with pytest.raises(TypeError):
+            db.configure(search_trace=True)
+
+    def test_explain_analyze_search_keyword_removed(self, db):
+        with pytest.raises(TypeError):
+            db.explain_analyze(QUERY, search=True)
+
+    def test_result_has_no_search_attribute(self, db):
+        with pytest.raises(AttributeError):
+            db.sql(QUERY).search
 
     def test_untraced_planning_enters_no_search_trace_code(self, db):
         """Without a search trace the planner runs its plain methods:
@@ -194,21 +204,27 @@ class TestOptionsIntegration:
         assert any(code.co_filename == opttrace.__file__
                    for code in traced)
 
+    def test_traced_planner_keeps_its_own_methods(self, db):
+        """The planner reports to the trace; the trace overrides no
+        method on the planner instance."""
+        trace = OptimizerTrace()
+        _plan, planner = db.plan(QUERY, search=trace)
+        assert trace.records
+        assert not [name for name, value in vars(planner).items()
+                    if callable(value)]
+
     def test_search_trace_bypasses_plan_cache(self):
+        """A traced planning is a full cold search even when the
+        statement's plan is cached, and leaves the cache as it was."""
         db = Database()
         build_empdept(db)
-        db.configure(use_cache=True)
-        db.sql(QUERY)
-        result = db.sql(QUERY, options=Options(search_trace=True))
-        assert result.search is not None
-        assert not result.cached_plan
-
-    def test_explain_analyze_search_line(self, db):
-        text = db.explain_analyze(QUERY, search=True)
-        line = [l for l in text.splitlines() if l.startswith("search:")]
-        assert line, "no search summary line"
-        assert "memo entries" in line[0]
-        assert "candidates" in line[0]
+        for _ in range(3):
+            db.sql(QUERY)
+        trace = OptimizerTrace()
+        db.plan(QUERY, search=trace)
+        assert len(trace.records) == trace.metrics.plans_considered > 50
+        assert trace.metrics.restriction_memo_hits == 0
+        assert db.sql(QUERY).cached_plan
 
     def test_explain_analyze_without_search_has_no_line(self, db):
         text = db.explain_analyze(QUERY)
