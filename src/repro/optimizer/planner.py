@@ -39,7 +39,16 @@ from ..algebra.relations import (
     VirtualRelation,
 )
 from ..errors import PlanError
-from ..expr.nodes import ColumnRef, Comparison, Expr, conjoin, sargable
+from ..expr.nodes import (
+    BooleanExpr,
+    ColumnRef,
+    Comparison,
+    Expr,
+    InList,
+    Literal,
+    conjoin,
+    sargable,
+)
 from ..ledger import CostLedger
 from ..rewrite.magic import (
     bindable_columns,
@@ -1315,7 +1324,7 @@ class Planner:
 
         # Looked up only now: computing the domain may have built
         # statistics lazily, which moves the catalog version.
-        memo_key = self._memo_key(rel, key[1], lossy, locals_)
+        memo_key = self._memo_key(rel, key[1], lossy, locals_, props)
         stored = self.memo.lookup(memo_key, self.catalog.version)
         if stored is not None:
             self.metrics.restriction_memo_hits += 1
@@ -1344,11 +1353,14 @@ class Planner:
         return coster
 
     def _memo_key(self, rel: RelationRef, bound_cols: Tuple[str, ...],
-                  lossy: bool, locals_: Sequence[Expr]) -> Optional[tuple]:
+                  lossy: bool, locals_: Sequence[Expr],
+                  props: RelProps) -> Optional[tuple]:
         """What one coster's classes depend on besides the catalog
         version, or None when they must not outlive the statement:
         exact costing keeps no classes, and a view reference without a
         catalog name (CTE, inline subquery) is defined by its statement.
+        The inner's local predicates enter by :meth:`_class_key`, so a
+        new constant whose selectivity was seen before is a hit.
         """
         if not self.config.enable_parametric:
             return None
@@ -1361,7 +1373,34 @@ class Planner:
         if self._config_key is None:
             self._config_key = config_fingerprint(self.config)
         return (self._config_key, rel.kind, name, rel.site, rel.alias,
-                bound_cols, lossy, tuple(p.display() for p in locals_))
+                bound_cols, lossy,
+                tuple(self._class_key(p, props) for p in locals_))
+
+    def _class_key(self, pred: Expr, props: RelProps):
+        """One local conjunct as a nested optimization of its inner reads
+        it. A literal is read only through its selectivity (the sargable
+        test reads the shape, no cost formula reads an index probe's
+        value), so a column-literal comparison or an IN-list of literals
+        is its shape, its literals' types and that selectivity; AND / OR
+        / NOT keep their structure; anything else is its text."""
+        if isinstance(pred, BooleanExpr):
+            return (pred.op,) + tuple(self._class_key(arg, props)
+                                      for arg in pred.args)
+        if isinstance(pred, Comparison):
+            shaped = pred
+            if isinstance(pred.left, Literal) and \
+                    isinstance(pred.right, ColumnRef):
+                shaped = pred.flipped()
+            if isinstance(shaped.left, ColumnRef) and \
+                    isinstance(shaped.right, Literal):
+                return (shaped.op, shaped.left.name,
+                        type(shaped.right.value).__name__,
+                        self.estimator.selectivity(shaped, props))
+        elif isinstance(pred, InList):
+            return ("IN", pred.operand.display(), pred.negated,
+                    tuple(type(value).__name__ for value in pred.values),
+                    self.estimator.selectivity(pred, props))
+        return pred.display()
 
     # -------------------------------------------------------------- helpers
 

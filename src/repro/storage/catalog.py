@@ -53,15 +53,7 @@ class ColumnStats:
                 # exact range selectivity from the tracked value counts
                 total = self.frequencies.total
                 if total > 0:
-                    import operator as _op
-                    compare = {"<": _op.lt, "<=": _op.le,
-                               ">": _op.gt, ">=": _op.ge}[op]
-                    hits = sum(
-                        count
-                        for tracked, count in self.frequencies.counts.items()
-                        if compare(tracked, value)
-                    )
-                    return hits / total
+                    return self.frequencies.count_cmp(op, value) / total
             if self.histogram is not None:
                 if op == "<":
                     return self.histogram.selectivity_lt(value)

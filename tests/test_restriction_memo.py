@@ -20,7 +20,7 @@ from repro.algebra.relations import RelationRef
 from repro.distributed import DistributedDatabase
 from repro.optimizer.parametric import RestrictionMemo
 from repro.optimizer.planner import Planner
-from repro.optimizer.plans import DeferredTemplateNode, PlanNode
+from repro.optimizer.plans import DeferredTemplateNode, PlanNode, RelabelNode
 from repro.workloads import (
     EmpDeptConfig,
     MOTIVATING_QUERY,
@@ -46,8 +46,14 @@ VIEW5 = ("SELECT C.region, P.category, SUM(S.amount) AS revenue, "
          "AND V.cust_id = C.cust_id AND V.total_spend > %d "
          "AND P.price > %d GROUP BY C.region, P.category")
 
+VIEW_DID = ("SELECT D.did, D.budget, V.avgsal FROM Dept D, DepAvgSal V "
+            "WHERE D.did = V.did AND D.did = %d")
+
 SMALL = EmpDeptConfig(num_departments=40, employees_per_department=15,
                       big_fraction=0.2, young_fraction=0.3, seed=11)
+# the end-to-end benchmark's Figure-1 database
+BENCH_EMPDEPT = EmpDeptConfig(num_departments=500,
+                              employees_per_department=40, seed=7)
 
 
 def cold_plan(db, sql, config=None):
@@ -307,20 +313,131 @@ class TestStaleness:
         assert warm.explain() == cold_plan(db, MOTIVATING_QUERY).explain()
 
 
+class TemplateCheckingPlanner(Planner):
+    """Holds every deferred template it resolves to the memo numbers its
+    candidate was costed from: the class key is exact only if planning
+    the statement's own literal gives back those numbers."""
+
+    resolved = 0
+
+    def _resolve_templates(self, node):
+        if isinstance(node, RelabelNode) and \
+                isinstance(node.child, DeferredTemplateNode):
+            costed = node.child
+            planned = costed.resolve()
+            assert planned.est_cost == costed.est_cost
+            assert planned.est_rows == costed.est_rows
+            assert planned.est_components == costed.est_components
+            self.resolved += 1
+        super()._resolve_templates(node)
+
+
+class TestEquivalenceClasses:
+    """The memo keys an inner's local literal by the selectivity the
+    estimator reads from it, so a new constant in a seen class is a hit,
+    and a hit plans what a cold planner plans, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = fresh_empdept(BENCH_EMPDEPT)
+        db.plan(FIG1 % (30, 200_000))  # lazy statistics settle the version
+        return db
+
+    @staticmethod
+    def sweep(db, texts):
+        memo, resolved = RestrictionMemo(), 0
+        for sql in texts:
+            planner = TemplateCheckingPlanner(db.catalog, db.config,
+                                              memo=memo)
+            plan = planner.plan(db.bind(sql))
+            no_deferred(plan)
+            cold = cold_plan(db, sql)
+            assert plan.explain() == cold.explain(), sql
+            assert plan.est_cost == cold.est_cost, sql
+            assert plan.est_components == cold.est_components, sql
+            resolved += planner.resolved
+        assert memo.hits > memo.misses
+        return memo, resolved
+
+    def test_figure1_every_age_against_seeded_budgets(self, db):
+        """Each age 24-45 against five of 110 seeded budgets."""
+        ages = range(24, 46)
+        budgets = random.Random(29).sample(range(100_000, 800_001), 110)
+        texts = [FIG1 % (ages[i % len(ages)], budget)
+                 for i, budget in enumerate(budgets)]
+        memo, resolved = self.sweep(db, texts)
+        assert resolved > 0
+        age = db.catalog.stats("Emp").column("age")
+        budget = db.catalog.stats("Dept").column("budget")
+        classes = (len({age.selectivity_cmp("<", a) for a in ages})
+                   + len({budget.selectivity_cmp(">", b) for b in budgets}))
+        # an exact and a Bloom coster per inner, the view's two included
+        assert len(memo) <= 2 * (classes + 1)
+        assert classes < len(ages) + len(budgets)
+
+    def test_view_lookup_for_every_department(self, db):
+        texts = [VIEW_DID % did for did in range(1, 501)]
+        memo, _resolved = self.sweep(db, texts)
+        assert len(memo) < 10
+
+    def test_other_local_shapes_match_cold(self, db):
+        """IN-lists, OR, NOT, a literal on the left, and shapes keyed by
+        their text (arithmetic, column against column)."""
+        shapes = [
+            "D.did IN (%d, 7)", "D.did NOT IN (%d, 7)",
+            "(D.budget > %d OR D.did < 20)", "NOT (D.budget < %d)",
+            "%d < D.budget", "D.budget + 0 > %d", "D.budget > D.did + %d",
+        ]
+        rng = random.Random(7)
+        texts = [("SELECT E.eid, D.budget FROM Emp E, Dept D "
+                  "WHERE E.did = D.did AND E.age < 30 AND " + shape)
+                 % rng.randint(1, 900_000)
+                 for _round in range(6) for shape in shapes]
+        self.sweep(db, texts)
+
+    def test_a_new_selectivity_is_a_new_class(self, db):
+        budget = db.catalog.stats("Dept").column("budget")
+        by_class = {}
+        for constant in range(100_000, 800_000, 997):
+            by_class.setdefault(budget.selectivity_cmp(">", constant),
+                                []).append(constant)
+        first, second = [constants for constants in by_class.values()
+                         if len(constants) > 1][:2]
+        memo = RestrictionMemo()
+
+        def misses(constant):
+            planner = Planner(db.catalog, db.config, memo=memo)
+            planner.plan(db.bind(FIG1 % (30, constant)))
+            return planner.metrics.restriction_memo_misses
+
+        assert misses(first[0]) > 0
+        assert misses(first[1]) == 0  # another literal, the same class
+        assert misses(second[0]) > 0  # another class: Dept's costers miss
+        assert misses(second[1]) == 0
+
+
 class TestBound:
     def test_capacity_holds_and_nothing_but_numbers_is_kept(self):
-        db = fresh_empdept(EmpDeptConfig(num_departments=12,
-                                         employees_per_department=4))
+        # 600 departments: more budgets than a frequency histogram
+        # tracks, so the equi-depth histogram interpolates and every
+        # constant below is a class of its own
+        db = fresh_empdept(EmpDeptConfig(num_departments=600,
+                                         employees_per_department=1))
         query = ("SELECT E.eid, D.budget FROM Emp E, Dept D "
                  "WHERE E.did = D.did AND D.budget > %d")
         # two classes, no Bloom variant: the bound is what is tested
         lean = OptimizerConfig(parametric_classes=2,
                                enable_bloom_filter=False)
-        for constant in range(5000):
+        constants = range(10_000, 100_000, 45)
+        for constant in constants:
             db.plan(query % constant, lean)
+        budget = db.catalog.stats("Dept").column("budget")
+        assert budget.frequencies is None
+        classes = len({budget.selectivity_cmp(">", c) for c in constants})
+        assert classes > 3 * RestrictionMemo.CAPACITY
         memo = db.restriction_memo
         assert 0 < len(memo) <= memo.CAPACITY
-        assert memo.evictions >= 5000 - memo.CAPACITY
+        assert memo.evictions >= classes - memo.CAPACITY
         metrics = db.metrics()
         assert metrics["planner_restriction_memo_evictions_total"][
             "total"] == memo.evictions
