@@ -4,10 +4,8 @@ from .block import QueryBlock, SelectItem
 from .predicates import (
     alias_of,
     aliases_in,
-    applicable_predicates,
     connected_aliases,
     equijoin_pairs,
-    join_predicates_between,
     local_predicates,
 )
 from .relations import (
@@ -26,9 +24,7 @@ __all__ = [
     "VirtualRelation",
     "alias_of",
     "aliases_in",
-    "applicable_predicates",
     "connected_aliases",
     "equijoin_pairs",
-    "join_predicates_between",
     "local_predicates",
 ]

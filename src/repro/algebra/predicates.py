@@ -20,36 +20,18 @@ def alias_of(column_name: str) -> str:
 
 
 def aliases_in(predicate: Expr) -> FrozenSet[str]:
-    """The set of relation aliases a predicate references."""
-    return frozenset(alias_of(name) for name in predicate.columns())
+    """The set of relation aliases a predicate references, derived once
+    per node (expression nodes are immutable)."""
+    refs = predicate.__dict__.get("_aliases")
+    if refs is None:
+        refs = predicate._aliases = frozenset(
+            alias_of(name) for name in predicate.columns())
+    return refs
 
 
 def local_predicates(predicates: Sequence[Expr], alias: str) -> List[Expr]:
     """Conjuncts that touch only the given relation."""
     return [p for p in predicates if aliases_in(p) == frozenset((alias,))]
-
-
-def applicable_predicates(predicates: Sequence[Expr],
-                          available: Set[str]) -> List[Expr]:
-    """Conjuncts fully evaluable once ``available`` aliases are joined."""
-    available = frozenset(available)
-    return [p for p in predicates if aliases_in(p) and
-            aliases_in(p) <= available]
-
-
-def join_predicates_between(predicates: Sequence[Expr],
-                            left: Set[str],
-                            right: Set[str]) -> List[Expr]:
-    """Conjuncts that connect the two alias sets (touch both, nothing
-    else)."""
-    left, right = frozenset(left), frozenset(right)
-    both = left | right
-    out = []
-    for pred in predicates:
-        refs = aliases_in(pred)
-        if refs & left and refs & right and refs <= both:
-            out.append(pred)
-    return out
 
 
 def equijoin_pairs(predicates: Sequence[Expr],
@@ -58,8 +40,9 @@ def equijoin_pairs(predicates: Sequence[Expr],
     """(left_column, right_column) pairs for equi-join conjuncts between
     the two alias sets, with the left set's column first."""
     pairs = []
-    for pred in join_predicates_between(predicates, left, right):
-        if not is_equijoin(pred):
+    for pred in predicates:
+        refs = aliases_in(pred)
+        if not (is_equijoin(pred) and refs & left and refs & right):
             continue
         assert isinstance(pred, Comparison)
         lcol, rcol = pred.left, pred.right

@@ -11,10 +11,10 @@ the optimizer's :class:`~repro.optimizer.cost.CostModel` — one
 ``charge_cpu(n)`` per batch where the formula says one step per row —
 so measured and estimated cost components are directly comparable.
 
-``Operator.rows()`` flattens ``batches()`` into tuples. The five
-operators that are tuple-at-a-time by nature (merge, block and index
-nested loops, nested iteration, function join) consume their children
-through it and chunk their own generator with ``batches_from_rows``.
+``Operator.rows()`` flattens ``batches()`` into tuples. The four
+operators that are tuple-at-a-time by nature (merge and block nested
+loops, nested iteration, function join) consume their children through
+it and chunk their own generator with ``batches_from_rows``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .runtime import FilterSet, RuntimeContext
 from ..storage import columnar
 from ..storage.columnar import ColumnVector
 from .vectorize import (
+    BATCH_ROWS,
     Batch,
     KernelStats,
     batches_from_list,
@@ -1408,35 +1409,77 @@ class IndexNLJoinOp(Operator):
         self.remote_site = remote_site
 
     def batches(self) -> Iterator[Batch]:
-        return batches_from_rows(self._probe(), len(self.schema))
-
-    def _probe(self) -> Iterator[Row]:
         bind_memberships(self.residual, self.ctx)
         index = self.table.index_on(self.index_column)
         if index is None:
             raise ExecutionError(
                 "no index on %s.%s" % (self.table.name, self.index_column)
             )
+        residual = compile_optional_filter(self.residual,
+                                           stats=self.kernel_counter())
+        # index positions are physical, and the columnar base covers
+        # every physical row, so the inner is gathered straight off it
+        store = self.table.compact()
         width = self.inner_schema.row_width()
-        for outer_row in self.outer.rows():
-            key = outer_row[self.outer_position]
-            if key is None:
-                continue
-            positions = self.table.visible_positions(index.probe(key))
-            self.ctx.ledger.charge_reads(1.0 + _probe_data_pages(
-                self.table, self.index_column, len(positions)))
-            self.ctx.charge_cpu(len(positions) + 1)
-            if self.remote:
-                self.ctx.charge_probe_roundtrip(
-                    self.local_site, self.remote_site,
-                    16, len(positions) * width,
-                )
-            for position in positions:
-                combined = outer_row + self.table.row_at(position)
-                if self.residual is not None and \
-                        self.residual.eval(combined) is not True:
+        reads = {}  # match count -> pages one probe reads
+        probes, charged = [], 0
+
+        def charge_through(last: int) -> None:
+            """Charge, in outer order, the probes of the batch's outer
+            rows up to ``last``: what a row-at-a-time loop had paid by
+            the time it reached that row."""
+            nonlocal charged
+            while charged < len(probes) and probes[charged][0] <= last:
+                matches = probes[charged][1]
+                charged += 1
+                if matches not in reads:
+                    reads[matches] = 1.0 + _probe_data_pages(
+                        self.table, self.index_column, matches)
+                self.ctx.ledger.charge_reads(reads[matches])
+                self.ctx.charge_cpu(matches + 1)
+                if self.remote:
+                    self.ctx.charge_probe_roundtrip(
+                        self.local_site, self.remote_site,
+                        16, matches * width)
+
+        carry = None  # the unfilled last output batch, already charged
+        for batch in self.outer.batches():
+            # one probe per distinct non-NULL key of the batch
+            found, probes, charged, outer_at, inner_at = {}, [], 0, [], []
+            for i, key in enumerate(columnar.materialize(
+                    batch.column(self.outer_position))):
+                if key is None:
                     continue
-                yield combined
+                positions = found.get(key)
+                if positions is None:
+                    positions = found[key] = self.table.visible_positions(
+                        index.probe(key))
+                probes.append((i, len(positions)))
+                outer_at += [i] * len(positions)
+                inner_at += positions
+            if inner_at:
+                out = Batch(batch.take(outer_at).columns + [
+                    col.take(inner_at) if isinstance(col, ColumnVector)
+                    else [col[p] for p in inner_at]
+                    for col in store.columns], len(inner_at))
+                owners = _np.array(outer_at, dtype=_np.intp)
+                if residual is not None:
+                    keep = _np.asarray(residual(out), dtype=_np.bool_)
+                    out, owners = out.select(keep), owners[keep]
+                if out.n:
+                    joined = out if carry is None else \
+                        _gather([carry, out], len(self.schema))
+                    carried, stop, carry = joined.n - out.n, 0, None
+                    for piece in joined.chunks():
+                        stop += piece.n
+                        if piece.n < BATCH_ROWS:
+                            carry = piece
+                            break
+                        charge_through(owners[stop - 1 - carried])
+                        yield piece
+            charge_through(batch.n)
+        if carry is not None:
+            yield carry
 
 
 class NestedIterationOp(Operator):

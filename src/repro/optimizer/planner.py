@@ -21,8 +21,9 @@ production-set choices, which experiment C2 uses to measure the blow-up.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..algebra.block import QueryBlock
@@ -153,12 +154,15 @@ class Planner:
         self._restriction_depth = 0
         self._costers: Dict[Tuple, ParametricInnerCoster] = {}
         self._view_plans: Dict[int, PartialPlan] = {}
-        # Recursive relations: cached base-seed plans (per relation) and
-        # cached fixpoint candidate pairs (per relation *and* block, since
-        # the consuming block's predicates decide the magic restriction).
+        # Recursive relations: cached base-seed plans (per relation).
         self._fixpoint_bases: Dict[int, Tuple[PlanNode, CostLedger, float]] = {}
-        self._recursive_plans: Dict[Tuple[int, int], List[PartialPlan]] = {}
         self._props_cache: Dict[Tuple[int, FrozenSet[str]], RelProps] = {}
+        # What is fixed per block, derived once: each relation's access
+        # paths (a recursive relation's costed fixpoint pair among them,
+        # since the consuming block's predicates decide the magic
+        # restriction) and each join step's predicates.
+        self._access: Dict[Tuple[int, str], List[PartialPlan]] = {}
+        self._join_preds: Dict[Tuple[int, FrozenSet[str], str], tuple] = {}
         # The caches above key by id(); keep the keyed objects alive so
         # a dead object's id can never be recycled into a stale hit.
         self._cache_pins: List[object] = []
@@ -243,6 +247,19 @@ class Planner:
         props = best.props
         rows = props.rows
 
+        def filtered(predicate):
+            sel = self.estimator.selectivity(predicate, props)
+            components.merge(self.cost_model.filter_rows(rows))
+            node = FilterNode(plan, predicate)
+            self._finish(node, rows * sel, components)
+            return node, rows * sel, props.scaled(sel)
+
+        # a conjunct over no relation joins no DP subset: it filters the
+        # join result once, below any grouping
+        constant = [p for p in block.predicates if not aliases_in(p)]
+        if constant:
+            plan, rows, props = filtered(conjoin(constant))
+
         if block.is_grouped:
             group_schema = block.group_output_schema()
             grouped = self.estimator.grouped_props(block, props)
@@ -254,13 +271,7 @@ class Planner:
             self._finish(plan, grouped.rows, components)
             props, rows = grouped, grouped.rows
             if block.having is not None:
-                sel = self.estimator.selectivity(block.having, props)
-                step = self.cost_model.filter_rows(rows)
-                components.merge(step)
-                plan = FilterNode(plan, block.having)
-                rows = rows * sel
-                props = props.scaled(sel)
-                self._finish(plan, rows, components)
+                plan, rows, props = filtered(block.having)
 
         if block.select_items:
             out_schema = block.output_schema()
@@ -438,6 +449,26 @@ class Planner:
 
     def _access_plans(self, rel: RelationRef,
                       block: QueryBlock) -> List[PartialPlan]:
+        """The relation's access paths, derived once per block. A later
+        call gets fresh top nodes (the search trace marks a record chosen
+        by node identity), except those already shared: the recursive
+        pair, and a view's plan with no local predicate."""
+        key = (id(block), rel.alias)
+        plans = self._access.get(key)
+        if plans is None:
+            plans = self._access[key] = self._derive_access_plans(rel, block)
+            self._cache_pins.append(block)
+        elif rel.kind in ("stored", "filterset") or (
+                rel.kind == "view"
+                and local_predicates(block.predicates, rel.alias)):
+            plans = [replace(p, plan=copy.copy(p.plan)) for p in plans]
+        if rel.kind == "recursive" and self.trace is not None \
+                and self._restriction_depth == 0:
+            self.trace.skipped_fixpoints(rel, plans)
+        return plans
+
+    def _derive_access_plans(self, rel: RelationRef,
+                             block: QueryBlock) -> List[PartialPlan]:
         if rel.kind == "function":
             return []  # only joinable with bindings
         locals_ = local_predicates(block.predicates, rel.alias)
@@ -484,8 +515,6 @@ class Planner:
         elif rel.kind == "recursive":
             plans.extend(self._recursive_access_plans(rel, block, locals_,
                                                       props))
-            if self.trace is not None and self._restriction_depth == 0:
-                self.trace.skipped_fixpoints(rel, plans)
         else:
             raise PlanError("cannot access relation kind %r" % rel.kind)
         return plans
@@ -498,10 +527,6 @@ class Planner:
         and, when query bindings are pushable into the seed, the
         magic-restricted fixpoint. Both land in the same DP bucket, so
         the System-R comparison decides whether magic sets pay off."""
-        key = (id(rel), id(block))
-        cached = self._recursive_plans.get(key)
-        if cached is not None:
-            return cached
         forced = (self.config.forced_recursive
                   if self._restriction_depth == 0 else None)
         pushable, remaining = recursive_magic_bindings(rel, locals_)
@@ -513,15 +538,10 @@ class Planner:
                                              pushable=pushable,
                                              remaining=remaining)
         if forced == "magic" and magic is not None:
-            plans = [magic]
-        elif forced == "full" or magic is None:
-            plans = [full]
-        else:
-            plans = [full, magic]
-        self._recursive_plans[key] = plans
-        self._cache_pins.append(block)
-        self._cache_pins.append(rel)
-        return plans
+            return [magic]
+        if forced == "full" or magic is None:
+            return [full]
+        return [full, magic]
 
     def _fixpoint_base(self, rel) -> Tuple[PlanNode, CostLedger, float]:
         """Plan the non-recursive base branches (UNION ALL seed), cached.
@@ -675,22 +695,28 @@ class Planner:
                          rel: RelationRef) -> List[PartialPlan]:
         self.metrics.joins_enumerated += 1
         new_aliases = partial.aliases | {rel.alias}
-        join_preds = [
-            p for p in block.predicates
-            if aliases_in(p)
-            and aliases_in(p) <= new_aliases
-            and not aliases_in(p) <= partial.aliases
-            and not aliases_in(p) <= {rel.alias}
-        ]
-        pairs = equijoin_pairs(join_preds, partial.aliases, {rel.alias})
-        equi_names = [(o.name, i.name) for o, i in pairs]
-        equi_set = {
-            Comparison("=", o, i).display() for o, i in pairs
-        } | {
-            Comparison("=", i, o).display() for o, i in pairs
-        }
-        residual_list = [p for p in join_preds if p.display() not in equi_set]
-        residual = conjoin(residual_list)
+        # the join step's predicates, classified once per block
+        key = (id(block), partial.aliases, rel.alias)
+        if key not in self._join_preds:
+            join_preds = [
+                p for p in block.predicates
+                if aliases_in(p) <= new_aliases
+                and not aliases_in(p) <= partial.aliases
+                and not aliases_in(p) <= {rel.alias}
+            ]
+            pairs = equijoin_pairs(join_preds, partial.aliases, {rel.alias})
+            equi_set = {
+                Comparison("=", o, i).display() for o, i in pairs
+            } | {
+                Comparison("=", i, o).display() for o, i in pairs
+            }
+            residual_list = [p for p in join_preds
+                             if p.display() not in equi_set]
+            self._join_preds[key] = (
+                [(o.name, i.name) for o, i in pairs], residual_list,
+                conjoin(residual_list))
+            self._cache_pins.append(block)
+        equi_names, residual_list, residual = self._join_preds[key]
         new_props = self._subset_props(block, new_aliases)
 
         # An experiment may pin the strategy used for view/stored inners.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.block import QueryBlock
 from ..algebra.predicates import aliases_in
@@ -90,11 +90,22 @@ class StatsEstimator:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
+        # stored and view props, derived once per planner (which owns its
+        # estimator); an entry pins its relation so no id is recycled
+        self._relations: Dict[int, Tuple[RelationRef, RelProps]] = {}
 
     # ------------------------------------------------------- base relations
 
     def relation_props(self, relation: RelationRef) -> RelProps:
         """Props of one FROM-list entry, with alias-qualified columns."""
+        cached = self._relations.get(id(relation))
+        if cached is None:
+            cached = (relation, self._relation_props(relation))
+            if relation.kind in ("stored", "view"):
+                self._relations[id(relation)] = cached
+        return cached[1]
+
+    def _relation_props(self, relation: RelationRef) -> RelProps:
         if relation.kind == "stored":
             table_stats = self.catalog.stats(relation.table.name)
             columns = {}

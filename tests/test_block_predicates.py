@@ -6,10 +6,8 @@ from repro import Database, DataType
 from repro.algebra.predicates import (
     alias_of,
     aliases_in,
-    applicable_predicates,
     connected_aliases,
     equijoin_pairs,
-    join_predicates_between,
     local_predicates,
 )
 from repro.errors import BindError
@@ -44,19 +42,6 @@ class TestPredicateClassification:
         preds = [pred("A.x", ">", 1), pred("A.x", "=", "B.x")]
         assert local_predicates(preds, "A") == [preds[0]]
         assert local_predicates(preds, "B") == []
-
-    def test_applicable_predicates(self):
-        preds = [pred("A.x", ">", 1), pred("A.x", "=", "B.x"),
-                 pred("B.z", "=", "C.z")]
-        assert applicable_predicates(preds, {"A"}) == [preds[0]]
-        assert applicable_predicates(preds, {"A", "B"}) == preds[:2]
-        assert applicable_predicates(preds, {"A", "B", "C"}) == preds
-
-    def test_join_predicates_between(self):
-        preds = [pred("A.x", "=", "B.x"), pred("A.y", ">", 1),
-                 pred("B.z", "=", "C.z")]
-        between = join_predicates_between(preds, {"A"}, {"B"})
-        assert between == [preds[0]]
 
     def test_equijoin_pairs_orients_left(self):
         preds = [Comparison("=", ColumnRef("B.x"), ColumnRef("A.x"))]
