@@ -89,7 +89,7 @@ def connect(*, sites: Optional[Sequence[str]] = None,
         db = repro.connect(use_cache=True, trace=True)
 
     ``config`` overrides the optimizer configuration;
-    ``plan_cache_size`` bounds the versioned plan cache.
+    ``plan_cache_size`` bounds the plan cache.
     """
     if sites is not None:
         from .distributed.database import DistributedDatabase

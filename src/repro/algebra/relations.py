@@ -18,7 +18,7 @@ enclosing block are written over those qualified names.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import BindError
 from ..storage.schema import Schema
@@ -175,7 +175,8 @@ class VirtualRelation(RelationRef):
     def __init__(self, alias: str, view_name: str, block,
                  column_aliases: Optional[List[str]] = None,
                  site: Optional[str] = None,
-                 catalog_name: Optional[str] = None):
+                 catalog_name: Optional[str] = None,
+                 input_names: Tuple[str, ...] = ()):
         super().__init__(alias)
         self.view_name = view_name
         # The catalog view this reference was expanded from, when its
@@ -183,6 +184,9 @@ class VirtualRelation(RelationRef):
         # CTEs and inline subqueries have a name only within their
         # statement, so results keyed by it must not outlive that.
         self.catalog_name = catalog_name
+        # the catalog names the binder resolved for this view and its
+        # body, sorted: what a memo entry for it is tagged with
+        self.input_names = input_names
         self.block = block
         self.column_aliases = list(column_aliases) if column_aliases else None
         self.site = site

@@ -64,7 +64,6 @@ from .storage import columnar
 from .storage.catalog import Catalog
 from .storage.schema import Column, DataType, Schema
 from .txn.manager import TransactionManager
-from .udf.relation import FunctionRegistry
 
 _TYPE_MAP = {
     "int": DataType.INT,
@@ -214,7 +213,7 @@ class Database:
     def __init__(self, config: Optional[OptimizerConfig] = None,
                  plan_cache_size: int = DEFAULT_CAPACITY):
         self.catalog = Catalog()
-        self.functions = FunctionRegistry(self.catalog.bump_version)
+        self.functions = self.catalog.functions
         self.config = config or OptimizerConfig()
         self.config.validate()
         self.last_planner: Optional[Planner] = None
@@ -432,9 +431,6 @@ class Database:
             self.txn.do_create_index(table, column, kind)
 
     def insert(self, table: str, rows) -> int:
-        # data changes shift row counts/stats under cached plans; the
-        # operation bumps the catalog version so they are re-optimized
-        # rather than run with stale estimates
         with self._lock, self.txn.atomic():
             return self.txn.do_insert(table, rows)
 
@@ -478,15 +474,7 @@ class Database:
         ``{table: versions_reclaimed}``. Refused while any session has
         an open transaction."""
         with self._lock:
-            report = self.txn.vacuum()
-            if report:
-                # compaction shrinks page counts, which the memoised
-                # class numbers priced, without moving the catalog
-                # version (auto-vacuum needs no such step: it runs at
-                # the commit of a transaction whose own writes moved
-                # the version, and nothing is memoised while one is open)
-                self.restriction_memo.clear()
-            return report
+            return self.txn.vacuum()
 
     # ----------------------------------------------------------- durability
 
@@ -504,7 +492,7 @@ class Database:
     # --------------------------------------------------------------- binding
 
     def binder(self) -> Binder:
-        return Binder(self.catalog, self.functions.binder_map())
+        return Binder(self.catalog)
 
     def bind(self, sql_text: str):
         """Parse and bind a SELECT (or UNION chain) into its canonical
@@ -537,13 +525,11 @@ class Database:
             self.bind(sql_or_block) if isinstance(sql_or_block, str)
             else sql_or_block
         )
-        # A search trace wants to see every nested run, and while an
-        # explicit transaction is open row counts depend on the reader's
-        # snapshot, not on the catalog version alone: both plan cold.
-        shared = search is None and not self.catalog.mvcc.live
+        # a search trace wants to see every nested run: it plans cold
         planner = Planner(self.catalog, config or self.config,
                           trace=search,
-                          memo=self.restriction_memo if shared else None)
+                          memo=self.restriction_memo if search is None
+                          else None)
         plan = planner.plan(block)
         self.last_planner = planner
         self._record_planner_metrics(planner)
@@ -635,12 +621,13 @@ class Database:
         """Parse (and for queries, optimize) one statement with optional
         ``?`` placeholders; returns a reusable handle.
 
-        Queries are planned immediately and stored in the versioned plan
-        cache on this first miss (a one-shot text waits for its second),
-        so ``db.prepare(sql).execute(params)`` called repeatedly
-        pays for parse/bind/optimize once. The handle re-validates the
-        catalog version on every execution — DDL or statistics changes
-        transparently trigger a re-plan instead of running a stale plan.
+        Queries are planned immediately and stored in the plan cache on
+        this first miss (a one-shot text waits for its second), so
+        ``db.prepare(sql).execute(params)`` called repeatedly pays for
+        parse/bind/optimize once. Every execution re-checks what the
+        plan read of its relations — a change to any of them
+        transparently triggers a re-plan instead of running a stale
+        plan.
         """
         parser = Parser(text)
         statement = parser.parse_statement()
@@ -648,10 +635,9 @@ class Database:
                                  parser.param_count, config)
 
     def cache_stats(self) -> dict:
-        """Plan cache counters plus the current catalog version and a
-        one-line summary of the restriction memo."""
+        """Plan cache counters plus a one-line summary of the
+        restriction memo."""
         stats = self.plan_cache.stats()
-        stats["catalog_version"] = self.catalog.version
         stats["restriction_memo"] = (
             "%(entries)d/%(capacity)d entries, %(hits)d hits, "
             "%(misses)d misses, %(evictions)d evictions"
@@ -670,16 +656,16 @@ class Database:
         of the statement, the cache key's source. Fills the record's
         bind/plan seconds, cache verdict and planner counts.
 
-        A fresh entry's catalog version is captured *after* planning so
-        that lazy statistics builds triggered by the planner itself do
-        not invalidate it.
+        A fresh entry's inputs are taken when it is stored, *after*
+        planning, so that lazy statistics builds triggered by the
+        planner itself do not invalidate it.
         """
         clock = time.perf_counter
         started = clock()
         key = None
         if use_cache:
             key = cache_key(tokens, config)
-            entry = self.plan_cache.lookup(key, self.catalog.version)
+            entry = self.plan_cache.lookup(key, self.catalog)
             if entry is not None:
                 record.plan_cache = "hit"
                 record.plan_seconds = clock() - started
@@ -698,12 +684,12 @@ class Database:
             plan=plan,
             metrics=planner.metrics,
             parameters=binder.parameter_list(),
-            catalog_version=self.catalog.version,
+            names=tuple(sorted(binder.names)),
         )
         if prepared:
-            self.plan_cache.store(entry)
+            self.plan_cache.store(entry, self.catalog)
         elif use_cache:
-            self.plan_cache.admit(entry)
+            self.plan_cache.admit(entry, self.catalog)
         return entry
 
     # ------------------------------------------------------------- execution
@@ -1105,12 +1091,15 @@ class Session:
 class PreparedStatement:
     """A reusable handle over one parsed statement with ``?`` params.
 
-    Queries execute through the database's versioned plan cache: the
-    first execution (or :meth:`Database.prepare` itself) optimizes and
-    caches the plan; later executions bind parameter values onto the
-    cached plan and run it directly. If the catalog version moved (DDL,
-    data change, ANALYZE, placement change), the stale plan is discarded
-    and the query is transparently re-optimized.
+    Queries execute through the database's plan cache: the first
+    execution (or :meth:`Database.prepare` itself) optimizes and caches
+    the plan; later executions bind parameter values onto the cached
+    plan and run it directly. If what the plan read of its relations
+    changed — the relation a name resolves to, a table's row count
+    under the executing snapshot, its page count, cluster column,
+    indexes, statistics or effective site — the stale plan is discarded
+    and the query is transparently re-optimized. Writes to other tables,
+    and writes that move neither count, keep the plan.
 
     INSERT statements may also carry ``?`` placeholders; they are
     substituted per execution (there is no plan to cache).
@@ -1147,13 +1136,17 @@ class PreparedStatement:
 
     @property
     def plan(self) -> Optional[PlanNode]:
-        """The currently-cached plan for this query (None for DDL/DML,
-        or if the cache entry was evicted)."""
+        """The cached plan the next execution would run (None for
+        DDL/DML, or when the entry was evicted or its inputs moved).
+        Moves no cache counter."""
         if not self.is_query:
             return None
         key = cache_key(self.tokens, self.config or self.db.config)
-        entry = self.db.plan_cache.peek(key)
-        return entry.plan if entry is not None else None
+        with self.db._lock:
+            entry = self.db.plan_cache.peek(key)
+            if entry is None or not entry.current(self.db.catalog):
+                return None
+            return entry.plan
 
     def execute(self, params: Sequence = (),
                 options: Optional[Options] = None) -> QueryResult:

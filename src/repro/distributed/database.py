@@ -15,12 +15,12 @@ All four are costed with the same Table-1 formula, with the two
 AvailCost terms carrying the shipping costs — exactly the paper's
 "minimal modification".
 
-The prepared-statement API and the versioned plan cache work here too
+The prepared-statement API and the plan cache work here too
 (``db.prepare(...)`` / ``db.cache_stats()``): distributed plans embed
-ship decisions that depend on table placement, so
-:meth:`DistributedDatabase.place_table` bumps the catalog version and
-invalidates every cached plan — a query re-optimized after a move picks
-fresh ship/semi-join choices instead of running a stale strategy.
+ship decisions that depend on table placement, so a cached plan carries
+the effective site of each table it read — a query re-optimized after a
+move picks fresh ship/semi-join choices instead of running a stale
+strategy.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class DistributedDatabase(Database):
     messages, or to take whole sites down — deterministically, from a
     seed. When a site exceeds its retry budget mid-query, the executor
     raises :class:`SiteUnavailable`; this class catches it, marks the
-    site down in the catalog (bumping the catalog version so the plan
-    cache can never serve a plan that ships to the dead site), records
+    site down in the catalog (so the plan cache can never serve a plan
+    that ships to the dead site), records
     a :class:`DegradationEvent`, and transparently re-optimizes the
     statement against the surviving placement — a registered replica
     site, or the coordinator-local fallback copy.
@@ -116,10 +116,9 @@ class DistributedDatabase(Database):
     def place_table(self, name: str, site: Optional[str]) -> None:
         """Move an existing table to a site (None = local).
 
-        Placement shapes every ship/fetch/semi-join decision, so this
-        bumps the catalog version (via ``set_table_site``): cached plans
-        that baked in the old placement are invalidated and will be
-        re-optimized on their next execution.
+        Placement shapes every ship/fetch/semi-join decision: cached
+        plans that baked in the old placement miss and are re-optimized
+        on their next execution.
         """
         if site is not None and site not in self._site_names:
             self.add_site(site)
@@ -130,7 +129,7 @@ class DistributedDatabase(Database):
 
     def add_replica(self, table: str, site: str) -> None:
         """Register a replica placement used when the primary site is
-        down (bumps the catalog version)."""
+        down."""
         if site not in self._site_names:
             self.add_site(site)
         self.catalog.add_replica(table, site)
@@ -139,7 +138,7 @@ class DistributedDatabase(Database):
 
     def mark_site_down(self, site: str) -> None:
         """Take a site out of placement decisions; cached plans that
-        ship to it are invalidated by the catalog version bump."""
+        read a table placed there miss."""
         self.catalog.set_site_available(site, False)
 
     def mark_site_up(self, site: str) -> None:

@@ -9,10 +9,11 @@ on that measurement: an :class:`AdaptivePolicy` (carried on
 :class:`repro.Options`) reads the report after each traced query, and
 when a table's aggregate q-error crosses the policy threshold the
 :class:`AdaptiveController` re-runs ``analyze`` on that table.
-Re-analyzing bumps the catalog version, which is all it takes to shed
-stale plans — the versioned plan cache discards any entry whose catalog
-version no longer matches at the next lookup — and retires the table's
-samples, so the stale era cannot trigger again on the new statistics.
+Re-analyzing installs a new statistics object, which is all it takes
+to shed stale plans — the plan cache and the restriction memo discard
+any entry that read the table's old statistics at its next lookup — and
+retires the table's samples, so the stale era cannot trigger again on
+the new statistics.
 
 Every action is observable three ways:
 
@@ -101,17 +102,14 @@ AdaptivePolicy.OFF = AdaptivePolicy(enabled=False)
 class AdaptiveAction:
     """One completed re-analyze, kept for the shell / admin surface."""
 
-    __slots__ = ("table", "before_q", "after_q", "samples",
-                 "catalog_version", "statement")
+    __slots__ = ("table", "before_q", "after_q", "samples", "statement")
 
     def __init__(self, table: str, before_q: float,
-                 after_q: Optional[float], samples: int,
-                 catalog_version: int, statement: str):
+                 after_q: Optional[float], samples: int, statement: str):
         self.table = table
         self.before_q = before_q
         self.after_q = after_q
         self.samples = samples
-        self.catalog_version = catalog_version
         self.statement = statement
 
     def as_dict(self) -> dict:
@@ -184,8 +182,8 @@ class AdaptiveController:
         db = self.db
         before_q = offender.mean_q_error
         worst = offender.worst
-        # bumps the catalog version (the plan cache discards stale
-        # entries at the next lookup) and retires the table's samples
+        # new statistics (entries that read the old ones miss at their
+        # next lookup); retires the table's samples
         db.analyze(offender.table)
         after_q = self._replan_q_error(worst, offender.table)
         self._cooldown_left = policy.cooldown_queries
@@ -194,7 +192,6 @@ class AdaptiveController:
             before_q=before_q,
             after_q=after_q,
             samples=offender.samples,
-            catalog_version=db.catalog.version,
             statement=worst.statement if worst else "",
         )
         self.actions.append(action)
@@ -206,7 +203,6 @@ class AdaptiveController:
             before_q=round(before_q, 3),
             after_q=(round(after_q, 3) if after_q is not None else None),
             samples=offender.samples,
-            catalog_version=db.catalog.version,
         )
 
     def _replan_q_error(self, worst, table: str) -> Optional[float]:

@@ -66,21 +66,22 @@ class RestrictionMemo:
     """Equivalence-class numbers that outlive the statement.
 
     The classes of one coster depend on the inner relation, the bound
-    columns, the inner's local predicates, the optimizer config and the
-    catalog's statistics, not on the query around them, so a
-    :class:`~repro.database.Database` keeps one memo and hands it to
-    every planner. Entries are tagged with one catalog version for the
-    whole memo: the first call under a new version drops everything.
-    Beyond ``CAPACITY`` entries (about 1 KiB of floats each) the least
-    recently used one goes. A ``None`` key marks an inner that must not
-    be memoised and never matches.
+    columns, the inner's local predicates, the optimizer config and
+    what the planner reads of the inner's relations, not on the query
+    around them, so a :class:`~repro.database.Database` keeps one memo
+    and hands it to every planner. Each entry carries the
+    :meth:`~repro.storage.catalog.Catalog.inputs` of the inner's
+    relations taken when its classes were planned; a lookup under other
+    inputs drops the entry and misses. Beyond ``CAPACITY`` entries
+    (about 1 KiB of floats each) the least recently used one goes.
     """
 
     CAPACITY = 512
 
     def __init__(self):
-        self._entries: "OrderedDict[tuple, ClassNumbers]" = OrderedDict()
-        self._version: Optional[int] = None
+        # key -> (inputs, numbers)
+        self._entries: "OrderedDict[tuple, Tuple[tuple, ClassNumbers]]" = (
+            OrderedDict())
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -91,46 +92,32 @@ class RestrictionMemo:
         with self._lock:  # never mid-store, where the bound is open
             return len(self._entries)
 
-    def _sync(self, catalog_version: int) -> None:
-        if catalog_version != self._version:
-            self._entries = OrderedDict()
-            self._version = catalog_version
-
-    def lookup(self, key: Optional[tuple],
-               catalog_version: int) -> Optional[ClassNumbers]:
-        if key is None:
-            return None
+    def lookup(self, key: tuple, inputs: tuple) -> Optional[ClassNumbers]:
         with self._lock:
-            self._sync(catalog_version)
-            numbers = self._entries.get(key)
-            if numbers is None:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] != inputs:
+                del self._entries[key]
+                entry = None
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return numbers
+            return entry[1]
 
-    def store(self, key: Optional[tuple], catalog_version: int,
+    def store(self, key: tuple, inputs: tuple,
               numbers: ClassNumbers) -> int:
-        """Keep ``numbers`` under ``key``; returns how many entries the
-        capacity bound pushed out."""
-        if key is None:
-            return 0
+        """Keep ``numbers`` under ``key``, tagged with ``inputs``;
+        returns how many entries the capacity bound pushed out."""
         evicted = 0
         with self._lock:
-            self._sync(catalog_version)
-            self._entries[key] = numbers
+            self._entries[key] = (inputs, numbers)
             self._entries.move_to_end(key)
             while len(self._entries) > self.CAPACITY:
                 self._entries.popitem(last=False)
                 evicted += 1
             self.evictions += evicted
         return evicted
-
-    def clear(self) -> None:
-        """Drop every entry (the counters keep running)."""
-        with self._lock:
-            self._entries = OrderedDict()
 
     def stats(self) -> dict:
         return {

@@ -1349,17 +1349,21 @@ class Planner:
             return plan
 
         # Looked up only now: computing the domain may have built
-        # statistics lazily, which moves the catalog version.
+        # statistics lazily, which the inputs read.
         memo_key = self._memo_key(rel, key[1], lossy, locals_, props)
-        stored = self.memo.lookup(memo_key, self.catalog.version)
-        if stored is not None:
-            self.metrics.restriction_memo_hits += 1
-        elif memo_key is not None:
-            self.metrics.restriction_memo_misses += 1
+        stored = None
+        if memo_key is not None:
+            names = (rel.input_names if rel.kind == "view"
+                     else (rel.table.name.lower(),))
+            stored = self.memo.lookup(memo_key, self.catalog.inputs(names))
+            if stored is not None:
+                self.metrics.restriction_memo_hits += 1
+            else:
+                self.metrics.restriction_memo_misses += 1
 
         def keep_classes(numbers):
             self.metrics.restriction_memo_evictions += self.memo.store(
-                memo_key, self.catalog.version, numbers)
+                memo_key, self.catalog.inputs(names), numbers)
 
         coster = ParametricInnerCoster(
             builder,
@@ -1369,7 +1373,7 @@ class Planner:
             enabled=self.config.enable_parametric,
             fpr_fn=fpr_fn,
             stored=stored,
-            on_classes=keep_classes,
+            on_classes=keep_classes if memo_key is not None else None,
         )
         coster.param_id = param_id
         coster.relation, coster.columns, coster.lossy = (
@@ -1381,10 +1385,11 @@ class Planner:
     def _memo_key(self, rel: RelationRef, bound_cols: Tuple[str, ...],
                   lossy: bool, locals_: Sequence[Expr],
                   props: RelProps) -> Optional[tuple]:
-        """What one coster's classes depend on besides the catalog
-        version, or None when they must not outlive the statement:
-        exact costing keeps no classes, and a view reference without a
-        catalog name (CTE, inline subquery) is defined by its statement.
+        """What one coster's classes depend on besides the inputs of
+        the inner's relations, or None when they must not outlive the
+        statement: exact costing keeps no classes, and a view reference
+        without a catalog name (CTE, inline subquery) is defined by its
+        statement.
         The inner's local predicates enter by :meth:`_class_key`, so a
         new constant whose selectivity was seen before is a hit.
         """

@@ -44,7 +44,7 @@ class Options:
     - ``trace``: record a span tree onto ``QueryResult.trace``.
     - ``timeout``: per-statement deadline in seconds
       (:class:`~repro.errors.QueryTimeout` when exceeded).
-    - ``use_cache``: serve queries from the versioned plan cache (on by
+    - ``use_cache``: serve queries from the plan cache (on by
       default; a one-shot text is stored on its second miss).
       ``False`` opts one call out; ``db.plan_cache.resize(0)`` turns
       the cache off for the database.

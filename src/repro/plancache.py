@@ -1,4 +1,4 @@
-"""A versioned, LRU-bounded cross-statement plan cache.
+"""An LRU-bounded cross-statement plan cache.
 
 The paper's Filter Join search stays cheap ("without changing the
 asymptotic complexity"), but in a server that re-optimizes every
@@ -13,12 +13,13 @@ Keying and invalidation rules:
   combined with a fingerprint of the :class:`OptimizerConfig` the plan
   was built under — plans built under different knob settings never
   alias each other.
-- Every entry is tagged with the :attr:`Catalog.version` current when
-  planning finished. The catalog bumps its version on every DDL, data
-  modification routed through the database façade, statistics rebuild,
-  and site placement change; a lookup that finds an entry from an older
-  version discards it (counted as an invalidation) and reports a miss,
-  so a stale plan can never execute.
+- Every entry carries the catalog names its statement resolved and
+  :meth:`Catalog.inputs` of them, taken when it is stored (after
+  planning, so statistics the planner built lazily count). A plan is a
+  function of (statement, config, those inputs), so a lookup recomputes
+  them under the reader's snapshot and serves the entry only when they
+  are equal; else it is discarded (an invalidation) and the lookup
+  misses. A write the plan never read invalidates nothing.
 - Capacity is LRU-bounded; a capacity of 0 disables caching (every
   lookup misses, stores are dropped).
 - Admission: a prepared handle's plan is stored on its first miss
@@ -45,6 +46,7 @@ from .optimizer.config import OptimizerConfig, config_fingerprint
 from .optimizer.planner import PlannerMetrics
 from .optimizer.plans import PlanNode
 from .sql.lexer import Token, tokenize
+from .storage.catalog import Catalog
 
 DEFAULT_CAPACITY = 128
 
@@ -87,12 +89,17 @@ class PlanCacheEntry:
     plan: PlanNode
     metrics: Optional[PlannerMetrics]
     parameters: list = field(default_factory=list)  # Parameter nodes, in order
-    catalog_version: int = 0
+    names: Tuple[str, ...] = ()
+    inputs: tuple = ()  # Catalog.inputs(names), set by PlanCache.store
     executions: int = 0
+
+    def current(self, catalog: Catalog) -> bool:
+        """Would a cold planner read what this plan read, right now?"""
+        return catalog.inputs(self.names) == self.inputs
 
 
 class PlanCache:
-    """LRU cache of optimized plans with version-based invalidation."""
+    """LRU cache of optimized plans with input-based invalidation."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 0:
@@ -124,19 +131,19 @@ class PlanCache:
         return key in self._entries
 
     def lookup(self, key: Tuple[str, str],
-               catalog_version: int) -> Optional[PlanCacheEntry]:
+               catalog: Catalog) -> Optional[PlanCacheEntry]:
         """The entry for ``key`` if present *and* current, else None.
 
-        An entry built under an older catalog version is discarded and
-        counted as an invalidation (plus the miss the caller sees); its
-        key has proven to recur, so the re-plan is admitted at once.
+        An entry whose inputs moved is discarded and counted as an
+        invalidation (plus the miss the caller sees); its key has
+        proven to recur, so the re-plan is admitted at once.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.catalog_version != catalog_version:
+            if not entry.current(catalog):
                 del self._entries[key]
                 self._missed[key] = None
                 self.invalidations += 1
@@ -148,28 +155,30 @@ class PlanCache:
 
     def peek(self, key: Tuple[str, str]) -> Optional[PlanCacheEntry]:
         """The entry for ``key`` without touching LRU order or counters
-        (introspection only — does not check the catalog version)."""
+        (introspection only — does not check its inputs)."""
         return self._entries.get(key)
 
-    def store(self, entry: PlanCacheEntry) -> None:
-        """Insert (or replace) an entry, evicting LRU entries past
-        capacity. A no-op when the cache is disabled."""
+    def store(self, entry: PlanCacheEntry, catalog: Catalog) -> None:
+        """Insert (or replace) an entry tagged with the current inputs
+        of its names, evicting LRU entries past capacity. A no-op when
+        the cache is disabled."""
         if not self.enabled:
             return
         with self._lock:
+            entry.inputs = catalog.inputs(entry.names)
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def admit(self, entry: PlanCacheEntry) -> None:
+    def admit(self, entry: PlanCacheEntry, catalog: Catalog) -> None:
         """Store an ad-hoc statement's plan on its key's second miss; the
         first only records the key, in a record bounded like the cache."""
         with self._lock:
             if entry.key in self._missed:
                 del self._missed[entry.key]
-                self.store(entry)
+                self.store(entry, catalog)
             elif self.enabled:
                 self._missed[entry.key] = None
                 if len(self._missed) > self.capacity:

@@ -61,7 +61,7 @@ Syntax errors point at the offending token with a caret line, and a
 ``Ctrl-C`` mid-statement abandons the buffered input without killing
 the shell (the database stays consistent — statements are atomic).
 
-Statements executed in the shell go through the versioned plan cache, so
+Statements executed in the shell go through the plan cache, so
 re-running a query skips parse/bind/optimize; ``\\cache`` shows the
 effect live.
 

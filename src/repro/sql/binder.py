@@ -42,17 +42,15 @@ from .parser import parse, parse_select
 
 
 class Binder:
-    """Binds parsed SELECT statements against a catalog.
-
-    ``functions`` maps lowercase names to factories
-    ``factory(alias) -> RelationRef`` for user-defined relations.
+    """Binds parsed SELECT statements against a catalog: its tables,
+    views and, last, the function relations registered in
+    ``catalog.functions``.
     """
 
     MAX_VIEW_DEPTH = 16
 
-    def __init__(self, catalog: Catalog, functions: Optional[Dict] = None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.functions = functions or {}
         # `?` placeholders bound so far, by 0-based index; the prepared-
         # statement machinery binds values onto these exact nodes
         self.parameters: Dict[int, Parameter] = {}
@@ -71,6 +69,10 @@ class Binder:
         # function relations bound so far (a view body that binds one is
         # not a function of the catalog alone, see _bind_from_item)
         self._function_refs = 0
+        #: every catalog name (lowercase) resolved so far, view bodies
+        #: included: the relations whose planner inputs a plan of this
+        #: statement reads (see Catalog.inputs)
+        self.names: set = set()
 
     @staticmethod
     def check_bindable(statement) -> None:
@@ -313,10 +315,12 @@ class Binder:
         if key in self._cte_defs:
             return self._bind_cte(key, alias, depth)
         if self.catalog.has_table(item.name):
+            self.names.add(key)
             table = self.catalog.table(item.name)
             site = _table_site(self.catalog, item.name)
             return StoredRelation(alias, table, site=site)
         if self.catalog.has_view(item.name):
+            self.names.add(key)
             view = self.catalog.view(item.name)
             if key in self._view_expanding:
                 raise RecursiveViewError(
@@ -330,6 +334,7 @@ class Binder:
                     view.name, view.column_aliases, parsed, alias, depth)
             self._view_expanding.add(key)
             functions_before = self._function_refs
+            statement_names, self.names = self.names, {key}
             try:
                 if isinstance(parsed, ast.UnionStmt):
                     block = self.bind_union(parsed, depth + 1)
@@ -341,6 +346,8 @@ class Binder:
                     )
             finally:
                 self._view_expanding.discard(key)
+                body_names = self.names
+                self.names = statement_names | body_names
             # The bound body is a function of the catalog alone unless a
             # statement-scoped name (CTE, recursion delta) could have
             # shadowed a relation in it or it calls a registered
@@ -353,10 +360,13 @@ class Binder:
                 alias, view.name, block,
                 column_aliases=view.column_aliases,
                 catalog_name=view.name if catalog_scoped else None,
+                input_names=tuple(sorted(body_names)),
             )
-        if key in self.functions:
+        factory = self.catalog.functions.factory(key)
+        if factory is not None:
+            self.names.add(key)
             self._function_refs += 1
-            return self.functions[key](alias)
+            return factory(alias)
         raise BindError("unknown relation %r" % item.name)
 
     # ----------------------------------------------- CTEs and recursion

@@ -18,6 +18,7 @@ from ..stats.histogram import (
     EquiWidthHistogram,
     FrequencyHistogram,
 )
+from ..udf.relation import FunctionRegistry
 from .mvcc import MVCCState
 from .schema import DataType, Schema
 from .table import Table
@@ -72,9 +73,10 @@ class ColumnStats:
         return 1.0 / 3.0
 
 
-@dataclass
+@dataclass(eq=False)
 class TableStats:
-    """Statistics for one stored table."""
+    """Statistics for one stored table. Replaced wholesale by analyze
+    and never mutated, so two are equal only when they are one object."""
 
     num_rows: int
     num_pages: int
@@ -85,13 +87,14 @@ class TableStats:
         return self.columns.get(name)
 
 
-@dataclass
+@dataclass(eq=False)
 class ViewDefinition:
     """A named view: SQL text plus optional output column aliases.
 
     ``recursive`` marks a ``CREATE RECURSIVE VIEW``: its body may
     reference the view's own name and is bound to a fixpoint relation
-    instead of an ordinary virtual relation.
+    instead of an ordinary virtual relation. Compared by identity, like
+    every object in a :meth:`Catalog.inputs` tag.
     """
 
     name: str
@@ -139,7 +142,7 @@ def compute_table_stats(table: Table, num_buckets: int = 20,
 
 
 class Catalog:
-    """Registry of tables, views, and statistics."""
+    """Registry of tables, views, functions, and statistics."""
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
@@ -148,7 +151,8 @@ class Catalog:
         self._sites: Dict[str, str] = {}
         self._replicas: Dict[str, List[str]] = {}
         self._down_sites: set = set()
-        self._version = 0
+        #: function relations, the last names the binder resolves
+        self.functions = FunctionRegistry()
         #: snapshot/commit bookkeeping shared by every table installed
         #: in this catalog (see repro.storage.mvcc)
         self.mvcc = MVCCState()
@@ -158,23 +162,34 @@ class Catalog:
         # ones — are undoable inside a transaction
         self.analyze_listener = None
 
-    # --------------------------------------------------------------- version
+    # ---------------------------------------------------------------- inputs
 
-    @property
-    def version(self) -> int:
-        """Monotonic catalog version.
+    def inputs(self, names: Sequence[str]) -> tuple:
+        """What the planner reads of each lowercase name in ``names``,
+        in order: the tag the plan cache and the restriction memo keep
+        beside a result and compare on lookup.
 
-        Bumped by every DDL, data modification routed through the
-        database façade, statistics (re)build, and site placement
-        change. The plan cache tags every cached plan with the version
-        it was built under and refuses to serve a plan from an older
-        version, so stale plans can never run.
+        A name gives what it resolves to now, in the binder's order (a
+        :class:`Table`, a :class:`ViewDefinition`, a function factory,
+        or None); a table adds its row count under the current snapshot,
+        page count, cluster column, indexes (column, kind), its
+        :class:`TableStats` (None until built) and its effective site.
+        Objects compare by identity; the tag holds them.
         """
-        return self._version
-
-    def bump_version(self) -> int:
-        self._version += 1
-        return self._version
+        out = []
+        for name in names:
+            table = self._tables.get(name)
+            if table is None:
+                out.append(self._views.get(name)
+                           or self.functions.factory(name))
+                continue
+            out.append((
+                table, table.num_rows, table.num_pages, table.clustered_on,
+                tuple(sorted((column, index.kind)
+                             for column, index in table.indexes.items())),
+                self._stats.get(name), self.site_for_table(name),
+            ))
+        return tuple(out)
 
     # ---------------------------------------------------------------- tables
 
@@ -185,7 +200,6 @@ class Catalog:
         table = Table(name, schema)
         table._mvcc = self.mvcc
         self._tables[key] = table
-        self.bump_version()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -195,7 +209,6 @@ class Catalog:
         del self._tables[key]
         self._stats.pop(key, None)
         self._sites.pop(key, None)
-        self.bump_version()
 
     def table(self, name: str) -> Table:
         try:
@@ -223,7 +236,6 @@ class Catalog:
             recursive=recursive,
         )
         self._views[key] = view
-        self.bump_version()
         return view
 
     def drop_view(self, name: str) -> None:
@@ -231,7 +243,6 @@ class Catalog:
         if key not in self._views:
             raise CatalogError("no view named %r" % name)
         del self._views[key]
-        self.bump_version()
 
     def view(self, name: str) -> ViewDefinition:
         try:
@@ -258,7 +269,6 @@ class Catalog:
             self._sites.pop(name.lower(), None)
         else:
             self._sites[name.lower()] = site
-        self.bump_version()
 
     def add_replica(self, name: str, site: str) -> None:
         """Register an additional placement for a table. Replicas are
@@ -267,7 +277,6 @@ class Catalog:
         replicas = self._replicas.setdefault(name.lower(), [])
         if site not in replicas:
             replicas.append(site)
-            self.bump_version()
 
     def replicas_for_table(self, name: str) -> List[str]:
         return list(self._replicas.get(name.lower(), ()))
@@ -292,8 +301,9 @@ class Catalog:
 
     def set_site_available(self, site: str, available: bool) -> bool:
         """Mark a site up or down; placement decisions (and therefore
-        cached plans, via the version bump) react immediately. Returns
-        True when the status actually changed."""
+        cached plans, whose inputs carry each table's effective site)
+        react immediately. Returns True when the status actually
+        changed."""
         changed = (
             site in self._down_sites if available
             else site not in self._down_sites
@@ -304,7 +314,6 @@ class Catalog:
             self._down_sites.discard(site)
         else:
             self._down_sites.add(site)
-        self.bump_version()
         return True
 
     def site_is_down(self, site: str) -> bool:
@@ -325,12 +334,10 @@ class Catalog:
             table = self.table(name)
             self._stats[name.lower()] = compute_table_stats(
                 table, num_buckets, histogram_kind)
-            self.bump_version()
             return
         for key, table in self._tables.items():
             self._stats[key] = compute_table_stats(table, num_buckets,
                                                    histogram_kind)
-        self.bump_version()
 
     def stats(self, name: str) -> TableStats:
         """Statistics for a table, computing them on first request."""
@@ -370,12 +377,9 @@ class Catalog:
 
     # ------------------------------------------- transaction/recovery hooks
     #
-    # Structural re-installs used by transaction undo and WAL recovery.
-    # Unlike create_table/drop_table these do NOT bump the catalog
-    # version: undo restores *content* while the version counter stays
-    # monotonic (the caller bumps once, so rolled-back version numbers
-    # are never reused and the plan cache can never serve a plan built
-    # inside an aborted transaction).
+    # Structural re-installs used by transaction undo and WAL recovery:
+    # they put back the very objects that were removed, so a plan built
+    # before the removal reads the same inputs again and may be served.
 
     def install_table(self, table: Table,
                       stats: Optional[TableStats] = None,
@@ -411,8 +415,3 @@ class Catalog:
     def site_entry(self, name: str) -> Optional[str]:
         """The *registered* primary site (ignoring up/down status)."""
         return self._sites.get(name.lower())
-
-    def set_version(self, version: int) -> None:
-        """Force the version counter (recovery only — everything else
-        must go through bump_version to preserve monotonicity)."""
-        self._version = version

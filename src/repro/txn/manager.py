@@ -10,11 +10,10 @@ record. The three outcomes:
 - **statement fails** — ``atomic`` pops undo closures back to the
   statement's mark: statement-level atomicity, even mid-``insert_many``.
 - **ROLLBACK** (or an implicit transaction failing) — all undo closures
-  run, the buffered redo records are discarded, and the catalog version
-  is bumped *forward* (never restored): content reverts exactly, but a
-  rolled-back version number is never reused, so the plan cache — which
-  requires an exact version match — can never serve a plan built
-  against rolled-back DDL.
+  run and the buffered redo records are discarded: content reverts
+  exactly, down to the table, view and statistics objects, so a cached
+  plan (checked against :meth:`Catalog.inputs`) misses exactly when
+  what it read differs.
 - **COMMIT** — the redo records plus a commit marker are appended to
   the WAL (fsynced under ``durability="commit"``); only then is the
   transaction forgotten. A crash before the commit record is durable
@@ -59,16 +58,14 @@ from .wal import FileStorage, MemoryStorage, WriteAheadLog
 
 
 class Savepoint:
-    """A rollback mark inside one transaction: list lengths + version."""
+    """A rollback mark inside one transaction: undo/redo list lengths."""
 
-    __slots__ = ("name", "undo_len", "redo_len", "version")
+    __slots__ = ("name", "undo_len", "redo_len")
 
-    def __init__(self, name: str, undo_len: int, redo_len: int,
-                 version: int):
+    def __init__(self, name: str, undo_len: int, redo_len: int):
         self.name = name
         self.undo_len = undo_len
         self.redo_len = redo_len
-        self.version = version
 
 
 class SessionState:
@@ -87,11 +84,11 @@ class Transaction:
     """One (explicit or implicit) transaction's in-flight state."""
 
     __slots__ = ("id", "implicit", "undo", "redo", "savepoints",
-                 "aborted", "abort_cause", "begin_version", "statements",
+                 "aborted", "abort_cause", "statements",
                  "log_redo", "snapshot", "isolation", "tables",
                  "stamped")
 
-    def __init__(self, txn_id: int, implicit: bool, begin_version: int,
+    def __init__(self, txn_id: int, implicit: bool,
                  log_redo: bool, isolation: str = "snapshot"):
         self.id = txn_id
         self.implicit = implicit
@@ -100,11 +97,10 @@ class Transaction:
         self.savepoints: List[Savepoint] = []
         self.aborted = False
         self.abort_cause = ""
-        self.begin_version = begin_version
         self.statements = 0
         # sampled at BEGIN: with durability off, redo records are never
         # consulted, so skipping them keeps autocommit overhead at a
-        # closure push + a version compare
+        # closure push
         self.log_redo = log_redo
         #: the pinned read snapshot (explicit transactions only)
         self.snapshot: Optional[Snapshot] = None
@@ -234,11 +230,10 @@ class TransactionManager:
         txn.statements += 1
         undo_mark = len(txn.undo)
         redo_mark = len(txn.redo)
-        version_mark = self._db.catalog.version
         try:
             yield txn
         except BaseException:
-            self._undo_to(txn, undo_mark, version_mark)
+            self._undo_to(txn, undo_mark)
             del txn.redo[redo_mark:]
             if implicit:
                 for table in txn.tables:
@@ -318,7 +313,7 @@ class TransactionManager:
     def _begin(self, implicit: bool,
                isolation: Optional[str] = None) -> Transaction:
         txn = Transaction(
-            next(self._ids), implicit, self._db.catalog.version,
+            next(self._ids), implicit,
             log_redo=self.durability != "off",
             isolation=isolation or "snapshot",
         )
@@ -431,7 +426,7 @@ class TransactionManager:
                                 session=self._active.name)
 
     def _rollback_all(self, txn: Transaction) -> None:
-        self._undo_to(txn, 0, txn.begin_version)
+        self._undo_to(txn, 0)
         for table in txn.tables:
             table.forget_txn(txn.id)
         if not txn.implicit:
@@ -443,22 +438,16 @@ class TransactionManager:
         txn.aborted = False
         self.current = None
 
-    def _undo_to(self, txn: Transaction, undo_len: int,
-                 version: int) -> None:
-        """Pop undo closures (LIFO) down to ``undo_len``; if the catalog
-        version moved past ``version``, bump it once more — content is
-        restored exactly, but version numbers are never reused."""
+    @staticmethod
+    def _undo_to(txn: Transaction, undo_len: int) -> None:
+        """Pop undo closures (LIFO) down to ``undo_len``."""
         while len(txn.undo) > undo_len:
             txn.undo.pop()()
-        if self._db.catalog.version != version:
-            self._db.catalog.bump_version()
 
     def savepoint(self, name: str) -> None:
         txn = self._require_explicit("SAVEPOINT")
         txn.savepoints.append(Savepoint(
-            name.lower(), len(txn.undo), len(txn.redo),
-            self._db.catalog.version,
-        ))
+            name.lower(), len(txn.undo), len(txn.redo)))
 
     def _find_savepoint(self, txn: Transaction, name: str) -> int:
         key = name.lower()
@@ -471,7 +460,7 @@ class TransactionManager:
                                name: str) -> None:
         at = self._find_savepoint(txn, name)
         mark = txn.savepoints[at]
-        self._undo_to(txn, mark.undo_len, mark.version)
+        self._undo_to(txn, mark.undo_len)
         del txn.redo[mark.redo_len:]
         # the savepoint itself survives (PostgreSQL semantics); later
         # ones are gone with the work they marked
@@ -534,7 +523,6 @@ class TransactionManager:
         txn.undo.append(lambda: table.retract_inserts(before, xmin))
         txn.tables.add(table)
         count = table.insert_many(rows, xmin=xmin)
-        catalog.bump_version()
         if txn.log_redo and count:
             txn.redo.append({
                 "op": "insert", "table": table.name,
@@ -587,8 +575,7 @@ class TransactionManager:
     def _delete_versions(self, table, positions: List[int]) -> None:
         """Stamp ``positions`` deleted by the current transaction:
         conflict check, undo closure and the ``delete_rows`` redo
-        record. The caller bumps the catalog version (once per
-        statement)."""
+        record."""
         txn = self.current
         self._check_conflicts(table, positions)
         stamp = self._stamp(txn)
@@ -644,7 +631,6 @@ class TransactionManager:
         matched, access, examined = self._match(table, where)
         if matched:
             self._delete_versions(table, matched)
-            self._db.catalog.bump_version()
         return len(matched), access, examined
 
     def do_delete_values(self, table_name: str, values) -> int:
@@ -682,7 +668,6 @@ class TransactionManager:
             taken.add(found)
             positions.append(found)
         self._delete_versions(table, positions)
-        self._db.catalog.bump_version()
         return len(positions)
 
     def do_create_table(self, name: str, schema):
@@ -743,7 +728,6 @@ class TransactionManager:
         catalog = self._db.catalog
         table = catalog.table(table_name)
         table.create_index(column, kind)
-        catalog.bump_version()
         txn.undo.append(lambda: table.drop_index(column))
         if txn.log_redo:
             txn.redo.append({"op": "create_index", "table": table.name,

@@ -4,11 +4,11 @@ Recovery is a pure function of the log: scan the surviving bytes,
 (optionally) load the last checkpoint snapshot, then replay every
 transaction whose *commit record* survived, in commit order, through
 the public Database API — the same code path that produced the state in
-the first place, so recovered rows, index contents, statistics, and the
-catalog version are byte-identical to what a committed-only run would
-have built. Transactions whose commit record did not make it to disk
-(the uncommitted tail, including a torn final record) are discarded:
-that is the atomicity guarantee after a crash.
+the first place, so recovered rows, index contents and statistics are
+byte-identical to what a committed-only run would have built.
+Transactions whose commit record did not make it to disk (the
+uncommitted tail, including a torn final record) are discarded: that
+is the atomicity guarantee after a crash.
 
 The replayed database has durability off — recovery itself must not
 write a WAL. Re-enable durability (and attach a fresh or truncated log)

@@ -5,8 +5,8 @@ this snapshot, *recovery* rebuilds a database from it, and the crash
 harness compares recovered-vs-oracle databases by fingerprinting it.
 Using the same code for all three means "byte-identical committed
 state" is checked against exactly what a checkpoint would persist —
-rows, index definitions (and optionally contents), views, the full
-statistics objects, and the catalog version.
+rows, index definitions (and optionally contents), views, and the full
+statistics objects (loading ignores an older checkpoint's "version").
 
 Statistics are serialized as-is rather than recomputed on load:
 staleness relative to the rows is observable semantic state (an
@@ -172,7 +172,6 @@ def state_dict(db, include_index_entries: bool = False) -> dict:
         if db.catalog.stats_entry(table.name) is not None
     }
     return {
-        "version": db.catalog.version,
         "tables": tables,
         "views": views,
         "stats": stats,
@@ -184,9 +183,7 @@ def load_state(db, state: dict) -> None:
 
     Installs tables (rows, then indexes — bulk loading produces the
     same index contents as the original incremental inserts), views,
-    the statistics objects exactly as serialized, and the catalog
-    version. Does not bump the version: the snapshot's counter IS the
-    restored counter.
+    and the statistics objects exactly as serialized.
     """
     catalog = db.catalog
     for entry in state["tables"]:
@@ -210,12 +207,11 @@ def load_state(db, state: dict) -> None:
         name: _stats_from_dict(data)
         for name, data in state["stats"].items()
     })
-    catalog.set_version(state["version"])
 
 
 def fingerprint(db) -> str:
     """A canonical byte representation of the full logical state
-    (rows, index contents, stats, catalog version) — two databases are
+    (rows, index contents, stats) — two databases are
     committed-state-identical iff their fingerprints match."""
     return json.dumps(state_dict(db, include_index_entries=True),
                       sort_keys=True)

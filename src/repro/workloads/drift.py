@@ -16,8 +16,8 @@ decision: exactly the thing the adaptive loop exists to keep fresh.
    now a bad plan driving 200 index probes. Traced queries record
    est≈5 vs actual≈200 on the ``Customers`` scan; the drift recorder
    attributes the q-error to ``Customers``; the adaptive policy crosses
-   its threshold, re-analyzes the table, bumps the catalog version
-   (shedding the cached plan), and the next planning pass picks a plain
+   its threshold, re-analyzes the table (the new statistics shed the
+   cached plan), and the next planning pass picks a plain
    hash join (plan B).
 3. **shift back** — the update is reverted. The statistics are stale in
    the *other* direction (est≈200 vs actual≈5), the loop fires again,

@@ -2,7 +2,7 @@
 
 Mechanics first — the policy's gates (disabled, min_samples, cooldown,
 open transaction) each provably block the action — then the feedback
-effects (catalog version bump, plan-cache shedding, drift window reset),
+effects (new statistics, plan-cache shedding, drift window reset),
 and finally the end-to-end narrative: the seeded drift workload's plan
 flips to a hash join when the data shifts under stale statistics and
 flips *back* to the paper's filter join after the loop re-analyzes,
@@ -74,22 +74,22 @@ class TestPolicyValidation:
 class TestAdaptiveGates:
     def test_disabled_policy_is_inert(self):
         db = make_stale_db()
-        version = db.catalog.version
+        stats = db.catalog.stats_entry("T")
         probe(db, policy=AdaptivePolicy.OFF, n=6)
         assert not db.adaptive.actions
-        assert db.catalog.version == version
+        assert db.catalog.stats_entry("T") is stats
         metrics = db.metrics()
         assert "adaptive_reanalyze_total" not in metrics
         assert "adaptive_skips_total" not in metrics
 
     def test_default_options_take_no_action(self):
         db = make_stale_db()
-        version = db.catalog.version
+        stats = db.catalog.stats_entry("T")
         for _ in range(6):
             db.sql("SELECT a FROM T WHERE b = 3",
                    options=Options(trace=True))
         assert not db.adaptive.actions
-        assert db.catalog.version == version
+        assert db.catalog.stats_entry("T") is stats
 
     def test_untraced_queries_never_trigger(self):
         db = make_stale_db()
@@ -141,14 +141,14 @@ class TestAdaptiveAction:
     def test_action_reanalyzes_and_records(self):
         db = make_stale_db()
         db.event_log.enable()
-        version = db.catalog.version
+        stats = db.catalog.stats_entry("T")
         probe(db, n=3)
         assert len(db.adaptive.actions) == 1
         action = db.adaptive.actions[0]
         assert action.table == "T"
         assert action.before_q > 4.0
         assert action.after_q is not None and action.after_q < 2.0
-        assert db.catalog.version > version
+        assert db.catalog.stats_entry("T") is not stats
         events = db.event_log.events("adaptive_reanalyze")
         assert len(events) == 1
         assert events[0]["table"] == "T"
@@ -174,8 +174,8 @@ class TestAdaptiveAction:
             if db.adaptive.actions:
                 break
         assert len(db.adaptive.actions) == 1
-        # the plan cached before the action was built against the old
-        # catalog version: the next lookup must shed it (an
+        # the plan cached before the action read the old statistics:
+        # the next lookup must shed it (an
         # invalidation + miss), and only the re-planned entry may hit
         invalidations_before = db.plan_cache.invalidations
         result = db.sql("SELECT a FROM T WHERE b = 3", options=opts)

@@ -187,8 +187,8 @@ def test_site_down_reoptimizes_to_replica(db, baseline):
 def test_site_down_schedule_with_cached_plan(db, baseline):
     """A cached plan must never ship to a site that has since died:
     warm the cache fault-free, kill the site, re-run with the cache on
-    — the catalog version bump forces a re-plan and the rows stay
-    exact."""
+    — the tables' effective site moved, which forces a re-plan, and
+    the rows stay exact."""
     restore(db)
     db.sql(QUERY, options=Options(use_cache=True))
     db.set_fault_plan(FaultPlan(down_sites=frozenset({"east"})), seed=0)

@@ -1,13 +1,12 @@
-"""Tests for the versioned, LRU-bounded plan cache.
+"""Tests for the LRU-bounded plan cache.
 
 Covers hit/miss/invalidation/eviction accounting, key normalization,
 per-config keying, the disabled (capacity 0) mode, admission (a one-shot
 text on its second miss, a prepared handle at once), a twice-run pass
 over the golden corpus, and — the critical
 safety property — that after any random interleaving of DDL, statistics
-updates, and queries, a cached plan never executes against a newer
-catalog version and always produces the same answer as a fresh-planned
-run.
+updates, and queries, the plan that runs is the plan a cold planner
+builds now and produces the same answer as a fresh-planned run.
 """
 
 import random
@@ -16,6 +15,7 @@ import pytest
 
 from repro import Database, DataType, OptimizerConfig, Options
 from repro.distributed.database import DistributedDatabase
+from repro.optimizer.planner import Planner
 from repro.plancache import PlanCache, cache_key, normalize_statement
 from repro.sql.lexer import tokenize
 from repro.workloads import EmpDeptConfig, MOTIVATING_QUERY, fresh_empdept
@@ -67,6 +67,8 @@ class TestAccounting:
         handle = db.prepare(QUERIES[0])
         handle.execute()
         db.sql("CREATE TABLE Extra (x INT)")
+        assert handle.execute().cached_plan is True  # T1 did not move
+        db.sql("INSERT INTO T1 VALUES (1, 1)")
         result = handle.execute()
         assert result.cached_plan is False  # re-planned, not served stale
         stats = db.cache_stats()
@@ -175,7 +177,7 @@ class TestAdmission:
         db = small_db()
         for _ in range(2):
             db.sql(QUERIES[0])
-        db.sql("CREATE TABLE Extra (x INT)")
+        db.analyze("T1")
         assert db.sql(QUERIES[0]).cached_plan is False  # invalidation
         assert db.sql(QUERIES[0]).cached_plan is True
 
@@ -273,8 +275,8 @@ class TestLRU:
 
 class TestStalenessProperty:
     """After any interleaving of DDL / stats / data changes and queries,
-    a cached plan must never run against a newer catalog version, and
-    every answer must match a fresh-planned run."""
+    the plan that runs is the plan a cold planner builds now, and every
+    answer matches a fresh-planned run."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_interleaving_never_serves_stale_plans(self, seed):
@@ -299,10 +301,12 @@ class TestStalenessProperty:
         def do_query():
             query = rng.choice(QUERIES)
             result = handles[query].execute()
-            # 1) the served plan's version is current
+            # 1) the plan that ran is what a cold planner plans now
             entry = db.plan_cache.peek(cache_key(query, db.config))
-            assert entry is not None
-            assert entry.catalog_version == db.catalog.version
+            assert entry.plan is result.plan and entry.current(db.catalog)
+            cold = Planner(db.catalog, db.config).plan(db.bind(query))
+            assert result.plan.explain() == cold.explain(), query
+            assert result.plan.est_cost == cold.est_cost, query
             # 2) the answer matches a fresh-planned, uncached run
             fresh = db.sql(query)
             assert sorted(result.rows) == sorted(fresh.rows), query
@@ -312,29 +316,35 @@ class TestStalenessProperty:
             rng.choice(actions)()
         assert db.cache_stats()["invalidations"] > 0  # churn really happened
 
-    def test_version_bumps_on_every_mutation_kind(self):
+    def test_every_mutation_kind_moves_what_it_touched(self):
         db = small_db()
-        seen = {db.catalog.version}
+        names = ("m", "mv")
+        seen = [db.catalog.inputs(names)]
+        others = db.catalog.inputs(("t1", "t2", "v1"))
 
-        def bumped():
-            version = db.catalog.version
-            assert version not in seen, "mutation did not bump the version"
-            seen.add(version)
+        def moved():
+            now = db.catalog.inputs(names)
+            assert now != seen[-1], "mutation did not move the inputs"
+            seen.append(now)
 
         db.sql("CREATE TABLE M (x INT, y INT)")
-        bumped()
+        moved()
         db.sql("INSERT INTO M VALUES (1, 2)")
-        bumped()
+        moved()
         db.create_index("M", "x")
-        bumped()
+        moved()
         db.sql("CREATE VIEW MV AS SELECT M.x FROM M")
-        bumped()
+        moved()
         db.analyze("M")
-        bumped()
+        moved()
+        # same row count, same page: nothing a plan reads moved
+        db.sql("UPDATE M SET y = y + 1")
+        assert db.catalog.inputs(names) == seen[-1]
         db.sql("DROP VIEW MV")
-        bumped()
+        moved()
         db.sql("DROP TABLE M")
-        bumped()
+        moved()
+        assert db.catalog.inputs(("t1", "t2", "v1")) == others
 
     def test_re_registered_udf_is_not_served_from_a_cached_plan(self):
         db = small_db()

@@ -297,15 +297,19 @@ class TestSiteStatusAndReplicas:
         db.mark_site_down("west")
         assert db.site_of("East") is None
 
-    def test_site_status_bumps_catalog_version(self):
+    def test_site_status_moves_the_inputs_of_its_tables_only(self):
         db = make_db()
-        before = db.catalog.version
+        names = ("east", "local", "west")
+        before = db.catalog.inputs(names)
         db.mark_site_down("east")
-        assert db.catalog.version > before
+        after = db.catalog.inputs(names)
+        assert after[0][-1] is None and before[0][-1] == "east"
+        assert after[1:] == before[1:]
         # marking an already-down site down again is a no-op
-        version = db.catalog.version
         db.mark_site_down("east")
-        assert db.catalog.version == version
+        assert db.catalog.inputs(names) == after
+        db.mark_site_up("east")
+        assert db.catalog.inputs(names) == before
 
     def test_cached_plan_invalidated_by_site_change(self):
         db = make_db()

@@ -240,28 +240,39 @@ class TestStaleness:
         memo = db.restriction_memo.stats()
         assert memo["hits"] > 0 and memo["misses"] > 0
 
-    def test_version_bump_drops_everything(self):
+    @staticmethod
+    def inners(db, name):
+        """How many memo entries belong to an inner named ``name``."""
+        return sum(1 for key in db.restriction_memo._entries
+                   if key[2] == name)
+
+    def test_a_write_drops_only_the_classes_that_read_it(self):
         db = fresh_empdept(SMALL)
         db.plan(MOTIVATING_QUERY)
         assert len(db.restriction_memo) == 6
+        dept = self.inners(db, "Dept")
+        assert dept == 2
         db.insert("Dept", [(999, 5)])
-        _plan, planner = db.plan("SELECT E.eid, V.avgsal FROM Emp E, "
-                                 "DepAvgSal V WHERE E.did = V.did")
-        assert planner.metrics.restriction_memo_hits == 0
-        # only what that one statement planned is left
-        assert len(db.restriction_memo) \
-            == planner.metrics.restriction_memo_misses
+        warm, planner = db.plan(MOTIVATING_QUERY)
+        # Emp's and DepAvgSal's classes read nothing of Dept
+        assert planner.metrics.restriction_memo_misses == dept
+        assert planner.metrics.restriction_memo_hits == 6 - dept
+        cold = cold_plan(db, MOTIVATING_QUERY)
+        assert warm.explain() == cold.explain()
+        assert warm.est_cost == cold.est_cost
 
-    def test_explicit_vacuum_empties_the_memo(self):
-        """Compaction changes the page counts the classes priced but
-        not the catalog version."""
+    def test_explicit_vacuum_drops_the_classes_it_compacted(self):
+        """Compaction changes the page counts the classes priced."""
         db = fresh_empdept(SMALL)
         db.delete("Emp", "eid > 500")  # 100 of 600: no auto-vacuum
         db.plan(MOTIVATING_QUERY)
-        assert len(db.restriction_memo) > 0
+        pages = db.catalog.table("Emp").num_pages
         assert db.vacuum() == {"Emp": 100}
-        assert len(db.restriction_memo) == 0
-        warm, _ = db.plan(MOTIVATING_QUERY)
+        assert db.catalog.table("Emp").num_pages < pages
+        warm, planner = db.plan(MOTIVATING_QUERY)
+        # Emp's own classes and DepAvgSal's (its body reads Emp) miss
+        assert planner.metrics.restriction_memo_misses == 4
+        assert planner.metrics.restriction_memo_hits == 2
         cold = cold_plan(db, MOTIVATING_QUERY)
         assert warm.explain() == cold.explain()
         assert warm.est_cost == cold.est_cost
@@ -293,24 +304,35 @@ class TestStaleness:
                 assert warm.explain() == cold.explain(), sql
                 assert warm.est_cost == cold.est_cost, sql
 
-    def test_open_transaction_plans_cold(self):
+    def test_open_transaction_reads_its_own_snapshot(self):
         """Inside an explicit transaction row counts are the reader's
-        snapshot's, which the catalog version does not name."""
+        snapshot's: the writer's uncommitted row makes its Dept classes
+        miss, while a reader that cannot see the row keeps them."""
         db = fresh_empdept(SMALL)
         db.plan(MOTIVATING_QUERY)
-        before = db.restriction_memo.stats()
         session = db.new_session()
         session.sql("BEGIN")
         session.sql("INSERT INTO Dept VALUES (998, 7)")
-        _plan, planner = db.plan(MOTIVATING_QUERY)
-        assert planner.memo is not db.restriction_memo
+
+        def plan_as(reader):
+            def run():
+                with db.txn.statement_snapshot():
+                    warm, planner = db.plan(MOTIVATING_QUERY)
+                    cold = cold_plan(db, MOTIVATING_QUERY)
+                assert warm.explain() == cold.explain()
+                assert warm.est_cost == cold.est_cost
+                return planner.metrics
+            return reader._run(run) if reader else run()
+
+        outside = plan_as(None)
+        assert (outside.restriction_memo_hits,
+                outside.restriction_memo_misses) == (6, 0)
+        inside = plan_as(session)
+        assert (inside.restriction_memo_hits,
+                inside.restriction_memo_misses) == (4, 2)
         session.sql("ROLLBACK")
         session.close()
-        after = db.restriction_memo.stats()
-        assert (after["hits"], after["misses"]) \
-            == (before["hits"], before["misses"])
-        warm, _ = db.plan(MOTIVATING_QUERY)
-        assert warm.explain() == cold_plan(db, MOTIVATING_QUERY).explain()
+        plan_as(None)
 
 
 class TemplateCheckingPlanner(Planner):
@@ -340,7 +362,7 @@ class TestEquivalenceClasses:
     @pytest.fixture(scope="class")
     def db(self):
         db = fresh_empdept(BENCH_EMPDEPT)
-        db.plan(FIG1 % (30, 200_000))  # lazy statistics settle the version
+        db.plan(FIG1 % (30, 200_000))  # lazy statistics settle
         return db
 
     @staticmethod
@@ -468,11 +490,13 @@ class TestBound:
         lookups, errors = 2000, []
 
         def worker(offset):
+            # two readers of different inputs: entries also get dropped
+            inputs = (offset % 2, "rows")
             try:
                 for i in range(lookups):
                     key = ("k", (i * 7 + offset) % (memo.CAPACITY + 50))
-                    if memo.lookup(key, 1) is None:
-                        memo.store(key, 1, numbers)
+                    if memo.lookup(key, inputs) is None:
+                        memo.store(key, inputs, numbers)
                     assert len(memo) <= memo.CAPACITY
             except Exception as exc:  # surfaced below, on the main thread
                 errors.append(exc)

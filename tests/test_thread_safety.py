@@ -189,14 +189,24 @@ class TestPlanCache:
         config = db.config
         keys = [cache_key("SELECT %d" % i, config) for i in range(32)]
 
+        class Moving:
+            """A catalog whose inputs move on every read."""
+
+            @staticmethod
+            def inputs(names):
+                return (object(),)
+
         def worker(index):
+            # odd threads see inputs that never match, so lookups also
+            # take the invalidation path
+            catalog = db.catalog if index % 2 == 0 else Moving
             for step in range(N_ITER):
                 key = keys[(index + step) % len(keys)]
-                entry = cache.lookup(key, catalog_version=0)
+                entry = cache.lookup(key, catalog)
                 if entry is None:
                     cache.store(PlanCacheEntry(
                         key=key, plan=None, metrics=None,
-                        catalog_version=0))
+                        names=("nothing",)), catalog)
                 if step % 97 == 0:
                     cache.invalidate_all()
                 assert len(cache) <= cache.capacity
@@ -206,8 +216,8 @@ class TestPlanCache:
         assert stats["hits"] + stats["misses"] == N_THREADS * N_ITER
 
     def test_ddl_invalidation_while_queries_run(self):
-        """One thread churns DDL (create/drop view bumps the catalog
-        version and invalidates cached plans); reader threads keep
+        """One thread churns DDL and statistics (a re-analyze of ``t``
+        invalidates the cached plans that read it); reader threads keep
         executing the same cached query. Nothing throws, every read
         sees a correct answer, and the cache never serves a stale plan
         (wrong results would surface as a bad count)."""
@@ -220,6 +230,7 @@ class TestPlanCache:
         def ddl_churn(_index):
             for round_no in range(60):
                 db.create_view("big_t", "SELECT id FROM t WHERE v > 50")
+                db.analyze("t")
                 db.drop_view("big_t")
             stop.set()
 

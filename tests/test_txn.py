@@ -1,5 +1,5 @@
 """Transaction semantics: atomicity, savepoints, aborted state, and the
-plan-cache/catalog-version interplay.
+plan cache across rollback.
 
 The contracts under test:
 
@@ -9,8 +9,9 @@ The contracts under test:
 - **transaction-level atomicity** — ``ROLLBACK`` restores rows, index
   contents, statistics (including lazy planner-triggered rebuilds), and
   catalog *content* exactly;
-- **monotonic versions** — rollback never reuses a version number, so a
-  plan cached inside an aborted transaction can never be served;
+- **plans across rollback** — a plan cached against rolled-back DDL is
+  never served, and a plan from before the transaction, whose inputs
+  the rollback restores, is served and equals a cold plan;
 - **PostgreSQL error semantics** — an error inside ``BEGIN`` aborts the
   transaction; every statement then raises ``TransactionAborted`` until
   ``ROLLBACK``; ``COMMIT`` of an aborted transaction rolls back.
@@ -22,11 +23,11 @@ from repro import (
     BindError,
     Database,
     DataType,
-    Options,
     ReproError,
     TransactionAborted,
     TransactionError,
 )
+from repro.optimizer.planner import Planner
 from repro.txn import wal as wal_module
 from repro.txn.state import state_dict
 
@@ -50,14 +51,6 @@ def snapshot(db):
     return state_dict(db, include_index_entries=True)
 
 
-def content(db):
-    """Logical state minus the version counter (which is deliberately
-    NOT restored by rollback)."""
-    state = snapshot(db)
-    state.pop("version")
-    return state
-
-
 # ----------------------------------------------------- statement atomicity
 
 class TestStatementAtomicity:
@@ -67,7 +60,7 @@ class TestStatementAtomicity:
         rows = [("ok", 1, 1), ("also-ok", 2, 2), ("bad", "not-int", 3)]
         with pytest.raises(ReproError):
             db.insert("Emp", rows)
-        assert snapshot(db) == before  # rows AND index contents AND version
+        assert snapshot(db) == before  # rows AND index contents
 
     def test_bad_row_mid_batch_inside_explicit_txn(self):
         db = make_db()
@@ -108,42 +101,42 @@ class TestStatementAtomicity:
 class TestRollback:
     def test_rollback_restores_rows_and_indexes(self):
         db = make_db()
-        before = content(db)
+        before = snapshot(db)
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('tmp', 9, 9)")
         db.sql("ROLLBACK")
-        assert content(db) == before
+        assert snapshot(db) == before
 
     def test_rollback_restores_ddl(self):
         db = make_db()
-        before = content(db)
+        before = snapshot(db)
         db.sql("BEGIN")
         db.sql("CREATE TABLE Scratch (a INT)")
         db.sql("INSERT INTO Scratch VALUES (1)")
         db.sql("CREATE INDEX ON Emp (sal)")
         db.create_view("V", "SELECT name FROM Emp")
         db.sql("ROLLBACK")
-        assert content(db) == before
+        assert snapshot(db) == before
         assert not db.catalog.has_table("Scratch")
         assert not db.catalog.has_view("V")
 
     def test_rollback_restores_dropped_table_with_stats(self):
         db = make_db()
-        before = content(db)
+        before = snapshot(db)
         db.sql("BEGIN")
         db.sql("DROP TABLE Emp")
         assert not db.catalog.has_table("Emp")
         db.sql("ROLLBACK")
-        assert content(db) == before  # rows, indexes, AND stats back
+        assert snapshot(db) == before  # rows, indexes, AND stats back
 
     def test_rollback_restores_stats_after_explicit_analyze(self):
         db = make_db()
-        before = content(db)
+        before = snapshot(db)
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('tmp', 9, 999999)")
         db.analyze("Emp")  # stats now see the new row
         db.sql("ROLLBACK")
-        assert content(db) == before
+        assert snapshot(db) == before
 
     def test_rollback_restores_stats_after_lazy_planner_analyze(self):
         """The planner computing stats lazily mid-transaction must be
@@ -251,14 +244,14 @@ class TestAbortedState:
 
     def test_commit_of_aborted_txn_rolls_back(self):
         db = make_db()
-        before = content(db)
+        before = snapshot(db)
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('x', 1, 1)")
         with pytest.raises(ReproError):
             db.sql("SELECT nope FROM Emp")
         result = db.sql("COMMIT")
         assert result.statement_kind == "rollback"
-        assert content(db) == before
+        assert snapshot(db) == before
 
     def test_on_error_continue_keeps_txn_usable(self):
         db = make_db()
@@ -284,71 +277,88 @@ class TestAbortedState:
         db.sql("ROLLBACK")
 
 
-# --------------------------------------- plan cache / version (satellite)
+# ------------------------------------------ plan cache across rollback
 
 class TestPlanCacheVersioning:
+    """Plans across versions of the content: rollback restores what a
+    plan read, so what is served is what a cold planner plans."""
+
     QUERY = "SELECT name FROM Emp WHERE dept = 1"
+
+    @staticmethod
+    def assert_cold(db, result, sql):
+        cold = Planner(db.catalog, db.config).plan(db.bind(sql))
+        assert result.plan.explain() == cold.explain()
+        assert result.plan.est_cost == cold.est_cost
+        assert result.plan.est_components == cold.est_components
 
     def test_plan_cached_inside_aborted_txn_never_served(self):
         """Warm the cache on DDL created inside a transaction, roll the
-        DDL back, and re-run: the rolled-back plan must miss."""
+        DDL back, and re-run: the rolled-back plan must miss, also once
+        a new table takes the old name."""
         db = make_db()
         db.sql("BEGIN")
         db.sql("CREATE TABLE Tmp (a INT)")
         db.sql("INSERT INTO Tmp VALUES (1)")
         # plan + cache a query against the uncommitted table
-        assert db.sql("SELECT a FROM Tmp",
-                      options=Options(use_cache=True)).rows == [(1,)]
-        cached_version = db.cache_stats()["catalog_version"]
+        for _ in range(2):
+            assert db.sql("SELECT a FROM Tmp").rows == [(1,)]
         db.sql("ROLLBACK")
-        assert db.catalog.version > cached_version  # never reused
         # the table is gone; the cached plan must not resurrect it
         with pytest.raises(ReproError):
-            db.sql("SELECT a FROM Tmp", options=Options(use_cache=True))
+            db.sql("SELECT a FROM Tmp")
+        db.sql("CREATE TABLE Tmp (a INT)")
+        result = db.sql("SELECT a FROM Tmp")
+        assert result.rows == [] and not result.cached_plan
 
-    def test_version_monotonic_across_rollback(self):
+    def test_rollback_restores_what_plans_read(self):
         db = make_db()
-        v0 = db.catalog.version
+        before = db.catalog.inputs(("emp",))
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('x', 1, 1)")
-        v_inside = db.catalog.version
-        assert v_inside > v0
+        db.sql("CREATE INDEX ON Emp (sal)")
+        db.analyze("Emp")
+        assert db.catalog.inputs(("emp",)) != before
         db.sql("ROLLBACK")
-        assert db.catalog.version > v_inside  # restored content, new number
+        assert db.catalog.inputs(("emp",)) == before
 
-    def test_cached_plan_from_before_txn_misses_after_rollback(self):
-        """A pre-transaction cached plan is invalidated by the rollback
-        bump (content is identical, but the conservative contract is
-        exact-version match) — and re-planning gives the same rows."""
+    def test_cached_plan_from_before_txn_is_served_after_rollback(self):
+        """Rollback restores the content a pre-transaction plan read, so
+        serving it is exact — and gives the same rows."""
         db = make_db()
-        baseline = sorted(db.sql(self.QUERY,
-                                 options=Options(use_cache=True)).rows)
+        baseline = sorted(db.sql(self.QUERY).rows)
         db.sql(self.QUERY)  # the second miss stores the plan
-        hit = db.sql(self.QUERY, options=Options(use_cache=True))
-        assert hit.cached_plan
+        assert db.sql(self.QUERY).cached_plan
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('x', 1, 1)")
         db.sql("ROLLBACK")
-        replanned = db.sql(self.QUERY, options=Options(use_cache=True))
-        assert not replanned.cached_plan
-        assert sorted(replanned.rows) == baseline
+        served = db.sql(self.QUERY)
+        assert served.cached_plan
+        self.assert_cold(db, served, self.QUERY)
+        assert sorted(served.rows) == baseline
 
-    def test_empty_rollback_does_not_burn_a_version(self):
+    def test_empty_rollback_keeps_cached_plans(self):
         db = make_db()
-        v0 = db.catalog.version
+        for _ in range(2):
+            db.sql(self.QUERY)
         db.sql("BEGIN")
         db.sql("ROLLBACK")
-        assert db.catalog.version == v0
+        assert db.sql(self.QUERY).cached_plan
+        assert db.cache_stats()["invalidations"] == 0
 
     def test_prepared_statement_replans_after_rollback(self):
+        """The entry last stored was planned inside the transaction,
+        on a row count the rollback took back."""
         db = make_db()
         stmt = db.prepare("SELECT name FROM Emp WHERE sal > ?")
         baseline = sorted(stmt.execute((500,)).rows)
         db.sql("BEGIN")
         db.sql("INSERT INTO Emp VALUES ('x', 1, 999999)")
+        assert not stmt.execute((500,)).cached_plan
         db.sql("ROLLBACK")
         result = stmt.execute((500,))
-        assert not result.cached_plan  # version moved -> fresh plan
+        assert not result.cached_plan
+        self.assert_cold(db, result, stmt.text)
         assert sorted(result.rows) == baseline
 
 
