@@ -72,6 +72,12 @@ class QueryBlock:
     distinct: bool = False
     order_by: List[Tuple[ColumnRef, bool]] = field(default_factory=list)
     limit: Optional[int] = None
+    # derived schemas, on first call (the relations, grouping and
+    # select items of a bound block do not change)
+    _grouped: Optional[Schema] = field(default=None, init=False,
+                                       repr=False, compare=False)
+    _output: Optional[Schema] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     # ---------------------------------------------------------------- schemas
 
@@ -92,14 +98,16 @@ class QueryBlock:
         then aggregate aliases."""
         if not self.is_grouped:
             raise BindError("block has no GROUP BY / aggregates")
-        combined = self.combined_schema()
-        columns = []
-        for ref in self.group_by:
-            source = combined.column(ref.name)
-            columns.append(source.renamed(ref.name.split(".")[-1]))
-        for agg in self.aggregates:
-            columns.append(Column(agg.alias, agg.output_dtype(combined)))
-        return Schema(columns)
+        if self._grouped is None:
+            combined = self.combined_schema()
+            columns = []
+            for ref in self.group_by:
+                source = combined.column(ref.name)
+                columns.append(source.renamed(ref.name.split(".")[-1]))
+            for agg in self.aggregates:
+                columns.append(Column(agg.alias, agg.output_dtype(combined)))
+            self._grouped = Schema(columns)
+        return self._grouped
 
     def projection_input_schema(self) -> Schema:
         """The schema select_items are written over."""
@@ -110,13 +118,13 @@ class QueryBlock:
 
     def output_schema(self) -> Schema:
         """The block's final output schema."""
-        source = self.projection_input_schema()
-        if not self.select_items:
-            return source
-        return Schema(
-            Column(item.output_name, item.expr.dtype(source))
-            for item in self.select_items
-        )
+        if self._output is None:
+            source = self.projection_input_schema()
+            self._output = source if not self.select_items else Schema(
+                Column(item.output_name, item.expr.dtype(source))
+                for item in self.select_items
+            )
+        return self._output
 
     # ------------------------------------------------------------- utilities
 

@@ -19,8 +19,10 @@ decided, at the point where it decides:
   anchors and interpolation fit.
 
 The trace only records — it never changes planner behavior, which the
-golden-plan tests assert (plans are byte-identical with tracing on).
-An untraced planner calls no function of this module.
+golden-plan tests assert (plans are byte-identical with tracing on, and
+equal to the last float). It reads each candidate's ``plan``, which
+builds that candidate's nodes; an untraced planner builds only the
+nodes of the plan it returns, and calls no function of this module.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..optimizer.planner import (
     ORDER_PRUNED,
     ORDER_SURVIVOR,
 )
-from ..optimizer.plans import FilterJoinNode, method_label
+from ..optimizer.plans import FilterJoinNode
 
 #: User-facing spellings accepted by :meth:`OptimizerTrace.why_not`.
 #: "magic"-family spellings are context-sensitive (see
@@ -93,7 +95,7 @@ class CandidateRecord:
     depth: int                            # restriction-template depth
     aliases: Tuple[str, ...]              # sorted relation subset
     sequence: Tuple[str, ...]             # construction (join) order
-    method: str                           # method_label of the top node
+    method: str                           # the candidate's join method
     cost: float
     est_rows: float
     components: Dict[str, float]          # CostLedger.as_dict()
@@ -334,12 +336,12 @@ class OptimizerTrace:
             depth=depth,
             aliases=tuple(sorted(partial.aliases)),
             sequence=tuple(partial.sequence),
-            method=method_label(node),
+            method=partial.method,
             cost=partial.cost,
             est_rows=partial.props.rows,
             components=partial.components.as_dict(),
             sort_order=partial.sort_order,
-            site=node.site,
+            site=partial.site,
             node=node,
             detail=(_filter_join_detail(node)
                     if isinstance(node, FilterJoinNode) else None),
@@ -374,7 +376,7 @@ class OptimizerTrace:
         single-relation recursive queries are covered too.
         """
         cfg = self._config
-        made = {method_label(c.plan) for c in produced}
+        made = {c.method for c in produced}
         subset = (rel.alias,)
         if "magic" not in made:
             if cfg.forced_recursive == "full":
@@ -393,7 +395,7 @@ class OptimizerTrace:
         query's structure."""
         cfg = self._config
         subset = tuple(sorted(partial.aliases | {rel.alias}))
-        made = {method_label(c.plan) for c in produced}
+        made = {c.method for c in produced}
 
         def skip(method, reason):
             self._skip(subset, tuple(partial.sequence), rel.alias, method,

@@ -28,15 +28,13 @@ class CostModel:
         self.config = config
         self.params: CostParams = config.cost_params
         self.memory_pages = config.memory_pages
+        #: ledger -> scalar cost under the config's weights (the fold
+        #: every candidate's cost goes through, bound once)
+        self.scalar = self.params.scalar
 
     # ------------------------------------------------------------- helpers
 
-    @staticmethod
-    def pages(rows: float, width: int) -> float:
-        return pages_for(rows, width)
-
-    def scalar(self, ledger: CostLedger) -> float:
-        return self.params.scalar(ledger)
+    pages = staticmethod(pages_for)
 
     def fits_in_memory(self, pages: float) -> bool:
         return pages <= self.memory_pages

@@ -40,14 +40,27 @@ from .plans import DeferredTemplateNode, PlanNode
 
 @dataclass
 class EquivalenceClass:
-    """One planned anchor: a filter-set cardinality and its plan (a
-    :class:`DeferredTemplateNode` when the numbers came from the
-    restriction memo and the plan has not been needed yet)."""
+    """One planned anchor: a filter-set cardinality and its plan's
+    numbers. Its plan is the planned template or, when the numbers came
+    from the restriction memo, a :class:`DeferredTemplateNode` made on
+    first read, which plans the anchor by ``plan_anchor`` only if the
+    winning plan needs it."""
 
     anchor_rows: float
-    plan: PlanNode
     cost: float
     rows: float
+    components: CostLedger
+    _plan: Optional[PlanNode] = None
+    plan_anchor: Optional[Callable[[float], PlanNode]] = None
+
+    @property
+    def plan(self) -> PlanNode:
+        if self._plan is None:
+            node = self._plan = DeferredTemplateNode(
+                self.anchor_rows, lambda: self.plan_anchor(self.anchor_rows))
+            node.est_cost, node.est_rows = self.cost, self.rows
+            node.est_components = self.components
+        return self._plan
 
 
 # builder(assumed_rows, assumed_selectivity) -> RestrictedInner
@@ -167,9 +180,8 @@ class ParametricInnerCoster:
         if stored is not None:
             self._fit, numbers = stored
             self.classes = [
-                EquivalenceClass(anchor, self._deferred(anchor, cost, rows,
-                                                        components),
-                                 cost, rows)
+                EquivalenceClass(anchor, cost, rows, CostLedger(*components),
+                                 plan_anchor=self._plan_template)
                 for anchor, cost, rows, components in numbers
             ]
 
@@ -206,17 +218,8 @@ class ParametricInnerCoster:
 
     def _plan_anchor(self, anchor_rows: float) -> EquivalenceClass:
         plan = self._plan_template(anchor_rows)
-        return EquivalenceClass(anchor_rows, plan, plan.est_cost,
-                                plan.est_rows)
-
-    def _deferred(self, anchor_rows: float, cost: float, rows: float,
-                  components: tuple) -> DeferredTemplateNode:
-        node = DeferredTemplateNode(
-            anchor_rows, lambda: self._plan_template(anchor_rows))
-        node.est_cost = cost
-        node.est_rows = rows
-        node.est_components = CostLedger(*components)
-        return node
+        return EquivalenceClass(anchor_rows, plan.est_cost, plan.est_rows,
+                                plan.est_components, _plan=plan)
 
     def ensure_classes(self) -> None:
         if self.classes:
@@ -233,7 +236,7 @@ class ParametricInnerCoster:
         if self.on_classes is not None:
             self.on_classes((self._fit, tuple(
                 (c.anchor_rows, c.cost, c.rows,
-                 tuple(c.plan.est_components.as_dict().values()))
+                 tuple(c.components.as_dict().values()))
                 for c in self.classes
             )))
 
@@ -275,7 +278,11 @@ class ParametricInnerCoster:
         return classes[-1].cost
 
     def template_for(self, filter_rows: float) -> PlanNode:
-        """The physical plan to execute for this filter-set size.
+        """The physical plan to execute for this filter-set size."""
+        return self.class_for(filter_rows).plan
+
+    def class_for(self, filter_rows: float) -> EquivalenceClass:
+        """The class whose plan executes a filter set of this size.
 
         Uses the *floor* class — the largest anchor not exceeding the
         filter size. A plan optimized for a smaller filter set degrades
@@ -291,10 +298,10 @@ class ParametricInnerCoster:
             cls = self._last_exact
             if cls is None or cls.anchor_rows != size:
                 cls = self._last_exact = self._plan_anchor(size)
-            return cls.plan
+            return cls
         self.ensure_classes()
         chosen = self.classes[0]
         for cls in self.classes:
             if cls.anchor_rows <= filter_rows:
                 chosen = cls
-        return chosen.plan
+        return chosen

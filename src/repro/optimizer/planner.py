@@ -21,18 +21,13 @@ production-set choices, which experiment C2 uses to measure the blow-up.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.block import QueryBlock
-from ..algebra.predicates import (
-    alias_of,
-    aliases_in,
-    equijoin_pairs,
-    local_predicates,
-)
+from ..algebra.predicates import alias_of, aliases_in, equijoin_pairs
 from ..algebra.relations import (
     FilterSetRelation,
     RelationRef,
@@ -82,7 +77,6 @@ from .plans import (
     ShipNode,
     SortNode,
     UnionNode,
-    method_label,
 )
 from .properties import RelProps, StatsEstimator
 
@@ -117,19 +111,105 @@ class PlannerMetrics:
     pruned_by_method: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
 class PartialPlan:
     """One DP table entry: the best plan found for a relation subset
-    (under one interesting order), plus its construction sequence."""
+    (under one interesting order, at one site) as numbers plus a recipe.
 
-    aliases: FrozenSet[str]
-    sequence: Tuple[str, ...]
-    plan: PlanNode
-    props: RelProps
-    cost: float
-    components: CostLedger
-    sort_order: Optional[Tuple[str, ...]] = None
-    parent: Optional["PartialPlan"] = None
+    The DP compares numbers only; ``build`` makes the :class:`PlanNode`
+    subtree the first time ``plan`` is read — by the plan a block
+    returns, by a join built over this entry, or by a search trace,
+    which reads every candidate's. ``mask`` is the subset as the
+    block's relation bits, ``method`` the top node's ``method_label``.
+    """
+
+    __slots__ = ("mask", "aliases", "sequence", "props", "cost",
+                 "components", "sort_order", "site", "method", "parent",
+                 "_build", "_plan")
+
+    def __init__(self, mask, aliases, sequence, props, cost, components,
+                 sort_order, site, method, build, parent=None):
+        self.mask, self.aliases, self.sequence = mask, aliases, sequence
+        self.props, self.cost, self.components = props, cost, components
+        self.sort_order, self.site, self.method = sort_order, site, method
+        self.parent, self._build, self._plan = parent, build, None
+
+    @property
+    def plan(self) -> PlanNode:
+        if self._plan is None:
+            self._plan = self._build()
+        return self._plan
+
+    def fresh(self) -> PlanNode:
+        """A node of its own, for a use as a join's inner (a recipe
+        over a plan built already, a view's or a fixpoint's, hands
+        that plan out)."""
+        return self._build()
+
+
+# One join step's fixed facts: the joined subset's mask, aliases and
+# props, its equi-join (outer, inner) column pairs and its residual.
+_Step = namedtuple("_Step", "mask aliases props equi_names residual")
+
+
+class _BlockFacts:
+    """What is fixed per block, derived once.
+
+    Relations are numbered in FROM order, so a relation subset is a bit
+    mask, and each conjunct carries the mask of the relations it reads.
+    A subset's props are one :meth:`StatsEstimator.fold_step` from the
+    subset without its last relation (the left-to-right fold of a whole
+    block's estimate, so every plan of a subset shares one estimate).
+    Also kept: per mask the relations joinable next, per join step its
+    :class:`_Step`, per relation its local conjuncts, access paths and
+    filter-set-bindable view columns.
+    """
+
+    def __init__(self, block: QueryBlock, estimator: StatsEstimator):
+        self.block = block
+        self.estimator = estimator
+        self.relations = {rel.alias: rel for rel in block.relations}
+        self.bit = {alias: 1 << i for i, alias in enumerate(self.relations)}
+        self.full = (1 << len(self.bit)) - 1
+        # the bits are distinct, so a sum is their union; an alias
+        # outside the FROM list adds bits above every subset's
+        self.preds = [(p, sum(self.bit.get(a, self.full + 1)
+                              for a in aliases_in(p)))
+                      for p in block.predicates]
+        self.locals = {alias: [p for p, m in self.preds if m == bit]
+                       for alias, bit in self.bit.items()}
+        self.access: Dict[str, List[PartialPlan]] = {}
+        self.steps: Dict[Tuple[int, str], _Step] = {}
+        self.bindable: Dict[str, set] = {}
+        self._props: Dict[int, RelProps] = {}
+        self._partners: Dict[int, List[str]] = {}
+
+    def props(self, mask: int) -> RelProps:
+        props = self._props.get(mask)
+        if props is None:
+            last = 1 << (mask.bit_length() - 1)
+            rest = mask ^ last
+            applicable = [(p, m) for p, m in self.preds
+                          if m & last and not m & ~mask]
+            props = self._props[mask] = self.estimator.fold_step(
+                self.props(rest) if rest else None,
+                list(self.relations.values())[last.bit_length() - 1],
+                [p for p, m in applicable if m == last],
+                [p for p, m in applicable if m != last])
+        return props
+
+    def partners(self, mask: int) -> List[str]:
+        """Relations joinable next: connected ones, or all when the join
+        graph leaves no connected choice (forced cross product)."""
+        partners = self._partners.get(mask)
+        if partners is None:
+            remaining = [a for a, bit in self.bit.items() if not bit & mask]
+            partners = self._partners[mask] = [
+                a for a in remaining
+                if any(m & self.bit[a] and m & mask
+                       and not m & ~(mask | self.bit[a])
+                       for _p, m in self.preds)
+            ] or remaining
+        return partners
 
 
 class Planner:
@@ -153,16 +233,12 @@ class Planner:
         self._param_counter = itertools.count(1)
         self._restriction_depth = 0
         self._costers: Dict[Tuple, ParametricInnerCoster] = {}
-        self._view_plans: Dict[int, PartialPlan] = {}
+        # a view's full computation: (plan, rows, ledger)
+        self._view_plans: Dict[int, Tuple[PlanNode, float, CostLedger]] = {}
         # Recursive relations: cached base-seed plans (per relation).
         self._fixpoint_bases: Dict[int, Tuple[PlanNode, CostLedger, float]] = {}
-        self._props_cache: Dict[Tuple[int, FrozenSet[str]], RelProps] = {}
-        # What is fixed per block, derived once: each relation's access
-        # paths (a recursive relation's costed fixpoint pair among them,
-        # since the consuming block's predicates decide the magic
-        # restriction) and each join step's predicates.
-        self._access: Dict[Tuple[int, str], List[PartialPlan]] = {}
-        self._join_preds: Dict[Tuple[int, FrozenSet[str], str], tuple] = {}
+        # per block (its facts hold it)
+        self._blocks: Dict[int, _BlockFacts] = {}
         # The caches above key by id(); keep the keyed objects alive so
         # a dead object's id can never be recycled into a stale hit.
         self._cache_pins: List[object] = []
@@ -294,8 +370,7 @@ class Planner:
             components.merge(step)
             plan = DistinctNode(plan)
             rows = distinct_rows
-            props = props.scaled(distinct_rows / rows if rows else 0.0)
-            self._finish(plan, distinct_rows, components)
+            self._finish(plan, rows, components)
 
         if block.order_by:
             wanted = tuple(ref.name for ref, asc in block.order_by if asc)
@@ -323,32 +398,34 @@ class Planner:
     # ------------------------------------------------------------- join DP
 
     def _plan_joins(self, block: QueryBlock) -> PartialPlan:
-        relations = {rel.alias: rel for rel in block.relations}
-        n = len(relations)
-        table: Dict[FrozenSet[str], Dict[Optional[Tuple[str, ...]], PartialPlan]] = {}
+        facts = self._blocks.get(id(block))
+        if facts is None:
+            facts = self._blocks[id(block)] = _BlockFacts(block,
+                                                          self.estimator)
+        n = len(facts.relations)
+        # mask -> {(interesting order, site): entry}, in insertion order
+        table: Dict[int, Dict[tuple, PartialPlan]] = {}
 
         forced = (self.config.forced_view_join
                   if self._restriction_depth == 0 else None)
-        for rel in block.relations:
+        for rel in facts.relations.values():
             if (forced in ("nested_iteration", "filter_join", "bloom")
                     and rel.kind == "view" and n > 1):
                 continue  # the forced strategy only joins the view as inner
-            for partial in self._access_plans(rel, block):
+            for partial in self._access_plans(rel, facts):
                 self._add_entry(table, partial)
-        if not any(len(key) == 1 for key in table):
+        if not table:
             raise PlanError(
                 "no relation in the block can be accessed standalone "
                 "(function relations need join bindings)"
             )
 
-        for size in range(2, n + 1):
-            level_keys = [key for key in table if len(key) == size - 1]
-            for key in level_keys:
-                for partial in list(table[key].values()):
-                    partners = self._join_partners(block, partial, relations)
-                    for alias in partners:
-                        rel = relations[alias]
-                        candidates = self._join_candidates(block, partial,
+        for size in range(1, n):
+            for mask in [m for m in table if bin(m).count("1") == size]:
+                for partial in list(table[mask].values()):
+                    for alias in facts.partners(mask):
+                        rel = facts.relations[alias]
+                        candidates = self._join_candidates(facts, partial,
                                                            rel)
                         if self.trace is not None \
                                 and self._restriction_depth == 0:
@@ -356,8 +433,7 @@ class Planner:
                         for candidate in candidates:
                             self._add_entry(table, candidate)
 
-        full = frozenset(relations)
-        bucket = table.get(full)
+        bucket = table.get(facts.full)
         if not bucket:
             raise PlanError("optimizer found no complete join plan")
         self.metrics.dp_entries += sum(len(b) for b in table.values())
@@ -366,34 +442,22 @@ class Planner:
     def _cost_with_ship_home(self, partial: PartialPlan) -> float:
         """A remote-sited plan must eventually ship its result to the
         query site; comparing complete plans ignores that at its peril."""
-        if partial.plan.site is None:
+        if partial.site is None:
             return partial.cost
         ship = self.cost_model.ship(partial.props.rows,
                                     partial.props.row_width)
         return partial.cost + self.cost_model.scalar(ship)
 
-    def _join_partners(self, block: QueryBlock, partial: PartialPlan,
-                       relations: Dict[str, RelationRef]) -> List[str]:
-        """Relations joinable next: connected ones, or all when the join
-        graph leaves no connected choice (forced cross product)."""
-        remaining = [a for a in relations if a not in partial.aliases]
-        connected = []
-        for alias in remaining:
-            for pred in block.predicates:
-                refs = aliases_in(pred)
-                if alias in refs and refs & partial.aliases and \
-                        refs <= partial.aliases | {alias}:
-                    connected.append(alias)
-                    break
-        return connected or remaining
-
     def _add_entry(self, table, candidate: PartialPlan) -> None:
         self.metrics.plans_considered += 1
-        self._note_candidate(candidate)
-        bucket = table.setdefault(candidate.aliases, {})
+        by_method = self.metrics.candidates_by_method
+        by_method[candidate.method] = by_method.get(candidate.method, 0) + 1
+        if self.trace is not None:
+            self.trace.candidate(candidate, self._restriction_depth)
+        bucket = table.setdefault(candidate.mask, {})
         # Entries are comparable only at the same (interesting order,
         # site): a differently-sited plan owes a future shipping cost.
-        site = candidate.plan.site
+        site = candidate.site
         entry_key = (candidate.sort_order, site)
         incumbent = bucket.get(entry_key)
         if incumbent is None or candidate.cost < incumbent.cost:
@@ -403,14 +467,12 @@ class Planner:
         else:
             self._note_pruned(candidate, DOMINATED, by=incumbent)
         # Prune ordered entries dominated by the same-site unordered best.
-        same_site = [p for p in bucket.values() if p.plan.site == site]
-        best_any = min(same_site, key=lambda p: p.cost)
-        for key in list(bucket):
-            order_key, site_key = key
-            if site_key != site or order_key is None:
-                continue
-            if bucket[key].cost > best_any.cost * 4:
-                self._note_pruned(bucket[key], ORDER_PRUNED)
+        entries = list(bucket.items())
+        best_any = min([p.cost for (_o, s), p in entries if s == site])
+        for key, entry in entries:
+            if key[0] is not None and key[1] == site \
+                    and entry.cost > best_any * 4:
+                self._note_pruned(entry, ORDER_PRUNED)
                 del bucket[key]
         if self.trace is not None and candidate.sort_order is not None \
                 and bucket.get(entry_key) is candidate:
@@ -418,61 +480,38 @@ class Planner:
             if unordered is not None and unordered.cost < candidate.cost:
                 self.trace.verdict(candidate, ORDER_SURVIVOR)
 
-    def _note_candidate(self, candidate: PartialPlan) -> None:
-        label = method_label(candidate.plan)
-        by = self.metrics.candidates_by_method
-        by[label] = by.get(label, 0) + 1
-        if self.trace is not None:
-            self.trace.candidate(candidate, self._restriction_depth)
-
     def _note_pruned(self, partial: PartialPlan, verdict: str,
                      by: Optional[PartialPlan] = None) -> None:
         """Count an entry the memo discarded, and report why: beaten by
         ``by`` (``DOMINATED``) or evicted by the 4x rule."""
-        label = method_label(partial.plan)
         counts = self.metrics.pruned_by_method
-        counts[label] = counts.get(label, 0) + 1
+        counts[partial.method] = counts.get(partial.method, 0) + 1
         if self.trace is not None:
             self.trace.verdict(partial, verdict, by)
 
     # ----------------------------------------------------------- access paths
 
-    def _subset_props(self, block: QueryBlock,
-                      aliases: FrozenSet[str]) -> RelProps:
-        key = (id(block), frozenset(aliases))
-        props = self._props_cache.get(key)
-        if props is None:
-            props = self.estimator.join_subset_props(block, aliases)
-            self._props_cache[key] = props
-            self._cache_pins.append(block)
-        return props
-
     def _access_plans(self, rel: RelationRef,
-                      block: QueryBlock) -> List[PartialPlan]:
-        """The relation's access paths, derived once per block. A later
-        call gets fresh top nodes (the search trace marks a record chosen
-        by node identity), except those already shared: the recursive
-        pair, and a view's plan with no local predicate."""
-        key = (id(block), rel.alias)
-        plans = self._access.get(key)
+                      facts: _BlockFacts) -> List[PartialPlan]:
+        """The relation's access paths, derived once per block (a
+        recursive relation's costed fixpoint pair among them, since the
+        consuming block's predicates decide the magic restriction)."""
+        plans = facts.access.get(rel.alias)
         if plans is None:
-            plans = self._access[key] = self._derive_access_plans(rel, block)
-            self._cache_pins.append(block)
-        elif rel.kind in ("stored", "filterset") or (
-                rel.kind == "view"
-                and local_predicates(block.predicates, rel.alias)):
-            plans = [replace(p, plan=copy.copy(p.plan)) for p in plans]
+            plans = facts.access[rel.alias] = self._derive_access_plans(
+                rel, facts)
         if rel.kind == "recursive" and self.trace is not None \
                 and self._restriction_depth == 0:
             self.trace.skipped_fixpoints(rel, plans)
         return plans
 
     def _derive_access_plans(self, rel: RelationRef,
-                             block: QueryBlock) -> List[PartialPlan]:
+                             facts: _BlockFacts) -> List[PartialPlan]:
         if rel.kind == "function":
             return []  # only joinable with bindings
-        locals_ = local_predicates(block.predicates, rel.alias)
-        props = self._subset_props(block, frozenset([rel.alias]))
+        bit = facts.bit[rel.alias]
+        locals_ = facts.locals[rel.alias]
+        props = facts.props(bit)
         plans: List[PartialPlan] = []
 
         if rel.kind == "stored":
@@ -482,38 +521,48 @@ class Planner:
                                                   table.num_rows)
             if locals_:
                 components.merge(self.cost_model.filter_rows(table.num_rows))
-            node = SeqScanNode(rel, conjoin(locals_))
-            node.site = rel.site
             # A clustered table's heap order IS the cluster column's
             # order — a free interesting order for merge joins/ORDER BY.
             order = None
             if table.clustered_on is not None:
                 order = ("%s.%s" % (rel.alias, table.clustered_on),)
+
+            def scan():
+                node = SeqScanNode(rel, conjoin(locals_))
                 node.sort_order = order
-            self._finish(node, props.rows, components)
-            plans.append(self._partial(rel, node, props, components,
-                                       sort_order=order))
-            plans.extend(self._index_access_plans(rel, block, locals_,
+                self._finish(node, props.rows, components)
+                return node
+            plans.append(self._partial(rel, bit, props, components, order,
+                                       rel.site, scan))
+            plans.extend(self._index_access_plans(rel, bit, locals_,
                                                   base, props))
         elif rel.kind == "view":
-            partial = self._view_full_computation(rel)
-            # Re-run local predicate filtering on top of the view output.
-            components = partial.components.snapshot()
-            node = partial.plan
+            view, rows, components = self._view_full_computation(rel)
             if locals_:
-                components.merge(self.cost_model.filter_rows(partial.props.rows))
-                node = FilterNode(node, conjoin(locals_))
+                components = components + self.cost_model.filter_rows(rows)
+
+            def view_access():
+                if not locals_:
+                    return view
+                # Re-run local predicate filtering on top of the view output.
+                node = FilterNode(view, conjoin(locals_))
                 self._finish(node, props.rows, components)
-            plans.append(self._partial(rel, node, props, components,
-                                       sort_order=node.sort_order))
+                return node
+            plans.append(self._partial(rel, bit, props, components,
+                                       view.sort_order, view.site,
+                                       view_access))
         elif rel.kind == "filterset":
             components = self.cost_model.rescan(rel.assumed_rows,
                                                 rel.base_schema.row_width())
-            node = FilterSetScanNode(rel)
-            self._finish(node, props.rows, components)
-            plans.append(self._partial(rel, node, props, components))
+
+            def filter_set_scan():
+                node = FilterSetScanNode(rel)
+                self._finish(node, props.rows, components)
+                return node
+            plans.append(self._partial(rel, bit, props, components, None,
+                                       None, filter_set_scan))
         elif rel.kind == "recursive":
-            plans.extend(self._recursive_access_plans(rel, block, locals_,
+            plans.extend(self._recursive_access_plans(rel, bit, locals_,
                                                       props))
         else:
             raise PlanError("cannot access relation kind %r" % rel.kind)
@@ -521,7 +570,7 @@ class Planner:
 
     # ------------------------------------------------- recursive fixpoints
 
-    def _recursive_access_plans(self, rel, block, locals_,
+    def _recursive_access_plans(self, rel, bit, locals_,
                                 props) -> List[PartialPlan]:
         """The costed pair for a recursive relation: the full fixpoint
         and, when query bindings are pushable into the seed, the
@@ -530,11 +579,11 @@ class Planner:
         forced = (self.config.forced_recursive
                   if self._restriction_depth == 0 else None)
         pushable, remaining = recursive_magic_bindings(rel, locals_)
-        full = self._fixpoint_candidate(rel, block, props,
+        full = self._fixpoint_candidate(rel, bit, props,
                                         pushable=None, remaining=locals_)
         magic = None
         if pushable:
-            magic = self._fixpoint_candidate(rel, block, props,
+            magic = self._fixpoint_candidate(rel, bit, props,
                                              pushable=pushable,
                                              remaining=remaining)
         if forced == "magic" and magic is not None:
@@ -568,7 +617,7 @@ class Planner:
         self._cache_pins.append(rel)
         return cached
 
-    def _fixpoint_candidate(self, rel, block, props, pushable,
+    def _fixpoint_candidate(self, rel, bit, props, pushable,
                             remaining) -> PartialPlan:
         """One semi-naive fixpoint candidate over ``rel``.
 
@@ -625,9 +674,11 @@ class Planner:
             components.merge(self.cost_model.filter_rows(total))
             node = FilterNode(node, conjoin(list(remaining)))
             self._finish(node, props.rows, components)
-        return self._partial(rel, node, props, components)
+        return self._partial(rel, bit, props, components, None, None,
+                             lambda: node,
+                             "magic" if pushable else "fixpoint")
 
-    def _index_access_plans(self, rel: StoredRelation, block: QueryBlock,
+    def _index_access_plans(self, rel: StoredRelation, bit: int,
                             locals_: List[Expr], base: RelProps,
                             props: RelProps) -> List[PartialPlan]:
         plans: List[PartialPlan] = []
@@ -637,7 +688,6 @@ class Planner:
             if probe is None:
                 continue
             pred, index = probe
-            left, right = pred.left, pred.right
             column = index.column_name
             sel = self.estimator.selectivity(pred, base)
             matches = base.rows * sel
@@ -649,18 +699,23 @@ class Planner:
             residual = [p for p in locals_ if p is not pred]
             if residual:
                 components.merge(self.cost_model.filter_rows(matches))
-            node = IndexScanNode(rel, left.name, pred.op, right.value,
-                                 conjoin(residual))
-            node.site = rel.site
-            order = (left.name,) if index.kind == "sorted" else None
-            node.sort_order = order
-            self._finish(node, props.rows, components)
-            plans.append(self._partial(rel, node, props, components,
-                                       sort_order=order))
+            order = (pred.left.name,) if index.kind == "sorted" else None
+
+            def index_scan(pred=pred, residual=residual, order=order,
+                           components=components):
+                node = IndexScanNode(rel, pred.left.name, pred.op,
+                                     pred.right.value, conjoin(residual))
+                node.sort_order = order
+                self._finish(node, props.rows, components)
+                return node
+            plans.append(self._partial(rel, bit, props, components, order,
+                                       rel.site, index_scan))
         return plans
 
-    def _view_full_computation(self, rel: VirtualRelation) -> PartialPlan:
-        """Fully compute the view (its own nested optimization), cached."""
+    def _view_full_computation(self, rel: VirtualRelation
+                               ) -> Tuple[PlanNode, float, CostLedger]:
+        """Fully compute the view (its own nested optimization), cached:
+        its plan, rows and ledger."""
         cached = self._view_plans.get(id(rel))
         if cached is not None:
             return cached
@@ -669,55 +724,43 @@ class Planner:
         node = RelabelNode(inner_plan, rel.output_schema)
         node.site = rel.site if rel.site is not None else inner_plan.site
         components = inner_plan.est_components.snapshot()
-        props = self.estimator.relation_props(rel)
-        self._finish(node, props.rows, components)
-        partial = self._partial(rel, node, props, components)
-        self._view_plans[id(rel)] = partial
+        rows = self.estimator.relation_props(rel).rows
+        self._finish(node, rows, components)
+        cached = self._view_plans[id(rel)] = (node, rows, components)
         self._cache_pins.append(rel)
-        return partial
+        return cached
 
-    def _partial(self, rel: RelationRef, node: PlanNode, props: RelProps,
-                 components: CostLedger,
-                 sort_order: Optional[Tuple[str, ...]] = None) -> PartialPlan:
-        return PartialPlan(
-            aliases=frozenset([rel.alias]),
-            sequence=(rel.alias,),
-            plan=node,
-            props=props,
-            cost=self.cost_model.scalar(components),
-            components=components,
-            sort_order=sort_order,
-        )
+    def _partial(self, rel: RelationRef, bit: int, props: RelProps,
+                 components: CostLedger, sort_order, site, build,
+                 method: str = "access") -> PartialPlan:
+        return PartialPlan(bit, frozenset((rel.alias,)), (rel.alias,), props,
+                           self.cost_model.scalar(components), components,
+                           sort_order, site, method, build)
 
     # -------------------------------------------------------- join candidates
 
-    def _join_candidates(self, block: QueryBlock, partial: PartialPlan,
+    def _join_candidates(self, facts: _BlockFacts, partial: PartialPlan,
                          rel: RelationRef) -> List[PartialPlan]:
         self.metrics.joins_enumerated += 1
-        new_aliases = partial.aliases | {rel.alias}
         # the join step's predicates, classified once per block
-        key = (id(block), partial.aliases, rel.alias)
-        if key not in self._join_preds:
-            join_preds = [
-                p for p in block.predicates
-                if aliases_in(p) <= new_aliases
-                and not aliases_in(p) <= partial.aliases
-                and not aliases_in(p) <= {rel.alias}
-            ]
+        step = facts.steps.get((partial.mask, rel.alias))
+        if step is None:
+            bit = facts.bit[rel.alias]
+            mask = partial.mask | bit
+            join_preds = [p for p, m in facts.preds
+                          if not m & ~mask and m & ~partial.mask
+                          and m & ~bit]
             pairs = equijoin_pairs(join_preds, partial.aliases, {rel.alias})
             equi_set = {
                 Comparison("=", o, i).display() for o, i in pairs
             } | {
                 Comparison("=", i, o).display() for o, i in pairs
             }
-            residual_list = [p for p in join_preds
-                             if p.display() not in equi_set]
-            self._join_preds[key] = (
-                [(o.name, i.name) for o, i in pairs], residual_list,
-                conjoin(residual_list))
-            self._cache_pins.append(block)
-        equi_names, residual_list, residual = self._join_preds[key]
-        new_props = self._subset_props(block, new_aliases)
+            step = facts.steps[(partial.mask, rel.alias)] = _Step(
+                mask, partial.aliases | {rel.alias}, facts.props(mask),
+                [(o.name, i.name) for o, i in pairs],
+                conjoin([p for p in join_preds
+                         if p.display() not in equi_set]))
 
         # An experiment may pin the strategy used for view/stored inners.
         forced = (
@@ -735,21 +778,14 @@ class Planner:
                 and forced in (None, "full")
                 and forced_stored in (None, "hash", "merge", "nlj")):
             candidates.extend(self._standard_joins(
-                block, partial, rel, new_aliases, new_props,
-                equi_names, residual, residual_list,
-                only_method=forced_stored,
-            ))
+                facts, partial, rel, step, only_method=forced_stored))
         if rel.kind == "stored" and forced_stored in (None, "inl"):
-            candidates.extend(self._index_nested_loops(
-                block, partial, rel, new_aliases, new_props,
-                equi_names, residual,
-            ))
+            candidates.extend(self._index_nested_loops(facts, partial, rel,
+                                                       step))
         if (rel.kind == "view" and self._restriction_depth == 0
                 and forced in (None, "nested_iteration")):
-            candidates.extend(self._view_probe_joins(
-                block, partial, rel, new_aliases, new_props,
-                equi_names, residual, forced=forced,
-            ))
+            candidates.extend(self._view_probe_joins(facts, partial, rel,
+                                                     step, forced=forced))
         view_filter_wanted = (
             rel.kind == "view"
             and (forced in ("filter_join", "bloom")
@@ -764,15 +800,12 @@ class Planner:
         if (self._restriction_depth == 0
                 and (view_filter_wanted or stored_filter_wanted)):
             candidates.extend(self._filter_joins(
-                block, partial, rel, new_aliases, new_props,
-                equi_names, residual,
+                facts, partial, rel, step,
                 forced=forced if rel.kind == "view" else forced_stored,
             ))
         if rel.kind == "function":
-            candidates.extend(self._function_joins(
-                block, partial, rel, new_aliases, new_props,
-                equi_names, residual,
-            ))
+            candidates.extend(self._function_joins(facts, partial, rel,
+                                                   step))
         return candidates
 
     # .................................................. standard join methods
@@ -783,8 +816,7 @@ class Planner:
         filter set could have no way to join with the inner's body."""
         return flag or self._restriction_depth > 0
 
-    def _standard_joins(self, block, partial, rel, new_aliases, new_props,
-                        equi_names, residual, residual_list,
+    def _standard_joins(self, facts, partial, rel, step,
                         only_method: Optional[str] = None):
         """Hash, sort-merge, and block-nested-loops over a computed inner.
 
@@ -792,58 +824,62 @@ class Planner:
         "hash" / "merge" / "nlj".
         """
         candidates: List[PartialPlan] = []
-        access = self._access_plans(rel, block)
+        access = self._access_plans(rel, facts)
         if not access:
             return candidates
         cheapest = min(access, key=lambda p: p.cost)
         outer_rows = partial.props.rows
-        out_rows = new_props.rows
+        out_rows = step.props.rows
+        equi_names, residual = step.equi_names, step.residual
+        join_site = partial.site
 
-        def shipped(inner: PartialPlan,
-                    to_site: Optional[str]) -> Tuple[PlanNode, CostLedger]:
-            """Ship the inner to the join site when needed (fetch-inner)."""
-            comp = inner.components.snapshot()
-            node = inner.plan
-            if node.site != to_site:
-                comp.merge(self.cost_model.ship(inner.props.rows,
-                                                inner.props.row_width))
-                node = ShipNode(node, to_site)
+        def shipped(inner: PartialPlan):
+            """The inner's ledger once shipped to the join site when
+            needed (fetch-inner), and the recipe for its node."""
+            if inner.site == join_site:
+                return inner.components, inner.fresh
+            comp = inner.components + self.cost_model.ship(
+                inner.props.rows, inner.props.row_width)
+
+            def ship():
+                node = ShipNode(inner.fresh(), join_site)
                 self._finish(node, inner.props.rows, comp)
-            return node, comp
-
-        join_site = partial.plan.site
+                return node
+            return comp, ship
 
         if self._enabled(self.config.enable_hash_join) and equi_names \
                 and only_method in (None, "hash"):
-            inner_node, comp = shipped(cheapest, join_site)
-            components = partial.components + comp
-            components.merge(self.cost_model.hash_join(
+            hash_comp, hash_inner = shipped(cheapest)
+            hash_cost = partial.components + hash_comp
+            hash_cost.merge(self.cost_model.hash_join(
                 cheapest.props.rows, cheapest.props.row_width,
                 outer_rows, out_rows,
             ))
             if residual is not None:
-                components.merge(self.cost_model.filter_rows(out_rows))
-            node = JoinNode(JoinMethod.HASH, partial.plan, inner_node,
-                            equi_names, residual)
-            node.sort_order = partial.sort_order
-            node.site = join_site
-            self._finish(node, out_rows, components)
-            candidates.append(self._extend(partial, rel, node, new_props,
-                                           components, partial.sort_order))
+                hash_cost.merge(self.cost_model.filter_rows(out_rows))
+
+            def hash_join():
+                node = JoinNode(JoinMethod.HASH, partial.plan, hash_inner(),
+                                equi_names, residual)
+                node.sort_order = partial.sort_order
+                node.site = join_site
+                self._finish(node, out_rows, hash_cost)
+                return node
+            candidates.append(self._extend(partial, rel, step, hash_cost,
+                                           partial.sort_order, "hash",
+                                           hash_join))
 
         if self._enabled(self.config.enable_merge_join) and equi_names \
                 and only_method in (None, "merge"):
             okeys = tuple(name for name, _ in equi_names)
             ikeys = tuple(name for _, name in equi_names)
-            components = partial.components.snapshot()
-            outer_node = partial.plan
-            if partial.sort_order is None or \
-                    partial.sort_order[:len(okeys)] != okeys:
-                components.merge(self.cost_model.sort(
+            merge_cost = partial.components.snapshot()
+            sort_outer = partial.sort_order is None or \
+                partial.sort_order[:len(okeys)] != okeys
+            if sort_outer:
+                merge_cost.merge(self.cost_model.sort(
                     outer_rows, partial.props.row_width))
-                outer_node = SortNode(outer_node,
-                                      [(k, True) for k in okeys])
-                self._finish(outer_node, outer_rows, components)
+                outer_sorted = merge_cost.snapshot()
             # pick the access path already sorted on the keys when available
             sorted_inner = None
             for option in access:
@@ -851,56 +887,69 @@ class Planner:
                     sorted_inner = option
                     break
             inner_choice = sorted_inner or cheapest
-            inner_node, comp = shipped(inner_choice, join_site)
-            components.merge(comp)
+            merge_comp, merge_inner = shipped(inner_choice)
+            merge_cost.merge(merge_comp)
             if sorted_inner is None:
-                components.merge(self.cost_model.sort(
+                merge_cost.merge(self.cost_model.sort(
                     inner_choice.props.rows, inner_choice.props.row_width))
-                inner_node = SortNode(inner_node, [(k, True) for k in ikeys])
-                self._finish(inner_node, inner_choice.props.rows, components)
-            components.merge(self.cost_model.merge_join(
+                inner_sorted = merge_cost.snapshot()
+            merge_cost.merge(self.cost_model.merge_join(
                 outer_rows, inner_choice.props.rows, out_rows))
             if residual is not None:
-                components.merge(self.cost_model.filter_rows(out_rows))
-            node = JoinNode(JoinMethod.MERGE, outer_node, inner_node,
-                            equi_names, residual)
-            node.sort_order = okeys
-            node.site = join_site
-            self._finish(node, out_rows, components)
-            candidates.append(self._extend(partial, rel, node, new_props,
-                                           components, okeys))
+                merge_cost.merge(self.cost_model.filter_rows(out_rows))
+
+            def merge_join():
+                outer, inner = partial.plan, merge_inner()
+                if sort_outer:
+                    outer = SortNode(outer, [(k, True) for k in okeys])
+                    self._finish(outer, outer_rows, outer_sorted)
+                if sorted_inner is None:
+                    inner = SortNode(inner, [(k, True) for k in ikeys])
+                    self._finish(inner, inner_choice.props.rows,
+                                 inner_sorted)
+                node = JoinNode(JoinMethod.MERGE, outer, inner,
+                                equi_names, residual)
+                node.sort_order = okeys
+                node.site = join_site
+                self._finish(node, out_rows, merge_cost)
+                return node
+            candidates.append(self._extend(partial, rel, step, merge_cost,
+                                           okeys, "merge", merge_join))
 
         if self._enabled(self.config.enable_nested_loops) \
                 and only_method in (None, "nlj"):
-            inner_node, comp = shipped(cheapest, join_site)
-            components = partial.components + comp
-            components.merge(self.cost_model.materialize(
+            nlj_comp, nlj_inner = shipped(cheapest)
+            nlj_cost = partial.components + nlj_comp
+            nlj_cost.merge(self.cost_model.materialize(
                 cheapest.props.rows, cheapest.props.row_width))
-            components.merge(self.cost_model.block_nested_loops(
+            nlj_cost.merge(self.cost_model.block_nested_loops(
                 outer_rows, partial.props.row_width,
                 cheapest.props.rows, cheapest.props.row_width, out_rows,
             ))
-            node = JoinNode(JoinMethod.NLJ, partial.plan,
-                            MaterializeNode(inner_node), equi_names,
-                            residual)
-            node.site = join_site
-            self._finish(node.inner, cheapest.props.rows, comp)
-            self._finish(node, out_rows, components)
-            candidates.append(self._extend(partial, rel, node, new_props,
-                                           components, None))
+
+            def nested_loops():
+                inner = MaterializeNode(nlj_inner())
+                self._finish(inner, cheapest.props.rows, nlj_comp)
+                node = JoinNode(JoinMethod.NLJ, partial.plan, inner,
+                                equi_names, residual)
+                node.site = join_site
+                self._finish(node, out_rows, nlj_cost)
+                return node
+            candidates.append(self._extend(partial, rel, step, nlj_cost,
+                                           None, "nlj", nested_loops))
         return candidates
 
-    def _index_nested_loops(self, block, partial, rel, new_aliases,
-                            new_props, equi_names, residual):
+    def _index_nested_loops(self, facts, partial, rel, step):
         """INL on a stored inner; with a remote inner this is System R*'s
         "fetch matches" (one message round-trip per probe)."""
         candidates: List[PartialPlan] = []
+        equi_names, residual = step.equi_names, step.residual
         if not self.config.enable_index_nested_loops or not equi_names:
             return candidates
         outer_rows = partial.props.rows
-        out_rows = new_props.rows
+        out_rows = step.props.rows
         base = self.estimator.relation_props(rel)
-        locals_ = local_predicates(block.predicates, rel.alias)
+        locals_ = facts.locals[rel.alias]
         for outer_col, inner_col in equi_names:
             column = inner_col.split(".", 1)[1]
             index = rel.table.index_on(column)
@@ -914,7 +963,7 @@ class Planner:
                 clustered=(rel.table.clustered_on == column),
                 row_width=rel.table.schema.row_width(),
             ))
-            if rel.site is not None and rel.site != partial.plan.site:
+            if rel.site is not None and rel.site != partial.site:
                 # fetch matches: request + reply per probe
                 per_probe_bytes = matches * base.row_width
                 ship = CostLedger()
@@ -923,86 +972,92 @@ class Planner:
                     16 + per_probe_bytes
                 )
                 components.merge(ship)
-            other = [
-                Comparison("=", ColumnRef(o), ColumnRef(i))
-                for o, i in equi_names if i != inner_col
-            ]
-            full_residual = conjoin(other + ([residual] if residual else [])
-                                    + locals_)
-            node = JoinNode(JoinMethod.INL, partial.plan,
-                            SeqScanNode(rel, None), equi_names,
-                            full_residual, index_column=inner_col)
-            node.sort_order = partial.sort_order
-            node.site = partial.plan.site
-            self._finish(node, out_rows, components)
-            candidates.append(self._extend(partial, rel, node, new_props,
-                                           components, partial.sort_order))
+
+            def index_join(inner_col=inner_col, components=components):
+                other = [
+                    Comparison("=", ColumnRef(o), ColumnRef(i))
+                    for o, i in equi_names if i != inner_col
+                ]
+                node = JoinNode(JoinMethod.INL, partial.plan,
+                                SeqScanNode(rel, None), equi_names,
+                                conjoin(other + ([residual] if residual
+                                                 else []) + locals_),
+                                index_column=inner_col)
+                node.sort_order = partial.sort_order
+                node.site = partial.site
+                self._finish(node, out_rows, components)
+                return node
+            candidates.append(self._extend(partial, rel, step, components,
+                                           partial.sort_order, "inl",
+                                           index_join))
         return candidates
 
     # ................................................ view-specific methods
 
-    def _bindable_pairs(self, rel: VirtualRelation, equi_names):
+    def _bindable_pairs(self, facts, rel: VirtualRelation, equi_names):
         """Equi-join pairs whose inner column can receive a filter set."""
-        bindable = bindable_columns(rel.block)
-        base_names = rel.base_schema.names()
-        block_names = rel.block.output_schema().names()
-        to_block = dict(zip(base_names, block_names))
-        out = []
-        for outer_col, inner_col in equi_names:
-            view_col = inner_col.split(".", 1)[1]
-            if to_block.get(view_col) in bindable:
-                out.append((outer_col, view_col))
-        return out
+        bindable = facts.bindable.get(rel.alias)
+        if bindable is None:
+            block_cols = bindable_columns(rel.block)
+            bindable = facts.bindable[rel.alias] = {
+                base for base, name in zip(rel.base_schema.names(),
+                                           rel.block.output_schema().names())
+                if name in block_cols
+            }
+        return [(o, i.split(".", 1)[1]) for o, i in equi_names
+                if i.split(".", 1)[1] in bindable]
 
-    def _view_probe_joins(self, block, partial, rel, new_aliases,
-                          new_props, equi_names, residual, forced=None):
+    def _view_probe_joins(self, facts, partial, rel, step, forced=None):
         """Correlated nested iteration over a view inner."""
         candidates: List[PartialPlan] = []
         if forced != "nested_iteration" and \
                 not self.config.enable_nested_iteration:
             return candidates
-        bind_pairs = self._bindable_pairs(rel, equi_names)
+        equi_names, residual = step.equi_names, step.residual
+        bind_pairs = self._bindable_pairs(facts, rel, equi_names)
         if not bind_pairs:
             return candidates
         bound_cols = [v for _, v in bind_pairs]
         coster = self._coster_for(rel, bound_cols, lossy=False)
         per_probe_cost, per_probe_rows = coster.estimate(1.0)
         outer_rows = partial.props.rows
-        out_rows = new_props.rows
+        out_rows = step.props.rows
         components = partial.components.snapshot()
-        probe_total = CostLedger()
-        probe_total.charge_cpu(outer_rows)  # binding setup per probe
-        components.merge(probe_total)
+        components.charge_cpu(outer_rows)  # binding setup per probe
         # Charge the per-probe plan cost outer_rows times.
-        template = coster.template_for(1.0)
-        scaled = template.est_components.scaled(outer_rows)
-        components.merge(scaled)
+        template = coster.class_for(1.0)
+        components.merge(template.components.scaled(outer_rows))
         if residual is not None:
             components.merge(self.cost_model.filter_rows(
                 outer_rows * max(per_probe_rows, 0.0)))
-        inner_labeled = RelabelNode(template, rel.output_schema)
-        self._finish(inner_labeled, per_probe_rows, template.est_components)
-        # Equi-join predicates not enforced by the binding, plus the view's
-        # local predicates, must still be evaluated on the joined row.
-        bound_view_cols = {v for _, v in bind_pairs}
-        unbound_equi = [
-            Comparison("=", ColumnRef(o), ColumnRef(i))
-            for o, i in equi_names
-            if i.split(".", 1)[1] not in bound_view_cols
-        ]
-        locals_ = local_predicates(block.predicates, rel.alias)
-        full_residual = conjoin(
-            unbound_equi + ([residual] if residual else []) + locals_
-        )
-        node = NestedIterationNode(
-            partial.plan, inner_labeled, coster_param_id(coster),
-            [(o, v) for o, v in bind_pairs], full_residual,
-        )
-        node.sort_order = partial.sort_order
-        node.site = partial.plan.site
-        self._finish(node, out_rows, components)
-        candidates.append(self._extend(partial, rel, node, new_props,
-                                       components, partial.sort_order))
+
+        def probe(outer, sort_order, cost):
+            inner_labeled = RelabelNode(template.plan, rel.output_schema)
+            self._finish(inner_labeled, per_probe_rows, template.components)
+            # Equi-join predicates not enforced by the binding, plus the
+            # view's local predicates, must still be evaluated on the
+            # joined row.
+            bound_view_cols = {v for _, v in bind_pairs}
+            unbound_equi = [
+                Comparison("=", ColumnRef(o), ColumnRef(i))
+                for o, i in equi_names
+                if i.split(".", 1)[1] not in bound_view_cols
+            ]
+            full_residual = conjoin(
+                unbound_equi + ([residual] if residual else [])
+                + facts.locals[rel.alias]
+            )
+            node = NestedIterationNode(outer, inner_labeled,
+                                       coster.param_id, list(bind_pairs),
+                                       full_residual)
+            node.sort_order = sort_order
+            node.site = partial.site
+            self._finish(node, out_rows, cost)
+            return node
+        candidates.append(self._extend(
+            partial, rel, step, components, partial.sort_order,
+            "nested_iteration",
+            lambda: probe(partial.plan, partial.sort_order, components)))
 
         # Figure 6's "optimized nested iteration": sort the outer on the
         # binding columns so consecutive duplicates reuse the previous
@@ -1012,30 +1067,28 @@ class Planner:
             partial.props, list(okeys))
         if distinct_probes < outer_rows * 0.95:
             sorted_components = partial.components.snapshot()
-            sorted_outer = partial.plan
-            if partial.sort_order is None or \
-                    partial.sort_order[:len(okeys)] != okeys:
+            sort_outer = partial.sort_order is None or \
+                partial.sort_order[:len(okeys)] != okeys
+            if sort_outer:
                 sorted_components.merge(self.cost_model.sort(
                     outer_rows, partial.props.row_width))
-                sorted_outer = SortNode(partial.plan,
-                                        [(k, True) for k in okeys])
-                self._finish(sorted_outer, outer_rows, sorted_components)
+                outer_sorted = sorted_components.snapshot()
             sorted_components.charge_cpu(outer_rows)
             sorted_components.merge(
-                template.est_components.scaled(distinct_probes))
+                template.components.scaled(distinct_probes))
             if residual is not None:
                 sorted_components.merge(self.cost_model.filter_rows(
                     outer_rows * max(per_probe_rows, 0.0)))
-            sorted_node = NestedIterationNode(
-                sorted_outer, inner_labeled, coster_param_id(coster),
-                [(o, v) for o, v in bind_pairs], full_residual,
-            )
-            sorted_node.sort_order = okeys
-            sorted_node.site = partial.plan.site
-            self._finish(sorted_node, out_rows, sorted_components)
-            candidates.append(self._extend(partial, rel, sorted_node,
-                                           new_props, sorted_components,
-                                           okeys))
+
+            def sorted_probe():
+                outer = partial.plan
+                if sort_outer:
+                    outer = SortNode(outer, [(k, True) for k in okeys])
+                    self._finish(outer, outer_rows, outer_sorted)
+                return probe(outer, okeys, sorted_components)
+            candidates.append(self._extend(
+                partial, rel, step, sorted_components, okeys,
+                "nested_iteration", sorted_probe))
         return candidates
 
     # ..................................................... the Filter Join
@@ -1083,20 +1136,21 @@ class Planner:
                     out.append(None)  # counted but not plannable
         return out
 
-    def _filter_joins(self, block, partial, rel, new_aliases, new_props,
-                      equi_names, residual, forced=None):
+    def _filter_joins(self, facts, partial, rel, step, forced=None):
         candidates: List[PartialPlan] = []
+        residual = step.residual
+        locals_ = facts.locals[rel.alias]  # pushed into a stored inner
         if rel.kind == "view":
-            bind_pairs = self._bindable_pairs(rel, equi_names)
+            bind_pairs = self._bindable_pairs(facts, rel, step.equi_names)
             # View-local predicates are not pushed into the restricted
             # template; evaluate them after the final join.
-            locals_ = local_predicates(block.predicates, rel.alias)
             if locals_:
                 residual = conjoin(
                     ([residual] if residual else []) + locals_
                 )
+            locals_ = []
         else:
-            bind_pairs = [(o, i.split(".", 1)[1]) for o, i in equi_names]
+            bind_pairs = [(o, i.split(".", 1)[1]) for o, i in step.equi_names]
         if not bind_pairs:
             return candidates
         if forced == "filter_join":
@@ -1107,7 +1161,6 @@ class Planner:
             lossy_options = [False]
             if self.config.enable_bloom_filter:
                 lossy_options.append(True)
-        out_rows = new_props.rows
         for production in self._production_choices(partial):
             if production is None:
                 self.metrics.filter_joins_considered += 1
@@ -1120,46 +1173,38 @@ class Planner:
                     continue
                 for lossy in lossy_options:
                     self.metrics.filter_joins_considered += 1
-                    candidate = self._one_filter_join(
-                        block, partial, production, rel, new_props,
-                        equi_names, residual, list(chosen), lossy,
-                    )
-                    if candidate is not None:
-                        candidates.append(candidate)
+                    candidates.append(self._one_filter_join(
+                        partial, production, rel, step, residual, locals_,
+                        list(chosen), lossy,
+                    ))
         return candidates
 
-    def _one_filter_join(self, block, partial, production, rel, new_props,
-                         equi_names, residual, chosen, lossy):
+    def _one_filter_join(self, partial, production, rel, step, residual,
+                         locals_, chosen, lossy):
         outer_rows = partial.props.rows
-        out_rows = new_props.rows
+        out_rows = step.props.rows
         outer_cols = [o for o, _ in chosen]
         bound_cols = [v for _, v in chosen]
         filter_distinct = self.estimator.filter_set_distinct(
             production.props, outer_cols
         )
-        coster = self._coster_for(rel, bound_cols, lossy,
-                                  block=block)
+        coster = self._coster_for(rel, bound_cols, lossy, locals_)
         inner_cost, inner_rows = coster.estimate(filter_distinct)
-        template = coster.template_for(filter_distinct)
+        template = coster.class_for(filter_distinct)
 
-        inner_site = rel.site if rel.kind == "view" else rel.site
-        join_site = partial.plan.site
+        join_site = partial.site
         model = self.cost_model
         components = partial.components.snapshot()  # JoinCost_P
-        parts = {"JoinCost_P": partial.cost}
 
         # ProductionCost_P: materialize vs recompute (Section 4's min rule)
         mat = model.materialize(production.props.rows,
                                 production.props.row_width)
         materialize_production = model.scalar(mat) <= production.cost
-        if production.aliases != partial.aliases:
+        if production.mask != partial.mask:
             # prefix production: the filter set's source is recomputed
-            prod = production.components.snapshot()
             materialize_production = False
-        else:
-            prod = mat if materialize_production else production.components.snapshot()
+        prod = mat if materialize_production else production.components
         components.merge(prod)
-        parts["ProductionCost_P"] = model.scalar(prod)
 
         # ProjCost_F: distinct projection of the production set
         sorted_production = (
@@ -1168,33 +1213,30 @@ class Planner:
         )
         proj = model.dedup(production.props.rows, sorted_production)
         components.merge(proj)
-        parts["ProjCost_F"] = model.scalar(proj)
 
         # AvailCost_F: make the filter available to the inner. A remote
         # inner needs the filter shipped to its site (Section 5.1's
         # "minimal modification" to the formula).
-        ship_filter = inner_site is not None and inner_site != join_site
-        avail_f = CostLedger()
-        if ship_filter:
-            if lossy:
-                avail_f = model.ship_bloom()
-            else:
-                avail_f = model.ship(
-                    filter_distinct,
-                    sum(rel.base_schema.column(c).width for c in bound_cols)
-                    if rel.kind == "stored" else 8 * len(bound_cols),
-                )
+        ship_filter = rel.site is not None and rel.site != join_site
+        if ship_filter and lossy:
+            avail_f = model.ship_bloom()
+        elif ship_filter:
+            avail_f = model.ship(
+                filter_distinct,
+                sum(rel.base_schema.column(c).width for c in bound_cols)
+                if rel.kind == "stored" else 8 * len(bound_cols),
+            )
         elif lossy:
             avail_f = model.bloom_build(filter_distinct)
+        else:
+            avail_f = CostLedger()
         components.merge(avail_f)
-        parts["AvailCost_F"] = model.scalar(avail_f)
 
         # FilterCost_Rk: the parametric estimate of the restricted inner
-        filter_cost_ledger = template.est_components.scaled(
-            inner_cost / template.est_cost if template.est_cost > 0 else 1.0
+        filter_cost_ledger = template.components.scaled(
+            inner_cost / template.cost if template.cost > 0 else 1.0
         )
         components.merge(filter_cost_ledger)
-        parts["FilterCost_Rk"] = inner_cost
 
         # AvailCost_Rk': ship back / materialize the restricted inner.
         # The template plan already ends with a Ship node home when its
@@ -1202,7 +1244,6 @@ class Planner:
         # so that cost lives inside FilterCost_Rk; the restricted inner
         # then pipelines into the final join and this term is zero.
         inner_width = rel.output_schema.row_width()
-        parts["AvailCost_Rk'"] = 0.0
 
         # FinalJoinCost: rescan production + best unindexed join
         final = model.rescan(production.props.rows,
@@ -1214,40 +1255,47 @@ class Planner:
         if residual is not None:
             final.merge(model.filter_rows(out_rows))
         components.merge(final)
-        parts["FinalJoinCost"] = model.scalar(final)
 
-        inner_labeled = RelabelNode(template, rel.output_schema)
-        self._finish(inner_labeled, inner_rows, template.est_components)
-        final_pairs = list(equi_names)
-        node = FilterJoinNode(
-            outer=partial.plan,
-            inner_template=inner_labeled,
-            param_id=coster_param_id(coster),
-            bind_pairs=[(o, v) for o, v in chosen],
-            final_equi_pairs=final_pairs,
-            residual=residual,
-            materialize_production=materialize_production,
-            lossy=lossy,
-            bloom_bits=self.config.bloom_bits,
-        )
-        node.component_estimates = parts
-        node.est_filter_rows = filter_distinct
-        node.production = tuple(sorted(production.aliases))
-        node.production_rows = production.props.rows
-        node.ship_filter = ship_filter
-        node.sort_order = None
-        node.site = join_site
-        self._finish(node, out_rows, components)
-        return self._extend(partial, rel, node, new_props, components, None)
+        def filter_join():
+            inner_labeled = RelabelNode(template.plan, rel.output_schema)
+            self._finish(inner_labeled, inner_rows, template.components)
+            node = FilterJoinNode(
+                outer=partial.plan,
+                inner_template=inner_labeled,
+                param_id=coster.param_id,
+                bind_pairs=list(chosen),
+                final_equi_pairs=list(step.equi_names),
+                residual=residual,
+                materialize_production=materialize_production,
+                lossy=lossy,
+                bloom_bits=self.config.bloom_bits,
+            )
+            node.component_estimates = {
+                "JoinCost_P": partial.cost,
+                "ProductionCost_P": model.scalar(prod),
+                "ProjCost_F": model.scalar(proj),
+                "AvailCost_F": model.scalar(avail_f),
+                "FilterCost_Rk": inner_cost,
+                "AvailCost_Rk'": 0.0,
+                "FinalJoinCost": model.scalar(final),
+            }
+            node.est_filter_rows = filter_distinct
+            node.production = tuple(sorted(production.aliases))
+            node.production_rows = production.props.rows
+            node.ship_filter = ship_filter
+            node.site = join_site
+            self._finish(node, out_rows, components)
+            return node
+        return self._extend(partial, rel, step, components, None,
+                            "bloom" if lossy else "filter_join", filter_join)
 
     # ...................................................... function joins
 
-    def _function_joins(self, block, partial, rel, new_aliases, new_props,
-                        equi_names, residual):
+    def _function_joins(self, facts, partial, rel, step):
         candidates: List[PartialPlan] = []
         needed = set(rel.arg_columns)
         bound = {}
-        for outer_col, inner_col in equi_names:
+        for outer_col, inner_col in step.equi_names:
             arg = inner_col.split(".", 1)[1]
             if arg in needed:
                 bound[arg] = outer_col
@@ -1255,15 +1303,15 @@ class Planner:
             return candidates  # not all arguments bound yet
         bind_pairs = [(bound[a], a) for a in rel.arg_columns]
         outer_rows = partial.props.rows
-        out_rows = new_props.rows
-        locals_ = local_predicates(block.predicates, rel.alias)
+        out_rows = step.props.rows
         other_equi = [
             Comparison("=", ColumnRef(o), ColumnRef(i))
-            for o, i in equi_names
+            for o, i in step.equi_names
             if i.split(".", 1)[1] not in needed
         ]
         full_residual = conjoin(
-            other_equi + ([residual] if residual else []) + locals_
+            other_equi + ([step.residual] if step.residual else [])
+            + facts.locals[rel.alias]
         )
         distinct_args = self.estimator.filter_set_distinct(
             partial.props, [o for o, _ in bind_pairs]
@@ -1295,30 +1343,40 @@ class Planner:
                     distinct_args * rel.rows_per_invocation, 32,
                     outer_rows, out_rows,
                 ))
-            node = FunctionJoinNode(partial.plan, rel, bind_pairs, mode,
-                                    full_residual)
-            node.sort_order = partial.sort_order if mode != "filter" else None
-            node.site = partial.plan.site
-            self._finish(node, out_rows, components)
+            sort_order = partial.sort_order if mode != "filter" else None
+
+            def function_join(mode=mode, sort_order=sort_order,
+                              components=components):
+                node = FunctionJoinNode(partial.plan, rel, bind_pairs, mode,
+                                        full_residual)
+                node.sort_order = sort_order
+                node.site = partial.site
+                self._finish(node, out_rows, components)
+                return node
             candidates.append(self._extend(
-                partial, rel, node, new_props, components, node.sort_order,
+                partial, rel, step, components, sort_order,
+                "function_%s" % mode, function_join,
             ))
         return candidates
 
     # -------------------------------------------------------------- costers
 
     def _coster_for(self, rel: RelationRef, bound_cols: Sequence[str],
-                    lossy: bool, block: Optional[QueryBlock] = None
+                    lossy: bool, locals_: Sequence[Expr] = ()
                     ) -> ParametricInnerCoster:
+        """The coster of ``rel`` restricted on ``bound_cols``, one per
+        planner; ``locals_`` are a stored inner's local conjuncts, which
+        its restricted block applies."""
         key = (id(rel), tuple(sorted(bound_cols)), lossy)
         coster = self._costers.get(key)
-        if coster is not None:
-            return coster
+        if coster is None:  # a lookup creates none of the closure cells
+            coster = self._new_coster(key, rel, bound_cols, lossy, locals_)
+        return coster
+
+    def _new_coster(self, key, rel, bound_cols, lossy,
+                    locals_) -> ParametricInnerCoster:
         param_id = "fset%d" % next(self._param_counter)
         bound = list(bound_cols)
-        locals_: List[Expr] = []
-        if rel.kind == "stored" and block is not None:
-            locals_ = local_predicates(block.predicates, rel.alias)
         props = self.estimator.relation_props(rel)
         domain = 1.0
         for col in bound:
@@ -1435,27 +1493,17 @@ class Planner:
 
     # -------------------------------------------------------------- helpers
 
-    def _extend(self, partial: PartialPlan, rel: RelationRef, node: PlanNode,
-                props: RelProps, components: CostLedger,
-                sort_order) -> PartialPlan:
-        return PartialPlan(
-            aliases=partial.aliases | {rel.alias},
-            sequence=partial.sequence + (rel.alias,),
-            plan=node,
-            props=props,
-            cost=self.cost_model.scalar(components),
-            components=components,
-            sort_order=sort_order,
-            parent=partial,
-        )
+    def _extend(self, partial: PartialPlan, rel: RelationRef, step: _Step,
+                components: CostLedger, sort_order, method: str,
+                build: Callable[[], PlanNode]) -> PartialPlan:
+        return PartialPlan(step.mask, step.aliases,
+                           partial.sequence + (rel.alias,), step.props,
+                           self.cost_model.scalar(components), components,
+                           sort_order, partial.site, method, build, partial)
 
     def _finish(self, node: PlanNode, rows: float,
                 components: CostLedger) -> None:
         node.est_rows = max(0.0, rows)
         node.est_components = components.snapshot()
         node.est_cost = self.cost_model.scalar(components)
-
-
-def coster_param_id(coster: ParametricInnerCoster) -> str:
-    return coster.param_id
 

@@ -358,25 +358,6 @@ class StatsEstimator:
 
     # ---------------------------------------------------------------- blocks
 
-    def join_subset_props(self, block: QueryBlock,
-                          aliases) -> RelProps:
-        """Canonical props of joining a subset of the block's relations.
-
-        The fold order is deterministic (FROM-list order), so every plan
-        for the same subset shares the same cardinality estimate — the
-        System-R convention that makes DP comparisons meaningful.
-        """
-        alias_set = set(aliases)
-        relations = [r for r in block.relations if r.alias in alias_set]
-        predicates = [
-            p for p in block.predicates
-            if aliases_in(p) and aliases_in(p) <= alias_set
-        ]
-        props = self._fold_relations(relations, predicates)
-        if props is None:
-            raise PlanError("empty relation subset")
-        return props
-
     def _fold_relations(self, relations, predicates) -> Optional[RelProps]:
         """Fold relations left to right, applying each conjunct at the
         first point all its aliases are joined."""
@@ -384,28 +365,33 @@ class StatsEstimator:
         remaining = list(predicates)
         joined_aliases: set = set()
         for relation in relations:
-            rel_props = self.relation_props(relation)
             joined_aliases.add(relation.alias)
             applicable = [
                 p for p in remaining
                 if aliases_in(p) and aliases_in(p) <= joined_aliases
             ]
             remaining = [p for p in remaining if p not in applicable]
-            # Apply the relation's own filters before joining, so the
-            # join sees post-filter distinct counts (filter-then-join).
             own = [p for p in applicable
                    if aliases_in(p) == frozenset((relation.alias,))]
-            join_preds = [p for p in applicable if p not in own]
-            rel_props = self.apply_predicates(rel_props, own)
-            if props is None:
-                props = self.apply_predicates(rel_props, join_preds)
-            elif relation.kind == "function":
-                props = self.function_join_props(props, relation, join_preds)
-            else:
-                props = self.join_props(props, rel_props, join_preds)
+            props = self.fold_step(props, relation, own,
+                                   [p for p in applicable if p not in own])
         if props is not None and remaining:
             props = self.apply_predicates(props, remaining)
         return props
+
+    def fold_step(self, props: Optional[RelProps], relation,
+                  own: Sequence[Expr],
+                  join_preds: Sequence[Expr]) -> RelProps:
+        """One step of the fold: join ``relation``, filtered by its
+        ``own`` conjuncts first (so the join sees post-filter distinct
+        counts), to ``props`` (None before the first relation) under the
+        conjuncts this relation completes."""
+        rel_props = self.apply_predicates(self.relation_props(relation), own)
+        if props is None:
+            return self.apply_predicates(rel_props, join_preds)
+        if relation.kind == "function":
+            return self.function_join_props(props, relation, join_preds)
+        return self.join_props(props, rel_props, join_preds)
 
     def function_join_props(self, left: RelProps, relation,
                             predicates: Sequence[Expr]) -> RelProps:

@@ -92,6 +92,7 @@ class Schema:
 
     def __init__(self, columns: Iterable[Column]):
         self.columns: Tuple[Column, ...] = tuple(columns)
+        self._width: Optional[int] = None
         self._index = {}
         for i, col in enumerate(self.columns):
             if col.name in self._index:
@@ -183,8 +184,11 @@ class Schema:
         return self.columns[self.index_of(name)]
 
     def row_width(self) -> int:
-        """Total byte width of one row under the page-size model."""
-        return sum(col.width for col in self.columns) or 1
+        """Total byte width of one row under the page-size model, summed
+        on first call (a schema is immutable)."""
+        if self._width is None:
+            self._width = sum(col.width for col in self.columns) or 1
+        return self._width
 
     def project(self, names: Sequence[str]) -> "Schema":
         """Schema of a projection onto the named columns, in that order."""

@@ -27,6 +27,8 @@ import pytest
 
 from repro import Database, DataType, OptimizerConfig, OptimizerTrace
 from repro.distributed import DistributedDatabase, distributed_config
+from repro.optimizer.planner import Planner
+from repro.optimizer.plans import method_label
 from repro.workloads import (
     EmpDeptConfig,
     GraphConfig,
@@ -309,6 +311,37 @@ def test_golden_plans_identical_under_search_tracing(workload, regime):
         "search tracing perturbed the chosen plan for %s/%s"
         % (workload, regime)
     )
+
+
+def _node_estimates(plan):
+    """Every node of ``plan`` in preorder with its exact estimates."""
+    out, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        out.append((node.label(), node.est_rows, node.est_cost,
+                    node.est_components, node.sort_order, node.site))
+        stack.extend(reversed(node.children()))
+    return out
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_lazily_built_plans_equal_traced_plans_exactly(workload, regime):
+    """An untraced planner builds the nodes of the plan it returns only;
+    a traced one builds every candidate's. Both must return the same
+    plan to the last float, which ``explain()``'s rounding would not
+    show, and each trace record's method must name its node."""
+    db = _workload_db(workload)
+    config = _regime_config(db, REGIMES[regime])
+    for key, sql in WORKLOADS[workload][1]:
+        lazy = Planner(db.catalog, config).plan(db.bind(sql))
+        trace = OptimizerTrace()
+        eager = Planner(db.catalog, config, trace=trace).plan(db.bind(sql))
+        assert _node_estimates(lazy) == _node_estimates(eager), key
+        assert trace.records, key
+        for record in trace.records:
+            assert record.method == method_label(record.node), \
+                (key, record.seq)
 
 
 def test_recursive_golden_pins_both_magic_decisions():
