@@ -16,7 +16,7 @@ JSON frames; see docs/server.md)::
     python -m repro serve --slow-query 0.05
 
 ``python -m repro top`` renders a live snapshot of a running server —
-connections, per-kind latency, in-flight sessions, the slow-query log,
+connections, per-kind latency, open sessions, the slow-query log,
 drift by table, and adaptive maintenance counters::
 
     python -m repro top --port 7878

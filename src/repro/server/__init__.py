@@ -4,8 +4,9 @@
 length-prefixed JSON frames (see :mod:`repro.server.protocol`). Each
 connection gets its own :class:`~repro.database.Session` — transactions
 are per-connection, snapshot-isolated by MVCC — while the catalog, plan
-cache, metrics registry, and event log are shared. The blocking engine
-runs in a thread pool; the event loop only frames bytes.
+cache, metrics registry, and event log are shared. The event loop runs
+each statement itself, to completion, between socket reads: one thread,
+no worker pool.
 
     from repro.server import Server, Client
 

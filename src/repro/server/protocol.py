@@ -21,8 +21,10 @@ status    —                                      ``status`` (this
                                                  session's txn view)
 metrics   —                                      ``metrics``
 sessions  —                                      ``sessions`` (one dict
-                                                 per live connection,
-                                                 incl. in-flight SQL)
+                                                 per live connection:
+                                                 its transaction state,
+                                                 read between
+                                                 statements)
 slowlog   ``limit`` (optional int, 1..1000)      ``slowlog`` (slowest
                                                  statement records,
                                                  each with the full
@@ -38,9 +40,10 @@ Every response carries ``ok``. On failure ``ok`` is false and
 ``error``/``message`` name the typed error (e.g.
 ``SerializationError``); the client re-raises the matching class from
 :mod:`repro.errors`. A request-level problem (unknown op, missing
-field) is answered in-band and the connection stays usable; a
-stream-level problem (bad length prefix, invalid JSON) is unrecoverable
-mid-stream, so the server answers once and drops the connection.
+field, a response over :data:`MAX_FRAME_BYTES`) is answered in-band
+and the connection stays usable; a stream-level problem (bad length
+prefix, invalid JSON) is unrecoverable mid-stream, so the server
+answers once and drops the connection.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """The asyncio SQL server: one session per connection, shared engine.
 
-The event loop owns only the sockets; every engine call (``new_session``,
-statement execution, ``close``) is pushed onto a small thread pool, where
-the database's statement lock serializes actual execution. Isolation
-between connections is therefore exactly the embedded engine's MVCC
-story — the server adds no second concurrency model.
+The event loop runs every engine call (``new_session``, statement
+execution, the admin ops, ``close``) itself, to completion, between two
+socket reads. The database's statement lock already serializes every
+statement, so a worker pool would add a thread hop per request and buy
+no parallelism. Isolation between connections is exactly the embedded
+engine's MVCC story — the server adds no second concurrency model. The
+price: while one statement runs, every other connection's request,
+``ping`` and ``metrics`` included, waits for it.
 
 Connection ids ("c1", "c2", ...) double as session names, so event-log
 records join across the layers: ``conn_open``/``conn_close`` events
@@ -15,13 +18,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..errors import ProtocolError, ReproError
-from ..obs.querylog import one_line
 from .protocol import (
     HEADER,
     PROTOCOL_VERSION,
@@ -45,22 +44,21 @@ class Server:
         await server.stop()
     """
 
-    def __init__(self, db, host: str = "127.0.0.1", port: int = 0,
-                 max_workers: int = 8):
+    def __init__(self, db, host: str = "127.0.0.1", port: int = 0):
         self.db = db
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve")
         self._conn_ids = itertools.count(1)
-        #: currently open connections
-        self.connections = 0
+        #: open connection's writer -> the task serving it
+        self._open: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: connections ever accepted
         self.total_connections = 0
-        #: connection name -> the statement it is executing right now
-        #: (written from the event loop only; read by ``sessions``)
-        self.inflight: Dict[str, dict] = {}
+
+    @property
+    def connections(self) -> int:
+        """Currently open connections."""
+        return len(self._open)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -75,35 +73,39 @@ class Server:
         return self
 
     async def serve_forever(self) -> None:
-        await self._server.serve_forever()
+        """Serve until cancelled; the caller then awaits :meth:`stop`.
+        Not ``asyncio.Server.serve_forever``: from Python 3.12 that
+        waits, once cancelled, for every open connection to close by
+        itself, so a client idle in a transaction would hang it."""
+        await asyncio.get_running_loop().create_future()
 
     async def stop(self) -> None:
-        """Stop accepting connections and release the worker pool.
-        In-flight statements finish; their connections then find the
-        socket closed."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._pool.shutdown(wait=False)
+        """Stop accepting connections and close the open ones. No
+        statement is mid-flight (the loop runs each to completion), so
+        every connection is between requests: its session closes and
+        rolls back an open transaction, as on a disconnect."""
+        if self._server is None:
+            return
+        self._server.close()
+        tasks = list(self._open.values())
+        for writer in list(self._open):
+            writer.close()
+        if tasks:
+            await asyncio.wait(tasks)
+        await self._server.wait_closed()
 
     # -------------------------------------------------------- connection
-
-    async def _engine(self, fn, *args, **kwargs):
-        """Run a blocking engine call on the worker pool."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, partial(fn, *args, **kwargs))
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         conn = "c%d" % next(self._conn_ids)
-        self.connections += 1
+        self._open[writer] = asyncio.current_task()
         self.total_connections += 1
         self.db.metrics_registry.inc("server_connections_total")
         self.db.event_log.emit("conn_open", conn=conn)
         session = None
         try:
-            session = await self._engine(self.db.new_session, conn)
+            session = self.db.new_session(conn)
             writer.write(encode_frame({
                 "server": "repro",
                 "protocol": PROTOCOL_VERSION,
@@ -123,14 +125,9 @@ class Server:
             except (ConnectionError, OSError):
                 pass
         finally:
+            del self._open[writer]
             if session is not None:
-                try:
-                    await self._engine(session.close)
-                except RuntimeError:
-                    # the pool is gone (server/process shutdown);
-                    # close inline so the txn still rolls back
-                    session.close()
-            self.connections -= 1
+                session.close()
             self.db.event_log.emit("conn_close", conn=conn)
             writer.close()
             try:
@@ -143,18 +140,20 @@ class Server:
             header = await reader.readexactly(HEADER.size)
             data = await reader.readexactly(frame_length(header))
             request = decode_payload(data)
-            response = await self._respond(session, request)
-            writer.write(encode_frame(response))
+            writer.write(self._respond(session, request))
             await writer.drain()
             if request.get("op") == "close":
                 return
 
     # ----------------------------------------------------------- request
 
-    async def _respond(self, session, request: dict) -> dict:
-        op = request.get("op", "sql")
+    def _respond(self, session, request: dict) -> bytes:
+        """The response frame for one request. An oversized result is a
+        request-level error like any other: nothing of it was written,
+        so the connection and its transaction stay usable."""
         try:
-            payload = await self._dispatch(session, op, request)
+            return self._framed(request, self._dispatch(
+                session, request.get("op", "sql"), request))
         except ReproError as exc:
             # typed engine errors (including ProtocolError for a bad
             # request and SerializationError for write conflicts) are
@@ -170,19 +169,21 @@ class Server:
                 "error": "InternalError",
                 "message": "%s: %s" % (type(exc).__name__, exc),
             }
+        return self._framed(request, payload)
+
+    @staticmethod
+    def _framed(request: dict, payload: dict) -> bytes:
         if "id" in request:
             payload["id"] = request["id"]
-        return payload
+        return encode_frame(payload)
 
-    async def _dispatch(self, session, op: str, request: dict) -> dict:
+    def _dispatch(self, session, op: str, request: dict) -> dict:
         if op == "sql":
-            result = await self._run_statement(
-                session, session.sql, self._sql_text(request))
+            result = session.sql(self._sql_text(request))
             self.db.metrics_registry.inc("server_statements_total")
             return result_payload(result)
         if op == "script":
-            results = await self._run_statement(
-                session, session.execute_script, self._sql_text(request))
+            results = session.execute_script(self._sql_text(request))
             self.db.metrics_registry.inc("server_statements_total",
                                          amount=len(results))
             return {"ok": True,
@@ -190,49 +191,24 @@ class Server:
         if op == "ping":
             return {"ok": True, "pong": True}
         if op == "status":
-            status = await self._engine(session._run, self.db.txn.status)
-            return {"ok": True, "status": status}
+            return {"ok": True,
+                    "status": session._run(self.db.txn.status)}
         if op == "metrics":
             return {"ok": True, "metrics": self.db.metrics()}
         if op == "sessions":
-            return {"ok": True, "sessions": await self._sessions_payload()}
+            with self.db._lock:
+                overview = self.db.txn.sessions_overview()
+            return {"ok": True, "sessions": overview}
         if op == "slowlog":
             limit = self._admin_limit(request, default=20)
             return {"ok": True,
                     "slowlog": [entry.as_dict() for entry
                                 in self.db.querylog.slowest(limit)]}
         if op == "drift":
-            report = await self._engine(self.db.drift_report)
-            return {"ok": True, "drift": report.as_dict()}
+            return {"ok": True, "drift": self.db.drift_report().as_dict()}
         if op == "close":
             return {"ok": True, "closed": True}
         raise ProtocolError("unknown request op %r" % op)
-
-    async def _run_statement(self, session, method, text: str):
-        """Run a sql/script engine call with in-flight bookkeeping, so
-        the ``sessions`` admin view can show what each connection is
-        executing right now."""
-        self.inflight[session.name] = {"sql": text,
-                                       "started": time.time()}
-        try:
-            return await self._engine(method, text)
-        finally:
-            self.inflight.pop(session.name, None)
-
-    async def _sessions_payload(self) -> list:
-        def snapshot():
-            with self.db._lock:
-                return self.db.txn.sessions_overview()
-
-        overview = await self._engine(snapshot)
-        now = time.time()
-        for entry in overview:
-            running = self.inflight.get(entry["session"])
-            entry["running"] = (one_line(running["sql"], 200)
-                                if running else None)
-            entry["running_seconds"] = (
-                round(now - running["started"], 3) if running else None)
-        return overview
 
     @staticmethod
     def _admin_limit(request: dict, default: int) -> int:

@@ -2,9 +2,9 @@
 
 Four admin requests (``metrics``, ``sessions``, ``slowlog``, ``drift``)
 are fetched over one client connection and rendered as a single text
-panel — connections, per-kind latency, what every session is running
-right now, the slowest statements, estimate drift by table, and the
-adaptive maintenance counters. :func:`render_top` is a pure function of
+panel — connections, per-kind latency, every session's transaction,
+the slowest statements, estimate drift by table, and the adaptive
+maintenance counters. :func:`render_top` is a pure function of
 the four payloads, so tests exercise the rendering without a server.
 """
 
@@ -64,18 +64,11 @@ def _sessions_section(sessions: List[dict]) -> List[str]:
     if not sessions:
         return ["sessions: none"]
     lines = ["sessions (%d):" % len(sessions),
-             "  %-8s %-6s %-8s %-6s %s"
-             % ("session", "txn", "stmts", "busy s", "running")]
+             "  %-8s %-6s %s" % ("session", "txn", "stmts")]
     for entry in sessions:
-        txn = entry.get("txn") or "-"
-        running = entry.get("running") or "-"
-        busy = entry.get("running_seconds")
-        lines.append("  %-8s %-6s %-8s %-6s %s" % (
-            entry.get("session", "?"), txn,
-            entry.get("statements", 0),
-            "%.1f" % busy if busy is not None else "-",
-            running[:50],
-        ))
+        lines.append("  %-8s %-6s %s" % (
+            entry.get("session", "?"), entry.get("txn") or "-",
+            entry.get("statements", 0)))
     return lines
 
 

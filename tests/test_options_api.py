@@ -140,6 +140,44 @@ def test_server_started_with_no_flags_runs_the_vector_engine():
     assert server.returncode == 0
 
 
+def test_serve_stops_on_sigint_with_a_transaction_open(tmp_path):
+    """SIGINT lands on the thread that runs the engine. The server still
+    exits 0 and says so, the committed row is in the WAL, and the open
+    transaction's row is not."""
+    from repro.server import Client
+
+    wal = str(tmp_path / "serve.wal")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--durability", "commit", "--wal", wal], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    clients = []
+    try:
+        match = re.search(r"listening on (\S+):(\d+)",
+                          server.stderr.readline())
+        assert match
+        address = match.group(1), int(match.group(2))
+        committer, holder = Client(*address), Client(*address)
+        clients = [committer, holder]
+        committer.sql("CREATE TABLE t (x INT)")
+        committer.sql("INSERT INTO t VALUES (1)")
+        holder.sql("BEGIN")
+        holder.sql("INSERT INTO t VALUES (2)")
+        server.send_signal(signal.SIGINT)
+        _, stderr = server.communicate(timeout=10)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate(timeout=10)
+        for client in clients:
+            client.close()
+    assert server.returncode == 0
+    assert "server stopped" in stderr
+    db, _ = repro.recover(wal)
+    assert db.sql("SELECT x FROM t").rows == [(1,)]
+
+
 # ------------------------------------------------------------------ connect()
 
 

@@ -8,9 +8,11 @@ malformed-frame tests, raw sockets) drive it. The contract under test:
   the wire exactly as it does embedded;
 - typed errors survive serialization — a ``SerializationError`` on the
   server is a ``SerializationError`` in the client;
-- request-level garbage (unknown op, missing field) is answered in-band
-  and the connection stays usable; stream-level garbage (unparseable
-  frame, oversized header) gets one error frame and a disconnect;
+- request-level garbage (unknown op, missing field) and a result too
+  large for one frame are answered in-band and the connection stays
+  usable; stream-level garbage (unparseable frame, oversized header)
+  gets one error frame and a disconnect;
+- every statement runs on the event loop's thread;
 - a vanished client's open transaction is rolled back.
 """
 
@@ -33,6 +35,7 @@ from repro import (
 )
 from repro.server import Client, Server
 from repro.server.protocol import HEADER, MAX_FRAME_BYTES, encode_frame
+from repro.server.top import render_top
 
 
 class ServerHarness:
@@ -237,6 +240,24 @@ class TestErrorBoundaries:
         assert sock.recv(1) == b""
         sock.close()
 
+    def test_oversized_result_is_answered_in_band(self, harness):
+        """A result too large for one frame is a request-level error:
+        nothing was written yet, so the connection and its open
+        transaction survive."""
+        harness.db.create_table("big", [("s", DataType.STR)])
+        harness.db.insert("big", [("x" * (9 << 20),), ("y" * (9 << 20),)])
+        with harness.connect() as client:
+            client.sql("BEGIN")
+            client.sql("INSERT INTO t VALUES (8, 80)")
+            with pytest.raises(ProtocolError) as info:
+                client.sql("SELECT s FROM big")
+            assert str(MAX_FRAME_BYTES) in str(info.value)
+            assert client.status()["active"] is True
+            client.sql("COMMIT")
+        with harness.connect() as witness:
+            rows = witness.sql("SELECT v FROM t WHERE id = 8").rows
+            assert rows == [(80,)], "the open transaction was lost"
+
     def test_mid_frame_disconnect_rolls_back(self, harness):
         """A client that dies halfway through sending a frame is a
         plain disconnect: no error response, session rolled back."""
@@ -251,6 +272,30 @@ class TestErrorBoundaries:
         with harness.connect() as witness:
             rows = witness.sql("SELECT v FROM t WHERE id = 2").rows
             assert rows == [(20,)]
+
+
+class TestExecutionModel:
+    def test_statements_run_on_the_loop_thread(self, harness):
+        """Every statement runs on the event loop's own thread: the
+        server starts no thread of its own, however many requests it
+        serves."""
+        seen = set()
+
+        def probe(args):
+            seen.add(threading.get_ident())
+            return [(args[0] * 2,)]
+
+        harness.db.functions.register_function(
+            "probe", [("x", DataType.INT)], [("y", DataType.INT)], probe)
+        threads_before = threading.active_count()
+        with harness.connect() as client:
+            rows = client.sql("SELECT T.id, F.y FROM t T, probe F "
+                              "WHERE T.id = F.x").rows
+            assert sorted(rows) == [(1, 2), (2, 4), (3, 6)]
+            for i in range(100):
+                client.sql("SELECT v FROM t WHERE id = %d" % (i % 3 + 1))
+            assert threading.active_count() <= threads_before
+        assert seen == {harness._thread.ident}
 
 
 class TestConcurrentClients:
@@ -345,9 +390,10 @@ class TestAdminSurface:
             mine = overview[a.conn_id]
             assert mine["in_transaction"] and not mine["aborted"]
             assert mine["statements"] >= 1
-            # nobody is mid-statement while we look
-            assert mine["running"] is None
-            assert mine["running_seconds"] is None
+            # the wire shape: a statement never runs while we look, so
+            # there is no in-flight field to report
+            assert set(mine) == {"session", "bound", "in_transaction",
+                                 "txn", "aborted", "statements"}
             a.sql("ROLLBACK")
 
     def test_slowlog_empty_below_threshold(self, harness):
@@ -393,3 +439,53 @@ class TestAdminSurface:
             metrics = client.metrics()
             assert "latency" in metrics
             assert metrics["latency"]["select"]["count"] >= 1
+
+
+class TestTopPanel:
+    def test_render_over_a_fixed_snapshot(self):
+        metrics = {
+            "server_connections_total": {"total": 3},
+            "server_statements_total": {"total": 41},
+            "server_errors_total": {"total": 1,
+                                    "by_label": {"BindError": 1}},
+            "slow_queries_total": {"total": 2},
+            "latency": {
+                "select": {"count": 40, "mean": 0.0012, "p50": 0.001,
+                           "p99": 0.0051},
+                "update": {"count": 1, "mean": 0.002, "p50": 0.002,
+                           "p99": 0.002},
+            },
+        }
+        sessions = [
+            {"session": "c1", "bound": False, "in_transaction": True,
+             "txn": "T7", "aborted": False, "statements": 2},
+            {"session": "c2", "bound": False, "in_transaction": False,
+             "txn": None, "aborted": False, "statements": 0},
+        ]
+        slowlog = [{"seconds": 0.3125, "kind": "select", "rows": 12,
+                    "session": "c1",
+                    "statement": "SELECT D.did FROM Dept D"}]
+        panel = render_top(metrics, sessions, slowlog, {},
+                           address="127.0.0.1:7878")
+        assert [line.rstrip() for line in panel.splitlines()] == [
+            "repro top \u2014 127.0.0.1:7878",
+            "connections=3  statements=41  errors=1  slow=2",
+            "",
+            "latency by statement kind:",
+            "  kind       count    mean ms    p50 ms     p99 ms",
+            "  select     40       1.20       1.00       5.10",
+            "  update     1        2.00       2.00       2.00",
+            "",
+            "sessions (2):",
+            "  session  txn    stmts",
+            "  c1       T7     2",
+            "  c2       -      0",
+            "",
+            "slow queries (worst 1 of 1):",
+            "  ms         kind     rows     sess   statement",
+            "  312.50     select   12       c1     SELECT D.did FROM Dept D",
+            "",
+            "drift: no traced queries in the window",
+            "",
+            "adaptive: no actions",
+        ]
