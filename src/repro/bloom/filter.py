@@ -20,7 +20,9 @@ as the CRC-32 of their bytes (32 bits are plenty to spread keys over a
 filter; ``hashlib`` would cost every process ~4 MiB of OpenSSL). The
 same functions exist over numpy arrays
 (:func:`hash_int64`, :func:`combine_hash_arrays`,
-:meth:`BloomFilter.contains_hashes`), bit-identical to the scalar path.
+:meth:`BloomFilter.contains_hashes`), bit-identical to the scalar path;
+a bound filter set hands them each distinct key of a narrow column once
+and reuses the verdict (``FilterSet.contains``).
 """
 
 from __future__ import annotations
@@ -132,10 +134,6 @@ class BloomFilter:
         self.num_hashes = min(self.num_hashes, 16)
         self._bits = bytearray((num_bits + 7) // 8)
         self.items_added = 0
-        #: KernelStats of the Filter Join that built this filter, when
-        #: its execution is traced: compiled membership probes tally
-        #: kernel-vs-fallback batches there
-        self.probe_stats = None
 
     def _positions(self, item: Hashable):
         h1 = stable_hash(item)

@@ -33,6 +33,7 @@ from ..storage import columnar
 from ..storage.columnar import ColumnVector
 from .vectorize import (
     BATCH_ROWS,
+    SMALL_DOMAIN,
     Batch,
     KernelStats,
     batches_from_list,
@@ -668,16 +669,15 @@ class AggregateOp(Operator):
         no O(n log n) sort, unlike ``np.unique``. Returns
         ``(first_idx, inverse, counts_all)`` with groups ordered by
         combined code, or None when any column (or the product of
-        domains) exceeds the cap, in which case the caller falls back
-        to ``np.unique``.
+        domains) exceeds ``SMALL_DOMAIN``, in which case the caller
+        falls back to ``np.unique``.
         """
-        cap = 1 << 16
         domain = 1
         combined = None
         for col in key_cols:
             if col.dictionary is not None:
                 d = len(col.dictionary.entries) + 1
-                if d > cap:
+                if d > SMALL_DOMAIN:
                     return None
                 e = col.values.astype(_np.int64) + 1
             elif col.values.dtype == _np.bool_:
@@ -688,13 +688,13 @@ class AggregateOp(Operator):
                 lo = int(vals.min()) if n else 0
                 hi = int(vals.max()) if n else 0
                 d = hi - lo + 2
-                if d > cap:
+                if d > SMALL_DOMAIN:
                     return None
                 e = (vals - lo) + 1
             if col.mask is not None:
                 e = _np.where(col.mask, e, 0)
             domain *= d
-            if domain > cap:
+            if domain > SMALL_DOMAIN:
                 return None
             combined = e if combined is None else combined * d + e
         counts_dom = _np.bincount(combined, minlength=domain)
@@ -1123,7 +1123,7 @@ class _HashBuild:
                 sorted_keys.dtype == _np.int64:
             lut_lo = int(sorted_keys[0])
             span = int(sorted_keys[-1]) - lut_lo + 1
-            if span <= max(1 << 16, 4 * sorted_keys.size):
+            if span <= max(SMALL_DOMAIN, 4 * sorted_keys.size):
                 lut = _np.zeros(span, dtype=_np.int64)
                 lut[sorted_keys - lut_lo] = sorted_pos + 1  # 0 = absent
         inner_columns = [

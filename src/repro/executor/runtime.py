@@ -37,6 +37,7 @@ from ..storage.columnar import ColumnStore, ColumnVector
 from ..storage.schema import Schema
 from ..storage.table import pages_for
 from .vectorize import (
+    SMALL_DOMAIN,
     Batch,
     KernelStats,
     batches_from_list,
@@ -180,15 +181,14 @@ class FilterSet:
         """``key in self`` for every row of ``key_columns``, as one
         column: the bitmap kernel over hashed lanes for a lossy set,
         ``np.isin`` against a probe array for an exact one-column set,
-        else element by element over exact Python objects."""
+        else element by element over exact Python objects; once per
+        distinct key (:meth:`_memoized`) for a narrow key column."""
         result = None
         if all(isinstance(k, ColumnVector) for k in key_columns):
-            if self.lossy:
-                if ARRAY_KERNELS:
-                    result = ColumnVector(self.bloom.contains_hashes(
-                        key_hashes(key_columns, self._probe_cache)), None)
-            elif len(key_columns) == 1:
-                result = self._isin(key_columns[0])
+            if len(key_columns) == 1:
+                result = self._memoized(key_columns[0])
+            if result is None:
+                result = self._kernel(key_columns)
         if self.lossy and self.probe_stats is not None:
             self.probe_stats.note(result)
         if result is not None:
@@ -199,9 +199,59 @@ class FilterSet:
             return [key in member for key in columns[0]]
         return [key in member for key in zip(*columns)]
 
+    def _kernel(self, key_columns) -> Optional[ColumnVector]:
+        if not self.lossy:
+            return (self._isin(key_columns[0]) if len(key_columns) == 1
+                    else None)
+        if ARRAY_KERNELS:
+            return ColumnVector(self.bloom.contains_hashes(
+                key_hashes(key_columns, self._probe_cache)), None)
+        return None
+
+    def _memoized(self, vec: ColumnVector) -> Optional[ColumnVector]:
+        """The kernel's verdicts for dictionary codes or int64 values
+        from a table per column domain, ``(lo, one int8 per value, -1
+        until asked)``, grown up to ``SMALL_DOMAIN`` values: the kernel
+        sees each distinct key once. None if it cannot."""
+        values = vec.values
+        if vec.dictionary is None and values.dtype != _np.int64:
+            return None
+        valid = vec.mask
+        if valid is not None:
+            values = values[valid]
+        if not len(values):
+            return None
+        least, most = int(values.min()), int(values.max())
+        domain = ("verdicts", vec.dictionary)
+        lo, table = self._probe_cache.get(domain, (least, _np.int8([])))
+        bottom, top = min(lo, least), max(lo + len(table), most + 1)
+        if top - bottom > SMALL_DOMAIN:
+            return None
+        if top - bottom > len(table):
+            grown = _np.full(top - bottom, -1, dtype=_np.int8)
+            grown[lo - bottom:lo - bottom + len(table)] = table
+            lo, table = self._probe_cache[domain] = bottom, grown
+        codes = values - lo
+        found = table[codes]
+        if found.min() < 0:
+            new = _np.flatnonzero(_np.bincount(codes[found < 0]))
+            answer = self._kernel([ColumnVector(
+                (new + lo).astype(values.dtype), None, vec.dictionary)])
+            if answer is None:
+                return None
+            table[new] = answer.values
+            found = table[codes]
+        found = found > 0
+        if valid is not None:
+            flags = _np.full(len(valid), None in self, dtype=_np.bool_)
+            flags[valid] = found
+            found = flags
+        return ColumnVector(found, None)
+
     def _isin(self, vec: ColumnVector) -> Optional[ColumnVector]:
-        domain = (vec.dictionary if vec.dictionary is not None
-                  else str(vec.values.dtype))
+        # a grown dictionary may encode more of the keys: a new domain
+        domain = ((vec.dictionary, len(vec.dictionary))
+                  if vec.dictionary is not None else str(vec.values.dtype))
         if domain not in self._probe_cache:
             self._probe_cache[domain] = probe_array(vec, self.keys)
         probe = self._probe_cache[domain]

@@ -61,6 +61,9 @@ np = columnar.np
 #: L2-cache-ish sizes while amortizing per-batch interpreter overhead
 BATCH_ROWS = 1024
 
+#: widest key domain (int span, dictionary codes) given a dense table
+SMALL_DOMAIN = 1 << 16
+
 
 def _as_list(column) -> Sequence:
     """A column piece as a plain Python sequence (exact objects)."""
@@ -542,16 +545,6 @@ def _cmp_vec_const(op: str, vec: ColumnVector, value, n: int,
     return ColumnVector(values, vec.mask)
 
 
-def _int_bounds_safe(values, other_scale: int) -> bool:
-    """True when int64 arithmetic with operands bounded by these values
-    cannot overflow (conservative)."""
-    if not len(values):
-        return True
-    lo = int(values.min())
-    hi = int(values.max())
-    return max(abs(lo), abs(hi)) * max(1, other_scale) < columnar.INT64_SAFE
-
-
 def _numeric_operand(vec: Optional[ColumnVector]):
     """The numeric values array of a vector operand (bools widened so
     Python's ``True + True == 2`` arithmetic is preserved), or None."""
@@ -955,12 +948,6 @@ def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
         return filter_set.contains([fn(batch) for fn in arg_fns])
 
     return run
-
-
-def compile_optional(expr: Optional[Expr],
-                     stats: Optional[KernelStats] = None
-                     ) -> Optional[ColumnFn]:
-    return compile_expr(expr, stats=stats) if expr is not None else None
 
 
 def compile_optional_filter(expr: Optional[Expr],

@@ -20,7 +20,7 @@ from repro.bloom.filter import (
 )
 from repro.executor import runtime
 from repro.executor.runtime import FilterSet
-from repro.executor.vectorize import Batch, compile_expr
+from repro.executor.vectorize import SMALL_DOMAIN, Batch, compile_expr
 from repro.expr.nodes import ColumnRef, RuntimeMembership
 from repro.storage import columnar
 from repro.storage.schema import DataType, Schema
@@ -234,6 +234,99 @@ class TestMembershipKernel:
                 flags = probe(Batch([vector], 50)).tolist()
                 assert flags == [v in membership for v in range(50)]
         assert len(built) == 2  # once per bound filter set, not per batch
+
+    @pytest.mark.parametrize("bloom_bits", [7, 4096, 65_536, 1_000_003, None])
+    def test_many_batches_through_one_bound_set(self, bloom_bits):
+        """One compiled probe over a stream of batches, each binding a
+        fresh set: every flag equals ``key in set`` whatever verdicts
+        the earlier batches of the binding left behind."""
+        rng = random.Random(9)
+        low, high = -2**63, 2**63 - 1
+        members = ([rng.randrange(800, 1400) for _ in range(40)]
+                   + [low, low + 3, high, high - 5, -7, 0]
+                   + ["s%d" % i for i in range(0, 60, 3)])
+
+        def ints(lo, hi, count=700, nulls=False):
+            values = [rng.randint(lo, hi) for _ in range(count)]
+            if nulls:
+                values = [None if i % 5 == 0 else v
+                          for i, v in enumerate(values)]
+            return columnar.encode_exact(values)
+
+        def growing_dictionary():
+            """Batches over one dictionary that gains entries, members
+            among them, between one probe and the next."""
+            dictionary = columnar.StringDictionary()
+            for count, nulls in ((20, False), (60, True), (90, False)):
+                names = ["s%d" % rng.randrange(count) for _ in range(500)]
+                codes = [dictionary.encode(n) for n in names]
+                mask = (np.array([i % 4 != 0 for i in range(500)])
+                        if nulls else None)
+                yield columnar.ColumnVector(
+                    np.array(codes, dtype=np.int32), mask, dictionary)
+
+        streams = [
+            # a span that widens downward, then upward
+            lambda: [ints(1000, 1100), ints(800, 1000), ints(1050, 1400),
+                     ints(800, 1400, nulls=True)],
+            # negative ints and both ends of int64
+            lambda: [ints(low, low + 300),
+                     ints(low, low + 40_000, nulls=True)],
+            lambda: [ints(-600, 10), ints(-3000, -500)],
+            lambda: [ints(high - 300, high), ints(high - 60_000, high)],
+            # spans past the cap fall back, alone or after a table
+            lambda: [ints(low, high), ints(0, 10),
+                     ints(0, 10 + SMALL_DOMAIN),
+                     ints(-SMALL_DOMAIN, 0, nulls=True)],
+            growing_dictionary,
+        ]
+        arg = ColumnRef("c0")
+        arg.position = 0
+        expr = RuntimeMembership("f", [arg])
+        probe = compile_expr(expr)
+        for stream in streams:
+            for chosen in (members, members[::2]):
+                filter_set = FilterSet(
+                    _key_schema(1), rows=[(m,) for m in chosen],
+                    bloom_bits=bloom_bits)
+                reference = (_filter_over(chosen, bloom_bits)
+                             if bloom_bits else set(chosen))
+                expr.filter_set = filter_set
+                for vector in stream():
+                    flags = probe(Batch([vector], len(vector)))
+                    assert isinstance(flags, columnar.ColumnVector)
+                    assert flags.tolist() == [
+                        key in reference for key in vector.tolist()]
+                # a span past the cap fell back instead of growing
+                assert all(len(entry[1]) <= SMALL_DOMAIN
+                           for domain, entry in
+                           filter_set._probe_cache.items()
+                           if isinstance(domain, tuple)
+                           and domain[0] == "verdicts")
+
+    def test_a_bound_set_asks_the_bloom_once_per_distinct_key(
+            self, monkeypatch):
+        asked = []
+        real = BloomFilter.contains_hashes
+        monkeypatch.setattr(
+            BloomFilter, "contains_hashes",
+            lambda bloom, hashes: asked.append(len(hashes))
+            or real(bloom, hashes))
+        arg = ColumnRef("c0")
+        arg.position = 0
+        expr = RuntimeMembership("f", [arg])
+        probe = compile_expr(expr)
+        batches = [columnar.encode_exact(
+            [None if i % 9 == 0 else (i * 7 + b) % 300 - 150
+             for i in range(1024)]) for b in range(10)]
+        for binding in range(2):
+            expr.filter_set = FilterSet(
+                _key_schema(1), rows=[(v,) for v in range(0, 300, 7)],
+                bloom_bits=4096)
+            for vector in batches:
+                probe(Batch([vector], 1024))
+            # a fresh binding starts a fresh table
+            assert sum(asked) == 300 * (binding + 1)
 
 
 _SEED_PROBE = """
