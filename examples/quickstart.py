@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 import repro
-from repro import Database, Options, OptimizerConfig
+from repro import Database, OptimizerConfig
 
 SCHEMA = """
 CREATE TABLE Dept (did INT, budget INT);
@@ -80,17 +80,13 @@ def main() -> None:
     for row in result:
         print("   %4d  %6d  %10.2f" % row)
 
-    # per-call knobs travel in one Options value: a traced run returns
-    # the same rows and charges the same measured cost
-    traced = db.sql(QUERY + " ORDER BY did, sal LIMIT 5",
-                    options=Options(trace=True))
-    assert traced.rows == result.rows
-    assert traced.ledger.as_dict() == result.ledger.as_dict()
+    # every query keeps its operators' actuals: the span tree is built
+    # from them on first read and accounts for the whole measured cost
+    result.trace.reconcile(result.ledger)
     print()
-    print("traced run: identical rows, identical measured cost %.1f, "
-          "%d operator spans"
-          % (traced.measured_cost(),
-             len(list(traced.trace.operator_spans()))))
+    print("measured cost %.1f over %d operator spans"
+          % (result.measured_cost(),
+             len(list(result.trace.operator_spans()))))
 
 
 if __name__ == "__main__":

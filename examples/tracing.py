@@ -1,8 +1,8 @@
 """Observability tour: traces, metrics, and the drift report.
 
-Runs the paper's motivating query with tracing on and walks the span
-tree it produces — per-operator wall time, cost-ledger attribution,
-and estimated-vs-actual row counts. Then lets a table's statistics go
+Runs the paper's motivating query and walks the span tree built from
+the actuals every query records — per-operator wall time, cost-ledger
+attribution, and estimated-vs-actual row counts. Then lets a table's statistics go
 stale, shows ``drift_report()`` naming it, and exports the trace in
 Chrome's ``chrome://tracing`` / Perfetto format.
 
@@ -14,7 +14,7 @@ import os
 import tempfile
 
 import repro
-from repro import Database, Options
+from repro import Database
 
 SCHEMA = """
 CREATE TABLE Dept (did INT, budget INT);
@@ -58,11 +58,11 @@ def banner(title: str) -> None:
 
 
 def main() -> None:
-    db = repro.connect(trace=True)
+    db = repro.connect()
     db.execute_script(SCHEMA)
     load_data(db)
 
-    banner("A traced query: every operator becomes a span")
+    banner("A query's record: every operator becomes a span")
     result = db.sql(QUERY)
     trace = result.trace
     print("%d rows; phases: %s" % (

@@ -86,7 +86,7 @@ def connect(*, sites: Optional[Sequence[str]] = None,
     the connection's default (equivalent to calling
     :meth:`Database.configure` immediately)::
 
-        db = repro.connect(use_cache=True, trace=True)
+        db = repro.connect(use_cache=False, timeout=5.0)
 
     ``config`` overrides the optimizer configuration;
     ``plan_cache_size`` bounds the plan cache.

@@ -112,7 +112,7 @@ def _serve(argv) -> int:
                              "plan (default 0.25)")
     parser.add_argument("--adaptive", action="store_true",
                         help="enable drift-triggered adaptive "
-                             "re-analyze for traced statements")
+                             "re-analyze")
     args = parser.parse_args(argv)
 
     import os

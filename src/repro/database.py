@@ -34,17 +34,18 @@ from .errors import (
 )
 from .executor.lowering import execute_collect as execute_tree
 from .executor.lowering import lower
+from .executor.operators import actuals
 from .executor.runtime import RuntimeContext
 from .expr.nodes import PARAMETER_TYPES
 from .ledger import CostLedger
 from .obs.adaptive import AdaptiveController
-from .obs.drift import DriftReport, trace_samples
+from .obs.drift import DriftReport, operator_totals
 from .obs.log import EventLog
 from .obs.metrics import MetricsRegistry, labelled_counter
 from .obs.querylog import QueryLog, QueryLogEntry
 from .obs.opttrace import OptimizerTrace, WhyNotReport
 from .obs.render import render_explain_analyze
-from .obs.trace import QueryTrace, TraceBuilder
+from .obs.trace import QueryTrace, describe, query_trace
 from .options import OPTION_FIELDS, Options
 from .optimizer.config import OptimizerConfig
 from .optimizer.parametric import RestrictionMemo
@@ -128,8 +129,6 @@ class QueryResult:
     # True when the plan was served by the cross-statement plan cache
     # rather than freshly optimized for this call
     cached_plan: bool = False
-    # the span tree for this execution (only when traced)
-    trace: Optional[QueryTrace] = None
     # the id ("q1", "q2", ...) of this statement's record, which the
     # event log's chain for it shares
     query_id: Optional[str] = None
@@ -137,6 +136,21 @@ class QueryResult:
     # or plain list per column); None on an empty or DML result —
     # column()/columns() then build arrays from the rows on demand
     column_data: Optional[list] = None
+    # the statement's record, whose operator actuals ``trace`` reads
+    record: Optional[QueryLogEntry] = field(default=None, repr=False,
+                                            compare=False)
+    _trace: Optional[QueryTrace] = field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    @property
+    def trace(self) -> Optional[QueryTrace]:
+        """The span tree of this execution, built from the plan and the
+        record on first read; None when no plan ran."""
+        if self._trace is None and self.plan is not None \
+                and self.record is not None \
+                and self.record.operators is not None:
+            self._trace = query_trace(self.plan, self.record, self.ledger)
+        return self._trace
 
     @property
     def columns(self) -> "ColumnNames":
@@ -217,8 +231,8 @@ class Database:
         self.config = config or OptimizerConfig()
         self.config.validate()
         self.last_planner: Optional[Planner] = None
-        # execution defaults (tracing, timeout, cache, memory
-        # budget); per-call Options layer over these — see configure()
+        # execution defaults (timeout, cache, memory budget, ...);
+        # per-call Options layer over these — see configure()
         self.defaults = Options()
         self._resolved_defaults = (self.defaults, self.defaults.resolved())
         # observability: the counters no other object owns
@@ -227,8 +241,8 @@ class Database:
         # counts and latency histograms, drift samples); every other
         # collector is fed from that record, in _observe()
         self.querylog = QueryLog()
-        # the drift->re-analyze feedback loop; acts only when a traced
-        # query ran with an enabled Options.adaptive policy
+        # the drift->re-analyze feedback loop; acts only when a query
+        # ran with an enabled Options.adaptive policy
         self.adaptive = AdaptiveController(self)
         # structured query-lifecycle log (off until .enable() is called)
         self.event_log = EventLog()
@@ -255,7 +269,7 @@ class Database:
         """Set execution defaults for this database; returns the new
         defaults. Accepts :class:`Options` field names::
 
-            db.configure(trace=True, use_cache=True)
+            db.configure(timeout=5.0, slow_query_seconds=0.05)
 
         Per-call ``options=`` values layer over these; pass ``None`` to
         reset a field to the built-in behavior.
@@ -273,7 +287,7 @@ class Database:
     def session(self, **options):
         """Scope execution defaults to a ``with`` block::
 
-            with db.session(trace=True, timeout=5.0):
+            with db.session(timeout=5.0, use_cache=False):
                 db.sql(...)
 
         Restores the previous defaults on exit, even on error.
@@ -345,7 +359,7 @@ class Database:
         return data
 
     def drift_report(self) -> DriftReport:
-        """Estimate drift over the traced statements among the last
+        """Estimate drift over the queries among the last
         ``querylog.window`` records, worst operators first; a table's
         samples stop counting once it is analyzed again (see
         ``docs/observability.md``)."""
@@ -607,7 +621,7 @@ class Database:
                 "EXPLAIN ANALYZE requires a query, got %s"
                 % type(statement).__name__
             )
-        opts = self._resolve_options(Options(trace=True))
+        opts = self._resolve_options()
         result = self._execute_statement(statement, sql_text,
                                          parser.tokens, config, opts,
                                          parse_seconds)
@@ -698,7 +712,6 @@ class Database:
                  metrics: Optional[PlannerMetrics] = None,
                  config: Optional[OptimizerConfig] = None,
                  opts: Optional[Options] = None,
-                 trace: Optional[TraceBuilder] = None,
                  record: Optional[QueryLogEntry] = None
                  ) -> QueryResult:
         """Execute a physical plan and collect rows + measured costs.
@@ -708,11 +721,10 @@ class Database:
         under, defaulting to the database-wide config. ``opts`` is a
         resolved :class:`Options` (defaulting to the database's) whose
         ``timeout``, ``memory_budget_bytes`` (else the config's budget)
-        and ``max_fixpoint_iterations`` bound the run. ``trace`` is an
-        optional :class:`TraceBuilder` to record this execution into;
-        the finished span tree rides on ``result.trace``. ``record`` is
-        the statement's record, given the lower/execute seconds, rows
-        and ledger total; a bare call gets a scratch one.
+        and ``max_fixpoint_iterations`` bound the run. ``record`` is
+        the statement's record, given the lower/execute seconds, rows,
+        ledger total and every operator's actuals (``result.trace``
+        reads them); a bare call gets a scratch one.
         """
         config = config or self.config
         opts = opts or self._resolve_options()
@@ -730,21 +742,19 @@ class Database:
         )
         clock = time.perf_counter
         with self._lock:
-            if trace is not None:
-                trace.install(ctx)
             started = clock()
-            operator = lower(plan, ctx)
+            operators = []
+            operator = lower(plan, ctx, operators)
             lowered = clock()
             rows, column_data = execute_tree(operator)
             done = clock()
         record.lower_seconds = lowered - started
         record.execute_seconds = done - lowered
         record.rows = len(rows)
-        # a plain snapshot, not the tracing tee subclass, so ledger
-        # equality against untraced runs behaves normally
-        ledger = ctx.ledger if trace is None else ctx.ledger.snapshot()
+        record.operators = actuals(operators)
+        ledger = ctx.ledger
         record.cost = ledger.total()
-        result = QueryResult(
+        return QueryResult(
             rows=rows,
             schema=plan.schema,
             plan=plan,
@@ -752,18 +762,16 @@ class Database:
             metrics=metrics,
             elapsed_seconds=done - started,
             column_data=column_data,
+            record=record,
         )
-        if trace is not None:
-            result.trace = trace.finish(plan, record)
-        return result
 
     def sql(self, text: str,
             config: Optional[OptimizerConfig] = None,
             options: Optional[Options] = None) -> QueryResult:
         """Execute one SQL statement (query or DDL/DML).
 
-        ``options`` carries the per-call execution knobs — tracing, the
-        plan cache, timeouts, and memory budgets (see
+        ``options`` carries the per-call execution knobs — the plan
+        cache, timeouts, and memory budgets (see
         :class:`repro.Options`); anything unset inherits the database
         defaults installed with :meth:`configure` / :meth:`session`.
         """
@@ -850,32 +858,26 @@ class Database:
         """Feed every collector from one finished statement's record —
         the only code that does: the query log with its per-kind counts,
         latency histograms and slow capture, the event-log chain, and
-        for a traced statement the record's drift samples, the q-error
-        and operator-row metrics and the adaptive policy (outside the
-        statement snapshot, so a triggered re-analyze is its own
-        transaction)."""
-        trace = result.trace if result is not None else None
+        for a query that ran a plan the q-error and operator-row
+        metrics and the adaptive policy (outside the statement
+        snapshot, so a triggered re-analyze is its own transaction)."""
         record.slow = record.seconds >= opts.slow_query_seconds
-        if record.slow:
-            if result is not None and result.plan is not None:
-                record.plan = result.plan.explain()
+        if record.slow and result is not None and result.plan is not None:
+            record.plan = result.plan.explain()
+            trace = result.trace
             if trace is not None:
                 record.trace = trace.to_dict()
-        if trace is not None:
-            record.drift = trace_samples(trace)
         self.querylog.record(record)
         log = self.event_log
         if log.enabled:
             for offset, event, fields in record.events():
                 log.emit(event, record.query_id,
                          record.started_at + offset, **fields)
-        if trace is not None:
+        if record.nodes is not None:
             registry = self.metrics_registry
-            registry.observe("query_qerror", trace.max_q_error)
-            for span in trace.operator_spans():
-                if span.executions:
-                    registry.inc("operator_rows_total", span.actual_rows,
-                                 label=span.node_type)
+            worst, rows = operator_totals(record.nodes, record.operators)
+            registry.observe("query_qerror", worst)
+            registry.inc_labels("operator_rows_total", rows)
             self.adaptive.observe(opts.adaptive, result)
 
     def _dispatch_statement(self, statement, text: str, tokens: list,
@@ -967,9 +969,9 @@ class Database:
         for node, value in zip(entry.parameters, params):
             node.bind(value)
         entry.executions += 1
-        result = self.run_plan(
-            entry.plan, entry.metrics, config, opts,
-            TraceBuilder(text) if opts.trace else None, record)
+        result = self.run_plan(entry.plan, entry.metrics, config, opts,
+                               record)
+        record.nodes = describe(entry.plan)
         result.cached_plan = record.plan_cache == "hit"
         return result
 
@@ -1152,8 +1154,8 @@ class PreparedStatement:
                 options: Optional[Options] = None) -> QueryResult:
         """Bind ``params`` (one value per ``?``, in order) and run —
         through the same statement path as ``db.sql``, so a prepared
-        execution has the ad-hoc one's isolation, failover, tracing and
-        logging. ``options`` layers over the database defaults."""
+        execution has the ad-hoc one's isolation, failover, operator
+        actuals and logging. ``options`` layers over the database defaults."""
         params = tuple(params)
         if len(params) != self.param_count:
             raise ParameterError(

@@ -7,8 +7,7 @@ operators themselves work purely positionally.
 
 from __future__ import annotations
 
-import time
-from typing import List
+from typing import List, Optional
 
 from ..errors import PlanError
 from ..optimizer.plans import (
@@ -62,9 +61,17 @@ from .operators import (
 from .runtime import RuntimeContext
 
 
-def lower(node: PlanNode, ctx: RuntimeContext) -> Operator:
-    """Lower a physical plan into an operator tree bound to ``ctx``."""
-    return _Lowering(ctx).lower(node)
+def lower(node: PlanNode, ctx: RuntimeContext,
+          operators: Optional[List[Operator]] = None) -> Operator:
+    """Lower a physical plan into an operator tree bound to ``ctx``.
+    ``operators``, when given, receives every operator in the plan's
+    pre-order: every plan node becomes one operator, and each method
+    lowers the children in the order ``node.children()`` lists them.
+    (Kept off ``ctx``, which every operator references: a list there
+    would make each statement's tree a cycle only the collector frees.)
+    """
+    return _Lowering(ctx, operators if operators is not None else []
+                     ).lower(node)
 
 
 def execute_collect(root: Operator):
@@ -92,73 +99,21 @@ def execute_collect(root: Operator):
     return rows, columns
 
 
-class SpanOperator(Operator):
-    """Transparent wrapper recording one plan node's execution into its
-    trace span.
-
-    The span is pushed onto the trace's stack around the initial
-    ``batches()`` call *and* around every advancement of the resulting
-    iterator, and popped before each batch is yielded — so every ledger
-    charge routed by the tee ledger lands on the innermost operator
-    actually doing the work, exactly once. Wall time accumulates
-    inclusively over the same windows; the builder derives self-time at
-    finalize.
-    """
-
-    def __init__(self, inner: Operator, plan_node: PlanNode, trace):
-        super().__init__(inner.ctx, inner.schema)
-        self.inner = inner
-        self.plan_node = plan_node
-        self.trace = trace
-        self.span = trace.span_for_node(plan_node, inner)
-        # keep the structural attributes visible for tree walkers
-        for attr in ("child", "outer", "template", "base"):
-            if hasattr(inner, attr):
-                setattr(self, attr, getattr(inner, attr))
-
-    def batches(self):
-        """The span brackets every *batch* advancement, so bulk charges
-        land on the operator doing the work; ``actual_rows`` counts
-        rows, not batches."""
-        span = self.span
-        trace = self.trace
-        clock = time.perf_counter
-        span.executions += 1
-        trace.push(span)
-        started = clock()
-        try:
-            iterator = iter(self.inner.batches())
-        finally:
-            span.wall_seconds += clock() - started
-            trace.pop()
-        while True:
-            trace.push(span)
-            started = clock()
-            try:
-                try:
-                    batch = next(iterator)
-                except StopIteration:
-                    return
-            finally:
-                span.wall_seconds += clock() - started
-                trace.pop()
-            span.actual_rows += batch.n
-            span.batches += 1
-            yield batch
-
-
 class _Lowering:
-    def __init__(self, ctx: RuntimeContext):
+    def __init__(self, ctx: RuntimeContext, operators: List[Operator]):
         self.ctx = ctx
-        self.trace = getattr(ctx, "trace", None)
+        self.operators = operators
 
     def lower(self, node: PlanNode) -> Operator:
+        """Lower ``node`` and its subtree; its operator's slot in
+        ``operators`` is taken before the children are lowered."""
         method = getattr(self, "_lower_%s" % type(node).__name__, None)
         if method is None:
             raise PlanError("cannot lower plan node %r" % type(node).__name__)
-        op = method(node)
-        if self.trace is not None:
-            op = SpanOperator(op, node, self.trace)
+        operators = self.operators
+        slot = len(operators)
+        operators.append(None)
+        op = operators[slot] = method(node)
         return op
 
     # ----------------------------------------------------------------- leaves

@@ -1,8 +1,10 @@
 """Physical operators over one batch protocol.
 
-Every operator implements ``batches()``, returning a fresh iterator per
-call: column-oriented :class:`~repro.executor.vectorize.Batch` objects
-of ~1024 rows flow between operators, with predicates and projections
+Every operator implements ``_batches()``; ``batches()`` runs it,
+returning a fresh iterator per call and keeping the operator's actuals
+(rows, batches, time, charges). Column-oriented
+:class:`~repro.executor.vectorize.Batch` objects of ~1024 rows flow
+between operators, with predicates and projections
 compiled once per execution into column-level closures. Re-invoking
 ``batches()`` re-executes the subtree (and re-charges its cost), which
 is exactly what correlated nested iteration needs. All work is charged
@@ -20,7 +22,8 @@ it and chunk their own generator with ``batches_from_rows``.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, FixpointLimitExceeded
 from ..expr.aggregates import Accumulator, AggregateSpec
@@ -35,7 +38,6 @@ from .vectorize import (
     BATCH_ROWS,
     SMALL_DOMAIN,
     Batch,
-    KernelStats,
     batches_from_list,
     batches_from_rows,
     batches_from_store,
@@ -75,39 +77,57 @@ def bind_memberships(expr: Optional[Expr], ctx: RuntimeContext) -> None:
 
 
 class Operator:
-    """Base class for physical operators."""
+    """Base class for physical operators.
 
-    #: kernel-vs-fallback batch counts, armed lazily by kernel_counter()
-    #: under tracing only; the span finalizer lifts the derived
-    #: kernel_batches / fallback_batches properties into span extras
-    kernel_stats: Optional[KernelStats] = None
+    Subclasses implement :meth:`_batches`; :meth:`batches` runs it and
+    keeps the operator's actuals, which the statement record copies
+    after execution: ``executions``, ``batches_out``, ``rows_out``,
+    inclusive wall ``seconds``, ``kernel_batches`` /
+    ``fallback_batches`` (compiled-expression batches that stayed
+    numpy kernels / fell to the per-element path), and the ledger
+    charges made while this operator was the one running — an operator
+    is its own ledger slice, with :class:`CostLedger`'s six fields. All
+    are class-level zeros until the operator first bumps them.
+    """
+
+    #: further attributes the statement record copies (operator extras)
+    EXTRAS: Tuple[str, ...] = ()
+
+    executions = batches_out = rows_out = 0
+    kernel_batches = fallback_batches = 0
+    seconds = 0.0
+    page_reads = page_writes = tuple_cpu = 0.0
+    net_msgs = net_bytes = fn_invocations = 0.0
 
     def __init__(self, ctx: RuntimeContext, schema: Schema):
         self.ctx = ctx
         self.schema = schema
 
-    def kernel_counter(self) -> Optional[KernelStats]:
-        """This operator's KernelStats when the execution is traced,
-        else None — so untraced compiled closures carry no counting
-        wrapper at all."""
-        if self.ctx.trace is None:
-            return None
-        stats = self.kernel_stats
-        if stats is None:
-            stats = self.kernel_stats = KernelStats()
-        return stats
-
-    @property
-    def kernel_batches(self) -> Optional[int]:
-        stats = self.kernel_stats
-        return stats.kernel if stats is not None else None
-
-    @property
-    def fallback_batches(self) -> Optional[int]:
-        stats = self.kernel_stats
-        return stats.fallback if stats is not None else None
-
     def batches(self) -> Iterator[Batch]:
+        """One execution of the subtree. While this operator's code
+        runs — between being resumed and handing a batch up — the
+        statement ledger's ``sink`` is this operator, so each charge
+        lands on exactly one operator, in the order the ledger itself
+        receives it."""
+        ledger = self.ctx.ledger
+        clock = perf_counter
+        self.executions += 1
+        caller = ledger.sink
+        ledger.sink = self
+        started = clock()
+        for batch in self._batches():
+            self.seconds += clock() - started
+            self.batches_out += 1
+            self.rows_out += batch.n
+            ledger.sink = caller
+            yield batch
+            caller = ledger.sink
+            ledger.sink = self
+            started = clock()
+        self.seconds += clock() - started
+        ledger.sink = caller
+
+    def _batches(self) -> Iterator[Batch]:
         raise NotImplementedError
 
     def rows(self) -> Iterator[Row]:
@@ -120,6 +140,40 @@ class Operator:
         for batch in self.batches():
             out.extend(batch.rows())
         return out
+
+
+class Actuals(NamedTuple):
+    """One operator's numbers in a statement record — plain numbers, so
+    the record keeps no operator, batch or build table alive."""
+
+    executions: int
+    batches: int
+    rows: int
+    seconds: float  # inclusive wall time
+    kernel_batches: int
+    fallback_batches: int
+    page_reads: float
+    page_writes: float
+    tuple_cpu: float
+    net_msgs: float
+    net_bytes: float
+    fn_invocations: float
+    extras: Optional[dict]  # the operator's EXTRAS, when it has any
+
+
+def actuals(operators: Sequence[Operator]) -> List[Actuals]:
+    """Each operator's :class:`Actuals`, in the given order."""
+    new = tuple.__new__  # Actuals(...) would cost a Python call each
+    return [
+        new(Actuals, (
+            op.executions, op.batches_out, op.rows_out, op.seconds,
+            op.kernel_batches, op.fallback_batches, op.page_reads,
+            op.page_writes, op.tuple_cpu, op.net_msgs, op.net_bytes,
+            op.fn_invocations,
+            {name: getattr(op, name) for name in op.EXTRAS}
+            if op.EXTRAS else None))
+        for op in operators
+    ]
 
 
 def _sort_key(values: Sequence) -> tuple:
@@ -138,11 +192,11 @@ class SeqScanOp(Operator):
         self.table = table
         self.predicate = predicate
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         self.ctx.charge_scan(self.table.num_pages)
         bind_memberships(self.predicate, self.ctx)
         predicate = compile_optional_filter(self.predicate,
-                                            stats=self.kernel_counter())
+                                            self)
         # the snapshot's rows straight off the columnar base, hidden
         # versions already masked out, so batches are cut over visible
         # ordinals; an empty table has no base
@@ -194,14 +248,14 @@ class IndexScanOp(Operator):
         return self.table.visible_positions(
             index.search(self.op, self.value))
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         positions = self._positions()
         self.ctx.ledger.charge_reads(1.0 + _probe_data_pages(
             self.table, self.column, len(positions)))
         self.ctx.charge_cpu(len(positions) + 1)
         bind_memberships(self.residual, self.ctx)
         residual = compile_optional_filter(self.residual,
-                                           stats=self.kernel_counter())
+                                           self)
         rows = [self.table.row_at(p) for p in positions]
         for batch in batches_from_list(rows, len(self.schema)):
             if residual is not None:
@@ -218,7 +272,7 @@ class FilterSetScanOp(Operator):
         super().__init__(ctx, schema)
         self.param_id = param_id
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         filter_set = self.ctx.filter_set(self.param_id)
         self.ctx.charge_rescan(filter_set)
         return filter_set.scan()
@@ -231,7 +285,7 @@ class ValuesOp(Operator):
         super().__init__(ctx, schema)
         self._rows = rows
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         self.ctx.charge_cpu(len(self._rows))
         return batches_from_list(self._rows, len(self.schema))
 
@@ -244,10 +298,10 @@ class FilterOp(Operator):
         self.child = child
         self.predicate = predicate
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         bind_memberships(self.predicate, self.ctx)
         predicate = compile_optional_filter(self.predicate,
-                                            stats=self.kernel_counter())
+                                            self)
         for batch in self.child.batches():
             self.ctx.charge_cpu(batch.n)
             batch = batch.select(predicate(batch))
@@ -262,11 +316,10 @@ class ProjectOp(Operator):
         self.child = child
         self.exprs = list(exprs)
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         for expr in self.exprs:
             bind_memberships(expr, self.ctx)
-        stats = self.kernel_counter()
-        fns = [compile_expr(expr, stats=stats) for expr in self.exprs]
+        fns = [compile_expr(expr, self) for expr in self.exprs]
         for batch in self.child.batches():
             self.ctx.charge_cpu(batch.n)
             yield Batch([fn(batch) for fn in fns], batch.n)
@@ -277,7 +330,7 @@ class DistinctOp(Operator):
         super().__init__(ctx, child.schema)
         self.child = child
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         seen = set()
         width = self.schema.row_width()
         held = 0.0
@@ -327,7 +380,7 @@ class SortOp(Operator):
                 reverse=not ascending,
             )
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         data = self.child.to_list()
         n = len(data)
         width = self.schema.row_width()
@@ -346,7 +399,7 @@ class LimitOp(Operator):
         self.child = child
         self.limit = limit
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         # Batch granularity: a *streaming* child has charged for the
         # whole batch the limit cuts, up to one batch's worth of rows
         # beyond the limit (blocking children — sorts, aggregates —
@@ -455,7 +508,7 @@ class AggregateOp(Operator):
         self.group_positions = list(group_positions)
         self.aggregates = list(aggregates)  # (spec, resolved argument)
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         groups = {}  # group key -> group number, first-occurrence order
         accs = []    # group number -> its Accumulators
         partials = _Partials(self.aggregates)
@@ -463,10 +516,9 @@ class AggregateOp(Operator):
         held = 0.0
         for spec, argument in self.aggregates:
             bind_memberships(argument, self.ctx)
-        stats = self.kernel_counter()
         arg_fns = [
             None if argument is None
-            else compile_expr(argument, stats=stats)
+            else compile_expr(argument, self)
             for _, argument in self.aggregates
         ]
         single_agg = (len(arg_fns) == 1)
@@ -713,7 +765,7 @@ class MaterializeOp(Operator):
         super().__init__(ctx, child.schema)
         self.child = child
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         data = self.child.to_list()
         self.ctx.charge_materialize(len(data), self.schema.row_width())
         nbytes = len(data) * self.schema.row_width()
@@ -732,7 +784,7 @@ class RelabelOp(Operator):
         super().__init__(ctx, schema)
         self.child = child
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return self.child.batches()
 
 
@@ -752,7 +804,7 @@ class ShipOp(Operator):
         self.from_site = from_site
         self.to_site = to_site
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         # the child is drained fully before transferring, so the
         # simulated network sees one transfer of the whole result
         data = self.child.to_list()
@@ -772,7 +824,7 @@ class UnionOp(Operator):
         self.right = right
         self.distinct = distinct
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         seen = set() if self.distinct else None
         width = self.schema.row_width()
         held = 0.0
@@ -821,7 +873,7 @@ class FixpointOp(Operator):
         self.delta_param = delta_param
         self.distinct = distinct
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         width = self.schema.row_width()
         limit = self.ctx.max_fixpoint_iterations
         held = 0.0
@@ -891,10 +943,9 @@ class HashJoinOp(Operator):
         self.residual = residual
         self.semi = semi
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         bind_memberships(self.residual, self.ctx)
-        stats = self.kernel_counter()
-        residual = compile_optional_filter(self.residual, stats=stats)
+        residual = compile_optional_filter(self.residual, self)
         build_rows = 0
         build_width = self.inner.schema.row_width()
         held = 0.0
@@ -922,7 +973,7 @@ class HashJoinOp(Operator):
             for batch in self.outer.batches():
                 self.ctx.charge_cpu(batch.n)
                 probe_rows += batch.n
-                result, pairs = build.probe(batch, stats)
+                result, pairs = build.probe(batch, self)
                 self.ctx.charge_cpu(pairs)
                 if result is None:
                     continue
@@ -967,26 +1018,24 @@ class _HashBuild:
         self.table = None if self.vec is not None \
             else self._bucket_table()
 
-    def probe(self, batch: Batch, stats: Optional[KernelStats] = None
+    def probe(self, batch: Batch, counter: "Operator"
               ) -> Tuple[Optional[Batch], int]:
         """(joined batch or None when nothing matched, pair count) for
         one probe batch: outer order, build order within a key.
-        ``stats`` tallies whether the batch probed the sorted arrays or
-        fell to the per-row bucket path."""
+        ``counter`` counts whether the batch probed the sorted arrays
+        (a kernel batch) or fell to the per-row bucket path."""
         if self.vec is not None:
             probe_key = batch.column(self.outer_positions[0])
             if isinstance(probe_key, ColumnVector):
                 result, pairs = self._vector_probe(batch, probe_key)
                 if pairs >= 0:
-                    if stats is not None:
-                        stats.count(True)
+                    counter.kernel_batches += 1
                     return result, pairs
             # probe batch incompatible with the sorted arrays: fall
             # back to buckets for it (built only once)
             if self.table is None:
                 self.table = self._bucket_table()
-        if stats is not None:
-            stats.count(False)
+        counter.fallback_batches += 1
         out, pairs = self._probe_batch_rows(batch)
         if not out:
             return None, pairs
@@ -1248,7 +1297,7 @@ class MergeJoinOp(Operator):
         self.inner_positions = list(inner_positions)
         self.residual = residual
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return batches_from_rows(self._merge(), len(self.schema))
 
     def _merge(self) -> Iterator[Row]:
@@ -1317,7 +1366,7 @@ class BlockNLJoinOp(Operator):
         self.inner_positions = list(inner_positions)
         self.residual = residual
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return batches_from_rows(self._loop(), len(self.schema))
 
     def _loop(self) -> Iterator[Row]:
@@ -1408,7 +1457,7 @@ class IndexNLJoinOp(Operator):
         self.local_site = local_site
         self.remote_site = remote_site
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         bind_memberships(self.residual, self.ctx)
         index = self.table.index_on(self.index_column)
         if index is None:
@@ -1416,7 +1465,7 @@ class IndexNLJoinOp(Operator):
                 "no index on %s.%s" % (self.table.name, self.index_column)
             )
         residual = compile_optional_filter(self.residual,
-                                           stats=self.kernel_counter())
+                                           self)
         # index positions are physical, and the columnar base covers
         # every physical row, so the inner is gathered straight off it
         store = self.table.compact()
@@ -1497,7 +1546,7 @@ class NestedIterationOp(Operator):
         self.filter_schema = filter_schema
         self.residual = residual
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return batches_from_rows(self._iterate(), len(self.schema))
 
     def _iterate(self) -> Iterator[Row]:
@@ -1532,6 +1581,9 @@ class FilterJoinOp(Operator):
     Table 1 experiment can print estimate vs. measured side by side.
     """
 
+    EXTRAS = ("filter_set_size", "production_rows", "restricted_rows",
+              "bloom_bits", "measured_components")
+
     def __init__(self, ctx: RuntimeContext, outer: Operator,
                  template: Operator, param_id: str,
                  bind_positions: Sequence[int], filter_schema: Schema,
@@ -1559,10 +1611,10 @@ class FilterJoinOp(Operator):
         self.bloom_bits = bloom_bits
         self.ship_filter = ship_filter
         self.measured_components = {}
-        # filter effectiveness, filled in by batches() and lifted into the
-        # operator's trace span: how many production rows there were, how
-        # many distinct keys the filter carried, and how many inner rows
-        # survived the restriction
+        # filter effectiveness, filled in by batches() and copied into
+        # the statement record: how many production rows there were,
+        # how many distinct keys the filter carried, and how many inner
+        # rows survived the restriction
         self.production_rows: Optional[int] = None
         self.filter_set_size: Optional[int] = None
         self.restricted_rows: Optional[int] = None
@@ -1571,22 +1623,22 @@ class FilterJoinOp(Operator):
         delta = self.ctx.ledger.delta(before)
         self.measured_components[name] = delta.total(self.ctx.params)
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return _releasing(self.ctx, self._phases)
 
     def _phases(self, hold) -> Iterator[Batch]:
         """The five phases of Table 1, columnar from the production
         set to the emitted batch.
 
-        Three of them run batch-wise and report kernel-vs-fallback
-        through ``kernel_counter()``: the filter-set build
+        Three of them run batch-wise and count kernel-vs-fallback
+        batches on this operator: the filter-set build
         (:meth:`FilterSet.distinct`), the lossy membership probe inside
-        the template (tallied by the set through its ``probe_stats``),
+        the template (counted by the set, added here once the template
+        is drained),
         and the final join, which is :class:`_HashBuild` — the hash
         join's own build and probe."""
         bind_memberships(self.residual, self.ctx)
-        stats = self.kernel_counter()
-        residual = compile_optional_filter(self.residual, stats=stats)
+        residual = compile_optional_filter(self.residual, self)
         ledger = self.ctx.ledger
         outer_width = self.outer.schema.row_width()
 
@@ -1612,9 +1664,10 @@ class FilterJoinOp(Operator):
             self.filter_schema,
             [production.column(p) for p in self.bind_positions],
             bloom_bits=self.bloom_bits if self.lossy else None)
-        filter_set.probe_stats = stats
-        if stats is not None:
-            stats.count(filter_set.columns is not None)
+        if filter_set.columns is not None:
+            self.kernel_batches += 1
+        else:
+            self.fallback_batches += 1
         self._component("ProjCost_F", before)
         self.production_rows = production.n
         self.filter_set_size = filter_set.size
@@ -1641,6 +1694,8 @@ class FilterJoinOp(Operator):
         self._component("FilterCost_Rk", before)
         self.measured_components["AvailCost_Rk'"] = 0.0
         self.restricted_rows = restricted.n
+        self.kernel_batches += filter_set.kernel_batches
+        self.fallback_batches += filter_set.fallback_batches
 
         # 5. Final join (FinalJoinCost): hash join production x restricted
         before = ledger.snapshot()
@@ -1659,7 +1714,7 @@ class FilterJoinOp(Operator):
         build_pages = pages_for(restricted.n,
                                 self.template.schema.row_width())
         self.ctx.charge_cpu(production.n)
-        result, pairs = (build.probe(production, stats)
+        result, pairs = (build.probe(production, self)
                          if production.n and restricted.n else (None, 0))
         self.ctx.charge_cpu(pairs)
         if not self.ctx.fits(build_pages):
@@ -1716,6 +1771,8 @@ class FunctionJoinOp(Operator):
     consecutively, then joined back).
     """
 
+    EXTRAS = ("invocation_count",)
+
     def __init__(self, ctx: RuntimeContext, outer: Operator,
                  function_relation, bind_positions: Sequence[int],
                  mode: str, residual: Optional[Expr], schema: Schema):
@@ -1736,7 +1793,7 @@ class FunctionJoinOp(Operator):
         results = self.fn.invoke(args)
         return [args + tuple(r) for r in results]
 
-    def batches(self) -> Iterator[Batch]:
+    def _batches(self) -> Iterator[Batch]:
         return batches_from_rows(self._invoke_all(), len(self.schema))
 
     def _emit(self, outer_row: Row, fn_rows: List[tuple]) -> Iterator[Row]:

@@ -39,7 +39,6 @@ from ..storage.table import pages_for
 from .vectorize import (
     SMALL_DOMAIN,
     Batch,
-    KernelStats,
     batches_from_list,
     batches_from_store,
     key_hashes,
@@ -107,10 +106,9 @@ class FilterSet:
         self.size = len(rows) if columns is None else len(columns[0])
         self.bloom_bits = bloom_bits
         self.spilled = spilled
-        #: KernelStats of the Filter Join that built this set, when its
-        #: execution is traced: lossy probes tally kernel-vs-fallback
-        #: batches there
-        self.probe_stats: Optional[KernelStats] = None
+        # lossy probes that ran the bitmap kernel / fell back; the
+        # Filter Join that built the set adds them to its own counts
+        self.kernel_batches = self.fallback_batches = 0
         self._keys = None
         self._bloom: Optional[BloomFilter] = None
         # probe arrays / hash tables per probing column domain: built
@@ -189,8 +187,11 @@ class FilterSet:
                 result = self._memoized(key_columns[0])
             if result is None:
                 result = self._kernel(key_columns)
-        if self.lossy and self.probe_stats is not None:
-            self.probe_stats.note(result)
+        if self.lossy:
+            if result is None:
+                self.fallback_batches += 1
+            else:
+                self.kernel_batches += 1
         if result is not None:
             return result
         member = self.bloom if self.lossy else self.keys
@@ -278,9 +279,6 @@ class RuntimeContext:
                  max_fixpoint_iterations: int = 1000):
         self.ledger = ledger if ledger is not None else CostLedger()
         self.params = params or CostParams()
-        # when set (a TraceBuilder), lowering wraps every operator in a
-        # SpanOperator and the ledger is teed into the active span
-        self.trace = None
         self.memory_pages = memory_pages
         self.message_payload_bytes = message_payload_bytes
         # param_id -> the set a Filter Join, nested iteration or

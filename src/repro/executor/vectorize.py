@@ -255,39 +255,6 @@ def batches_from_store(store: "columnar.ColumnStore",
 ColumnFn = Callable[[Batch], Sequence]
 
 
-class KernelStats:
-    """Per-operator count of batch evaluations that ran as numpy kernels
-    vs. the per-element interpreter fallback.
-
-    One compiled expression evaluating one batch is one count: the
-    result stayed columnar (a :class:`ColumnVector`) → ``kernel``;
-    anything materialized to Python objects → ``fallback``. Operators
-    arm these only under tracing (see ``Operator.kernel_counter``) and
-    the span finalizer lifts them into span extras as
-    ``kernel_batches`` / ``fallback_batches``, so per-query columnar
-    coverage is visible in ``explain_analyze`` and the Chrome-trace
-    export without touching the untraced hot path.
-    """
-
-    __slots__ = ("kernel", "fallback")
-
-    def __init__(self):
-        self.kernel = 0
-        self.fallback = 0
-
-    def count(self, kernel: bool) -> None:
-        if kernel:
-            self.kernel += 1
-        else:
-            self.fallback += 1
-
-    def note(self, result) -> None:
-        self.count(isinstance(result, ColumnVector))
-
-    def __repr__(self) -> str:
-        return "KernelStats(kernel=%d, fallback=%d)" % (
-            self.kernel, self.fallback)
-
 _CMP_PYOP = {"=": "==", "!=": "!=", "<>": "!=",
              "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH_PYOP = {"+": "+", "-": "-", "*": "*", "/": "/"}
@@ -324,8 +291,7 @@ def _const_reader(expr: Expr):
     return None
 
 
-def compile_expr(expr: Expr,
-                 stats: Optional[KernelStats] = None) -> ColumnFn:
+def compile_expr(expr: Expr, counter=None) -> ColumnFn:
     """Compile a resolved expression tree into a column-level closure.
 
     The closure takes a :class:`Batch` and returns a sequence of ``n``
@@ -335,19 +301,23 @@ def compile_expr(expr: Expr,
     and filter-set memberships). Over ColumnVector inputs the result is
     itself a ColumnVector whenever a numpy kernel applies.
 
-    With ``stats``, every batch evaluation of the *top-level* closure
-    is tallied kernel-vs-fallback (sub-expressions are not separately
-    counted — the top-level result type already tells whether the
-    pipeline stayed columnar). ``stats=None`` returns the bare closure:
-    the untraced path is byte-identical to before.
+    With a ``counter`` (the operator evaluating it), every batch
+    evaluation of the *top-level* closure bumps its ``kernel_batches``
+    when the result stayed columnar (a :class:`ColumnVector`), else its
+    ``fallback_batches`` (sub-expressions are not separately counted —
+    the top-level result type already tells whether the pipeline
+    stayed columnar).
     """
     fn = _compile(expr)
-    if stats is None:
+    if counter is None:
         return fn
 
     def counted(batch: Batch):
         result = fn(batch)
-        stats.note(result)
+        if result.__class__ is ColumnVector:
+            counter.kernel_batches += 1
+        else:
+            counter.fallback_batches += 1
         return result
 
     return counted
@@ -391,23 +361,26 @@ def _compile(expr: Expr) -> ColumnFn:
     )
 
 
-def compile_filter(expr: Expr,
-                   stats: Optional[KernelStats] = None
+def compile_filter(expr: Expr, counter=None
                    ) -> Callable[[Batch], Sequence]:
     """Compile a predicate into a selection-flag closure.
 
     Rows are kept only when the predicate is exactly ``True`` (never for
     NULL): ``eval(row) is True``.
     Returns a numpy boolean array when the predicate evaluated as a
-    kernel, else a Python list of bools. ``stats`` tallies per batch
+    kernel, else a Python list of bools. ``counter`` counts per batch
     exactly as in :func:`compile_expr`.
     """
-    value_fn = compile_expr(expr, stats=stats)
+    value_fn = compile_expr(expr)
 
     def run(batch: Batch):
         values = value_fn(batch)
         if isinstance(values, ColumnVector):
+            if counter is not None:
+                counter.kernel_batches += 1
             return values.true_flags()
+        if counter is not None:
+            counter.fallback_batches += 1
         return [v is True for v in values]
 
     return run
@@ -950,7 +923,6 @@ def _compile_membership(expr: RuntimeMembership) -> ColumnFn:
     return run
 
 
-def compile_optional_filter(expr: Optional[Expr],
-                            stats: Optional[KernelStats] = None
+def compile_optional_filter(expr: Optional[Expr], counter=None
                             ) -> Optional[Callable[[Batch], Sequence]]:
-    return compile_filter(expr, stats=stats) if expr is not None else None
+    return compile_filter(expr, counter) if expr is not None else None

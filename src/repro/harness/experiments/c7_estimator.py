@@ -75,14 +75,14 @@ def run(quick: bool = False) -> ExperimentResult:
             estimated, measured_costs = [], []
             for name, transform in STRATEGIES.items():
                 config = transform(OptimizerConfig())
-                measured = run_query(db, query, config, trace=True)
+                measured = run_query(db, query, config)
                 estimated.append(measured.estimated_cost)
                 measured_costs.append(measured.measured_cost)
                 if measured.measured_cost > 0:
                     ratios.append(measured.estimated_cost
                                   / measured.measured_cost)
-                # trace-derived: the worst per-operator cardinality
-                # q-error in this execution's span tree
+                # the worst per-operator cardinality q-error in this
+                # execution's span tree
                 row_q = measured.max_row_q_error
                 row_q_errors.append(row_q)
                 table.add_row(workload_name, "Q%d" % (qi + 1), name,

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional
 
 from ..database import Database, QueryResult
 from ..ledger import CostLedger
-from ..obs.trace import TraceBuilder
+from ..obs.querylog import QueryLogEntry
 from ..optimizer.config import OptimizerConfig
 from ..optimizer.planner import Planner, PlannerMetrics
 from ..optimizer.plans import PlanNode
@@ -45,7 +45,7 @@ class Measured:
 
     @property
     def trace(self):
-        """The span tree, when the query ran with ``trace=True``."""
+        """The execution's span tree."""
         return self.result.trace
 
     @property
@@ -58,27 +58,25 @@ class Measured:
         return max(est / measured, measured / est)
 
     @property
-    def max_row_q_error(self) -> Optional[float]:
-        """Worst per-operator cardinality q-error (None untraced)."""
-        return (self.result.trace.max_q_error
-                if self.result.trace is not None else None)
+    def max_row_q_error(self) -> float:
+        """Worst per-operator cardinality q-error."""
+        return self.result.trace.max_q_error
 
 
 def run_query(db: Database, sql: str,
-              config: Optional[OptimizerConfig] = None,
-              trace: bool = False) -> Measured:
+              config: Optional[OptimizerConfig] = None) -> Measured:
     """Plan + execute; returns estimates and measurements together.
 
-    With ``trace=True`` the execution records a span tree (available as
-    ``measured.trace``), so experiments can report per-operator
-    est-vs-actual columns without re-instrumenting anything.
+    The execution's span tree is ``measured.trace``, so experiments can
+    report per-operator est-vs-actual columns without re-instrumenting
+    anything.
     """
     config = config or db.config
     started = time.perf_counter()
     plan, planner = db.plan(sql, config)
     optimize_seconds = time.perf_counter() - started
-    builder = TraceBuilder(sql) if trace else None
-    result = db.run_plan(plan, planner.metrics, config, trace=builder)
+    result = db.run_plan(plan, planner.metrics, config,
+                         record=QueryLogEntry(sql))
     return Measured(
         result=result,
         plan=plan,

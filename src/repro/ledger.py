@@ -54,6 +54,11 @@ class CostLedger:
 
     Ledgers support ``+`` so sub-plan charges compose, and ``snapshot`` /
     ``delta`` so an experiment can isolate the work done by one phase.
+
+    ``sink`` is a side slot, not a field: while an operator runs, it
+    points the statement's ledger at itself (an operator carries the
+    six fields too), and every charge is added there as well (see
+    ``Operator.batches``).
     """
 
     page_reads: float = 0.0
@@ -63,24 +68,35 @@ class CostLedger:
     net_bytes: float = 0.0
     fn_invocations: float = 0.0
 
+    #: the running operator (unannotated: not a field)
+    sink = None
+
     def charge_reads(self, pages: float) -> None:
         self.page_reads += pages
+        sink = self.sink
+        if sink is not None:
+            sink.page_reads += pages
 
     def charge_writes(self, pages: float) -> None:
         self.page_writes += pages
+        sink = self.sink
+        if sink is not None:
+            sink.page_writes += pages
 
     def charge_cpu(self, steps: float) -> None:
         self.tuple_cpu += steps
+        sink = self.sink
+        if sink is not None:
+            sink.tuple_cpu += steps
 
     def charge_network(self, messages: float, nbytes: float) -> None:
-        """``messages`` network messages carrying ``nbytes`` in total.
-
-        Every network charge in the engine funnels through here (or
-        :meth:`charge_message`), so a tracing subclass can observe each
-        increment exactly once.
-        """
+        """``messages`` network messages carrying ``nbytes`` in total."""
         self.net_msgs += messages
         self.net_bytes += nbytes
+        sink = self.sink
+        if sink is not None:
+            sink.net_msgs += messages
+            sink.net_bytes += nbytes
 
     def charge_message(self, nbytes: float) -> None:
         """One network message carrying ``nbytes`` of payload."""
@@ -88,6 +104,9 @@ class CostLedger:
 
     def charge_invocation(self, count: float = 1.0) -> None:
         self.fn_invocations += count
+        sink = self.sink
+        if sink is not None:
+            sink.fn_invocations += count
 
     # The six fields are spelled out below instead of looped over with
     # dataclasses.fields(): the planner snapshots and merges ledgers

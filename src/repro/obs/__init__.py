@@ -3,13 +3,13 @@ estimate-drift reporting, the query event log, and the optimizer
 search trace.
 
 - :mod:`~repro.obs.trace` — per-operator span trees with exact
-  cost-ledger attribution, attached to ``QueryResult.trace`` and
-  exportable as JSON or Chrome-trace format;
+  cost-ledger attribution, built from every query's record on reading
+  ``QueryResult.trace`` and exportable as JSON or Chrome-trace format;
 - :mod:`~repro.obs.querylog` — the statement record every collector
   reads (id, phase seconds, plan-cache verdict, rows, cost, status,
-  drift samples) in the one per-statement ring buffer, slow-query
-  capture with plan + trace, and per-kind counts and latency
-  histograms;
+  per-operator actuals, drift samples) in the one per-statement ring
+  buffer, slow-query capture with plan + trace, and per-kind counts
+  and latency histograms;
 - :mod:`~repro.obs.metrics` — the per-database registry of the
   counters/gauges/histograms no other object owns, surfaced with the
   query log's and plan cache's counts via ``db.metrics()`` and the
@@ -44,7 +44,7 @@ from .metrics import (
 from .opttrace import CandidateRecord, OptimizerTrace, WhyNotReport
 from .querylog import QueryLog, QueryLogEntry
 from .render import cost_ratio_text, render_explain_analyze
-from .trace import QueryTrace, Span, TraceBuilder, owning_table, q_error
+from .trace import QueryTrace, Span, owning_table, q_error
 
 __all__ = [
     "AdaptiveController",
@@ -63,7 +63,6 @@ __all__ = [
     "QueryLogEntry",
     "QueryTrace",
     "Span",
-    "TraceBuilder",
     "WhyNotReport",
     "cost_ratio_text",
     "owning_table",

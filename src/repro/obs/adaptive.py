@@ -1,12 +1,12 @@
 """Drift-triggered adaptive maintenance: close the estimate-feedback
 loop the drift report opened.
 
-Estimate rot is *measurable*: every traced statement's record carries
+Estimate rot is *measurable*: every query's record carries
 per-operator q-errors (:class:`~repro.obs.drift.DriftSample`), and
 ``db.drift_report()`` folds the records in the query log's ring into a
 ranking of the tables whose statistics need attention. This module acts
 on that measurement: an :class:`AdaptivePolicy` (carried on
-:class:`repro.Options`) reads the report after each traced query, and
+:class:`repro.Options`) reads the report after each query, and
 when a table's aggregate q-error crosses the policy threshold the
 :class:`AdaptiveController` re-runs ``analyze`` on that table.
 Re-analyzing installs a new statistics object, which is all it takes
@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .trace import owning_table, q_error
+from .trace import describe, q_error
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class AdaptivePolicy:
       a stale table blows past it.
     - ``min_samples``: drift samples required for a table before its
       aggregate is trusted (one unlucky operator execution is noise).
-    - ``cooldown_queries``: traced queries to wait after an action
+    - ``cooldown_queries``: queries to wait after an action
       before considering another — re-analyze is cheap but not free,
       and back-to-back actions on a churning table would thrash.
     """
@@ -123,10 +123,10 @@ class AdaptiveAction:
 
 
 class AdaptiveController:
-    """Executes one database's adaptive policy after traced queries.
+    """Executes one database's adaptive policy after queries.
 
-    ``observe`` is called by ``Database._observe`` once per traced
-    statement, *after* the statement's record (with its drift samples)
+    ``observe`` is called by ``Database._observe`` once per query that
+    ran a plan, *after* the statement's record (with its drift samples)
     was written. It is deliberately cheap on the common path: a
     disabled policy costs one attribute read, and an enabled-but-quiet
     one costs a cooldown decrement plus one fold of the (bounded)
@@ -145,7 +145,7 @@ class AdaptiveController:
 
     def observe(self, policy: Optional[AdaptivePolicy], result) -> None:
         """Consider (and possibly take) maintenance action after one
-        traced query. No-op unless ``policy`` is enabled."""
+        query. No-op unless ``policy`` is enabled."""
         if policy is None or not policy.enabled:
             return
         if self._cooldown_left > 0:
@@ -224,13 +224,13 @@ class AdaptiveController:
         except Exception:
             return None
         fallback = None
-        for node in _walk_plan(plan):
-            if node.est_rows is None:
+        for label, _node_type, owner, est_rows in describe(plan):
+            if est_rows is None:
                 continue
-            if node.label() == worst.operator:
-                return q_error(node.est_rows, worst.actual_rows)
-            if fallback is None and owning_table(node) == table:
-                fallback = q_error(node.est_rows, worst.actual_rows)
+            if label == worst.operator:
+                return q_error(est_rows, worst.actual_rows)
+            if fallback is None and owner == table:
+                fallback = q_error(est_rows, worst.actual_rows)
         return fallback
 
     # ------------------------------------------------------------- report
@@ -256,9 +256,3 @@ class AdaptiveController:
             ))
         return "\n".join(lines)
 
-
-def _walk_plan(node):
-    yield node
-    for child in node.children():
-        for sub in _walk_plan(child):
-            yield sub

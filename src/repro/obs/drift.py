@@ -1,7 +1,7 @@
 """Estimate drift: which operators does the optimizer mis-estimate, and
 by how much?
 
-A traced statement's record (:class:`~repro.obs.querylog.QueryLogEntry`)
+Every query's record (:class:`~repro.obs.querylog.QueryLogEntry`)
 carries one :class:`DriftSample` per executed operator. ``db.drift_report()``
 folds the samples of the records in the query log's ring — the last 512
 statements, so the report tracks *recent* behavior — by operator and by
@@ -48,14 +48,39 @@ class DriftSample:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-def trace_samples(trace) -> Tuple[DriftSample, ...]:
-    """One sample per executed operator span of a finished
-    :class:`~repro.obs.trace.QueryTrace` that carried an estimate."""
+def drift_samples(statement: str, nodes, operators
+                  ) -> Tuple[DriftSample, ...]:
+    """One sample per executed operator that carried an estimate, from
+    a record's plan description (:func:`~repro.obs.trace.describe`) and
+    its operators' actuals in the same pre-order."""
     return tuple(
-        DriftSample(span.name, span.node_type, trace.statement,
-                    span.est_rows, span.actual_rows, span.table)
-        for span in trace.operator_spans()
-        if span.executions and span.est_rows is not None)
+        DriftSample(label, node_type, statement, est_rows, actual.rows,
+                    table)
+        for (label, node_type, table, est_rows), actual
+        in zip(nodes, operators)
+        if actual.executions and est_rows is not None)
+
+
+def operator_totals(nodes, operators) -> Tuple[float, Dict[str, int]]:
+    """``(worst q-error, {node type: rows})`` over a record's executed
+    operators — the statement's ``query_qerror`` observation and its
+    ``operator_rows_total`` increments. The q-error is
+    :func:`~repro.obs.trace.q_error`'s, inlined: this runs after every
+    query."""
+    worst = 1.0
+    rows: Dict[str, int] = {}
+    for (_label, node_type, _table, est), actual in zip(nodes, operators):
+        if not actual.executions:
+            continue
+        count = actual.rows
+        rows[node_type] = rows.get(node_type, 0) + count
+        if est is not None:
+            est = est if est > 1.0 else 1.0
+            got = count if count > 1 else 1.0
+            q = est / got if est > got else got / est
+            if q > worst:
+                worst = q
+    return worst, rows
 
 
 class DriftGroup:
@@ -144,7 +169,7 @@ class DriftReport:
 
     @property
     def empty(self) -> bool:
-        """True when the window holds no samples (no traced queries)."""
+        """True when the window holds no samples (no query ran a plan)."""
         return self.recorded == 0
 
     def as_dict(self) -> dict:
@@ -158,13 +183,8 @@ class DriftReport:
 
     def render(self, limit: int = 10) -> str:
         if not self.groups:
-            return "\n".join([
-                "estimate drift: no traced queries in the window "
-                "(the last %d statements)." % self.window,
-                "Run queries with tracing on to collect samples:",
-                "  db.sql(q, options=Options(trace=True))  "
-                "or  db.configure(trace=True)",
-            ])
+            return ("estimate drift: no query ran a plan in the window "
+                    "(the last %d statements)." % self.window)
         lines = [
             "estimate drift over the last %d operator executions "
             "(window: %d statements):"

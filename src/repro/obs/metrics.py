@@ -190,6 +190,13 @@ class MetricsRegistry:
         with self._lock:
             self.counter(name, help).inc(amount, label)
 
+    def inc_labels(self, name: str, amounts: Dict[str, float]) -> None:
+        """:meth:`inc` for several labels of one counter at once."""
+        with self._lock:
+            values = self.counter(name).values
+            for label, amount in amounts.items():
+                values[label] = values.get(label, 0.0) + amount
+
     def set_gauge(self, name: str, value: float, help: str = "") -> None:
         with self._lock:
             self.gauge(name, help).set(value)

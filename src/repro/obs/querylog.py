@@ -8,16 +8,16 @@ goes through its phases, and writes it once, in a ``finally``, whether
 the statement succeeded or raised. Every collector reads that entry
 (``Database._observe``): this log with its per-kind counts (behind
 ``queries_total`` / ``slow_queries_total``) and histograms, the
-event-log chain (:meth:`QueryLogEntry.events`), the trace's phase spans
-(:meth:`QueryLogEntry.phases`), and the drift report, which folds the
-``drift`` samples of the entries in the ring (:meth:`QueryLog.drift_samples`).
-The entry holds numbers, short strings and drift samples only — never
-rows, plan nodes or the ledger object — so the ring's memory is bounded
-by its window.
+event-log chain (:meth:`QueryLogEntry.events`), the trace's phase and
+operator spans (:meth:`QueryLogEntry.phases`, ``operators``), and the
+drift report, which folds the ``drift`` samples of the entries in the
+ring (:meth:`QueryLog.drift_samples`). The entry holds numbers and short
+strings only — never rows, plan nodes, operators or the ledger object —
+so the ring's memory is bounded by its window.
 
 Statements slower than ``Options.slow_query_seconds`` are *slow-query*
-entries and additionally capture the full ``explain`` plan text (and
-the span trace as a dict when the statement was traced), so an offender
+entries and additionally capture the full ``explain`` plan text and the
+span trace as a dict, so an offender
 on a production server arrives with everything needed to replay and
 diagnose it. There is no switch: taking the times and writing the record
 costs a few microseconds a statement, and ``bench/run.py`` measures every
@@ -32,7 +32,7 @@ import time
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .drift import DriftSample
+from .drift import DriftSample, drift_samples
 from .metrics import Histogram
 
 #: latency bucket upper edges in seconds: half-millisecond floor, five
@@ -62,8 +62,11 @@ class QueryLogEntry:
     the planner counts are set when an optimization actually ran.
     ``rows`` is rows returned by a query, rows affected by DML;
     ``access`` / ``rows_examined`` say how UPDATE/DELETE found them.
-    ``drift`` is a traced query's :class:`~repro.obs.drift.DriftSample`
-    per executed operator.
+    A query that ran a plan has ``operators``, each operator's
+    :class:`~repro.executor.operators.Actuals` in plan pre-order, and
+    ``nodes``, its plan's :func:`~repro.obs.trace.describe`; ``drift``
+    is then one :class:`~repro.obs.drift.DriftSample` per executed
+    operator, taken from them when first read.
     """
 
     __slots__ = ("query_id", "session", "kind", "_text", "status",
@@ -72,7 +75,7 @@ class QueryLogEntry:
                  "lower_seconds", "execute_seconds", "plan_cache",
                  "plans_considered", "memo_entries", "rows", "cost",
                  "access", "rows_examined", "slow", "plan", "trace",
-                 "drift")
+                 "operators", "nodes", "_drift")
 
     def __init__(self, statement: str = "", kind: str = "other",
                  seconds: float = 0.0, rows: int = 0, cost: float = 0.0,
@@ -107,7 +110,9 @@ class QueryLogEntry:
         self.slow = slow
         self.plan = plan
         self.trace = trace
-        self.drift: Optional[Tuple[DriftSample, ...]] = None
+        self.operators: Optional[list] = None
+        self.nodes: Optional[tuple] = None
+        self._drift: Optional[Tuple[DriftSample, ...]] = None
 
     @property
     def statement(self) -> str:
@@ -115,6 +120,15 @@ class QueryLogEntry:
         :data:`STATEMENT_CHARS` characters."""
         text = self._text = one_line(self._text)
         return text
+
+    @property
+    def drift(self) -> Optional[Tuple[DriftSample, ...]]:
+        """One sample per executed operator that carried an estimate;
+        None for a statement that ran no plan."""
+        if self._drift is None and self.nodes is not None:
+            self._drift = drift_samples(self.statement, self.nodes,
+                                        self.operators)
+        return self._drift
 
     def fail(self, exc: BaseException) -> None:
         self.status = "error"
@@ -165,11 +179,11 @@ class QueryLogEntry:
 
     def as_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.__slots__
-                if name != "_text"}
+                if name not in ("_text", "operators", "nodes", "_drift")}
         data["statement"] = self.statement
         for name in ("error", "message", "plan_cache",
                      "plans_considered", "memo_entries", "access",
-                     "rows_examined", "plan", "trace", "drift"):
+                     "rows_examined", "plan", "trace"):
             if data[name] is None:
                 del data[name]
         if self.drift is not None:

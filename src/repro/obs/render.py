@@ -1,4 +1,4 @@
-"""Rendering a traced execution as EXPLAIN ANALYZE text.
+"""Rendering an execution as EXPLAIN ANALYZE text.
 
 One code path serves both ``Database.explain_analyze`` and the shell's
 ``\\ea`` meta-command: the annotated plan tree is produced from the same
@@ -65,14 +65,13 @@ def render_plan_with_spans(plan, trace: QueryTrace) -> str:
 
 
 def render_explain_analyze(result, cost_params=None) -> str:
-    """EXPLAIN ANALYZE text for a traced :class:`QueryResult`."""
+    """EXPLAIN ANALYZE text for a :class:`QueryResult` that ran a plan."""
     trace = result.trace
     plan = result.plan
     if trace is None or plan is None:
         raise ValueError(
-            "render_explain_analyze needs a traced query result "
-            "(run with trace=True)"
-        )
+            "render_explain_analyze needs the result of a query that "
+            "ran a plan")
     measured = result.ledger.total(cost_params)
     lines = [
         render_plan_with_spans(plan, trace),

@@ -5,26 +5,22 @@ A :class:`Span` carries the optimizer's estimates next to what actually
 happened — wall time, row counts, and the exact :class:`CostLedger`
 charges attributable to that operator — so estimate drift, Filter-Join
 effectiveness, and hot operators are first-class, inspectable artifacts
-on every traced query (``QueryResult.trace``), not strings inside
+on every query (``QueryResult.trace``), not strings inside
 ``explain_analyze``.
 
-Attribution works by *routing*, not by sampling: while a traced plan
-executes, ``ctx.ledger`` is a :class:`_TeeLedger` that forwards every
-charge both to the primary accumulation (so the measured ledger is
-byte-identical with tracing on or off — the trace-invariance suite
-enforces this) and to the innermost active span. Span operators
-(:class:`~repro.executor.lowering.SpanOperator`) push/pop their span
-around every advancement of the wrapped iterator, so each charge lands
-on exactly one span. The execute phase's inclusive ledger is recorded
-as a direct snapshot delta and therefore reconciles *exactly* with
+Nothing here runs while a statement executes. Every operator keeps its
+own actuals as it runs (``Operator.batches``): executions, batches,
+rows, inclusive wall time, kernel/fallback batch counts, and the ledger
+charges it made — the statement ledger's ``sink`` slot points at the
+running operator's ledger, so each charge lands on exactly one
+operator, and the statement's ledger itself is charged exactly as
+before. ``run_plan`` copies those numbers into the statement's record
+(:class:`~repro.obs.querylog.QueryLogEntry`) in plan pre-order, and
+:func:`query_trace` builds the span tree from the plan and the record
+when something first reads it. The execute phase's inclusive ledger is
+the measured ledger and therefore reconciles *exactly* with
 ``QueryResult.ledger``; per-span self-ledgers reconcile up to float
 addition reordering (see :meth:`QueryTrace.reconcile`).
-
-Tracing is opt-in (``Options(trace=True)`` per call or
-``db.configure(trace=True)``); with it off none of this code runs. The
-phase spans are not timed here: they are read at :meth:`TraceBuilder.finish`
-from the statement's record (:class:`~repro.obs.querylog.QueryLogEntry`),
-which times every statement's phases whether it is traced or not.
 """
 
 from __future__ import annotations
@@ -59,15 +55,14 @@ class Span:
     ``kind`` is ``"phase"`` for pipeline phases, ``"operator"`` for
     physical operators, and ``"query"`` for the root. Ledger counts are
     kept in two forms: ``self_ledger`` holds the charges attributed to
-    this span alone; ``ledger`` (filled at finalize time) additionally
-    includes every descendant. ``wall_seconds`` is inclusive.
+    this span alone; ``ledger`` additionally includes every descendant.
+    ``wall_seconds`` is inclusive.
     """
 
     __slots__ = (
         "name", "kind", "node_type", "table", "est_rows", "est_cost",
         "actual_rows", "executions", "batches", "wall_seconds",
-        "self_seconds", "self_counts", "self_ledger", "ledger", "extras",
-        "children",
+        "self_seconds", "self_ledger", "ledger", "extras", "children",
     )
 
     def __init__(self, name: str, kind: str = "operator",
@@ -86,10 +81,6 @@ class Span:
         self.batches = 0  # batch advancements
         self.wall_seconds = 0.0
         self.self_seconds = 0.0
-        # raw per-field accumulation while executing; folded into
-        # self_ledger / ledger by TraceBuilder.finish()
-        self.self_counts: Dict[str, float] = dict.fromkeys(
-            LEDGER_FIELDS, 0.0)
         self.self_ledger = CostLedger()
         self.ledger = CostLedger()
         self.extras: Dict[str, object] = {}
@@ -144,68 +135,6 @@ class Span:
         )
 
 
-class _TeeLedger(CostLedger):
-    """A CostLedger that additionally routes every charge to the
-    innermost active span.
-
-    The primary accumulation (`self.page_reads += ...` etc.) runs the
-    identical statements in the identical order as an untraced run, so
-    the query's measured ledger is byte-for-byte the same with tracing
-    on or off.
-    """
-
-    def __init__(self, stack: list, start: Optional[CostLedger] = None):
-        if start is not None:
-            super().__init__(**start.as_dict())
-        else:
-            super().__init__()
-        self._stack = stack
-
-    def _span_counts(self) -> Optional[Dict[str, float]]:
-        stack = self._stack
-        return stack[-1].self_counts if stack else None
-
-    def charge_reads(self, pages: float) -> None:
-        counts = self._span_counts()
-        if counts is not None:
-            counts["page_reads"] += pages
-        self.page_reads += pages
-
-    def charge_writes(self, pages: float) -> None:
-        counts = self._span_counts()
-        if counts is not None:
-            counts["page_writes"] += pages
-        self.page_writes += pages
-
-    def charge_cpu(self, steps: float) -> None:
-        counts = self._span_counts()
-        if counts is not None:
-            counts["tuple_cpu"] += steps
-        self.tuple_cpu += steps
-
-    def charge_network(self, messages: float, nbytes: float) -> None:
-        counts = self._span_counts()
-        if counts is not None:
-            counts["net_msgs"] += messages
-            counts["net_bytes"] += nbytes
-        self.net_msgs += messages
-        self.net_bytes += nbytes
-
-    def charge_invocation(self, count: float = 1.0) -> None:
-        counts = self._span_counts()
-        if counts is not None:
-            counts["fn_invocations"] += count
-        self.fn_invocations += count
-
-
-#: operator attributes lifted into span extras after execution
-_EXTRA_ATTRS = (
-    "filter_set_size", "production_rows", "restricted_rows",
-    "invocation_count", "bloom_bits", "kernel_batches",
-    "fallback_batches",
-)
-
-
 def owning_table(plan_node) -> Optional[str]:
     """The base-table name a plan node's cardinality estimate derives
     from, or None when there is no single answer.
@@ -231,110 +160,80 @@ def owning_table(plan_node) -> Optional[str]:
     return None
 
 
-class TraceBuilder:
-    """Accumulates spans while one statement runs; produces the
-    immutable :class:`QueryTrace` via :meth:`finish`."""
+def walk_plan(node) -> Iterator:
+    """``node`` and its descendants in pre-order."""
+    yield node
+    for child in node.children():
+        yield from walk_plan(child)
 
-    def __init__(self, statement: str = ""):
-        self.statement = statement
-        self.root = Span("query", kind="query")
-        self._stack: List[Span] = []
-        self._by_node: Dict[int, Span] = {}
-        self._op_of: Dict[int, object] = {}
-        self._ledger_start: Optional[CostLedger] = None
-        self._ctx = None
 
-    # ---------------------------------------------------------- operators
+def describe(plan) -> tuple:
+    """``(label, node type, owning table, est_rows)`` per node of
+    ``plan`` in pre-order — what a statement record keeps of its plan,
+    so that drift samples come from the record alone. Memoised on the
+    plan: a cached plan is described once however often it runs, and
+    its labels stay those of the plan (a prepared plan renders ``?1``,
+    not the bound value)."""
+    described = getattr(plan, "_described", None)
+    if described is None:
+        described = plan._described = tuple(
+            (node.label(), type(node).__name__, owning_table(node),
+             node.est_rows)
+            for node in walk_plan(plan))
+    return described
 
-    def install(self, ctx) -> None:
-        """Arm ``ctx`` for traced execution: swap in the tee ledger and
-        expose this builder as ``ctx.trace`` so lowering wraps every
-        operator in a span."""
-        self._ctx = ctx
-        self._ledger_start = ctx.ledger.snapshot()
-        ctx.ledger = _TeeLedger(self._stack, start=ctx.ledger)
-        ctx.trace = self
 
-    def span_for_node(self, plan_node, operator) -> Span:
-        span = Span(
-            plan_node.label(),
-            kind="operator",
-            node_type=type(plan_node).__name__,
-            est_rows=plan_node.est_rows,
-            est_cost=plan_node.est_cost,
-            table=owning_table(plan_node),
-        )
-        self._by_node[id(plan_node)] = span
-        self._op_of[id(span)] = operator
+def query_trace(plan, record, ledger: CostLedger) -> "QueryTrace":
+    """The span tree of one execution of ``plan``: one operator span
+    per plan node from ``record.operators`` (each node's
+    :class:`~repro.executor.operators.Actuals`, in pre-order), phase
+    spans from the record's phase seconds, and
+    ``ledger`` — the statement's measured ledger — as the execute
+    phase's."""
+    phases = {}
+    for name, seconds in record.phases():
+        span = phases[name] = Span(name, kind="phase")
+        span.wall_seconds = span.self_seconds = seconds
+        span.executions = 1
+    if record.plan_cache is not None:
+        phases["optimize"].extras["plan_cache"] = record.plan_cache
+    by_node: Dict[int, Span] = {}
+    entries = zip(describe(plan), record.operators)
+
+    def build(node) -> Span:
+        (label, node_type, table, est_rows), actual = next(entries)
+        span = Span(label, "operator", node_type, est_rows,
+                    node.est_cost, table)
+        span.executions = actual.executions
+        span.batches = actual.batches
+        span.actual_rows = actual.rows
+        span.wall_seconds = actual.seconds
+        span.self_ledger = CostLedger(
+            actual.page_reads, actual.page_writes, actual.tuple_cpu,
+            actual.net_msgs, actual.net_bytes, actual.fn_invocations)
+        span.extras.update(kernel_batches=actual.kernel_batches,
+                           fallback_batches=actual.fallback_batches)
+        for name, value in (actual.extras or {}).items():
+            if value is not None and value != {}:
+                span.extras[name] = value
+        by_node[id(node)] = span
+        span.children = [build(child) for child in node.children()]
+        span.ledger = span.self_ledger.snapshot()
+        for child in span.children:
+            span.ledger.merge(child.ledger)
+        span.self_seconds = max(0.0, span.wall_seconds - sum(
+            child.wall_seconds for child in span.children))
         return span
 
-    def span_of(self, plan_node) -> Optional[Span]:
-        return self._by_node.get(id(plan_node))
-
-    def push(self, span: Span) -> None:
-        self._stack.append(span)
-
-    def pop(self) -> None:
-        self._stack.pop()
-
-    # ----------------------------------------------------------- assembly
-
-    def finish(self, plan, record) -> "QueryTrace":
-        """Assemble the span tree (mirroring the plan tree), fold raw
-        counts into ledgers, and compute inclusive totals. The phase
-        spans come from ``record``, the statement's
-        :class:`~repro.obs.querylog.QueryLogEntry`."""
-        phases = {}
-        for name, seconds in record.phases():
-            span = phases[name] = Span(name, kind="phase")
-            span.wall_seconds = span.self_seconds = seconds
-            span.executions = 1
-        if record.plan_cache is not None:
-            phases["optimize"].extras["plan_cache"] = record.plan_cache
-        for span in self._by_node.values():
-            span.self_ledger = CostLedger(**span.self_counts)
-            op = self._op_of.get(id(span))
-            for attr in _EXTRA_ATTRS:
-                value = getattr(op, attr, None)
-                if value is not None:
-                    span.extras[attr] = value
-            components = getattr(op, "measured_components", None)
-            if components:
-                span.extras["measured_components"] = dict(components)
-
-        operator_root = self._link(plan)
-        execute = phases["execute"]
-        if self._ctx is not None and self._ledger_start is not None:
-            # exact by construction: a snapshot delta, not a sum
-            execute.ledger = self._ctx.ledger.delta(self._ledger_start)
-            execute.self_ledger = execute.ledger.snapshot()
-        if operator_root is not None:
-            execute.children = [operator_root]
-
-        self.root.children = list(phases.values())
-        self.root.wall_seconds = sum(
-            c.wall_seconds for c in self.root.children)
-        self.root.executions = 1
-        return QueryTrace(self.statement, self.root, self._by_node)
-
-    def _link(self, plan_node) -> Optional[Span]:
-        """Recursively mirror the plan tree onto the span tree and fill
-        inclusive ledgers/self times bottom-up."""
-        span = self._by_node.get(id(plan_node))
-        children = [self._link(c) for c in plan_node.children()]
-        children = [c for c in children if c is not None]
-        if span is None:
-            return children[0] if children else None
-        span.children = children
-        inclusive = span.self_ledger.snapshot()
-        for child in children:
-            inclusive.merge(child.ledger)
-        span.ledger = inclusive
-        span.self_seconds = max(
-            0.0,
-            span.wall_seconds - sum(c.wall_seconds for c in children),
-        )
-        return span
+    execute = phases["execute"]
+    execute.children = [build(plan)]
+    execute.ledger = ledger.snapshot()
+    execute.self_ledger = ledger.snapshot()
+    root = Span("query", kind="query")
+    root.children = list(phases.values())
+    root.wall_seconds = sum(c.wall_seconds for c in root.children)
+    root.executions = 1
+    return QueryTrace(record.statement, root, by_node)
 
 
 class QueryTrace:
@@ -373,8 +272,7 @@ class QueryTrace:
 
     @property
     def total_ledger(self) -> CostLedger:
-        """The execute phase's ledger — exactly ``QueryResult.ledger``
-        for a query traced end to end."""
+        """The execute phase's ledger — exactly ``QueryResult.ledger``."""
         execute = self.phases.get("execute")
         return execute.ledger if execute is not None else CostLedger()
 

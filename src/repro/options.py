@@ -41,7 +41,6 @@ class Options:
     :meth:`merged` to layer values and :meth:`resolved` to collapse onto
     the built-in defaults.
 
-    - ``trace``: record a span tree onto ``QueryResult.trace``.
     - ``timeout``: per-statement deadline in seconds
       (:class:`~repro.errors.QueryTimeout` when exceeded).
     - ``use_cache``: serve queries from the plan cache (on by
@@ -68,21 +67,22 @@ class Options:
       statement). Sampled at BEGIN; see docs/transactions.md.
     - ``adaptive``: an :class:`~repro.obs.adaptive.AdaptivePolicy` (or
       ``True``/``False`` shorthand for a default-tuned / disabled one)
-      letting traced queries trigger automatic re-analyze when
+      letting queries trigger automatic re-analyze when
       estimate drift crosses the policy threshold. Off by default;
       see docs/observability.md ("Closing the loop").
     - ``slow_query_seconds``: a statement at least this slow (default
       0.25 s) is a slow-query record: its entry in the database's
       :class:`~repro.obs.querylog.QueryLog` — which records every
       statement, there is no switch — additionally captures the full
-      plan text (and the span trace when traced).
+      plan text and the span trace.
 
     The optimizer's search trace is not an execution knob: it is asked
     of the planner with ``db.plan(sql, search=OptimizerTrace())``,
     ``db.explain(sql, mode="search")`` or ``db.why_not(sql, method)``.
+    Neither is tracing: every query keeps its operators' actuals, read
+    through ``QueryResult.trace``.
     """
 
-    trace: Optional[bool] = None
     timeout: Optional[float] = None
     use_cache: Optional[bool] = None
     memory_budget_bytes: Optional[float] = None
@@ -164,7 +164,7 @@ class Options:
 
 #: the bottom of the resolution chain: what you get with no configure()
 #: and no per-call options
-BUILTIN = Options(trace=False, use_cache=True, max_fixpoint_iterations=1000,
+BUILTIN = Options(use_cache=True, max_fixpoint_iterations=1000,
                   durability="off", isolation="snapshot",
                   adaptive=AdaptivePolicy.OFF, slow_query_seconds=0.25)
 

@@ -145,13 +145,13 @@ class Client:
     def slowlog(self, limit: int = 20) -> List[dict]:
         """The server's slow-query records (statements that crossed
         ``slow_query_seconds``), worst first, each with its phase
-        seconds, the full plan text and — when traced — the span
+        seconds, the full plan text and, for a query, the span
         trace."""
         return self.request("slowlog", limit=limit)["slowlog"]
 
     def drift(self) -> dict:
         """The server's drift report (estimate quality over the recent
-        traced-query window)."""
+        statement window)."""
         return self.request("drift")["drift"]
 
     def close(self) -> None:

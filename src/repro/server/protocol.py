@@ -28,7 +28,7 @@ sessions  —                                      ``sessions`` (one dict
 slowlog   ``limit`` (optional int, 1..1000)      ``slowlog`` (slowest
                                                  statement records,
                                                  each with the full
-                                                 plan + trace)
+                                                 plan + span trace)
 drift     —                                      ``drift`` (the drift
                                                  report, worst
                                                  operators/tables

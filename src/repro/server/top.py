@@ -91,7 +91,7 @@ def _slowlog_section(slowlog: List[dict], limit: int = 5) -> List[str]:
 def _drift_section(drift: dict, limit: int = 5) -> List[str]:
     tables = drift.get("tables") or []
     if not tables:
-        return ["drift: no traced queries in the window"]
+        return ["drift: no query ran a plan in the window"]
     lines = ["drift by owning table (mean q-error):",
              "  %-16s %-8s %-10s %s"
              % ("table", "samples", "mean q", "max q")]

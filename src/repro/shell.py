@@ -17,8 +17,9 @@ start with a backslash:
                    nearest rejected candidate and the ledger terms
                    that lost it
     \\config        show the optimizer configuration
-    \\set           show the active execution option set (trace, timeout,
-                    ...) — the database's repro.Options defaults
+    \\set           show the active execution option set (timeout,
+                    plan cache, ...) — the database's repro.Options
+                    defaults
     \\set KEY VAL   change an optimizer switch (e.g. \\set enable_filter_join off)
     \\cache         show plan-cache counters (hits/misses/invalidations)
                     and the restriction-memo line
@@ -35,7 +36,7 @@ start with a backslash:
                     statement count
     \\adaptive [on|off]
                    drift-triggered adaptive maintenance: toggle the
-                   policy for traced statements and show the actions
+                   policy and show the actions
                    taken so far (table, before/after q-error)
     \\log [on|off|clear]
                    the structured query event log: toggle recording or
@@ -48,14 +49,12 @@ start with a backslash:
                    BEGIN...COMMIT aborts the transaction until ROLLBACK;
                    "off": the failed statement is undone but the
                    transaction stays usable (psql ON_ERROR_ROLLBACK)
-    \\trace on|off  trace every statement; traced queries print phase
-                    times and their worst operator q-error
     \\q             quit
 
 The execution state lives in one place — the database's default
 :class:`repro.Options` — and ``\\set`` (no arguments) shows it;
-``\\timeout`` and ``\\trace`` are aliases that update single fields of
-that option set.
+``\\timeout`` is an alias that updates a single field of that option
+set.
 
 Syntax errors point at the offending token with a caret line, and a
 ``Ctrl-C`` mid-statement abandons the buffered input without killing
@@ -113,14 +112,6 @@ def format_result(result: QueryResult, max_rows: int = 50) -> str:
         len(result.rows), "" if len(result.rows) == 1 else "s",
         result.measured_cost(),
     ))
-    if result.trace is not None:
-        phase_bits = [
-            "%s %.2fms" % (name, span.wall_seconds * 1e3)
-            for name, span in result.trace.phases.items()
-        ]
-        lines.append("trace: %s   worst q-err %.2f" % (
-            "  ".join(phase_bits), result.trace.max_q_error,
-        ))
     return "\n".join(lines)
 
 
@@ -155,7 +146,7 @@ class Shell:
         self.done = False
 
     # The shell's execution state IS the database's default option set;
-    # \timeout / \trace are views onto single fields of it.
+    # \timeout is a view onto a single field of it.
     @property
     def timeout(self) -> Optional[float]:
         return self.db.defaults.timeout
@@ -238,16 +229,13 @@ class Shell:
         if command == "\\adaptive":
             self._adaptive_command(argument)
             return
-        if command == "\\trace":
-            self._trace_command(argument)
-            return
         if command == "\\txn":
             self._txn_command(argument)
             return
         self.write("unknown command %r (try \\d, \\e, \\ea, \\explain, "
                    "\\whynot, \\config, \\set, \\cache, "
                    "\\timeout, \\faults, \\metrics, \\drift, \\slow, "
-                   "\\sessions, \\adaptive, \\log, \\trace, \\txn, \\q)"
+                   "\\sessions, \\adaptive, \\log, \\txn, \\q)"
                    % command)
 
     def _txn_command(self, argument: str) -> None:
@@ -316,7 +304,7 @@ class Shell:
                 return
             self.db.configure(adaptive=value)
             self.write("adaptive maintenance %s"
-                       % ("on (traced statements trigger re-analyze)"
+                       % ("on (queries trigger re-analyze)"
                           if value else "off"))
             return
         policy = self.db.defaults.resolved().adaptive
@@ -378,18 +366,6 @@ class Shell:
         self.write("active options:")
         for name in OPTION_FIELDS:
             self.write("  %-22s %r" % (name, getattr(resolved, name)))
-
-    def _trace_command(self, argument: str) -> None:
-        if not argument:
-            self.write("tracing is %s"
-                       % ("on" if self.db.defaults.trace else "off"))
-            return
-        value = _BOOL_WORDS.get(argument.lower())
-        if value is None:
-            self.write("usage: \\trace [on | off]")
-            return
-        self.db.configure(trace=value)
-        self.write("tracing %s" % ("on" if value else "off"))
 
     def _timeout_command(self, argument: str) -> None:
         if not argument:

@@ -13,7 +13,7 @@ decision: exactly the thing the adaptive loop exists to keep fresh.
    that restricts the big ``Orders`` side through its index.
 2. **shift** — an UPDATE moves *every* customer into segment 1. The
    statistics still say "rare", so the planner keeps the filter join —
-   now a bad plan driving 200 index probes. Traced queries record
+   now a bad plan driving 200 index probes. The queries record
    est≈5 vs actual≈200 on the ``Customers`` scan; the drift recorder
    attributes the q-error to ``Customers``; the adaptive policy crosses
    its threshold, re-analyzes the table (the new statistics shed the
@@ -138,11 +138,11 @@ def run_drift_narrative(db: Optional[Database] = None,
         db = fresh_drift(config)
     policy = AdaptivePolicy(qerror_threshold=4.0, min_samples=3,
                             cooldown_queries=0)
-    probe = Options(trace=True, adaptive=policy, use_cache=True)
+    probe = Options(adaptive=policy, use_cache=True)
     lines: List[str] = []
 
     def run_until_action(phase: str, max_queries: int = 10) -> None:
-        """Probe with traced queries until the adaptive loop fires."""
+        """Probe with queries until the adaptive loop fires."""
         before = len(db.adaptive.actions)
         for attempt in range(1, max_queries + 1):
             db.sql(DRIFT_QUERY, options=probe)

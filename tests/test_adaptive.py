@@ -26,7 +26,7 @@ EAGER = AdaptivePolicy(qerror_threshold=4.0, min_samples=3,
 
 def make_stale_db():
     """A table whose statistics say 20 rows while it really holds
-    1020 — every traced scan records a ~51x q-error."""
+    1020 — every scan records a ~51x q-error."""
     db = Database()
     db.create_table("T", [("a", DataType.INT), ("b", DataType.INT)])
     db.insert("T", [(i, i % 7) for i in range(20)])
@@ -36,7 +36,7 @@ def make_stale_db():
 
 
 def probe(db, policy=EAGER, n=1, **extra):
-    opts = Options(trace=True, adaptive=policy, **extra)
+    opts = Options(adaptive=policy, **extra)
     for _ in range(n):
         db.sql("SELECT a FROM T WHERE b = 3", options=opts)
 
@@ -86,17 +86,18 @@ class TestAdaptiveGates:
         db = make_stale_db()
         stats = db.catalog.stats_entry("T")
         for _ in range(6):
-            db.sql("SELECT a FROM T WHERE b = 3",
-                   options=Options(trace=True))
+            db.sql("SELECT a FROM T WHERE b = 3")
         assert not db.adaptive.actions
         assert db.catalog.stats_entry("T") is stats
 
-    def test_untraced_queries_never_trigger(self):
+    def test_every_query_feeds_the_policy(self):
+        """Plain statements with no other option carry drift samples,
+        so the policy alone decides: stale statistics trigger it."""
         db = make_stale_db()
         for _ in range(6):
             db.sql("SELECT a FROM T WHERE b = 3",
                    options=Options(adaptive=EAGER))
-        assert not db.adaptive.actions
+        assert [a.table for a in db.adaptive.actions] == ["T"]
 
     def test_min_samples_gate(self):
         db = make_stale_db()
@@ -118,7 +119,7 @@ class TestAdaptiveGates:
                               cooldown_queries=3)
         probe(db, policy=cool, n=1)
         assert len(db.adaptive.actions) == 1
-        # keep the table stale: the next 3 traced queries sit out the
+        # keep the table stale: the next 3 queries sit out the
         # cooldown even though their samples are healthy now
         probe(db, policy=cool, n=3)
         assert len(db.adaptive.actions) == 1
@@ -168,7 +169,7 @@ class TestAdaptiveAction:
 
     def test_action_invalidates_cached_plans(self):
         db = make_stale_db()
-        opts = Options(trace=True, adaptive=EAGER, use_cache=True)
+        opts = Options(adaptive=EAGER, use_cache=True)
         for _ in range(6):
             db.sql("SELECT a FROM T WHERE b = 3", options=opts)
             if db.adaptive.actions:

@@ -151,7 +151,7 @@ class TestMvccCompaction:
         query = "SELECT name FROM people WHERE age > 20"
         for run, expect in ((db.sql, ["ann", "bob", None, "dee"]),
                             (session.sql, ["ann", None, "dee", "gus"])):
-            result = run(query, options=Options(trace=True))
+            result = run(query)
             assert [row[0] for row in result.rows] == expect
             scan, = [span for span in result.trace.operator_spans()
                      if span.node_type == "SeqScanNode"]

@@ -25,7 +25,7 @@ import sqlite3
 
 import pytest
 
-from repro import Database, DataType, Options, SerializationError
+from repro import Database, DataType, SerializationError
 from repro.storage.mvcc import FROZEN
 
 N_SCHEDULES = int(os.environ.get("DML_SCHEDULES", "30"))
@@ -168,7 +168,7 @@ class Side:
             assert seen[0] == seen[1] == len(seen[2])
             assert seen[2] == seen[3]
             query = "SELECT * FROM t WHERE v >= 0"
-            result = session.sql(query, options=Options(trace=True))
+            result = session.sql(query)
             scan, = [span for span in result.trace.operator_spans()
                      if span.node_type == "SeqScanNode"]
             assert scan.extras["fallback_batches"] == 0

@@ -61,18 +61,24 @@ def test_rows_and_ledger_identical(workload, regime, update_golden):
     check_golden("exec__%s__%s" % (workload, regime), text, update_golden)
 
 
-def test_traced_runs_match_untraced_ledger():
-    """Tracing must not perturb the charges, the span tree must
-    reconcile, and spans carry real batch counters."""
+def test_every_run_reconciles_and_counts_batches():
+    """A repeat run charges the same ledger, each run's span tree
+    reconciles with its ledger, and spans carry real batch counters."""
     db = _db("star")
     config = _regime_config(db, REGIMES["default"])
     _key, sql = WORKLOADS["star"][1][4]  # sales_by_region aggregate
-    plain = _run(db, sql, config)
-    traced = _run(db, sql, config, trace=True)
-    assert traced.rows == plain.rows
-    assert traced.ledger.as_dict() == plain.ledger.as_dict()
-    traced.trace.reconcile(traced.ledger)
-    assert _total_batches(traced.trace.operator_root.to_dict()) > 0
+    first = _run(db, sql, config)
+    again = _run(db, sql, config)
+    assert again.rows == first.rows
+    assert again.ledger.as_dict() == first.ledger.as_dict()
+    for result in (first, again):
+        result.trace.reconcile(result.ledger)
+        assert _total_batches(result.trace.operator_root.to_dict()) > 0
+        # every batch's charge lands on the scan that made it
+        scans = [s for s in result.trace.operator_spans()
+                 if s.node_type == "SeqScanNode" and s.batches > 1]
+        assert scans and all(s.self_ledger.tuple_cpu >= s.actual_rows
+                             for s in scans)
 
 
 def _total_batches(span):
@@ -276,7 +282,7 @@ def test_forced_filter_joins_identical(forced, bloom_bits, update_golden):
                              bloom_bits=bloom_bits)
     entries = []
     for key, sql in FILTER_JOIN_QUERIES.items():
-        result = _run(db, sql, config, trace=True)
+        result = _run(db, sql, config)
         assert find_nodes(result.plan, FilterJoinNode), key
         entries.append(_filter_join_entry(key, result))
     check_golden("exec__filter_join__%s-%d" % (forced, bloom_bits),
@@ -309,11 +315,11 @@ def test_filter_join_memory_budget_and_deadline_parity(forced):
         _run(db, sql, config, memory_budget_bytes=512)
     with pytest.raises(QueryTimeout):
         _run(db, sql, config, timeout=1e-9)
-    ok = _run(db, sql, config, trace=True,
+    ok = _run(db, sql, config,
               memory_budget_bytes=64 * 1024 * 1024, timeout=60.0)
     # a budget and deadline that hold change nothing: this is the
     # entry test_forced_filter_joins_identical froze for "str"
-    free = _run(db, sql, config, trace=True)
+    free = _run(db, sql, config)
     assert _filter_join_entry("str", ok) == _filter_join_entry("str", free)
 
 
@@ -342,7 +348,7 @@ def test_view5_filter_join_and_joins_above_run_as_kernels():
     of the hash joins above it stay columnar."""
     db = Database()
     build_star(db, StarConfig(num_sales=30_000, seed=7))
-    result = db.sql(VIEW5, options=Options(trace=True))
+    result = db.sql(VIEW5)
     root = result.trace.operator_root.to_dict()
     (_, kernel, fallback), = _kernel_counts(root, {"FilterJoinNode"})
     assert fallback == 0
@@ -370,8 +376,7 @@ def test_figure1_filter_join_runs_as_kernels():
     arrays. (The AVG inside the view may still fall back.)"""
     db = _db("empdept")
     config = OptimizerConfig(forced_view_join="filter_join")
-    result = db.sql(MOTIVATING_QUERY, config=config,
-                    options=Options(trace=True))
+    result = db.sql(MOTIVATING_QUERY, config=config)
     counts = _kernel_counts(result.trace.operator_root.to_dict(),
                             {"FilterJoinNode"})
     assert counts

@@ -12,7 +12,7 @@ next ``analyze``.
 
 import pytest
 
-from repro import Database, DataType, Options
+from repro import Database, DataType
 from repro.obs.drift import DriftGroup, DriftReport, DriftSample
 from repro.obs.querylog import QueryLog, QueryLogEntry
 from repro.obs.trace import q_error
@@ -82,14 +82,14 @@ class TestTrainedWorkloadBounds:
 
     def test_empdept_q_errors_bounded(self, empdept):
         for query in EMPDEPT_QUERIES:
-            trace = empdept.sql(query, options=Options(trace=True)).trace
+            trace = empdept.sql(query).trace
             assert trace.max_q_error <= EMPDEPT_Q_BOUND, query
             for q in _scan_q_errors(trace):
                 assert q <= SCAN_Q_BOUND, query
 
     def test_star_q_errors_bounded(self, star):
         for query in STAR_QUERIES:
-            trace = star.sql(query, options=Options(trace=True)).trace
+            trace = star.sql(query).trace
             assert trace.max_q_error <= STAR_Q_BOUND, query
             for q in _scan_q_errors(trace):
                 assert q <= SCAN_Q_BOUND, query
@@ -97,9 +97,9 @@ class TestTrainedWorkloadBounds:
     def test_drift_report_reflects_trained_accuracy(self, empdept):
         empdept.querylog.clear()
         for query in EMPDEPT_QUERIES:
-            empdept.sql(query, options=Options(trace=True))
+            empdept.sql(query)
         report = empdept.drift_report()
-        assert report.groups, "traced queries must populate the recorder"
+        assert report.groups, "queries must populate the recorder"
         assert report.worst.max_q_error <= EMPDEPT_Q_BOUND
         # a report renders with its ranking columns
         text = report.render()
@@ -125,10 +125,8 @@ class TestMisstatedTableRanking:
     def test_drift_report_ranks_misstated_table_first(self):
         db = self._db_with_stale_table()
         for _ in range(3):
-            db.sql("SELECT G.b FROM Good G WHERE G.a = 3",
-                   options=Options(trace=True))
-            db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
-                   options=Options(trace=True))
+            db.sql("SELECT G.b FROM Good G WHERE G.a = 3")
+            db.sql("SELECT S.b FROM Stale S WHERE S.a = 3")
         report = db.drift_report()
         assert report.worst is not None
         # the top group references the stale table (its Project span
@@ -150,22 +148,19 @@ class TestMisstatedTableRanking:
 
     def test_reanalyze_restores_accuracy(self):
         db = self._db_with_stale_table()
-        db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
-               options=Options(trace=True))
+        db.sql("SELECT S.b FROM Stale S WHERE S.a = 3")
         assert db.drift_report().worst.max_q_error > 10
         db.analyze()
         # the analyze retired the stale-era samples by itself
         assert db.drift_report().empty
-        trace = db.sql("SELECT S.b FROM Stale S WHERE S.a = 3",
-                       options=Options(trace=True)).trace
+        trace = db.sql("SELECT S.b FROM Stale S WHERE S.a = 3").trace
         assert trace.max_q_error <= SCAN_Q_BOUND
         assert db.drift_report().worst.max_q_error <= SCAN_Q_BOUND
 
     def test_analyze_retires_only_that_tables_samples(self):
         db = self._db_with_stale_table()
         for table in ("Good", "Stale"):
-            db.sql("SELECT X.b FROM %s X WHERE X.a = 3" % table,
-                   options=Options(trace=True))
+            db.sql("SELECT X.b FROM %s X WHERE X.a = 3" % table)
         assert [t.table for t in db.drift_report().tables] == \
             ["Stale", "Good"]
         db.analyze("stale")  # any spelling of the name
@@ -178,10 +173,11 @@ class TestMisstatedTableRanking:
                    for sample in entry.drift or ())
 
 
-def _traced(log, *samples):
-    """Record one statement carrying ``samples`` (none: untraced)."""
+def _record(log, *samples):
+    """Record one statement carrying ``samples`` (none: it ran no
+    plan) — what its operators' actuals would give."""
     entry = QueryLogEntry("q", kind="select")
-    entry.drift = samples or None
+    entry._drift = samples or None
     log.record(entry)
 
 
@@ -200,13 +196,13 @@ class TestRecorderMechanics:
             if i == 3:
                 samples.append(DriftSample("op3b", "SeqScanNode", "q",
                                            10, 10))
-            _traced(log, *samples)
+            _record(log, *samples)
         report = _report(log)
         assert {g.operator for g in report.groups} == \
             {"op2", "op3", "op3b", "op4"}
         assert report.recorded == 4 and report.window == 3
-        # the window counts statements, traced or not
-        _traced(log)
+        # the window counts statements, with samples or not
+        _record(log)
         assert {g.operator for g in _report(log).groups} == \
             {"op3", "op3b", "op4"}
 
@@ -214,16 +210,16 @@ class TestRecorderMechanics:
         log = QueryLog()
         # same max q-error (4.0) but different means
         for actual in (40, 40):
-            _traced(log, DriftSample("hot", "T", "q", 10, actual))
+            _record(log, DriftSample("hot", "T", "q", 10, actual))
         for actual in (40, 10):
-            _traced(log, DriftSample("cool", "T", "q", 10, actual))
+            _record(log, DriftSample("cool", "T", "q", 10, actual))
         groups = _report(log).groups
         assert [g.operator for g in groups] == ["hot", "cool"]
 
     def test_empty_report_renders(self):
         for report in (_report(QueryLog()), Database().drift_report()):
             assert report.worst is None
-            assert "no traced queries" in report.render()
+            assert "no query ran a plan" in report.render()
             assert report.empty
             assert report.as_dict()["empty"] is True
 
@@ -237,8 +233,8 @@ class TestRecorderMechanics:
 
     def test_populated_report_not_empty(self):
         log = QueryLog()
-        _traced(log, DriftSample("op", "T", "q", 10, 20, table="T"))
+        _record(log, DriftSample("op", "T", "q", 10, 20, table="T"))
         report = _report(log)
         assert not report.empty
-        assert "no traced queries" not in report.render()
+        assert "no query ran a plan" not in report.render()
         assert [t.table for t in report.tables] == ["T"]

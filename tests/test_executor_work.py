@@ -1,11 +1,11 @@
-"""What the executor asks a Bloom filter: one verdict per distinct key.
+"""What the executor does per statement, as deterministic counts; the
+executor's sibling of ``tests/test_planner_work.py``.
 
-A lossy Filter Join probes its bitmap inside the template once per row
-of the inner it restricts. The verdict depends on the key only, so a
-bound set keeps one per distinct key and later batches gather it. These
-are deterministic counts over a Bloom-forced join of a 30,000-row fact
-table whose key takes 300 values, the shape of ``star_scan.analytic``'s
-``view5``; the executor's sibling of ``tests/test_planner_work.py``.
+A lossy Filter Join probes its bitmap once per row of the inner it
+restricts, but the verdict depends on the key only, so a bound set asks
+once per distinct key: counted over a Bloom-forced join of a 30,000-row
+fact table whose key takes 300 values (``view5``'s shape). A warm
+statement records its operators' actuals and builds no span or label.
 """
 
 import os
@@ -14,7 +14,11 @@ import sys
 
 import pytest
 
+from repro import Database
 from repro.bloom import BloomFilter
+from repro.obs.trace import Span, walk_plan
+from repro.optimizer.plans import PlanNode
+from repro.workloads import build_empdept
 
 FACT_ROWS, KEYS = 30_000, 300
 SQL = ("SELECT C.region, F.amt FROM C, F "
@@ -72,3 +76,27 @@ def test_statement_leaves_numpy_ma_unimported():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_warm_point_lookup_builds_no_span_and_no_label(monkeypatch):
+    db = Database()
+    build_empdept(db)
+    sql = "SELECT E.eid, E.sal FROM Emp E WHERE E.did = 3"
+    for _ in range(3):  # stored on the second miss, a hit from then on
+        db.sql(sql)
+    built, classes = [], [PlanNode, Span]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        name = "label" if cls is not Span else "__init__"
+        if name in vars(cls):
+            monkeypatch.setattr(cls, name, lambda *a, real=getattr(cls, name),
+                                **k: built.append(real) or real(*a, **k))
+    result = db.sql(sql)
+    assert result.cached_plan and built == []
+    operators = result.record.operators
+    assert len(operators) == len(list(walk_plan(result.plan))) >= 2
+    assert all(op.executions == 1 and op.batches >= 1 for op in operators)
+    spans = result.trace.operator_spans()
+    assert built and [(s.actual_rows, s.batches) for s in spans] == \
+        [(op.rows, op.batches) for op in operators]
+    assert spans[0].actual_rows == len(result.rows) == 40

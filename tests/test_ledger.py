@@ -82,33 +82,31 @@ class TestEveryFieldEverywhere:
         a.reset()
         assert a == CostLedger()
 
-    def test_tracing_tee_sees_each_increment_exactly_once(self):
-        """The tee routes charge_* calls to the active span; copies and
-        sums of ledgers are not charges and must not reach it."""
-        from types import SimpleNamespace
-
-        from repro.obs.trace import LEDGER_FIELDS, _TeeLedger
+    def test_sink_sees_each_increment_exactly_once(self):
+        """While a sink is set, charge_* calls reach it as well; copies
+        and sums of ledgers are not charges and must not reach it."""
+        from repro.obs.trace import LEDGER_FIELDS
 
         assert list(LEDGER_FIELDS) == self.FIELDS
-        span = SimpleNamespace(self_counts=dict.fromkeys(LEDGER_FIELDS, 0.0))
         start = self.ledger(1)
-        tee = _TeeLedger([span], start=start)
-        tee.charge_reads(2)
-        tee.charge_writes(3)
-        tee.charge_cpu(7)
-        tee.charge_network(1, 64)
-        tee.charge_message(10)
-        tee.charge_invocation()
-        charged = dict(span.self_counts)
+        ledger = start.snapshot()
+        ledger.sink = sink = CostLedger()
+        ledger.charge_reads(2)
+        ledger.charge_writes(3)
+        ledger.charge_cpu(7)
+        ledger.charge_network(1, 64)
+        ledger.charge_message(10)
+        ledger.charge_invocation()
+        charged = sink.as_dict()
         assert charged == {"page_reads": 2, "page_writes": 3,
                            "tuple_cpu": 7, "net_msgs": 2, "net_bytes": 74,
                            "fn_invocations": 1}
-        assert tee.delta(start).as_dict() == charged
-        snap = tee.snapshot()
-        assert type(snap) is CostLedger and snap.as_dict() == tee.as_dict()
-        tee.merge(self.ledger(5))
-        _ = tee + snap, tee.scaled(3.0), tee.as_dict()
-        assert span.self_counts == charged
+        assert ledger.delta(start).as_dict() == charged
+        snap = ledger.snapshot()
+        assert snap.sink is None and snap == ledger
+        ledger.merge(self.ledger(5))
+        _ = ledger + snap, ledger.scaled(3.0), ledger.as_dict()
+        assert sink.as_dict() == charged
 
 
 class TestCostParams:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, OptimizerConfig, Options
+from repro import Database, OptimizerConfig
 from repro.storage.schema import DataType
 from repro.errors import PlanError
 from repro.executor.lowering import lower
@@ -175,20 +175,12 @@ class TestDistributedLowering:
 
 class TestTracedLowering:
     def test_tracers_count_rows(self, db):
-        result = db.sql("SELECT a FROM R WHERE b < 4",
-                        options=Options(trace=True))
+        result = db.sql("SELECT a FROM R WHERE b < 4")
         root = result.trace.operator_root
         assert root.actual_rows == len(result.rows)
         assert root.executions == 1
         # every executed node in the tree has a span
         assert len(list(root.walk())) >= 2
-
-    def test_tracing_does_not_change_results(self, db):
-        sql = "SELECT R.a, S.c FROM R, S WHERE R.a = S.a"
-        plain = db.sql(sql)
-        traced = db.sql(sql, options=Options(trace=True))
-        assert sorted(traced.rows) == sorted(plain.rows)
-        assert traced.ledger.as_dict() == plain.ledger.as_dict()
 
     def test_explain_analyze_shows_actuals(self, db):
         text = db.explain_analyze("SELECT a FROM R WHERE b < 4")

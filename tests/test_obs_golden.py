@@ -24,7 +24,7 @@ import json
 
 import pytest
 
-from repro import Options, ReproError
+from repro import ReproError
 from repro.distributed.network import FaultPlan, RetryPolicy
 from repro.workloads import fresh_drift, run_drift_narrative
 
@@ -81,7 +81,7 @@ def _corpus_script(workload):
     db = _watched(build())
     for _key, sql in queries:
         db.sql(sql)
-        db.sql(sql, options=Options(trace=True))
+        db.sql(sql)
     _key, first = queries[0]
     handle = db.prepare(first)
     handle.execute()
@@ -110,8 +110,7 @@ def _failover_script():
         FaultPlan(down_sites=frozenset({"siteB"})), seed=0,
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.001),
     )
-    _watched(db).sql(sql, config=_regime_config(db, {}),
-                     options=Options(trace=True))
+    _watched(db).sql(sql, config=_regime_config(db, {}))
     assert db.degradation_events
     return db
 

@@ -8,7 +8,6 @@ import types
 import pytest
 
 from repro import Options, ResourceExhausted
-from repro.executor import lowering  # noqa: F401 - defines SpanOperator
 from repro.executor.operators import (
     AggregateOp,
     BlockNLJoinOp,
@@ -52,7 +51,8 @@ def values(context, rows, schema=AB):
 
 
 class TestOneProtocol:
-    """``batches()`` is the only protocol an operator implements."""
+    """``_batches()`` is the only protocol an operator implements;
+    ``Operator.batches()``, which keeps the actuals, is the one way in."""
 
     def test_one_body_per_operator_and_no_engine_option(self):
         def subclasses(cls):
@@ -62,9 +62,10 @@ class TestOneProtocol:
 
         engine_ops = [cls for cls in subclasses(Operator)
                       if cls.__module__.startswith("repro.")]
-        assert len(engine_ops) >= 23
+        assert len(engine_ops) >= 22
         for cls in engine_ops:
-            assert "batches" in vars(cls), cls.__name__
+            assert "_batches" in vars(cls), cls.__name__
+            assert "batches" not in vars(cls), cls.__name__
             assert "rows" not in vars(cls), cls.__name__
         assert "engine" not in {
             field.name for field in dataclasses.fields(Options)}
@@ -206,7 +207,7 @@ class TestOneFilterSet:
                 getattr(context, old)
         assert "final_method" not in inspect.signature(
             FilterJoinNode).parameters
-        assert len(dataclasses.fields(Options)) == 10
+        assert len(dataclasses.fields(Options)) == 9
 
     def test_typed_filter_set_derives_its_views_lazily(self):
         key = Schema.of(("k", DataType.INT))

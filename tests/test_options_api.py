@@ -41,15 +41,14 @@ class TestOptions:
 
     def test_resolved_fills_builtins(self):
         resolved = Options().resolved()
-        assert resolved.trace is False
         assert resolved.use_cache is True
         assert resolved.timeout is None  # genuinely "unlimited"
 
     def test_merged_layers_non_none_fields(self):
-        base = Options(trace=True, timeout=5.0)
+        base = Options(slow_query_seconds=2.0, timeout=5.0)
         over = Options(timeout=1.0, use_cache=True)
         merged = base.merged(over)
-        assert merged.trace is True
+        assert merged.slow_query_seconds == 2.0
         assert merged.timeout == 1.0
         assert merged.use_cache is True
         assert base.merged(None) is base
@@ -64,11 +63,11 @@ class TestOptions:
 
     def test_immutable(self):
         with pytest.raises(Exception):
-            Options().trace = True
+            Options().timeout = 1.0
 
     def test_builtin_is_fully_specified_for_flags(self):
-        assert BUILTIN.trace is False
         assert BUILTIN.use_cache is True
+        assert BUILTIN.slow_query_seconds == 0.25
 
 
 # --------------------------------------------------- configure() / session()
@@ -77,10 +76,10 @@ class TestOptions:
 class TestDatabaseDefaults:
     def test_configure_sets_defaults(self):
         db = _tiny_db()
-        db.configure(use_cache=True, trace=True)
-        assert db.defaults.use_cache is True
-        result = db.sql(Q)
-        assert result.trace is not None  # default trace applied
+        db.configure(use_cache=False, slow_query_seconds=1e-9)
+        assert db.defaults.use_cache is False
+        db.sql(Q)
+        assert db.querylog.recent(1)[0].slow  # default threshold applied
 
     def test_configure_rejects_unknown_keys(self):
         db = _tiny_db()
@@ -90,25 +89,25 @@ class TestDatabaseDefaults:
     def test_session_scopes_and_restores(self):
         db = _tiny_db()
         db.configure(use_cache=True)
-        with db.session(use_cache=False, trace=True) as scoped:
+        with db.session(use_cache=False, timeout=5.0) as scoped:
             assert scoped is db
             assert db.defaults.use_cache is False
-            assert db.defaults.trace is True
+            assert db.defaults.timeout == 5.0
         assert db.defaults.use_cache is True
-        assert db.defaults.trace is None
+        assert db.defaults.timeout is None
 
     def test_session_restores_on_error(self):
         db = _tiny_db()
         with pytest.raises(RuntimeError):
-            with db.session(trace=True):
+            with db.session(timeout=5.0):
                 raise RuntimeError("boom")
-        assert db.defaults.trace is None
+        assert db.defaults.timeout is None
 
     def test_per_call_options_beat_defaults(self):
         db = _tiny_db()
-        db.configure(trace=True)
-        result = db.sql(Q, options=Options(trace=False))
-        assert result.trace is None
+        db.configure(slow_query_seconds=1e-9)
+        db.sql(Q, options=Options(slow_query_seconds=60.0))
+        assert not db.querylog.recent(1)[0].slow
 
 
 def test_server_started_with_no_flags_runs_the_vector_engine():
@@ -183,9 +182,9 @@ def test_serve_stops_on_sigint_with_a_transaction_open(tmp_path):
 
 class TestConnect:
     def test_local_connect_with_options(self):
-        db = repro.connect(trace=True, use_cache=True)
+        db = repro.connect(timeout=5.0, use_cache=True)
         assert isinstance(db, Database)
-        assert db.defaults.trace is True
+        assert db.defaults.timeout == 5.0
         assert db.defaults.use_cache is True
 
     def test_distributed_connect(self):
@@ -214,8 +213,9 @@ class TestConnect:
 
 
 class TestLegacyKwargShim:
-    """The pre-``Options`` keywords and the engine selector are gone,
-    not deprecated: each old spelling is an ordinary ``TypeError``."""
+    """The pre-``Options`` keywords, the engine selector and the trace
+    switch are gone, not deprecated: each old spelling is an ordinary
+    ``TypeError``."""
 
     def test_old_spellings_raise_type_error(self):
         db = _tiny_db()
@@ -228,6 +228,9 @@ class TestLegacyKwargShim:
             lambda: db.execute_script(Q + ";", timeout=1.0),
             lambda: Batch(rows=[(1, "x")]),
             lambda: repro.connect(engine="vector"),
+            lambda: Options(trace=True),
+            lambda: db.configure(trace=True),
+            lambda: repro.connect(trace=True),
         ):
             with pytest.raises(TypeError):
                 call()
@@ -237,7 +240,7 @@ class TestLegacyKwargShim:
         db = _tiny_db()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            db.sql(Q, options=Options(trace=True, use_cache=True))
+            db.sql(Q, options=Options(use_cache=True))
             db.configure(use_cache=True)
             db.sql(Q)
 

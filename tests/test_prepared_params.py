@@ -181,7 +181,7 @@ class TestSameStatementPath:
 
     def test_prepared_execution_is_traceable(self, db):
         handle = db.prepare(self.Q)
-        result = handle.execute([4], options=Options(trace=True))
+        result = handle.execute([4])
         assert result.trace is not None
         result.trace.reconcile(result.ledger)
         assert result.trace.phases["optimize"].extras["plan_cache"] \

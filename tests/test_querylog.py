@@ -183,7 +183,7 @@ class TestDatabaseTelemetry:
     def test_slow_query_captures_plan_and_trace(self):
         db = self.make_db()
         # a zero threshold makes every statement "slow"
-        opts = Options(slow_query_seconds=1e-9, trace=True)
+        opts = Options(slow_query_seconds=1e-9)
         db.sql("SELECT id FROM t WHERE id < 5", options=opts)
         slow = db.querylog.slowest()
         assert len(slow) == 1

@@ -402,7 +402,7 @@ class TestAdminSurface:
             assert client.slowlog() == []
 
     def test_slow_entry_carries_plan_and_trace(self, harness):
-        harness.db.configure(slow_query_seconds=1e-9, trace=True)
+        harness.db.configure(slow_query_seconds=1e-9)
         with harness.connect() as client:
             client.sql("SELECT id, v FROM t WHERE id = 2")
             entries = client.slowlog(limit=5)
@@ -413,7 +413,8 @@ class TestAdminSurface:
             assert "SELECT id, v FROM t" in entry["statement"]
             # the replay payload: full plan text plus the span trace
             assert "Scan" in entry["plan"]
-            assert entry["trace"]["root"]
+            execute = entry["trace"]["root"]["children"][-1]
+            assert execute["children"][0]["actual_rows"] == 1
 
     def test_slowlog_respects_limit(self, harness):
         harness.db.configure(slow_query_seconds=1e-9)
@@ -423,7 +424,6 @@ class TestAdminSurface:
             assert len(client.slowlog(limit=2)) == 2
 
     def test_drift_over_the_wire(self, harness):
-        harness.db.configure(trace=True)
         with harness.connect() as client:
             client.sql("SELECT id FROM t WHERE v > 15")
             report = client.drift()
@@ -485,7 +485,7 @@ class TestTopPanel:
             "  ms         kind     rows     sess   statement",
             "  312.50     select   12       c1     SELECT D.did FROM Dept D",
             "",
-            "drift: no traced queries in the window",
+            "drift: no query ran a plan in the window",
             "",
             "adaptive: no actions",
         ]

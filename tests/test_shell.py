@@ -279,22 +279,16 @@ class TestObservabilityCommands:
         assert "{select}" in output
         assert "{create_table}" in output
 
-    def test_trace_toggle_and_summary_line(self):
-        output = run_shell(SETUP + "\\trace\n\\trace on\n"
-                           "SELECT a FROM T WHERE b > 15;\n\\trace off\n")
-        assert "tracing is off" in output
-        assert "tracing on" in output
-        assert "trace:" in output and "worst q-err" in output
-        assert "tracing off" in output
-
     def test_trace_bad_argument(self):
-        output = run_shell("\\trace sideways\n")
-        assert "error" in output or "usage" in output
+        """There is no tracing switch: every query records its
+        operators' actuals, and ``\\trace`` is an unknown command."""
+        output = run_shell("\\trace on\n")
+        assert "unknown command '\\\\trace'" in output
 
     def test_drift_empty_then_populated(self):
-        output = run_shell(SETUP + "\\drift\n\\trace on\n"
+        output = run_shell(SETUP + "\\drift\n"
                            "SELECT a FROM T;\n\\drift\n")
-        assert "no traced queries" in output
+        assert "no query ran a plan" in output
         assert "estimate drift over the last" in output
 
     def test_explain_analyze_non_query_reports_inline(self):

@@ -14,7 +14,7 @@ import sys
 import threading
 import time
 
-from repro import Database, DataType, Options, SerializationError
+from repro import Database, DataType, SerializationError
 from repro.obs.log import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import QueryLog
@@ -146,13 +146,12 @@ class TestQueryLog:
 
     def test_drift_report_while_sessions_run_traced_statements(self):
         """Four threads fold the record ring while four sessions write
-        traced records into it."""
+        records, each with its operators' actuals, into it."""
         db = Database()
         db.create_table("t", [("id", DataType.INT),
                               ("v", DataType.INT)])
         db.insert("t", [(i, i % 9) for i in range(200)])
         db.analyze()
-        traced = Options(trace=True)
         finished = []
 
         def work(index):
@@ -164,7 +163,7 @@ class TestQueryLog:
                 with db.new_session() as session:
                     for i in range(60):
                         session.sql("SELECT id FROM t WHERE v = %d"
-                                    % (i % 9), options=traced)
+                                    % (i % 9))
             finally:
                 finished.append(index)
 

@@ -6,14 +6,13 @@ import json
 
 import pytest
 
-from repro import Database, DataType, Options, OptimizerTrace
+from repro import Database, DataType, OptimizerTrace
 from repro.workloads import MOTIVATING_QUERY, build_empdept
 
 
 @pytest.fixture(scope="module")
 def traced(empdept_db):
-    result = empdept_db.sql(MOTIVATING_QUERY,
-                            options=Options(trace=True))
+    result = empdept_db.sql(MOTIVATING_QUERY)
     assert result.trace is not None
     return result.trace
 
