@@ -15,6 +15,14 @@ columnar (``fallback_batches == 0``) and returns the rows the stamps
 say the snapshot sees, and ``num_rows`` — computed from the stamps —
 equals the number of rows each open snapshot actually sees.
 
+The schedules also move the storage underneath: a scan folds fresh
+rows into the columnar base and a multi-row INSERT then fails on its
+last row, or a ROLLBACK retracts rows a scan already folded; a
+quiesced table is vacuumed, clustered, or checkpointed and recovered
+(the recovered database's ``fingerprint`` must equal the live one's);
+and some shapes keep an int beyond 64 bits in ``v``, so that column
+stays a Python list in the base.
+
 ``DML_SCHEDULES`` (environment) sets the number of schedules; tier-1
 runs 30, CI's crash-recovery job 200.
 """
@@ -25,19 +33,31 @@ import sqlite3
 
 import pytest
 
-from repro import Database, DataType, SerializationError
+from repro import Database, DataType, SchemaError, SerializationError
+from repro import recover
 from repro.storage.mvcc import FROZEN
+from repro.txn import fingerprint
 
 N_SCHEDULES = int(os.environ.get("DML_SCHEDULES", "30"))
 STEPS = 40
 
-#: (key dtype, index kind, NULL keys) — a sorted index refuses NULLs
+#: (key dtype, index kind, NULL keys, big v) — a sorted index refuses
+#: NULLs; "big v" adds the row (NULL, 0, BIG), which no write matches
 SHAPES = [
-    (DataType.INT, "hash", False), (DataType.INT, "sorted", False),
-    (DataType.INT, None, False), (DataType.INT, "hash", True),
-    (DataType.INT, None, True), (DataType.STR, "hash", False),
-    (DataType.STR, "sorted", False), (DataType.STR, "hash", True),
+    (DataType.INT, "hash", False, False),
+    (DataType.INT, "sorted", False, False),
+    (DataType.INT, None, False, False), (DataType.INT, "hash", True, False),
+    (DataType.INT, None, True, False), (DataType.STR, "hash", False, False),
+    (DataType.STR, "sorted", False, False),
+    (DataType.STR, "hash", True, False),
+    (DataType.INT, "hash", True, True), (DataType.STR, None, True, True),
 ]
+
+#: beyond int64: the column holding it cannot encode and stays a list
+BIG = 2 ** 70
+#: what sqlite3 (64-bit integers) stores for BIG; it compares to every
+#: literal of the schedules as BIG does
+ORACLE_BIG = 2 ** 62
 
 
 # ---------------------------------------------------------- the reference
@@ -70,7 +90,7 @@ def scan_match(table, where):
 
 class Shape:
     def __init__(self, rng):
-        self.dtype, self.index, self.nulls = rng.choice(SHAPES)
+        self.dtype, self.index, self.nulls, self.big = rng.choice(SHAPES)
         self.rng = rng
 
     def key(self, n):
@@ -87,7 +107,22 @@ class Shape:
         if self.nulls:
             rows += [(None, rng.randrange(4), rng.randrange(100))
                      for _ in range(4)]
+        if self.big:
+            rows.append((None, 0, BIG))
         return rows
+
+    def insert(self):
+        """A multi-row INSERT text that succeeds."""
+        return "INSERT INTO t VALUES %s" % ", ".join(
+            "(%s, %d, %d)" % (self.lit(), self.rng.randrange(4),
+                              self.rng.randrange(100))
+            for _ in range(self.rng.randrange(1, 4)))
+
+    def bad_insert(self):
+        """A multi-row INSERT whose last row has a STR ``v``: the rows
+        before it are appended, then the statement is undone."""
+        return "INSERT INTO t VALUES (%s, 1, 5), (%s, 2, 'x')" % (
+            self.lit(), self.lit())
 
     def write(self):
         """One UPDATE/DELETE/INSERT text."""
@@ -132,6 +167,7 @@ class Side:
     session ``a`` and a second session ``b``."""
 
     def __init__(self, shape, rows, reference):
+        self.shape = shape
         self.db = db = Database()
         db.configure(durability="lazy")
         if reference:
@@ -148,8 +184,8 @@ class Side:
         """Rows of the statement, or the verdict's name."""
         try:
             return sorted(self.sessions[who].sql(text).rows, key=repr)
-        except SerializationError:
-            return "SerializationError"
+        except (SerializationError, SchemaError) as err:
+            return type(err).__name__
 
     def check_storage(self):
         """Stamp-derived counts vs. the rows; columnar scan vs. the
@@ -171,12 +207,29 @@ class Side:
             result = session.sql(query)
             scan, = [span for span in result.trace.operator_spans()
                      if span.node_type == "SeqScanNode"]
-            assert scan.extras["fallback_batches"] == 0
-            assert scan.extras.get("kernel_batches", 0) >= bool(seen[0])
+            if not self.shape.big:  # a list column runs interpreted
+                assert scan.extras["fallback_batches"] == 0
+                assert scan.extras.get("kernel_batches", 0) \
+                    >= bool(seen[0])
             assert result.rows == seen[2]
 
     def wal_bytes(self):
         return self.db.txn.wal().storage.read_all()
+
+    def maintain(self, what):
+        """One maintenance step on the quiesced table."""
+        if what == "vacuum":
+            return self.db.vacuum()
+        if what.startswith("cluster"):
+            self.table.cluster_by(what.split()[1])
+            return [tuple(row) for row in self.table.rows]
+        # checkpoint, then recover from the truncated log
+        self.db.vacuum()  # index entries of dead versions are physical
+        self.db.checkpoint()
+        recovered, report = recover(self.wal_bytes())
+        assert report.checkpoint_used
+        assert fingerprint(recovered) == fingerprint(self.db)
+        return fingerprint(self.db)
 
 
 def run_schedule(seed):
@@ -187,7 +240,8 @@ def run_schedule(seed):
              Side(shape, rows, reference=True)]
     oracle = sqlite3.connect(":memory:", isolation_level=None)
     oracle.execute("CREATE TABLE t (id, grp, v)")
-    oracle.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+    oracle.executemany("INSERT INTO t VALUES (?, ?, ?)", [
+        (key, grp, ORACLE_BIG if v == BIG else v) for key, grp, v in rows])
     #: session a's uncommitted writes, replayed in sqlite3 at COMMIT;
     #: b never commits a write, so a's history is the serial history
     pending, in_txn = [], {"a": False, "b": False}
@@ -234,8 +288,30 @@ def run_schedule(seed):
                 step("a", "SAVEPOINT sp", label)
                 mark[0] = len(pending)
         elif draw < 0.40 and not (in_txn["a"] or in_txn["b"]):
-            assert sides[0].db.vacuum() == sides[1].db.vacuum()
-        elif draw < 0.55:
+            what = rng.choice(["vacuum", "cluster id", "cluster v",
+                               "checkpoint"])
+            assert sides[0].maintain(what) == sides[1].maintain(what)
+        elif draw < 0.45:
+            # a scan folds a's new rows into the columnar base; then
+            # ROLLBACK retracts them (inside a transaction), or a
+            # multi-row INSERT appends past them and fails on its last
+            # row
+            text = shape.insert()
+            step("a", text, label)
+            if in_txn["a"]:
+                pending.append(text)
+            else:
+                oracle.execute(text)
+            step("a", "SELECT grp, SUM(v), COUNT(*) FROM t GROUP BY grp",
+                 label)
+            if not (in_txn["a"] and rng.random() < 0.5):
+                assert step("a", shape.bad_insert(), label) \
+                    == "SchemaError"
+            if in_txn["a"]:  # the failed INSERT aborted it
+                end("a", "ROLLBACK")
+            for side in sides:
+                side.check_storage()
+        elif draw < 0.58:
             step(rng.choice("ab"), shape.read(), label)
         else:
             text = shape.write()
@@ -253,9 +329,13 @@ def run_schedule(seed):
         if in_txn[who]:
             end(who, "COMMIT" if who == "a" else "ROLLBACK")
     final = [side.run("a", "SELECT * FROM t") for side in sides]
-    assert final[0] == final[1] == sorted(
+    assert final[0] == final[1]
+    assert sorted(((key, grp, ORACLE_BIG if v == BIG else v)
+                   for key, grp, v in final[0]), key=repr) == sorted(
         oracle.execute("SELECT * FROM t").fetchall(), key=repr)
     assert sides[0].wal_bytes() == sides[1].wal_bytes()
+    assert sides[0].maintain("checkpoint") \
+        == sides[1].maintain("checkpoint")
     counters = sides[0].db.metrics()
     return shape, counters.get("dml_access_total", {}).get("by_label", {})
 
@@ -271,7 +351,7 @@ def test_schedule_matches_scan_reference(seed):
 
 def test_shapes_are_all_exercised():
     """The first 30 seeds (tier-1's) reach every table shape."""
-    seen = {(s.dtype, s.index, s.nulls)
+    seen = {(s.dtype, s.index, s.nulls, s.big)
             for s in (Shape(random.Random(seed)) for seed in range(30))}
     assert seen == set(SHAPES)
 
