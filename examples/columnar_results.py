@@ -1,11 +1,10 @@
 """Columnar storage and the columnar results API.
 
-Tables keep a typed numpy columnar base next to the row log; the
-executor runs filters, joins, and aggregations as numpy kernels over it
-and hands the output columns to the result — so analytics code can go
-straight from SQL to arrays without re-transposing rows. This example
-declares a typed schema (plus dtype backfill for untyped legacy data),
-runs an aggregation, and reads the result column-wise.
+A table is stored as typed numpy columns; the executor runs filters,
+joins, and aggregations as numpy kernels over them and hands the output
+columns to the result — so analytics code can go straight from SQL to
+arrays without re-transposing rows. This example declares typed
+schemas, runs an aggregation, and reads the result column-wise.
 
 Run:  python examples/columnar_results.py
 """
@@ -15,7 +14,7 @@ from repro import DataType, Schema, SchemaError
 
 db = repro.connect()
 
-# -- typed schema declaration: SQL dtypes, Schema.of, or inference ----
+# -- typed schema declaration: SQL dtypes, Schema.of, or pairs -------
 
 db.execute_script("""
     CREATE TABLE Trades (sym TEXT, qty INT, px FLOAT);
@@ -29,10 +28,11 @@ db.create_table("Desks", schema=Schema.of(
 db.insert("Desks", [("AAA", "equities"), ("BBB", "rates"),
                     ("CCC", "rates")])
 
-# untyped legacy data: plain names + rows, dtypes are inferred
-db.create_table("Limits", ["desk", "max_qty"],
+# (name, DataType) pairs + rows inserted at creation
+db.create_table("Limits",
+                [("desk", DataType.STR), ("max_qty", DataType.INT)],
                 rows=[("equities", 500), ("rates", 800)])
-print("inferred:", db.catalog.table("Limits").schema)
+print("declared:", db.catalog.table("Limits").schema)
 
 try:
     db.insert("Trades", [("DDD", "lots", 1.0)])

@@ -376,18 +376,14 @@ class Database:
 
         The schema comes from either positional ``columns`` or the
         ``schema=`` keyword (they are aliases; passing both raises) and
-        may be a :class:`Schema`, ``(name, DataType)`` pairs, or — the
-        untyped legacy spelling — plain column-name strings, in which
-        case dtypes are inferred from ``rows`` (:meth:`Schema.inferred`
-        backfill; bools before ints, INT+FLOAT widens to FLOAT).
+        is a :class:`Schema` or ``(name, DataType)`` pairs; a bare
+        column name raises :class:`~repro.errors.SchemaError`.
         Dtype-violating inserts against the resulting table raise
         :class:`~repro.errors.SchemaError`. ``rows``, when given, are
         inserted after creation::
 
             db.create_table("emp", schema=Schema.of(
                 ("eno", DataType.INT), ("name", DataType.STR)))
-            db.create_table("legacy", ["a", "b"],
-                            rows=[(1, "x"), (2, None)])
         """
         if (columns is None) == (schema is None):
             raise TypeError(
@@ -398,17 +394,11 @@ class Database:
             resolved = spec
         else:
             spec = list(spec)
-            if all(isinstance(item, str) for item in spec) and spec:
-                if rows is None:
-                    raise SchemaError(
-                        "untyped column names require rows= to infer "
-                        "dtypes from (or declare (name, DataType) "
-                        "pairs)")
-                rows = [tuple(row) for row in rows]
-                resolved = Schema.inferred(spec, rows)
-            else:
-                resolved = Schema(
-                    Column(col, dtype) for col, dtype in spec)
+            if any(isinstance(item, str) for item in spec):
+                raise SchemaError(
+                    "a bare column name has no dtype: declare "
+                    "(name, DataType) pairs or a Schema")
+            resolved = Schema(Column(col, dtype) for col, dtype in spec)
         with self._lock, self.txn.atomic():
             table = self.txn.do_create_table(name, resolved)
             if rows:

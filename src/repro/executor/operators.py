@@ -256,8 +256,10 @@ class IndexScanOp(Operator):
         bind_memberships(self.residual, self.ctx)
         residual = compile_optional_filter(self.residual,
                                            self)
-        rows = [self.table.row_at(p) for p in positions]
-        for batch in batches_from_list(rows, len(self.schema)):
+        if not positions:
+            return
+        for batch in Batch(self.table.take(positions),
+                           len(positions)).chunks():
             if residual is not None:
                 self.ctx.charge_cpu(batch.n)
                 batch = batch.select(residual(batch))
@@ -1466,9 +1468,6 @@ class IndexNLJoinOp(Operator):
             )
         residual = compile_optional_filter(self.residual,
                                            self)
-        # index positions are physical, and the columnar base covers
-        # every physical row, so the inner is gathered straight off it
-        store = self.table.compact()
         width = self.inner_schema.row_width()
         reads = {}  # match count -> pages one probe reads
         probes, charged = [], 0
@@ -1507,10 +1506,10 @@ class IndexNLJoinOp(Operator):
                 outer_at += [i] * len(positions)
                 inner_at += positions
             if inner_at:
-                out = Batch(batch.take(outer_at).columns + [
-                    col.take(inner_at) if isinstance(col, ColumnVector)
-                    else [col[p] for p in inner_at]
-                    for col in store.columns], len(inner_at))
+                # index positions are physical: the inner is gathered
+                # straight off the table's base
+                out = Batch(batch.take(outer_at).columns
+                            + self.table.take(inner_at), len(inner_at))
                 owners = _np.array(outer_at, dtype=_np.intp)
                 if residual is not None:
                     keep = _np.asarray(residual(out), dtype=_np.bool_)
@@ -1608,7 +1607,8 @@ class FilterJoinOp(Operator):
         self.residual = residual
         self.materialize_production = materialize_production
         self.lossy = lossy
-        self.bloom_bits = bloom_bits
+        #: the Bloom filter's size; None for an exact filter set
+        self.bloom_bits = bloom_bits if lossy else None
         self.ship_filter = ship_filter
         self.measured_components = {}
         # filter effectiveness, filled in by batches() and copied into
@@ -1663,7 +1663,7 @@ class FilterJoinOp(Operator):
         filter_set = FilterSet.distinct(
             self.filter_schema,
             [production.column(p) for p in self.bind_positions],
-            bloom_bits=self.bloom_bits if self.lossy else None)
+            bloom_bits=self.bloom_bits)
         if filter_set.columns is not None:
             self.kernel_batches += 1
         else:

@@ -19,6 +19,7 @@ from ..stats.histogram import (
     FrequencyHistogram,
 )
 from ..udf.relation import FunctionRegistry
+from . import columnar
 from .mvcc import MVCCState
 from .schema import DataType, Schema
 from .table import Table
@@ -119,8 +120,10 @@ def compute_table_stats(table: Table, num_buckets: int = 20,
         num_pages=table.num_pages,
         row_width=table.schema.row_width(),
     )
+    store = table.columnar_view()
     for position, column in enumerate(table.schema):
-        values = [row[position] for row in table.rows]
+        values = ([] if store is None
+                  else columnar.materialize(store.columns[position]))
         non_null = [v for v in values if v is not None]
         null_fraction = (
             (len(values) - len(non_null)) / len(values) if values else 0.0

@@ -9,23 +9,22 @@ String columns are dictionary-encoded: the distinct strings live once in
 a :class:`StringDictionary` and rows store 32-bit codes, so equality
 probes and GROUP BY over strings run as integer kernels.
 
-The store is a *derived acceleration structure*: the row-form list on
-:class:`~repro.storage.table.Table` remains the authoritative version
-store (MVCC stamps, WAL serialization, and index probes all read
-rows), and the columnar base covers a prefix of the *physical* row list,
-append-only like the heap: dead and uncommitted versions sit in it and
-a scan masks out the positions its snapshot cannot see
-(:meth:`ColumnStore.without`). Rows appended after the last compaction
-form a row-shaped delta tail that :meth:`ColumnStore.extend` folds in;
-only a change that moves positions (vacuum, clustering, truncation
-below the base) invalidates the store, which is rebuilt lazily at the
-next scan. See docs/execution.md ("Columnar storage").
+The store *is* the table: a :class:`~repro.storage.table.Table` keeps
+its rows only here, over every *physical* position below its base,
+append-only like a heap — dead and uncommitted versions sit in it and a
+scan masks out the positions its snapshot cannot see
+(:meth:`ColumnStore.without`). Rows inserted since the last compaction
+wait as a short tail of tuples on the table until
+:meth:`ColumnStore.extend` folds them in. A change that moves positions
+works on the columns themselves: vacuum drops positions, clustering
+permutes them (:meth:`ColumnStore.take`), and truncation keeps a
+prefix. See docs/execution.md ("Columnar storage").
 
 Value fidelity is absolute: a value must round-trip ``Python ->
 array -> Python`` bit-exactly or the column refuses encoding and falls
-back to a plain Python list (``None`` slot in the store), so kernels
-and ``Expr.eval`` always see the same values. In particular ints beyond
-64 bits are never narrowed.
+back to a plain Python list inside the store, so kernels and
+``Expr.eval`` always see the same values. In particular ints beyond 64
+bits are never narrowed.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class ColumnVector:
     def from_values(dtype: DataType, column: Sequence) -> \
             Optional["ColumnVector"]:
         """Encode one column of Python values, or ``None`` when the
-        values cannot round-trip exactly (the caller keeps rows)."""
+        values cannot round-trip exactly (the caller keeps a list)."""
         n = len(column)
         mask = None
         if any(v is None for v in column):
@@ -183,7 +182,7 @@ class ColumnVector:
 
         String columns re-use (and grow) this vector's dictionary, so
         existing codes stay stable. Returns ``None`` if the tail cannot
-        encode; the caller invalidates and keeps rows."""
+        encode; the caller keeps the column as a list."""
         tail = None
         if dtype is DataType.STR and self.dictionary is not None:
             n = len(column)
@@ -359,6 +358,18 @@ class ColumnStore:
         ]
         return ColumnStore(self.schema, columns,
                            self.num_rows - len(positions))
+
+    def take(self, positions: Sequence[int]) -> list:
+        """Every column at ``positions``, in that order: one fancy index
+        per typed column, an element walk for a list column."""
+        at = np.asarray(positions, dtype=np.intp)
+        return [col.take(at) if isinstance(col, ColumnVector)
+                else [col[p] for p in positions]
+                for col in self.columns]
+
+    def rows(self) -> List[tuple]:
+        """The rows as tuples of exact Python values."""
+        return list(zip(*map(materialize, self.columns)))
 
     def column_slices(self, start: int, stop: int) -> list:
         return [

@@ -1,6 +1,6 @@
 """Snapshot bookkeeping for multi-version concurrency control.
 
-Tables keep every row version physically (``Table._rows``) and stamp
+Tables keep every row version at its own physical position and stamp
 versions with the transaction that created them (``xmin``) and, once
 deleted or superseded, the transaction that removed them (``xmax``).
 This module owns the *temporal* side of that scheme: which transaction
@@ -24,9 +24,8 @@ never mid-statement. That buys three big simplifications:
   are rewritten to ``xmin = 0`` ("frozen", visible to all) and its
   deleted rows to ``xmax = 0`` ("frozen-dead", visible to none, ready
   for vacuum), and its bookkeeping is dropped. A quiesced table —
-  no unfrozen stamps at all — serves raw physical rows with zero
-  per-row overhead, which is what keeps the single-caller fast path
-  within the transaction benchmark's 5% budget.
+  no unfrozen stamps at all — hides nothing, so a scan reads its
+  columnar base with no per-row visibility work.
 
 Vacuum (physical reclamation of frozen-dead versions) lives on
 :class:`~repro.storage.table.Table`; the manager triggers it when no

@@ -104,55 +104,6 @@ class Schema:
         """Convenience constructor: ``Schema.of(("did", DataType.INT), ...)``."""
         return cls(Column(name, dtype) for name, dtype in specs)
 
-    @classmethod
-    def inferred(cls, names: Sequence[str], rows: Iterable[Sequence]
-                 ) -> "Schema":
-        """A typed schema inferred from sample rows — the dtype
-        backfill for untyped legacy data (plain column names plus a
-        list of value tuples).
-
-        Per column: bool before int (Python bools *are* ints), INT and
-        FLOAT widen to FLOAT, any other mix raises
-        :class:`SchemaError`, and a column with no non-NULL sample
-        defaults to STR.
-        """
-        dtypes: List[Optional[DataType]] = [None] * len(names)
-        for row in rows:
-            if len(row) != len(names):
-                raise CatalogError(
-                    "row arity %d does not match %d column name(s)"
-                    % (len(row), len(names))
-                )
-            for j, value in enumerate(row):
-                if value is None:
-                    continue
-                if isinstance(value, bool):
-                    dtype = DataType.BOOL
-                elif isinstance(value, int):
-                    dtype = DataType.INT
-                elif isinstance(value, float):
-                    dtype = DataType.FLOAT
-                elif isinstance(value, str):
-                    dtype = DataType.STR
-                else:
-                    raise SchemaError(
-                        "cannot infer a dtype for value %r" % (value,),
-                        column=names[j],
-                    )
-                seen = dtypes[j]
-                if seen is None or seen is dtype:
-                    dtypes[j] = dtype
-                elif {seen, dtype} == {DataType.INT, DataType.FLOAT}:
-                    dtypes[j] = DataType.FLOAT
-                else:
-                    raise SchemaError(
-                        "column %r mixes %s and %s values"
-                        % (names[j], seen.value, dtype.value),
-                        column=names[j],
-                    )
-        return cls(Column(name, dtype or DataType.STR)
-                   for name, dtype in zip(names, dtypes))
-
     def __len__(self) -> int:
         return len(self.columns)
 

@@ -1,35 +1,46 @@
 """In-memory tables with a simulated page layout and MVCC versioning.
 
-Rows live in a Python list, but every table exposes a *page model*: given
-its schema's row width and a fixed page size, ``num_pages`` says how many
-page I/Os a full scan costs. Executor operators charge those I/Os to the
-cost ledger; the optimizer's formulas predict the same quantities from
-catalog statistics. This is the substitution documented in DESIGN.md for
-the paper's disk-based engine.
+A table's rows live in one place, its columnar base
+(:class:`~repro.storage.columnar.ColumnStore`): typed numpy arrays over
+the physical positions ``[0, base)``. Rows appended since the last
+:meth:`Table.compact` wait in ``_rows``, a short tail of coerced tuples
+at positions ``base, base + 1, ...``, which the next scan or gather
+folds into the base. No tuple is kept for a base position; ``rows`` and
+``row_at`` build them on demand.
 
-Concurrency (PR 8) adds snapshot-isolated versioning on top of the
-same storage: ``_rows`` holds every version ever created, a parallel
-``_xmins`` list stamps each version with its creating transaction, and
-a sparse ``_xmaxs`` dict stamps deleted/superseded versions with the
-transaction that removed them. Visibility is computed from the stamps,
-not the rows: the positions a snapshot cannot see (:meth:`Table._hidden`)
-follow from the frozen-dead set and the per-transaction stamp lists
-alone, and ``rows``, ``num_rows``, ``visible_positions`` and
-``columnar_view`` all read that one set. With nothing hidden
-``Table.rows`` is the raw physical list — bit-identical to the pre-MVCC
-engine, zero per-row overhead (see :mod:`repro.storage.mvcc` for the
-visibility rules and the freezing protocol that keeps tables quiesced).
-Updates never modify a row in place: they stamp the old version's
-``xmax`` and append the new version, so concurrent readers keep seeing
-the world their snapshot pinned. :meth:`vacuum` physically reclaims
-frozen-dead versions once no transaction can need them.
+Every table exposes a *page model*: given its schema's row width and a
+fixed page size, ``num_pages`` says how many page I/Os a full scan
+costs. Executor operators charge those I/Os to the cost ledger; the
+optimizer's formulas predict the same quantities from catalog
+statistics. This is the substitution documented in DESIGN.md for the
+paper's disk-based engine.
+
+Snapshot-isolated versioning rides on the same positions: every version
+ever created keeps its physical position, a parallel ``_xmins`` list
+stamps each with its creating transaction, and a sparse ``_xmaxs`` dict
+stamps deleted/superseded versions with the transaction that removed
+them. Visibility is computed from the stamps, not the rows: the
+positions a snapshot cannot see (:meth:`Table._hidden`) follow from the
+frozen-dead set and the per-transaction stamp lists alone, and
+``rows``, ``num_rows``, ``visible_positions`` and ``columnar_view`` all
+read that one set (see :mod:`repro.storage.mvcc` for the visibility
+rules and the freezing protocol that keeps tables quiesced). Updates
+never modify a row in place: they stamp the old version's ``xmax`` and
+append the new version, so concurrent readers keep seeing the world
+their snapshot pinned. :meth:`Table.vacuum` physically reclaims
+frozen-dead versions once no transaction can need them, and
+:meth:`Table.cluster_by` reorders a quiesced table; both permute the
+base's columns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress, count
 from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
                     Set)
+
+import numpy as np
 
 from ..errors import CatalogError
 from . import columnar
@@ -59,7 +70,8 @@ class Table:
     """An append-only, multi-versioned stored relation.
 
     Tables own their secondary indexes; ``create_index`` builds over
-    existing rows and ``insert`` maintains all indexes incrementally.
+    one column of the existing rows and ``insert`` maintains all
+    indexes incrementally.
     Indexes map keys to *physical* positions and may reference dead
     versions; readers re-check visibility via
     :meth:`visible_positions`.
@@ -68,6 +80,13 @@ class Table:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
+        #: the columnar base: every physical position below ``_base``
+        #: (dead and uncommitted versions included); None until the
+        #: first row is folded in
+        self._store: Optional["columnar.ColumnStore"] = None
+        self._base = 0
+        #: the tail: coerced rows at positions ``_base + i``, appended
+        #: since the last :meth:`compact`
         self._rows: List[tuple] = []
         self.indexes: dict = {}
         # Column the rows are physically ordered by (clustered), if any;
@@ -92,30 +111,15 @@ class Table:
         self._mutations = 0
         self._vis_key: Optional[tuple] = None
         self._vis_hidden: AbstractSet[int] = _NOTHING_HIDDEN
-        self._vis_rows: Optional[List[tuple]] = None
-        # ------------------------------------------- columnar base
-        #: typed numpy column arrays covering the *physical* prefix
-        #: ``_rows[:_col_base]`` (see repro.storage.columnar), dead and
-        #: uncommitted versions included — append-only like the heap;
-        #: rows past the base are the row-form delta tail, folded in by
-        #: :meth:`compact`. Dropped only when positions move.
-        self._colstore: Optional["columnar.ColumnStore"] = None
-        self._col_base = 0
 
     # ------------------------------------------------------------------ data
 
     @property
     def rows(self) -> List[tuple]:
-        """The rows visible to the current snapshot: the raw physical
-        list when nothing is hidden (the common, quiesced state), else
-        a list cached beside the hidden set."""
-        hidden = self._hidden()
-        if not hidden:
-            return self._rows
-        if self._vis_rows is None:
-            self._vis_rows = [row for pos, row in enumerate(self._rows)
-                              if pos not in hidden]
-        return self._vis_rows
+        """The rows visible to the current snapshot, as tuples built
+        from the base (checkpoints, reference evaluators)."""
+        store = self.columnar_view()
+        return store.rows() if store is not None else []
 
     def _hidden(self) -> AbstractSet[int]:
         """Physical positions the current snapshot cannot see, from the
@@ -142,7 +146,6 @@ class Table:
                     hidden.update(positions)
             self._vis_key = key
             self._vis_hidden = hidden
-            self._vis_rows = None
         return self._vis_hidden
 
     def visible_positions(self, positions: Iterable[int]) -> List[int]:
@@ -157,30 +160,19 @@ class Table:
 
     # -------------------------------------------------- columnar base
 
-    def _col_invalidate(self) -> None:
-        self._colstore = None
-        self._col_base = 0
-
     def compact(self) -> Optional["columnar.ColumnStore"]:
-        """(Re)build or extend the columnar base to cover every
-        *physical* row; ``None`` when the table is empty.
-
-        Called lazily by :meth:`columnar_view` at scan time, and
-        eagerly by :meth:`vacuum` right after physical compaction.
-        """
-        n = len(self._rows)
-        if self._colstore is None:
-            if n == 0:
-                return None
-            self._colstore = columnar.ColumnStore.build(
-                self.schema, self._rows)
-            self._col_base = n
-        elif self._col_base < n:
-            # fold the row-form delta tail into the columnar base
-            self._colstore = self._colstore.extend(
-                self._rows[self._col_base:])
-            self._col_base = n
-        return self._colstore
+        """Fold the tail into the columnar base and return the base,
+        which then covers every physical position; ``None`` when the
+        table never held a row. Called by scans and gathers."""
+        if self._rows:
+            if self._store is None:
+                self._store = columnar.ColumnStore.build(
+                    self.schema, self._rows)
+            else:
+                self._store = self._store.extend(self._rows)
+            self._base += len(self._rows)
+            self._rows = []
+        return self._store
 
     def columnar_view(self) -> Optional["columnar.ColumnStore"]:
         """The rows visible to the current snapshot in columnar form:
@@ -193,16 +185,49 @@ class Table:
             return store
         return store.without(hidden)
 
-    @property
-    def physical_rows(self) -> List[tuple]:
-        """Raw storage, every version including dead ones. Owned by
-        the transaction manager and vacuum; everyone else wants
-        :attr:`rows`."""
-        return self._rows
+    def take(self, positions: Sequence[int]) -> list:
+        """The columns of the rows at physical ``positions``, in that
+        order: the one gather of stored rows (index scans and joins,
+        UPDATE/DELETE targets). A position in the tail is read from its
+        tuple, never by folding the tail in, so writing a row that was
+        just written copies no column of the base."""
+        base = self._base
+        if not positions or max(positions) < base:
+            if self._store is None:
+                return [[] for _ in self.schema]
+            return self._store.take(positions)
+        at = np.asarray(positions, dtype=np.intp)
+        in_tail = at >= base
+        rows = [self._rows[p - base] for p in at[in_tail].tolist()]
+        if self._store is None:  # no base: every position is in the tail
+            return columnar.ColumnStore.build(self.schema, rows).columns
+        # the base's rows, then the tail's, then back to the asked order
+        head = np.flatnonzero(~in_tail)
+        gathered = columnar.ColumnStore(
+            self.schema, self._store.take(at[head]), len(head)).extend(rows)
+        order = np.argsort(np.concatenate([head, np.flatnonzero(in_tail)]))
+        return gathered.take(order)
+
+    def row_at(self, position: int) -> tuple:
+        """One physical row as a tuple."""
+        if position >= self._base:
+            return self._rows[position - self._base]
+        return tuple(col[position] for col in self._store.columns)
+
+    def _column(self, name: str) -> list:
+        """Every physical value of one column, in position order."""
+        at = self.schema.index_of(name)
+        store = self.compact()
+        return [] if store is None else columnar.materialize(
+            store.columns[at])
+
+    def _reload_indexes(self) -> None:
+        for index in self.indexes.values():
+            index.bulk_load(zip(self._column(index.column_name), count()))
 
     @property
     def physical_count(self) -> int:
-        return len(self._rows)
+        return self._base + len(self._rows)
 
     def conflicting_positions(self, positions: Sequence[int]) -> List[int]:
         """Positions that already carry *any* deletion stamp. A version
@@ -221,7 +246,7 @@ class Table:
         the default FROZEN makes it immediately visible to everyone
         (correct whenever no concurrent snapshot is live)."""
         coerced = self.schema.validate_row(row)
-        position = len(self._rows)
+        position = self.physical_count
         self._rows.append(coerced)
         self._xmins.append(xmin)
         if xmin:
@@ -269,11 +294,16 @@ class Table:
         """Discard every version at position >= ``num_rows``,
         maintaining indexes and version metadata. The undo of an
         append when the tail is known to belong to the caller."""
-        if num_rows >= len(self._rows):
+        if num_rows >= self.physical_count:
             return
-        if num_rows < self._col_base:
-            self._col_invalidate()
-        del self._rows[num_rows:]
+        if num_rows < self._base:
+            self._store = columnar.ColumnStore(
+                self.schema, self._store.column_slices(0, num_rows),
+                num_rows)
+            self._base = num_rows
+            self._rows = []
+        else:
+            del self._rows[num_rows - self._base:]
         del self._xmins[num_rows:]
         if self._xmaxs:
             kept = {p: x for p, x in self._xmaxs.items() if p < num_rows}
@@ -298,7 +328,7 @@ class Table:
         otherwise — transaction rollback after other transactions
         appended — our versions are stamped frozen-dead for vacuum."""
         mine = [p for p in self._writers.get(txn_id, ()) if p >= before]
-        if txn_id == FROZEN or len(self._rows) - before == len(mine):
+        if txn_id == FROZEN or self.physical_count - before == len(mine):
             self.truncate_to(before)
             return
         for position in mine:
@@ -332,64 +362,50 @@ class Table:
         self._mutations += 1
 
     def vacuum(self) -> int:
-        """Physically reclaim frozen-dead versions, compacting storage
-        and rebuilding indexes; returns the number reclaimed.
+        """Physically reclaim frozen-dead versions: drop their positions
+        from every column of the base, renumber the stamps and rebuild
+        the indexes; returns the number reclaimed.
 
         Only safe when no transaction holds undo closures referencing
         physical positions — the manager guarantees that by vacuuming
         only while no transaction is live.
         """
-        if not self._dead:
+        dead = self._dead
+        if not dead:
             return 0
-        xmaxs = self._xmaxs
-        keep = [p for p in range(len(self._rows))
-                if xmaxs.get(p) != FROZEN]
-        reclaimed = len(self._rows) - len(keep)
-        if not reclaimed:
-            return 0
-        remap = {}
-        rows: List[tuple] = []
-        xmins: List[int] = []
-        for new_pos, old_pos in enumerate(keep):
-            remap[old_pos] = new_pos
-            rows.append(self._rows[old_pos])
-            xmins.append(self._xmins[old_pos])
-        self._rows = rows
-        self._xmins = xmins
-        self._xmaxs = {remap[p]: x for p, x in xmaxs.items()
-                       if x != FROZEN and p in remap}
+        reclaimed = len(dead)
+        store = self.compact()
+        keep = np.ones(store.num_rows, dtype=np.bool_)
+        keep[np.fromiter(dead, np.intp, len(dead))] = False
+        # old position -> new position, for the kept ones
+        renumber = (np.cumsum(keep) - 1).tolist()
+        self._store = store.without(dead)
+        self._base = self._store.num_rows
+        self._xmins = list(compress(self._xmins, keep.tolist()))
+        self._xmaxs = {renumber[p]: x for p, x in self._xmaxs.items()
+                       if x != FROZEN}
         for tracker in (self._writers, self._deleters):
             for txn_id in list(tracker):
-                mine = [remap[p] for p in tracker[txn_id] if p in remap]
+                mine = [renumber[p] for p in tracker[txn_id]
+                        if p not in dead]
                 if mine:
                     tracker[txn_id] = mine
                 else:
                     del tracker[txn_id]
         self._dead = set()
         self._mutations += 1
-        for index in self.indexes.values():
-            col_pos = self.schema.index_of(index.column_name)
-            index.bulk_load(
-                (row[col_pos], at) for at, row in enumerate(rows)
-            )
-        # positions moved: rebuild the columnar base over the compacted
-        # heap right away (vacuum is the explicit maintenance point)
-        self._col_invalidate()
-        self.compact()
+        self._reload_indexes()
         return reclaimed
 
     @property
     def dead_versions(self) -> int:
         return len(self._dead)
 
-    def row_at(self, position: int) -> tuple:
-        return self._rows[position]
-
     @property
     def num_rows(self) -> int:
         """Rows visible to the current snapshot: physical minus
         hidden."""
-        return len(self._rows) - len(self._hidden())
+        return self.physical_count - len(self._hidden())
 
     @property
     def tuples_per_page(self) -> int:
@@ -400,7 +416,7 @@ class Table:
         """Whole pages occupied (at least 1, even when empty). Page
         occupancy is physical: dead versions take space until
         vacuumed, exactly like a real heap."""
-        return int(math.ceil(pages_for(len(self._rows),
+        return int(math.ceil(pages_for(self.physical_count,
                                        self.schema.row_width())))
 
     def cluster_by(self, column_name: str) -> None:
@@ -419,17 +435,17 @@ class Table:
             )
         if self._xmaxs:
             self.vacuum()
-        position = self.schema.index_of(column_name)
-        self._rows.sort(key=lambda row: (row[position] is None,
-                                         row[position]))
+        values = self._column(column_name)
+        # the stable sort of the rows by (value is None, value), NULLs
+        # last, applied to every column
+        order = sorted(range(len(values)),
+                       key=lambda at: (values[at] is None, values[at]))
+        if self._store is not None:
+            self._store = columnar.ColumnStore(
+                self.schema, self._store.take(order), len(order))
         self.clustered_on = column_name
-        self._col_invalidate()
         self._mutations += 1
-        for index in self.indexes.values():
-            col_pos = self.schema.index_of(index.column_name)
-            index.bulk_load(
-                (row[col_pos], at) for at, row in enumerate(self._rows)
-            )
+        self._reload_indexes()
 
     # --------------------------------------------------------------- indexes
 
@@ -439,17 +455,14 @@ class Table:
             raise CatalogError(
                 "table %r already has an index on %r" % (self.name, column_name)
             )
-        col_pos = self.schema.index_of(column_name)
+        values = self._column(column_name)
         if kind == "hash":
             index: Index = HashIndex(column_name)
         elif kind == "sorted":
             index = SortedIndex(column_name)
         else:
             raise CatalogError("unknown index kind %r" % kind)
-        index.bulk_load(
-            (row[col_pos], position)
-            for position, row in enumerate(self._rows)
-        )
+        index.bulk_load(zip(values, count()))
         self.indexes[column_name] = index
         return index
 

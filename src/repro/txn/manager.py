@@ -51,6 +51,7 @@ from ..errors import (
     TransactionError,
     WalError,
 )
+from ..executor.vectorize import Batch, compile_filter
 from ..expr.nodes import conjuncts, sargable
 from ..storage.mvcc import FROZEN, Snapshot
 from .state import state_dict
@@ -120,6 +121,11 @@ class Transaction:
 #: many frozen-dead versions AND they are at least a quarter of it
 VACUUM_MIN_DEAD = 64
 VACUUM_DEAD_FRACTION = 0.25
+
+
+def _gather(table, positions: List[int]) -> Batch:
+    """The rows at physical ``positions`` of ``table``, as one batch."""
+    return Batch(table.take(positions), len(positions))
 
 
 class TransactionManager:
@@ -526,8 +532,8 @@ class TransactionManager:
         if txn.log_redo and count:
             txn.redo.append({
                 "op": "insert", "table": table.name,
-                "rows": [list(row) for row in
-                         table.physical_rows[before:]],
+                "rows": [list(table.row_at(position)) for position in
+                         range(before, table.physical_count)],
             })
         return count
 
@@ -546,12 +552,13 @@ class TransactionManager:
         """Targets of an UPDATE/DELETE: (positions, access path, rows
         examined). A conjunct an index of the table answers
         (:func:`~repro.expr.nodes.sargable`; an equality before a
-        range) narrows the candidates; the *full* WHERE is then
-        evaluated on each, in position order, so the matched rows and
-        their order — hence the redo records — are exactly the full
-        scan's. Everything is located before the caller stamps
-        anything: a SET that changes the probed key cannot re-visit
-        its own output."""
+        range) narrows the candidates; the candidates are gathered off
+        the table and the *full* WHERE is evaluated over them by the
+        compiled filter a SELECT uses, in position order, so the
+        matched rows and their order — hence the redo records — are
+        exactly the full scan's. Everything is located before the
+        caller stamps anything: a SET that changes the probed key
+        cannot re-visit its own output."""
         probes = [probe for probe in
                   (sargable(pred, table) for pred in conjuncts(where))
                   if probe is not None]
@@ -563,19 +570,21 @@ class TransactionManager:
         else:
             access = "scan"
             candidates = self._candidates(table)
-        rows = table.physical_rows
-        matched = [pos for pos in candidates
-                   if where is None or where.eval(rows[pos]) is True]
+        matched = candidates
+        if where is not None and candidates:
+            flags = compile_filter(where)(_gather(table, candidates))
+            matched = list(itertools.compress(candidates, flags))
         metrics = self._db.metrics_registry
         metrics.inc("dml_access_total",
                     label="index" if probes else "scan")
         metrics.inc("dml_rows_examined_total", amount=len(candidates))
         return matched, access, len(candidates)
 
-    def _delete_versions(self, table, positions: List[int]) -> None:
-        """Stamp ``positions`` deleted by the current transaction:
-        conflict check, undo closure and the ``delete_rows`` redo
-        record."""
+    def _delete_versions(self, table, positions: List[int],
+                         rows: Optional[List[tuple]] = None) -> None:
+        """Stamp ``positions`` (holding ``rows``, gathered here when not
+        given) deleted by the current transaction: conflict check, undo
+        closure and the ``delete_rows`` redo record."""
         txn = self.current
         self._check_conflicts(table, positions)
         stamp = self._stamp(txn)
@@ -593,8 +602,8 @@ class TransactionManager:
         if txn.log_redo:
             txn.redo.append({
                 "op": "delete_rows", "table": table.name,
-                "rows": [list(table.row_at(position))
-                         for position in positions],
+                "rows": [list(row) for row in
+                         rows or _gather(table, positions).rows()],
             })
 
     def do_update(self, table_name: str, assignments, where
@@ -613,10 +622,10 @@ class TransactionManager:
                          for column, expr in assignments]
         matched, access, examined = self._match(table, where)
         if matched:
-            self._delete_versions(table, matched)
+            rows = _gather(table, matched).rows()
+            self._delete_versions(table, matched, rows)
             new_rows = []
-            for position in matched:
-                row = table.row_at(position)
+            for row in rows:
                 values = list(row)
                 for at, expr in set_positions:
                     values[at] = expr.eval(row)
@@ -646,28 +655,31 @@ class TransactionManager:
         index = next(iter(table.indexes.values()), None)
         key_at = (table.schema.index_of(index.column_name)
                   if index is not None else 0)
-        rows = table.physical_rows
         everything: Optional[List[int]] = None
         taken: Set[int] = set()
         positions: List[int] = []
+        found_rows: List[tuple] = []
         for value in wanted:
             if index is not None and value[key_at] is not None:
                 candidates = self._candidates(table, index,
                                               value=value[key_at])
+                rows = _gather(table, candidates).rows()
             else:  # a NULL key is in no probe's answer
                 if everything is None:
                     everything = self._candidates(table)
-                candidates = everything
-            found = next((pos for pos in candidates if rows[pos] == value
-                          and pos not in taken), None)
+                    every_row = _gather(table, everything).rows()
+                candidates, rows = everything, every_row
+            found = next(((pos, row) for pos, row in zip(candidates, rows)
+                          if row == value and pos not in taken), None)
             if found is None:
                 raise TransactionError(
                     "replayed delete found no row %r in %r"
                     % (value, table_name)
                 )
-            taken.add(found)
-            positions.append(found)
-        self._delete_versions(table, positions)
+            taken.add(found[0])
+            positions.append(found[0])
+            found_rows.append(found[1])
+        self._delete_versions(table, positions, found_rows)
         return len(positions)
 
     def do_create_table(self, name: str, schema):

@@ -384,6 +384,23 @@ def test_figure1_filter_join_runs_as_kernels():
         assert fallback == 0 and kernel >= 2
 
 
+@pytest.mark.parametrize("forced", ("filter_join", "bloom"))
+def test_figure1_filter_join_reports_bloom_bits_only_when_lossy(forced):
+    """An exact Filter Join has no Bloom filter, so its ``bloom_bits``
+    extra is None; a Bloom Filter Join reports its node's size."""
+    db = _db("empdept")
+    config = OptimizerConfig(forced_view_join=forced)
+    result = db.sql(MOTIVATING_QUERY, config=config)
+    nodes = find_nodes(result.plan, FilterJoinNode)
+    spans = [span for span in result.trace.operator_spans()
+             if span.node_type == "FilterJoinNode"]
+    assert nodes and len(spans) == len(nodes)
+    assert any(node.lossy for node in nodes) is (forced == "bloom")
+    for node, span in zip(nodes, spans):
+        expected = node.bloom_bits if node.lossy else None
+        assert span.extras.get("bloom_bits") == expected
+
+
 def test_explain_analyze_says_when_a_key_forced_the_interpreted_path():
     db = _keyed_db()
     config = OptimizerConfig(forced_stored_join="filter_join")

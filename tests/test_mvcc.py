@@ -226,11 +226,12 @@ class TestFirstCommitterWins:
 # ------------------------------------------------- version lifecycle
 
 class TestVersionLifecycle:
-    def test_quiesced_table_serves_raw_rows(self):
+    def test_quiesced_table_scans_its_base(self):
         db = make_db()
         table = db.catalog.table("t")
-        assert table.rows is table._rows, \
-            "no in-flight versions -> zero-overhead fast path"
+        assert not table._hidden()
+        assert table.columnar_view() is table.compact(), \
+            "no in-flight versions -> a scan reads the base unmasked"
 
     def test_autocommit_update_with_no_snapshots_freezes_eagerly(self):
         db = make_db()
