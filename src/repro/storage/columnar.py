@@ -12,13 +12,13 @@ probes and GROUP BY over strings run as integer kernels.
 The store *is* the table: a :class:`~repro.storage.table.Table` keeps
 its rows only here, over every *physical* position below its base,
 append-only like a heap — dead and uncommitted versions sit in it and a
-scan masks out the positions its snapshot cannot see
-(:meth:`ColumnStore.without`). Rows inserted since the last compaction
-wait as a short tail of tuples on the table until
-:meth:`ColumnStore.extend` folds them in. A change that moves positions
-works on the columns themselves: vacuum drops positions, clustering
-permutes them (:meth:`ColumnStore.take`), and truncation keeps a
-prefix. See docs/execution.md ("Columnar storage").
+scan gathers the positions its snapshot sees (:meth:`ColumnStore.take`).
+Rows inserted since the last compaction wait as a short tail of tuples
+on the table until :meth:`ColumnStore.extend` folds them in. A change
+that moves positions works on the columns themselves: vacuum keeps the
+positions that are not frozen-dead and clustering permutes them (both
+:meth:`ColumnStore.take`), and truncation keeps a prefix. See
+docs/execution.md ("Columnar storage").
 
 Value fidelity is absolute: a value must round-trip ``Python ->
 array -> Python`` bit-exactly or the column refuses encoding and falls
@@ -29,7 +29,6 @@ bits are never narrowed.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -345,19 +344,6 @@ class ColumnStore:
             columns.append(merged)
         return ColumnStore(self.schema, columns,
                            self.num_rows + len(rows))
-
-    def without(self, positions) -> "ColumnStore":
-        """A store of the rows *not* at ``positions`` (distinct, in
-        range), order kept: one boolean mask applied to every column."""
-        keep = np.ones(self.num_rows, dtype=bool)
-        keep[np.fromiter(positions, np.intp, len(positions))] = False
-        columns = [
-            (col.select(keep) if isinstance(col, ColumnVector)
-             else list(compress(col, keep)))
-            for col in self.columns
-        ]
-        return ColumnStore(self.schema, columns,
-                           self.num_rows - len(positions))
 
     def take(self, positions: Sequence[int]) -> list:
         """Every column at ``positions``, in that order: one fancy index

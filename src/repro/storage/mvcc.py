@@ -20,12 +20,16 @@ never mid-statement. That buys three big simplifications:
   invisible to everyone forever.
 - **Freezing**: once a committed transaction is visible to every live
   snapshot (its commit seq is at or below the oldest live snapshot's),
-  its version stamps carry no information any more. Its created rows
-  are rewritten to ``xmin = 0`` ("frozen", visible to all) and its
-  deleted rows to ``xmax = 0`` ("frozen-dead", visible to none, ready
-  for vacuum), and its bookkeeping is dropped. A quiesced table —
-  no unfrozen stamps at all — hides nothing, so a scan reads its
-  columnar base with no per-row visibility work.
+  its version stamps carry no information any more. Its ``xmin``
+  stamps are rewritten to ``0`` ("frozen", visible to all) and its
+  ``xmax`` stamps to ``0`` ("frozen-dead", visible to none, ready for
+  vacuum), and its commit is dropped from ``commit_seq``. So the ids a
+  snapshot sees (:meth:`Snapshot.seen_ids`) are the reader's own and
+  the few unfrozen commits, and a table decides visibility by
+  comparing its stamp arrays with them. A quiesced table — every
+  version frozen-created, none deleted — keeps no stamp arrays and
+  hides nothing, so a scan reads its columnar base with no per-row
+  visibility work.
 
 Vacuum (physical reclamation of frozen-dead versions) lives on
 :class:`~repro.storage.table.Table`; the manager triggers it when no
@@ -43,6 +47,9 @@ from typing import Dict, List, Optional, Tuple
 #: snapshot, so the version is visible to none and vacuum may reclaim
 #: the slot.
 FROZEN = 0
+
+#: The ``xmax`` of a version nobody has deleted.
+NOT_DELETED = -1
 
 
 class Snapshot:
@@ -63,6 +70,16 @@ class Snapshot:
             return True  # your own writes are always visible to you
         seq = self.mvcc.commit_seq.get(txn_id)
         return seq is not None and seq <= self.seq
+
+    def seen_ids(self) -> List[int]:
+        """The unfrozen transaction ids this snapshot :meth:`sees`: the
+        reader's own, plus the unfrozen commits at or before ``seq``
+        (a frozen commit's stamps already read FROZEN)."""
+        seen = [txn_id for txn_id in self.mvcc.commit_seq
+                if self.sees(txn_id)]
+        if self.txn_id is not None and self.txn_id not in seen:
+            seen.append(self.txn_id)
+        return seen
 
     def __repr__(self) -> str:
         return "Snapshot(txn=%s, seq=%d)" % (self.txn_id, self.seq)

@@ -16,41 +16,39 @@ statistics. This is the substitution documented in DESIGN.md for the
 paper's disk-based engine.
 
 Snapshot-isolated versioning rides on the same positions: every version
-ever created keeps its physical position, a parallel ``_xmins`` list
-stamps each with its creating transaction, and a sparse ``_xmaxs`` dict
-stamps deleted/superseded versions with the transaction that removed
-them. Visibility is computed from the stamps, not the rows: the
-positions a snapshot cannot see (:meth:`Table._hidden`) follow from the
-frozen-dead set and the per-transaction stamp lists alone, and
-``rows``, ``num_rows``, ``visible_positions`` and ``columnar_view`` all
-read that one set (see :mod:`repro.storage.mvcc` for the visibility
-rules and the freezing protocol that keeps tables quiesced). Updates
-never modify a row in place: they stamp the old version's ``xmax`` and
-append the new version, so concurrent readers keep seeing the world
-their snapshot pinned. :meth:`Table.vacuum` physically reclaims
-frozen-dead versions once no transaction can need them, and
-:meth:`Table.cluster_by` reorders a quiesced table; both permute the
-base's columns.
+ever created keeps its physical position, and two ``int64`` arrays
+aligned with the positions stamp it — ``_xmin`` with its creating
+transaction, ``_xmax`` with the transaction that deleted or superseded
+it (:data:`~repro.storage.mvcc.NOT_DELETED` while live). Both are
+``None`` while the table is quiesced — every version FROZEN-created and
+none deleted — so a table that was loaded and never written holds no
+stamp bytes. Visibility is one vectorised rule over the stamps of the
+positions asked (:meth:`Table._hidden`), and ``rows``, ``num_rows``,
+``visible_positions`` and ``columnar_view`` all read it (see
+:mod:`repro.storage.mvcc` for the rule and the freezing protocol that
+keeps tables quiesced). Updates never modify a row in place: they stamp
+the old version's ``xmax`` and append the new version, so concurrent
+readers keep seeing the world their snapshot pinned.
+:meth:`Table.vacuum` physically reclaims frozen-dead versions once no
+transaction can need them, and :meth:`Table.cluster_by` reorders a
+quiesced table; both permute the base's columns.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, count
-from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
-                    Set)
+from itertools import count
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import CatalogError
 from . import columnar
 from .index import HashIndex, Index, SortedIndex
-from .mvcc import FROZEN, MVCCState
+from .mvcc import FROZEN, NOT_DELETED, MVCCState
 from .schema import Schema
 
 PAGE_SIZE_BYTES = 4096
-
-_NOTHING_HIDDEN: frozenset = frozenset()
 
 
 def pages_for(num_rows: float, row_width: int) -> float:
@@ -96,21 +94,10 @@ class Table:
         #: the catalog's MVCCState once installed; a standalone Table
         #: never sees stamped versions and behaves exactly as before
         self._mvcc: Optional[MVCCState] = None
-        #: creating txn per physical row; FROZEN = visible to all
-        self._xmins: List[int] = []
-        #: physical position -> deleting txn; FROZEN = dead to all
-        self._xmaxs: Dict[int, int] = {}
-        #: unfrozen txn id -> positions it created (for freeze/undo)
-        self._writers: Dict[int, List[int]] = {}
-        #: unfrozen txn id -> positions it deleted (for freeze)
-        self._deleters: Dict[int, List[int]] = {}
-        #: the frozen-dead versions (xmax == FROZEN): hidden from every
-        #: snapshot, vacuumable
-        self._dead: Set[int] = set()
-        #: bumped on any row/version change; keys the visibility cache
-        self._mutations = 0
-        self._vis_key: Optional[tuple] = None
-        self._vis_hidden: AbstractSet[int] = _NOTHING_HIDDEN
+        #: creating / deleting txn per physical position, capacity at
+        #: least ``physical_count``; None while the table is quiesced
+        self._xmin: Optional[np.ndarray] = None
+        self._xmax: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ data
 
@@ -121,42 +108,51 @@ class Table:
         store = self.columnar_view()
         return store.rows() if store is not None else []
 
-    def _hidden(self) -> AbstractSet[int]:
-        """Physical positions the current snapshot cannot see, from the
-        stamps alone — O(stamped versions), not O(rows): the frozen-dead
-        versions, versions whose deletion the snapshot sees, and
-        versions created by a transaction it does not see. Every
-        unfrozen ``xmax`` / ``xmin`` is tracked per transaction in
-        ``_deleters`` / ``_writers`` until it freezes or is retracted,
-        so neither the rows nor the frozen stamps are walked. Cached
-        per (snapshot, mutation); callers must not modify the set."""
-        if (not self._xmaxs and not self._writers) or self._mvcc is None:
-            return _NOTHING_HIDDEN
-        snap = self._mvcc.read_view()
-        key = (snap.txn_id, snap.seq, self._mutations)
-        if key != self._vis_key:
-            sees, xmaxs = snap.sees, self._xmaxs
-            hidden = set(self._dead)
-            for txn_id, positions in self._deleters.items():
-                if sees(txn_id):  # entries may be stale: check the stamp
-                    hidden.update(pos for pos in positions
-                                  if xmaxs.get(pos) == txn_id)
-            for txn_id, positions in self._writers.items():
-                if not sees(txn_id):
-                    hidden.update(positions)
-            self._vis_key = key
-            self._vis_hidden = hidden
-        return self._vis_hidden
+    def _stamps(self, size: int):
+        """The stamp arrays, allocated (every version FROZEN-created,
+        none deleted) or grown geometrically to hold ``size``
+        positions."""
+        held = 0 if self._xmin is None else len(self._xmin)
+        if held < size:
+            capacity = max(size, 2 * held)
+            grown_min = np.full(capacity, FROZEN, dtype=np.int64)
+            grown_max = np.full(capacity, NOT_DELETED, dtype=np.int64)
+            if held:
+                grown_min[:held] = self._xmin
+                grown_max[:held] = self._xmax
+            self._xmin, self._xmax = grown_min, grown_max
+        return self._xmin, self._xmax
+
+    @property
+    def _stamped(self) -> bool:
+        """Can any snapshot be refused a version? Not on a quiesced
+        table, nor on a standalone one."""
+        return self._xmin is not None and self._mvcc is not None
+
+    def _hidden(self, at) -> np.ndarray:
+        """Which of the physical positions ``at`` (an index array, or a
+        slice for a scan) the current snapshot cannot see, as a boolean
+        mask: those whose ``xmin`` is neither FROZEN nor a seen id, or
+        whose ``xmax`` is FROZEN or a seen id. Only for a stamped
+        table."""
+        seen = self._mvcc.read_view().seen_ids()
+        xmin, xmax = self._xmin[at], self._xmax[at]
+        created = xmin == FROZEN
+        hidden = xmax == FROZEN
+        for txn_id in seen:  # almost always 0-2 ids: no np.isin
+            created |= xmin == txn_id
+            hidden |= xmax == txn_id
+        return hidden | ~created
 
     def visible_positions(self, positions: Iterable[int]) -> List[int]:
         """Filter physical positions (an index probe, or a ``range`` for
         a full walk) down to the current snapshot, order kept. Identity
         on a quiesced table, so index paths charge exactly what they
         did pre-MVCC."""
-        hidden = self._hidden()
-        if not hidden:
+        if not self._stamped:
             return list(positions)
-        return [pos for pos in positions if pos not in hidden]
+        at = np.asarray(positions, dtype=np.intp)
+        return at[~self._hidden(at)].tolist()
 
     # -------------------------------------------------- columnar base
 
@@ -176,14 +172,17 @@ class Table:
 
     def columnar_view(self) -> Optional["columnar.ColumnStore"]:
         """The rows visible to the current snapshot in columnar form:
-        the base itself when nothing is hidden, else the base with the
-        hidden positions masked out (row order kept). ``None`` only
-        when there is no base (:meth:`compact`)."""
+        the base itself when nothing is hidden, else the base gathered
+        at the visible positions (row order kept). ``None`` only when
+        there is no base (:meth:`compact`)."""
         store = self.compact()
-        hidden = self._hidden()
-        if store is None or not hidden:
+        if store is None or not self._stamped:
             return store
-        return store.without(hidden)
+        visible = np.flatnonzero(~self._hidden(slice(0, store.num_rows)))
+        if len(visible) == store.num_rows:
+            return store
+        return columnar.ColumnStore(self.schema, store.take(visible),
+                                    len(visible))
 
     def take(self, positions: Sequence[int]) -> list:
         """The columns of the rows at physical ``positions``, in that
@@ -234,10 +233,10 @@ class Table:
         that is visible to the caller yet stamped was written by a
         concurrent transaction — the write-write conflict that
         first-committer-wins turns into a SerializationError."""
-        xmaxs = self._xmaxs
-        if not xmaxs:
+        if self._xmax is None:
             return []
-        return [p for p in positions if p in xmaxs]
+        at = np.asarray(positions, dtype=np.intp)
+        return at[self._xmax[at] != NOT_DELETED].tolist()
 
     def insert(self, row: Sequence, xmin: int = FROZEN) -> None:
         """Validate, coerce, and append one row, maintaining indexes.
@@ -248,10 +247,10 @@ class Table:
         coerced = self.schema.validate_row(row)
         position = self.physical_count
         self._rows.append(coerced)
-        self._xmins.append(xmin)
-        if xmin:
-            self._writers.setdefault(xmin, []).append(position)
-        self._mutations += 1
+        if xmin != FROZEN or self._xmin is not None:
+            xmins, xmaxs = self._stamps(position + 1)
+            xmins[position] = xmin
+            xmaxs[position] = NOT_DELETED
         for index in self.indexes.values():
             key = coerced[self.schema.index_of(index.column_name)]
             index.insert(key, position)
@@ -274,26 +273,17 @@ class Table:
     def mark_deleted(self, position: int, xmax: int = FROZEN) -> None:
         """Stamp one version as deleted by transaction ``xmax``
         (FROZEN = dead to every snapshot immediately)."""
-        self._xmaxs[position] = xmax
-        if xmax:
-            self._deleters.setdefault(xmax, []).append(position)
-        else:
-            self._dead.add(position)
-        self._mutations += 1
+        self._stamps(self.physical_count)[1][position] = xmax
 
     def unmark_deleted(self, position: int) -> None:
-        """Remove a deletion stamp (the undo of :meth:`mark_deleted`).
-        Stale entries in the deleter tracking lists are tolerated by
-        :meth:`freeze_txn`'s ownership check."""
-        xmax = self._xmaxs.pop(position, None)
-        if xmax == FROZEN:
-            self._dead.discard(position)
-        self._mutations += 1
+        """Remove a deletion stamp (the undo of :meth:`mark_deleted`)."""
+        self._xmax[position] = NOT_DELETED
 
     def truncate_to(self, num_rows: int) -> None:
         """Discard every version at position >= ``num_rows``,
-        maintaining indexes and version metadata. The undo of an
-        append when the tail is known to belong to the caller."""
+        maintaining indexes; the stamps past it are dead capacity. The
+        undo of an append when the tail is known to belong to the
+        caller."""
         if num_rows >= self.physical_count:
             return
         if num_rows < self._base:
@@ -304,19 +294,6 @@ class Table:
             self._rows = []
         else:
             del self._rows[num_rows - self._base:]
-        del self._xmins[num_rows:]
-        if self._xmaxs:
-            kept = {p: x for p, x in self._xmaxs.items() if p < num_rows}
-            self._xmaxs = kept
-            self._dead = {p for p in self._dead if p < num_rows}
-        for tracker in (self._writers, self._deleters):
-            for txn_id in list(tracker):
-                mine = [p for p in tracker[txn_id] if p < num_rows]
-                if mine:
-                    tracker[txn_id] = mine
-                else:
-                    del tracker[txn_id]
-        self._mutations += 1
         for index in self.indexes.values():
             index.remove_from(num_rows)
 
@@ -327,85 +304,80 @@ class Table:
         statement lock is released) it is physically truncated;
         otherwise — transaction rollback after other transactions
         appended — our versions are stamped frozen-dead for vacuum."""
-        mine = [p for p in self._writers.get(txn_id, ()) if p >= before]
-        if txn_id == FROZEN or self.physical_count - before == len(mine):
-            self.truncate_to(before)
-            return
-        for position in mine:
-            if self._xmaxs.get(position) != FROZEN:
-                self._xmaxs[position] = FROZEN
-                self._dead.add(position)
-        kept = [p for p in self._writers[txn_id] if p < before]
-        if kept:
-            self._writers[txn_id] = kept
-        else:
-            del self._writers[txn_id]
-        self._mutations += 1
+        end = self.physical_count
+        if txn_id != FROZEN and end > before:
+            xmax = self._xmax[before:end]
+            mine = (self._xmin[before:end] == txn_id) & (xmax != FROZEN)
+            if np.count_nonzero(mine) < end - before:
+                xmax[mine] = FROZEN
+                return
+        self.truncate_to(before)
 
     def freeze_txn(self, txn_id: int) -> None:
         """Rewrite a committed transaction's stamps to FROZEN: its
         insertions become visible to all, its deletions dead to all.
         Called by MVCCState once every live snapshot sees the commit."""
-        for position in self._writers.pop(txn_id, ()):
-            self._xmins[position] = FROZEN
-        for position in self._deleters.pop(txn_id, ()):
-            if self._xmaxs.get(position) == txn_id:
-                self._xmaxs[position] = FROZEN
-                self._dead.add(position)
-        self._mutations += 1
-
-    def forget_txn(self, txn_id: int) -> None:
-        """Drop a rolled-back transaction's tracking entries (its
-        stamps were already retracted by the undo closures)."""
-        self._writers.pop(txn_id, None)
-        self._deleters.pop(txn_id, None)
-        self._mutations += 1
+        if self._xmin is not None:
+            xmin, xmax = self._xmin, self._xmax
+            xmin[xmin == txn_id] = FROZEN
+            xmax[xmax == txn_id] = FROZEN
 
     def vacuum(self) -> int:
-        """Physically reclaim frozen-dead versions: drop their positions
-        from every column of the base, renumber the stamps and rebuild
-        the indexes; returns the number reclaimed.
+        """Physically reclaim frozen-dead versions: keep the other
+        positions, in order, in every column of the base and both
+        stamp arrays, and rebuild the indexes; drop the stamp arrays
+        when what is kept is quiesced. Returns the number reclaimed.
 
         Only safe when no transaction holds undo closures referencing
         physical positions — the manager guarantees that by vacuuming
         only while no transaction is live.
         """
-        dead = self._dead
-        if not dead:
+        if self._xmin is None:
             return 0
-        reclaimed = len(dead)
-        store = self.compact()
-        keep = np.ones(store.num_rows, dtype=np.bool_)
-        keep[np.fromiter(dead, np.intp, len(dead))] = False
-        # old position -> new position, for the kept ones
-        renumber = (np.cumsum(keep) - 1).tolist()
-        self._store = store.without(dead)
-        self._base = self._store.num_rows
-        self._xmins = list(compress(self._xmins, keep.tolist()))
-        self._xmaxs = {renumber[p]: x for p, x in self._xmaxs.items()
-                       if x != FROZEN}
-        for tracker in (self._writers, self._deleters):
-            for txn_id in list(tracker):
-                mine = [renumber[p] for p in tracker[txn_id]
-                        if p not in dead]
-                if mine:
-                    tracker[txn_id] = mine
-                else:
-                    del tracker[txn_id]
-        self._dead = set()
-        self._mutations += 1
-        self._reload_indexes()
+        physical = self.physical_count
+        keep = np.flatnonzero(self._xmax[:physical] != FROZEN)
+        reclaimed = physical - len(keep)
+        if reclaimed:
+            store = self.compact()
+            self._store = columnar.ColumnStore(
+                self.schema, store.take(keep), len(keep))
+            self._base = len(keep)
+            self._xmin, self._xmax = self._xmin[keep], self._xmax[keep]
+            self._reload_indexes()
+        if not self.unfrozen_versions:
+            self._xmin = self._xmax = None
         return reclaimed
 
     @property
     def dead_versions(self) -> int:
-        return len(self._dead)
+        """Frozen-dead versions: hidden from every snapshot, waiting
+        for vacuum."""
+        if self._xmax is None:
+            return 0
+        return int(np.count_nonzero(
+            self._xmax[:self.physical_count] == FROZEN))
+
+    @property
+    def unfrozen_versions(self) -> int:
+        """Versions that are not frozen-dead and still carry a
+        transaction's stamp: created or deleted by a transaction some
+        snapshot may not see yet, or not committed."""
+        if self._xmin is None:
+            return 0
+        physical = self.physical_count
+        xmin, xmax = self._xmin[:physical], self._xmax[:physical]
+        return int(np.count_nonzero(
+            (xmax != FROZEN) & ((xmin != FROZEN) | (xmax != NOT_DELETED))))
 
     @property
     def num_rows(self) -> int:
         """Rows visible to the current snapshot: physical minus
         hidden."""
-        return self.physical_count - len(self._hidden())
+        physical = self.physical_count
+        if not self._stamped:
+            return physical
+        return physical - int(np.count_nonzero(
+            self._hidden(slice(0, physical))))
 
     @property
     def tuples_per_page(self) -> int:
@@ -427,14 +399,12 @@ class Table:
         Requires a quiesced table (clustering rewrites every physical
         position); frozen-dead versions are vacuumed first.
         """
-        if self._writers or any(x != FROZEN
-                                for x in self._xmaxs.values()):
+        if self.unfrozen_versions:
             raise CatalogError(
                 "cannot cluster %r: transactions hold unfrozen row "
                 "versions" % self.name
             )
-        if self._xmaxs:
-            self.vacuum()
+        self.vacuum()
         values = self._column(column_name)
         # the stable sort of the rows by (value is None, value), NULLs
         # last, applied to every column
@@ -444,7 +414,6 @@ class Table:
             self._store = columnar.ColumnStore(
                 self.schema, self._store.take(order), len(order))
         self.clustered_on = column_name
-        self._mutations += 1
         self._reload_indexes()
 
     # --------------------------------------------------------------- indexes

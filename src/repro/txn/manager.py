@@ -242,8 +242,6 @@ class TransactionManager:
             self._undo_to(txn, undo_mark)
             del txn.redo[redo_mark:]
             if implicit:
-                for table in txn.tables:
-                    table.forget_txn(txn.id)
                 self.current = None
             raise
         if implicit:
@@ -433,8 +431,6 @@ class TransactionManager:
 
     def _rollback_all(self, txn: Transaction) -> None:
         self._undo_to(txn, 0)
-        for table in txn.tables:
-            table.forget_txn(txn.id)
         if not txn.implicit:
             mvcc = self._mvcc
             mvcc.deregister(txn.id)

@@ -224,7 +224,7 @@ class TestOneCopy:
         nbytes = sum(col.values.nbytes
                      + (0 if col.mask is None else col.mask.nbytes)
                      for col in base.columns)
-        assert retained <= 1.5 * nbytes, (retained, nbytes)
+        assert retained <= 1.15 * nbytes, (retained, nbytes)
         oracle = sqlite3.connect(":memory:")
         oracle.execute("CREATE TABLE sales (id, grp, amount, tag, flag)")
         oracle.executemany("INSERT INTO sales VALUES (?, ?, ?, ?, ?)",

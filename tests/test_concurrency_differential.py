@@ -285,7 +285,7 @@ def drive(seed):
     assert mvcc["live"] == []
     assert mvcc["unfrozen_commits"] == 0
     table = db.catalog.table("acct")
-    assert not table._writers and not table._deleters
+    assert table.unfrozen_versions == 0
     for session in sessions:
         session.close()
 

@@ -35,7 +35,7 @@ import pytest
 
 from repro import Database, DataType, SchemaError, SerializationError
 from repro import recover
-from repro.storage.mvcc import FROZEN
+from repro.storage.mvcc import FROZEN, NOT_DELETED
 from repro.txn import fingerprint
 
 N_SCHEDULES = int(os.environ.get("DML_SCHEDULES", "30"))
@@ -68,11 +68,13 @@ def visible_by_stamps(table):
     snap = table._mvcc.read_view()
     out = []
     for pos in range(table.physical_count):
-        xmin = table._xmins[pos]
-        if xmin and not snap.sees(xmin):
+        if table._xmin is None:  # quiesced: FROZEN and not deleted
+            xmin, xmax = FROZEN, NOT_DELETED
+        else:
+            xmin, xmax = int(table._xmin[pos]), int(table._xmax[pos])
+        if xmin != FROZEN and not snap.sees(xmin):
             continue
-        xmax = table._xmaxs.get(pos)
-        if xmax is not None and (xmax == FROZEN or snap.sees(xmax)):
+        if xmax != NOT_DELETED and (xmax == FROZEN or snap.sees(xmax)):
             continue
         out.append(pos)
     return out

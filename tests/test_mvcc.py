@@ -17,7 +17,7 @@ The contracts under test:
   is refused only while transactions are open; indexes never leak
   invisible versions;
 - **fast path** — a quiesced table (no in-flight versions) serves its
-  raw row list, byte-identical to the pre-MVCC representation.
+  columnar base unmasked and keeps no stamp arrays.
 """
 
 import pytest
@@ -229,7 +229,7 @@ class TestVersionLifecycle:
     def test_quiesced_table_scans_its_base(self):
         db = make_db()
         table = db.catalog.table("t")
-        assert not table._hidden()
+        assert table.unfrozen_versions == 0 and table.dead_versions == 0
         assert table.columnar_view() is table.compact(), \
             "no in-flight versions -> a scan reads the base unmasked"
 
@@ -237,8 +237,8 @@ class TestVersionLifecycle:
         db = make_db()
         db.sql("UPDATE t SET v = 0 WHERE id = 1")
         table = db.catalog.table("t")
-        # the old version is frozen-dead immediately; nothing tracks it
-        assert not table._writers and not table._deleters
+        # the old version is frozen-dead immediately; no stamp is left
+        assert table.unfrozen_versions == 0
         assert table.dead_versions == 1
         assert db.txn.status()["mvcc"]["unfrozen_commits"] == 0
 
@@ -254,7 +254,7 @@ class TestVersionLifecycle:
         s2.sql("COMMIT")  # departure unblocks the freeze
         assert db.txn.status()["mvcc"]["unfrozen_commits"] == 0
         table = db.catalog.table("t")
-        assert not table._writers
+        assert table.unfrozen_versions == 0
 
     def test_vacuum_reclaims_dead_versions(self):
         db = make_db()
@@ -321,7 +321,29 @@ class TestVersionLifecycle:
         s1.sql("ROLLBACK")
         table = db.catalog.table("t")
         assert table.physical_count == 5
-        assert not table._writers and not table._xmaxs
+        assert table.unfrozen_versions == 0 and table.dead_versions == 0
+
+    def test_stamp_arrays_come_and_go(self):
+        db = make_db()
+        table = db.catalog.table("t")
+        assert table._xmin is None, "a loaded table holds no stamps"
+        db.sql("UPDATE t SET v = 0 WHERE id = 1")
+        assert table._xmin is not None and table._xmax is not None
+        db.vacuum()
+        assert table._xmin is None and table._xmax is None, \
+            "vacuum drops the stamps once what it keeps is quiesced"
+        # the arrays grow geometrically: replacing them per row would
+        # make a bulk write quadratic
+        s1 = db.new_session()
+        s1.sql("BEGIN")
+        replaced, last = 0, id(table._xmin)
+        for i in range(30_000):
+            s1.sql("INSERT INTO t VALUES (%d, 0)" % (i + 6))
+            if id(table._xmin) != last:
+                replaced, last = replaced + 1, id(table._xmin)
+        s1.sql("COMMIT")
+        assert replaced <= 20, replaced
+        assert table.num_rows == 30_005
 
     def test_frozen_constant_is_zero(self):
         # the sentinel doubles as "visible to all" (xmin) and
