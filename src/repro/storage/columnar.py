@@ -265,7 +265,9 @@ class ColumnVector:
         breaker: rows are gathered only here)."""
         if self.dictionary is not None:
             entries = self.dictionary.entries
-            out = [entries[c] for c in self.values.tolist()]
+            # a NULL holds code 0, which an empty dictionary lacks
+            out = ([entries[c] for c in self.values.tolist()] if entries
+                   else [None] * len(self.values))
         else:
             out = self.values.tolist()
         if self.mask is not None:

@@ -57,6 +57,16 @@ class TestDictionaryColumns:
         # codes are first-appearance stable
         assert vec.dictionary.entries == ["b", "a", "c"]
 
+    def test_all_null_column_has_an_empty_dictionary(self):
+        vec = ColumnVector.from_values(DataType.STR, [None, None])
+        assert vec.dictionary is not None and not vec.dictionary.entries
+        assert vec.tolist() == [None, None]
+        db = repro.connect()
+        db.execute_script("CREATE TABLE t (s TEXT, v INT);"
+                          "INSERT INTO t VALUES (NULL, 1), (NULL, 2);")
+        assert _checked(db, "SELECT * FROM t").rows == [(None, 1),
+                                                        (None, 2)]
+
     def test_sorted_entries_cache(self):
         dictionary = StringDictionary()
         for entry in ("pear", "apple", "fig"):
