@@ -36,7 +36,7 @@ from .executor.lowering import execute_collect as execute_tree
 from .executor.lowering import lower
 from .executor.operators import actuals
 from .executor.runtime import RuntimeContext
-from .expr.nodes import PARAMETER_TYPES
+from .expr.nodes import PARAMETER_TYPES, Parameter
 from .ledger import CostLedger
 from .obs.adaptive import AdaptiveController
 from .obs.drift import DriftReport, operator_totals
@@ -59,7 +59,6 @@ from .plancache import (
 )
 from .sql import ast
 from .sql.binder import Binder
-from .sql.dml import compile_expr
 from .sql.parser import Parser, parse
 from .storage import columnar
 from .storage.catalog import Catalog
@@ -949,15 +948,7 @@ class Database:
         use_cache = bool(opts.use_cache or prepared)
         entry = self._resolve_plan(statement, tokens, config,
                                    record, use_cache, prepared)
-        params = params or ()
-        if len(entry.parameters) != len(params):
-            raise ParameterError(
-                "statement has %d parameter(s) not bound; use "
-                "db.prepare(...).execute(values)"
-                % (len(entry.parameters) - len(params))
-            )
-        for node, value in zip(entry.parameters, params):
-            node.bind(value)
+        _bind_parameters(entry.parameters, params or ())
         entry.executions += 1
         result = self.run_plan(entry.plan, entry.metrics, config, opts,
                                record)
@@ -967,19 +958,16 @@ class Database:
 
     def _dml_statement(self, statement, record: QueryLogEntry
                        ) -> QueryResult:
-        """UPDATE/DELETE: compiled against the target table's schema;
-        the transaction manager finds the target rows through an index
-        of the table when a WHERE conjunct allows it, else by walking
-        the visible rows (no planner — one table, one access path)."""
-        table = self.catalog.table(statement.table)
-        schema = table.schema
-        where = (compile_expr(statement.where, schema, statement.table)
-                 if statement.where is not None else None)
+        """UPDATE/DELETE: the query binder binds the WHERE and the SET
+        expressions over the target table alone (a ``?`` has no value
+        here: ad-hoc DML takes none, and prepared DML is refused); the
+        transaction manager finds the target rows through an index of
+        the table when a WHERE conjunct allows it, else by walking the
+        visible rows (no planner — one table, one access path)."""
+        binder = self.binder()
+        where, assignments = binder.bind_dml(statement)
+        _bind_parameters(binder.parameter_list(), ())
         if isinstance(statement, ast.UpdateStmt):
-            assignments = [
-                (column, compile_expr(expr, schema, statement.table))
-                for column, expr in statement.assignments
-            ]
             with self.txn.atomic():
                 count, record.access, record.rows_examined = \
                     self.txn.do_update(statement.table, assignments,
@@ -1180,6 +1168,19 @@ class PreparedStatement:
                     out.append(value)
             rows.append(out)
         return ast.InsertStmt(self.statement.table, rows)
+
+
+def _bind_parameters(parameters: List[Parameter], params: tuple) -> None:
+    """Bind one value per ``?`` of a bound statement, in order; a
+    statement with more placeholders than values is refused."""
+    if len(parameters) != len(params):
+        raise ParameterError(
+            "statement has %d parameter(s) not bound; use "
+            "db.prepare(...).execute(values)"
+            % (len(parameters) - len(params))
+        )
+    for node, value in zip(parameters, params):
+        node.bind(value)
 
 
 def _ddl_result(kind: str) -> QueryResult:

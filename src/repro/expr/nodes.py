@@ -504,7 +504,9 @@ def sargable(predicate: Expr, table):
     (:attr:`repro.storage.index.Index.ops`). Returns ``(comparison
     normalised to column <op> literal, that index)``, else None. The
     planner's index access plans and UPDATE/DELETE target discovery
-    both ask here."""
+    (:meth:`repro.txn.manager.TransactionManager._match`, over the
+    expressions the query binder bound for the target table) both ask
+    here."""
     if not isinstance(predicate, Comparison):
         return None
     if isinstance(predicate.left, Literal) and \

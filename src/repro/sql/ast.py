@@ -10,7 +10,7 @@ resolve qualified names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 
 # ------------------------------------------------------------- expressions
@@ -95,6 +95,26 @@ class AstFuncCall(AstExpr):
     argument: Optional[AstExpr]
     star: bool = False
     distinct: bool = False
+
+
+def walk(node: AstExpr) -> Iterator[AstExpr]:
+    """``node`` and every expression under it: the arguments of AND/OR/
+    NOT, both sides of a comparison or arithmetic, the operand of an IN
+    list or IN subquery, and a function call's argument. A subquery's
+    own SELECT is a statement, not a child; callers walk it themselves.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, AstBoolean):
+            stack.extend(node.args)
+        elif isinstance(node, (AstComparison, AstArithmetic)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (AstInList, AstInSubquery)):
+            stack.append(node.operand)
+        elif isinstance(node, AstFuncCall) and node.argument is not None:
+            stack.append(node.argument)
 
 
 # -------------------------------------------------------------- statements
@@ -221,9 +241,9 @@ class UpdateStmt:
     """``UPDATE table SET col = expr [, ...] [WHERE expr]``.
 
     Assignments and the predicate are plain scalar expressions over
-    the target table's columns (no subqueries, no parameters in v1);
-    they are compiled against the table schema by
-    :mod:`repro.sql.dml`.
+    the target table's columns (no subqueries, aggregates or
+    parameters); the query binder binds them over a scope of that one
+    table (``Database._dml_statement``).
     """
 
     table: str

@@ -130,8 +130,7 @@ class Binder:
 
         predicates: List[Expr] = list(subquery_predicates)
         if where_ast is not None:
-            where = self._bind_scalar(where_ast, scope,
-                                      allow_aggregates=False)
+            where = self._bind_scalar(where_ast, scope)
             predicates.extend(_flatten_conjuncts(where))
 
         group_by = [scope.qualify(col) for col in select.group_by]
@@ -142,12 +141,9 @@ class Binder:
         )
         having = None
         if select.having is not None:
-            if not group_by and not collector.specs:
-                # HAVING without GROUP BY groups the whole input
-                pass
-            having = self._bind_group_scalar(
-                select.having, scope, group_by, collector
-            )
+            # HAVING without GROUP BY groups the whole input
+            having = self._bind_scalar(
+                select.having, _GroupedScope(scope, group_by, collector))
 
         aggregates = collector.specs
         block = QueryBlock(
@@ -247,16 +243,6 @@ class Binder:
                 return out
             return [node]
 
-        def contains_subquery(node) -> bool:
-            if isinstance(node, ast.AstInSubquery):
-                return True
-            if isinstance(node, ast.AstBoolean):
-                return any(contains_subquery(a) for a in node.args)
-            if isinstance(node, (ast.AstComparison, ast.AstArithmetic)):
-                return (contains_subquery(node.left)
-                        or contains_subquery(node.right))
-            return False
-
         rewritten = []
         bound_predicates: List[Expr] = []
         for conjunct in conjuncts_of(where):
@@ -267,8 +253,7 @@ class Binder:
                         "which is not supported"
                     )
                 operand = self._bind_scalar(conjunct.operand,
-                                            original_scope,
-                                            allow_aggregates=False)
+                                            original_scope)
                 sub_block = self.bind(conjunct.select, depth + 1)
                 output = sub_block.output_schema()
                 if len(output) != 1:
@@ -288,7 +273,8 @@ class Binder:
                     ColumnRef("%s.%s" % (alias, output.names()[0])),
                 ))
                 continue
-            if contains_subquery(conjunct):
+            if any(isinstance(node, ast.AstInSubquery)
+                   for node in ast.walk(conjunct)):
                 raise BindError(
                     "IN (SELECT ...) is only supported as a top-level "
                     "AND conjunct of WHERE"
@@ -545,6 +531,8 @@ class Binder:
                           group_by: List[ColumnRef],
                           collector: "_AggregateCollector"):
         grouped = bool(group_by) or _mentions_aggregate(select)
+        item_scope = (_GroupedScope(scope, group_by, collector) if grouped
+                      else scope)
         items: List[SelectItem] = []
         star = False
         for raw in select.select_items:
@@ -559,52 +547,68 @@ class Binder:
                         alias=_dedup_name(plain, items),
                     ))
                 continue
-            if grouped:
-                expr = self._bind_group_scalar(raw.expr, scope, group_by,
-                                               collector, alias=raw.alias)
-            else:
-                expr = self._bind_scalar(raw.expr, scope,
-                                         allow_aggregates=False)
+            expr = self._bind_scalar(raw.expr, item_scope, raw.alias)
             alias = raw.alias or _implicit_alias(expr)
             items.append(SelectItem(expr, alias=_dedup_name(alias, items)))
         return items, star
 
     # -------------------------------------------------- scalar expressions
 
+    def bind_dml(self, statement) -> Tuple[Optional[Expr],
+                                           List[Tuple[str, Expr]]]:
+        """The WHERE and the SET expressions of an UPDATE/DELETE, bound
+        over a scope of the target table alone and resolved by position
+        against that scope's schema. A view or an unknown target raises
+        what ``catalog.table`` raises."""
+        table = self.catalog.table(statement.table)
+        scope = _Scope([StoredRelation(statement.table, table)])
+
+        def bind(node: ast.AstExpr) -> Expr:
+            return self._bind_scalar(node, scope).resolve(scope.combined)
+
+        where = None if statement.where is None else bind(statement.where)
+        assignments = ([(column, bind(expr))
+                        for column, expr in statement.assignments]
+                       if isinstance(statement, ast.UpdateStmt) else [])
+        return where, assignments
+
     def _bind_scalar(self, node: ast.AstExpr, scope: "_Scope",
-                     allow_aggregates: bool) -> Expr:
-        """Convert an AST expression over the combined (join-row) schema."""
+                     alias: Optional[str] = None) -> Expr:
+        """Convert an AST expression. Only the leaves depend on
+        ``scope``: a :class:`_Scope` qualifies a column and rejects an
+        aggregate, a :class:`_GroupedScope` maps a column to its GROUP BY
+        output and collects an aggregate (``alias``, the select item's,
+        is the preferred name of an aggregate at the top)."""
         if isinstance(node, ast.AstColumn):
-            return scope.qualify(node)
+            return scope.column(node)
         if isinstance(node, ast.AstLiteral):
             return Literal(node.value)
         if isinstance(node, ast.AstComparison):
             return Comparison(
                 node.op,
-                self._bind_scalar(node.left, scope, allow_aggregates),
-                self._bind_scalar(node.right, scope, allow_aggregates),
+                self._bind_scalar(node.left, scope),
+                self._bind_scalar(node.right, scope),
             )
         if isinstance(node, ast.AstBoolean):
             return BooleanExpr(node.op, [
-                self._bind_scalar(arg, scope, allow_aggregates)
-                for arg in node.args
+                self._bind_scalar(arg, scope) for arg in node.args
             ])
         if isinstance(node, ast.AstArithmetic):
             return Arithmetic(
                 node.op,
-                self._bind_scalar(node.left, scope, allow_aggregates),
-                self._bind_scalar(node.right, scope, allow_aggregates),
+                self._bind_scalar(node.left, scope),
+                self._bind_scalar(node.right, scope),
             )
         if isinstance(node, ast.AstInList):
-            operand = self._bind_scalar(node.operand, scope,
-                                        allow_aggregates)
+            operand = self._bind_scalar(node.operand, scope)
             return self._bind_in_list(operand, node)
         if isinstance(node, ast.AstParameter):
             return self._parameter(node)
         if isinstance(node, ast.AstFuncCall):
-            raise BindError(
-                "aggregate %s() is not allowed here" % node.name.upper()
-            )
+            return scope.aggregate(self, node, alias)
+        if isinstance(node, ast.AstInSubquery):
+            raise BindError("IN (SELECT ...) is only supported as a "
+                            "top-level AND conjunct of a query's WHERE")
         raise BindError("unsupported expression %r" % (node,))
 
     def _bind_in_list(self, operand: Expr, node: ast.AstInList) -> Expr:
@@ -626,68 +630,12 @@ class Binder:
             return BooleanExpr("NOT", [membership])
         return membership
 
-    def _bind_group_scalar(self, node: ast.AstExpr, scope: "_Scope",
-                           group_by: List[ColumnRef],
-                           collector: "_AggregateCollector",
-                           alias: Optional[str] = None) -> Expr:
-        """Convert an expression in a grouped context (SELECT / HAVING).
-
-        Aggregate calls become references to aggregate output columns;
-        plain columns must be GROUP BY columns and become references to
-        their group-output names.
-        """
-        if isinstance(node, ast.AstFuncCall):
-            if node.name not in AGGREGATE_FUNCTIONS:
-                raise BindError("unknown function %r" % node.name)
-            argument = None
-            if not node.star:
-                argument = self._bind_scalar(node.argument, scope,
-                                             allow_aggregates=False)
-            spec_alias = collector.add(node.name, argument,
-                                       preferred=alias,
-                                       distinct=node.distinct)
-            return ColumnRef(spec_alias)
-        if isinstance(node, ast.AstColumn):
-            qualified = scope.qualify(node)
-            for ref in group_by:
-                if ref.name == qualified.name:
-                    return ColumnRef(qualified.name.split(".")[-1])
-            raise BindError(
-                "column %s must appear in GROUP BY or inside an aggregate"
-                % qualified.name
-            )
-        if isinstance(node, ast.AstLiteral):
-            return Literal(node.value)
-        if isinstance(node, ast.AstComparison):
-            return Comparison(
-                node.op,
-                self._bind_group_scalar(node.left, scope, group_by, collector),
-                self._bind_group_scalar(node.right, scope, group_by, collector),
-            )
-        if isinstance(node, ast.AstBoolean):
-            return BooleanExpr(node.op, [
-                self._bind_group_scalar(arg, scope, group_by, collector)
-                for arg in node.args
-            ])
-        if isinstance(node, ast.AstArithmetic):
-            return Arithmetic(
-                node.op,
-                self._bind_group_scalar(node.left, scope, group_by, collector),
-                self._bind_group_scalar(node.right, scope, group_by, collector),
-            )
-        if isinstance(node, ast.AstInList):
-            operand = self._bind_group_scalar(node.operand, scope,
-                                              group_by, collector)
-            return self._bind_in_list(operand, node)
-        if isinstance(node, ast.AstParameter):
-            return self._parameter(node)
-        raise BindError("unsupported expression %r" % (node,))
-
-
 # --------------------------------------------------------------- helpers
 
 class _Scope:
-    """Column-name resolution over a block's FROM list."""
+    """Column-name resolution over a block's FROM list. A qualifier
+    names an alias case-insensitively, as a table name does; column
+    names are case-sensitive."""
 
     def __init__(self, relations: List[RelationRef]):
         self.relations = relations
@@ -696,14 +644,24 @@ class _Scope:
             self.combined = self.combined.concat(rel.output_schema)
         # unqualified name -> list of qualified candidates
         self.unqualified: Dict[str, List[str]] = {}
+        # lowercase alias -> the aliases it names
+        self.aliases: Dict[str, List[str]] = {}
         for rel in relations:
+            self.aliases.setdefault(rel.alias.lower(), []).append(rel.alias)
             for col in rel.base_schema:
                 qualified = "%s.%s" % (rel.alias, col.name)
                 self.unqualified.setdefault(col.name, []).append(qualified)
 
     def qualify(self, node: ast.AstColumn) -> ColumnRef:
         if node.qualifier is not None:
-            qualified = "%s.%s" % (node.qualifier, node.name)
+            aliases = self.aliases.get(node.qualifier.lower(), [])
+            if len(aliases) > 1:
+                raise BindError(
+                    "ambiguous column %s (aliases %s)"
+                    % (node.display(), " and ".join(aliases))
+                )
+            qualified = "%s.%s" % (aliases[0] if aliases
+                                   else node.qualifier, node.name)
             if not self.combined.has_column(qualified):
                 raise BindError("unknown column %s" % node.display())
             return ColumnRef(qualified)
@@ -716,6 +674,47 @@ class _Scope:
                 % (node.name, " or ".join(candidates))
             )
         return ColumnRef(candidates[0])
+
+    column = qualify
+
+    def aggregate(self, binder: Binder, node: ast.AstFuncCall,
+                  alias: Optional[str]) -> Expr:
+        raise BindError(
+            "aggregate %s() is not allowed here" % node.name.upper()
+        )
+
+
+class _GroupedScope:
+    """The scope of a grouped SELECT list or HAVING: a column must be
+    a GROUP BY column and becomes its group-output name; an aggregate
+    call, its argument bound over the FROM list, becomes a reference to
+    the aggregate's output column."""
+
+    def __init__(self, scope: _Scope, group_by: List[ColumnRef],
+                 collector: "_AggregateCollector"):
+        self.scope = scope
+        self.group_by = group_by
+        self.collector = collector
+
+    def column(self, node: ast.AstColumn) -> ColumnRef:
+        qualified = self.scope.qualify(node)
+        for ref in self.group_by:
+            if ref.name == qualified.name:
+                return ColumnRef(qualified.name.split(".")[-1])
+        raise BindError(
+            "column %s must appear in GROUP BY or inside an aggregate"
+            % qualified.name
+        )
+
+    def aggregate(self, binder: Binder, node: ast.AstFuncCall,
+                  alias: Optional[str]) -> Expr:
+        if node.name not in AGGREGATE_FUNCTIONS:
+            raise BindError("unknown function %r" % node.name)
+        argument = None
+        if not node.star:
+            argument = binder._bind_scalar(node.argument, self.scope)
+        return ColumnRef(self.collector.add(
+            node.name, argument, preferred=alias, distinct=node.distinct))
 
 
 class _AggregateCollector:
@@ -774,15 +773,9 @@ def _select_self_refs(select: ast.SelectStmt, key: str) -> Tuple[int, int]:
 def _expr_self_refs(node, key: str) -> int:
     if node is None:
         return 0
-    if isinstance(node, ast.AstInSubquery):
-        d, n = _select_self_refs(node.select, key)
-        return d + n + _expr_self_refs(node.operand, key)
-    if isinstance(node, ast.AstBoolean):
-        return sum(_expr_self_refs(a, key) for a in node.args)
-    if isinstance(node, (ast.AstComparison, ast.AstArithmetic)):
-        return (_expr_self_refs(node.left, key)
-                + _expr_self_refs(node.right, key))
-    return 0
+    return sum(sum(_select_self_refs(sub.select, key))
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.AstInSubquery))
 
 
 def _query_self_refs(query, key: str) -> int:
@@ -805,19 +798,12 @@ def _flatten_conjuncts(expr: Expr) -> List[Expr]:
 
 
 def _mentions_aggregate(select: ast.SelectStmt) -> bool:
-    def walk(node) -> bool:
-        if isinstance(node, ast.AstFuncCall):
-            return True
-        if isinstance(node, ast.AstBoolean):
-            return any(walk(a) for a in node.args)
-        if isinstance(node, (ast.AstComparison, ast.AstArithmetic)):
-            return walk(node.left) or walk(node.right)
-        return False
-
-    for item in select.select_items:
-        if item.expr is not None and walk(item.expr):
-            return True
-    return select.having is not None and walk(select.having)
+    roots = [item.expr for item in select.select_items
+             if item.expr is not None]
+    if select.having is not None:
+        roots.append(select.having)
+    return any(isinstance(node, ast.AstFuncCall)
+               for root in roots for node in ast.walk(root))
 
 
 def _implicit_alias(expr: Expr) -> Optional[str]:

@@ -1,9 +1,11 @@
 """Unit tests for the SQL binder (name resolution, canonical form)."""
 
+import sqlite3
+
 import pytest
 
 from repro import Database, DataType
-from repro.errors import BindError
+from repro.errors import BindError, CatalogError, ParameterError
 from repro.expr.nodes import ColumnRef
 
 
@@ -195,3 +197,114 @@ class TestViewBinding:
             db.create_view("Deep%d" % i, "SELECT did FROM Deep%d" % (i - 1))
         with pytest.raises(BindError):
             db.bind("SELECT did FROM Deep19")
+
+
+# --------------------------------------- one scalar conversion, one walk
+
+def _sqlite_pair(rows):
+    """A repro table ``t(g, v)`` and the same rows in sqlite3."""
+    db = Database()
+    db.create_table("t", [("g", DataType.INT), ("v", DataType.INT)])
+    db.insert("t", rows)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE t (g, v)")
+    oracle.executemany("INSERT INTO t VALUES (?, ?)", rows)
+    return db, oracle
+
+
+class TestAggregateInsideInList:
+    """An aggregate is found under an IN list like under any other
+    operator, in the select list and in HAVING. (A computed select item
+    needs an alias in this engine, as ``SELECT v + 1 FROM t`` does.)"""
+
+    QUERIES = [
+        "SELECT SUM(v) IN (45, 1) AS hit FROM t",
+        "SELECT SUM(v) NOT IN (45) AS miss FROM t",
+        "SELECT g, COUNT(*) IN (4, 2) AS hit FROM t GROUP BY g",
+        "SELECT g FROM t GROUP BY g HAVING COUNT(*) IN (4, 2)",
+        "SELECT COUNT(*) AS n FROM t HAVING SUM(v) NOT IN (1, 2)",
+        "SELECT g, SUM(v) AS s FROM t GROUP BY g HAVING NOT "
+        "(MAX(v) + 1 IN (10))",
+    ]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_equals_sqlite(self, query):
+        db, oracle = _sqlite_pair([(i % 3, i) for i in range(10)])
+        # sqlite3's 1/0 compare equal to True/False
+        assert sorted(db.sql(query).rows) == sorted(
+            oracle.execute(query).fetchall())
+
+    def test_having_in_list_needs_grouped_columns(self):
+        db, _ = _sqlite_pair([(1, 2)])
+        for having in ("COUNT(*) = 1", "COUNT(*) IN (1)"):
+            with pytest.raises(BindError, match="must appear in GROUP BY"):
+                db.sql("SELECT v FROM t HAVING %s" % having)
+
+
+class TestQualifierRule:
+    """A qualifier names an alias case-insensitively, as a table name
+    does, in a query and in UPDATE/DELETE alike."""
+
+    @pytest.fixture()
+    def tdb(self):
+        db = Database()
+        db.create_table("T", [("a", DataType.INT), ("b", DataType.INT)])
+        db.insert("T", [(1, 10), (2, 20)])
+        return db
+
+    def test_select_and_update_agree(self, tdb):
+        assert tdb.sql("SELECT t.a FROM T WHERE t.b > 10").rows == [(2,)]
+        assert tdb.sql("UPDATE T SET b = t.b + 1 WHERE t.b > 10"
+                       ).rows == [(1,)]
+        assert tdb.sql("SELECT T.b FROM t ORDER BY b").rows == [(10,),
+                                                               (21,)]
+        for text in ("SELECT x.a FROM T", "UPDATE T SET b = x.b",
+                     "DELETE FROM T WHERE x.a = 1"):
+            with pytest.raises(BindError, match="unknown column x"):
+                tdb.sql(text)
+
+    def test_aliases_that_differ_only_in_case_are_ambiguous(self, tdb):
+        assert tdb.sql("SELECT e.a FROM T e, T F WHERE e.a = F.a"
+                       ).rows == [(1,), (2,)]
+        with pytest.raises(BindError, match="ambiguous column e.a"):
+            tdb.sql("SELECT e.a FROM T e, T E")
+
+
+class TestDmlBinding:
+    """UPDATE/DELETE bind through the query binder over their target
+    table alone; what it cannot bind there keeps its error type."""
+
+    @pytest.fixture()
+    def tdb(self):
+        db = Database()
+        db.create_table("T", [("a", DataType.INT), ("b", DataType.INT)])
+        db.insert("T", [(1, 10), (2, 20)])
+        db.create_view("V", "SELECT a FROM T")
+        return db
+
+    @pytest.mark.parametrize("text", [
+        "UPDATE T SET b = nope",
+        "DELETE FROM T WHERE nope = 1",
+        "UPDATE T SET b = Emp.b",
+        "DELETE FROM T WHERE a IN (SELECT a FROM T)",
+        "UPDATE T SET b = SUM(a)",
+        "DELETE FROM T WHERE COUNT(*) > 1",
+    ])
+    def test_bind_errors(self, tdb, text):
+        with pytest.raises(BindError):
+            tdb.sql(text)
+
+    def test_parameters_are_refused(self, tdb):
+        for text in ("DELETE FROM T WHERE a = ?", "UPDATE T SET b = ?",
+                     "UPDATE T SET b = 1 WHERE a IN (?, 2)"):
+            with pytest.raises(ParameterError):
+                tdb.sql(text)
+            with pytest.raises(ParameterError):
+                tdb.prepare(text)
+        assert tdb.sql("SELECT a, b FROM T").rows == [(1, 10), (2, 20)]
+
+    @pytest.mark.parametrize("text", ["UPDATE V SET a = 1",
+                                      "DELETE FROM nope"])
+    def test_a_target_must_be_a_table(self, tdb, text):
+        with pytest.raises(CatalogError, match="no table named"):
+            tdb.sql(text)
