@@ -59,6 +59,7 @@ from .plancache import (
 )
 from .sql import ast
 from .sql.binder import Binder
+from .sql.lexer import tokenize
 from .sql.parser import Parser, parse
 from .storage import columnar
 from .storage.catalog import Catalog
@@ -611,9 +612,9 @@ class Database:
                 % type(statement).__name__
             )
         opts = self._resolve_options()
-        result = self._execute_statement(statement, sql_text,
-                                         parser.tokens, config, opts,
-                                         parse_seconds)
+        key = cache_key(parser.tokens, config) if opts.use_cache else None
+        result = self._execute_statement(statement, sql_text, key, config,
+                                         opts, parse_seconds)
         return render_explain_analyze(result, config.cost_params)
 
     # ------------------------------------------------------- prepared plans
@@ -648,16 +649,17 @@ class Database:
         )
         return stats
 
-    def _resolve_plan(self, statement, tokens: list,
+    def _resolve_plan(self, statement, key: Optional[Tuple[str, str]],
                       config: OptimizerConfig,
-                      record: QueryLogEntry, use_cache: bool,
+                      record: QueryLogEntry,
                       prepared: bool = False) -> PlanCacheEntry:
-        """The plan for a query statement: the plan cache's entry when
-        ``use_cache`` and it is current, else bind + optimize. A miss is
+        """The plan for a query statement: the plan cache's entry under
+        ``key`` (the statement's :func:`cache_key`; None bypasses the
+        cache) when it is current, else bind + optimize. A miss is
         stored at once for a ``prepared`` handle, else admitted (stored
-        on the text's second miss). ``tokens`` are the parser's tokens
-        of the statement, the cache key's source. Fills the record's
-        bind/plan seconds, cache verdict and planner counts.
+        on the text's second miss), with ``statement`` for a later hit
+        to run unparsed. Fills the record's bind/plan seconds, cache
+        verdict and planner counts.
 
         A fresh entry's inputs are taken when it is stored, *after*
         planning, so that lazy statistics builds triggered by the
@@ -665,9 +667,7 @@ class Database:
         """
         clock = time.perf_counter
         started = clock()
-        key = None
-        if use_cache:
-            key = cache_key(tokens, config)
+        if key is not None:
             entry = self.plan_cache.lookup(key, self.catalog)
             if entry is not None:
                 record.plan_cache = "hit"
@@ -686,12 +686,13 @@ class Database:
             key=key,
             plan=plan,
             metrics=planner.metrics,
+            statement=statement,
             parameters=binder.parameter_list(),
             names=tuple(sorted(binder.names)),
         )
         if prepared:
             self.plan_cache.store(entry, self.catalog)
-        elif use_cache:
+        elif key is not None:
             self.plan_cache.admit(entry, self.catalog)
         return entry
 
@@ -763,14 +764,25 @@ class Database:
         cache, timeouts, and memory budgets (see
         :class:`repro.Options`); anything unset inherits the database
         defaults installed with :meth:`configure` / :meth:`session`.
+        The text is lexed once and keyed from its tokens; a key the plan
+        cache holds runs the entry's AST unparsed (:meth:`_resolve_plan`
+        still decides, under the lock, whether its plan is current).
         """
         effective = self._resolve_options(options)
+        config = config or self.config
         parse_started = time.perf_counter()
-        parser = Parser(text)
-        statement = parser.parse_statement()
+        tokens = tokenize(text)
+        key = statement = None
+        if effective.use_cache:
+            key = cache_key(tokens, config)
+            entry = self.plan_cache.peek(key)
+            if entry is not None:
+                statement = entry.statement
+        if statement is None:
+            statement = Parser(text, tokens).parse_statement()
         parse_seconds = time.perf_counter() - parse_started
-        return self._execute_statement(statement, text, parser.tokens,
-                                       config, effective, parse_seconds)
+        return self._execute_statement(statement, text, key, config,
+                                       effective, parse_seconds)
 
     def execute_script(self, text: str,
                        options: Optional[Options] = None
@@ -791,15 +803,18 @@ class Database:
         effective = self._resolve_options(options)
         results = []
         for statement, span, tokens in Parser(text).parse_script_spans():
+            key = (cache_key(tokens, self.config) if effective.use_cache
+                   and isinstance(statement, _QUERY_STATEMENTS) else None)
             results.append(
-                self._execute_statement(statement, span, tokens, None,
+                self._execute_statement(statement, span, key, self.config,
                                         effective)
             )
         return results
 
     # ------------------------------------------------------------- internals
 
-    def _execute_statement(self, statement, text: str, tokens: list,
+    def _execute_statement(self, statement, text: str,
+                           key: Optional[Tuple[str, str]],
                            config: Optional[OptimizerConfig],
                            opts: Options, parse_seconds: float = 0.0,
                            params: Optional[tuple] = None
@@ -810,7 +825,9 @@ class Database:
         under the database lock, inside the session's statement
         snapshot, and described by one record that is written in the
         ``finally`` and handed to :meth:`_observe`. ``opts`` is already
-        resolved (:meth:`_resolve_options`)."""
+        resolved (:meth:`_resolve_options`); ``key`` is a query's plan
+        cache key under ``config``, or None when it bypasses the
+        cache."""
         with self._lock:
             record = QueryLogEntry(
                 statement=text,
@@ -825,8 +842,7 @@ class Database:
             try:
                 with self.txn.statement_snapshot():
                     result = self._dispatch_statement(
-                        statement, text, tokens, config, opts, record,
-                        params)
+                        statement, key, config, opts, record, params)
                 result.query_id = record.query_id
                 return result
             except BaseException as exc:
@@ -869,7 +885,8 @@ class Database:
             registry.inc_labels("operator_rows_total", rows)
             self.adaptive.observe(opts.adaptive, result)
 
-    def _dispatch_statement(self, statement, text: str, tokens: list,
+    def _dispatch_statement(self, statement,
+                            key: Optional[Tuple[str, str]],
                             config: Optional[OptimizerConfig],
                             opts: Options, record: QueryLogEntry,
                             params: Optional[tuple] = None
@@ -881,11 +898,11 @@ class Database:
         self.txn.check_usable()
         config = config or self.config
         if isinstance(statement, _QUERY_STATEMENTS):
-            return self._query(statement, text, tokens, config, opts,
-                               record, params)
+            return self._query(statement, key, config, opts, record,
+                               params)
         if isinstance(statement, ast.ExplainStmt):
-            entry = self._resolve_plan(statement.select, tokens, config,
-                                       record, use_cache=False)
+            entry = self._resolve_plan(statement.select, None, config,
+                                       record)
             lines = entry.plan.explain().splitlines()
             record.rows = len(lines)
             return QueryResult(
@@ -905,8 +922,8 @@ class Database:
         if isinstance(statement, ast.CreateTableAsStmt):
             # run the query first (outside the mutation scope: a failing
             # query leaves nothing behind), then create+fill atomically
-            result = self._query(statement.query, text, tokens, config,
-                                 opts.replace(use_cache=False), record)
+            result = self._query(statement.query, None, config, opts,
+                                 record)
             with self.txn.atomic():
                 self.txn.do_create_table(statement.name, result.schema)
                 if result.rows:
@@ -937,19 +954,16 @@ class Database:
             return _ddl_result("drop")
         raise ReproError("unsupported statement %r" % type(statement).__name__)
 
-    def _query(self, statement, text: str, tokens: list,
+    def _query(self, statement, key: Optional[Tuple[str, str]],
                config: OptimizerConfig, opts: Options, record: QueryLogEntry,
                params: Optional[tuple] = None) -> QueryResult:
-        """Every query, straight through: resolve the plan (a prepared
-        handle's ``params`` always go through the plan cache, an ad-hoc
-        text when ``use_cache``), bind the parameter values onto it,
-        run it."""
-        prepared = params is not None
-        use_cache = bool(opts.use_cache or prepared)
-        entry = self._resolve_plan(statement, tokens, config,
-                                   record, use_cache, prepared)
+        """Every query, straight through: resolve the plan (through the
+        plan cache when there is a ``key``, which a prepared handle
+        always passes with its ``params``), bind the parameter values
+        onto it, run it."""
+        entry = self._resolve_plan(statement, key, config, record,
+                                   prepared=params is not None)
         _bind_parameters(entry.parameters, params or ())
-        entry.executions += 1
         result = self.run_plan(entry.plan, entry.metrics, config, opts,
                                record)
         record.nodes = describe(entry.plan)
@@ -1105,8 +1119,8 @@ class PreparedStatement:
         if self.is_query:
             # plan (or find) eagerly so prepare-time errors surface here
             with db._lock:
-                db._resolve_plan(statement, tokens, config or db.config,
-                                 QueryLogEntry(), use_cache=True,
+                db._resolve_plan(statement, self._key(),
+                                 config or db.config, QueryLogEntry(),
                                  prepared=True)
 
     def __repr__(self) -> str:
@@ -1121,9 +1135,8 @@ class PreparedStatement:
         Moves no cache counter."""
         if not self.is_query:
             return None
-        key = cache_key(self.tokens, self.config or self.db.config)
         with self.db._lock:
-            entry = self.db.plan_cache.peek(key)
+            entry = self.db.plan_cache.peek(self._key())
             if entry is None or not entry.current(self.db.catalog):
                 return None
             return entry.plan
@@ -1143,11 +1156,15 @@ class PreparedStatement:
         opts = self.db._resolve_options(options)
         if self.is_query:
             return self.db._execute_statement(
-                self.statement, self.text, self.tokens, self.config, opts,
+                self.statement, self.text, self._key(), self.config, opts,
                 params=params)
         statement = self._substituted(params) if params else self.statement
-        return self.db._execute_statement(statement, self.text,
-                                          self.tokens, self.config, opts)
+        return self.db._execute_statement(statement, self.text, None,
+                                          self.config, opts)
+
+    def _key(self) -> Tuple[str, str]:
+        """The plan-cache key under the config an execution plans with."""
+        return cache_key(self.tokens, self.config or self.db.config)
 
     def _substituted(self, params: tuple) -> ast.InsertStmt:
         """An InsertStmt copy with every placeholder replaced by its

@@ -167,7 +167,7 @@ class DistributedDatabase(Database):
 
     # ------------------------------------------------------------ execution
 
-    def _execute_statement(self, statement, original_text, tokens,
+    def _execute_statement(self, statement, original_text, key,
                            config, opts, parse_seconds=0.0, params=None):
         """Execute with graceful degradation: on ``SiteUnavailable``,
         mark the site down, record the event, and re-optimize against
@@ -180,7 +180,7 @@ class DistributedDatabase(Database):
             retries_before = self.network.stats.retries if log.enabled else 0
             try:
                 result = super()._execute_statement(
-                    statement, original_text, tokens, config, opts,
+                    statement, original_text, key, config, opts,
                     parse_seconds, params,
                 )
                 if log.enabled:

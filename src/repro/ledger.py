@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostParams:
     """Weights that convert unit counts into one scalar cost.
 

@@ -9,13 +9,15 @@ C2/C3 flip individual switches to measure what each one buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..ledger import CostParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
-    """All optimizer knobs in one place."""
+    """All optimizer knobs in one place; frozen, so a changed knob is a
+    new config (:meth:`replace`)."""
 
     # --- join methods considered -----------------------------------------
     enable_hash_join: bool = True
@@ -74,6 +76,12 @@ class OptimizerConfig:
         """A copy with the given fields changed."""
         return replace(self, **changes)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """Every knob rendered (cost weights included), the plan cache's
+        and restriction memo's key part; once per object, as it is frozen."""
+        return repr(self)
+
     def validate(self) -> None:
         if self.parametric_classes < 2:
             raise ValueError("parametric_classes must be >= 2 (line fit)")
@@ -114,14 +122,3 @@ class OptimizerConfig:
             raise ValueError(
                 "forced_recursive must be None, 'full', or 'magic'"
             )
-
-
-def config_fingerprint(config: OptimizerConfig) -> str:
-    """A stable digest of every optimizer knob (including cost weights)."""
-    knobs = sorted(vars(config).items())
-    rendered = []
-    for key, value in knobs:
-        if isinstance(value, CostParams):
-            value = tuple(sorted(vars(value).items()))
-        rendered.append("%s=%r" % (key, value))
-    return ";".join(rendered)

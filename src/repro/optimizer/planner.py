@@ -52,7 +52,7 @@ from ..rewrite.magic import (
     restricted_block,
 )
 from ..storage.catalog import Catalog
-from .config import OptimizerConfig, config_fingerprint
+from .config import OptimizerConfig
 from .cost import CostModel
 from .parametric import ParametricInnerCoster, RestrictionMemo
 from .plans import (
@@ -226,7 +226,6 @@ class Planner:
         # Database hands its memo in; a planner on its own starts from
         # an empty one and so plans every class itself.
         self.memo = memo if memo is not None else RestrictionMemo()
-        self._config_key: Optional[str] = None
         self.estimator = StatsEstimator(catalog)
         self.cost_model = CostModel(self.config)
         self.metrics = PlannerMetrics()
@@ -1459,9 +1458,7 @@ class Planner:
                 return None
         else:
             name = rel.table.name
-        if self._config_key is None:
-            self._config_key = config_fingerprint(self.config)
-        return (self._config_key, rel.kind, name, rel.site, rel.alias,
+        return (self.config.fingerprint, rel.kind, name, rel.site, rel.alias,
                 bound_cols, lossy,
                 tuple(self._class_key(p, props) for p in locals_))
 

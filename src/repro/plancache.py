@@ -40,11 +40,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .optimizer.config import OptimizerConfig, config_fingerprint
+from .optimizer.config import OptimizerConfig
 from .optimizer.planner import PlannerMetrics
 from .optimizer.plans import PlanNode
+from .sql import ast
 from .sql.lexer import Token, tokenize
 from .storage.catalog import Catalog
 
@@ -54,23 +55,19 @@ DEFAULT_CAPACITY = 128
 def normalize_statement(source: Union[str, Sequence[Token]]) -> str:
     """Whitespace/comment/keyword-case–insensitive form of a statement.
 
-    Re-joins the statement's tokens — the parser's own token list, or
+    Re-joins the statement's tokens — the lexer's token list, or
     ``source`` lexed when it is text — so ``select 1 from t`` and
     ``SELECT 1  FROM t`` share a cache entry. Identifier case is
     preserved (it shapes output column names); string literals are
-    re-quoted.
+    re-quoted. One trailing ``;`` is dropped, as the parser accepts one:
+    so lexing the result gives back the tokens, and two texts with one
+    key have one token stream (up to that ``;``) and one parse.
     """
     tokens = tokenize(source) if isinstance(source, str) else source
-    parts: List[str] = []
-    for token in tokens:
-        if token.kind == "eof":
-            break
-        if token.kind == "string":
-            parts.append("'%s'" % token.text.replace("'", "''"))
-        else:
-            parts.append(token.text)
-    # drop trailing statement terminators
-    while parts and parts[-1] == ";":
+    parts = ["'%s'" % token.text.replace("'", "''")
+             if token.kind == "string" else token.text
+             for token in tokens if token.kind != "eof"]
+    if parts and parts[-1] == ";":
         parts.pop()
     return " ".join(parts)
 
@@ -78,20 +75,22 @@ def normalize_statement(source: Union[str, Sequence[Token]]) -> str:
 def cache_key(source: Union[str, Sequence[Token]],
               config: OptimizerConfig) -> Tuple[str, str]:
     """The (normalized statement, config fingerprint) cache key."""
-    return normalize_statement(source), config_fingerprint(config)
+    return normalize_statement(source), config.fingerprint
 
 
 @dataclass
 class PlanCacheEntry:
-    """One cached plan plus everything needed to execute it again."""
+    """One cached plan plus everything needed to execute it again,
+    including the statement AST it was planned from: the key fixes the
+    token stream, so a hit runs that AST without parsing the text."""
 
     key: Tuple[str, str]
     plan: PlanNode
     metrics: Optional[PlannerMetrics]
+    statement: Optional[ast.Statement] = None
     parameters: list = field(default_factory=list)  # Parameter nodes, in order
     names: Tuple[str, ...] = ()
     inputs: tuple = ()  # Catalog.inputs(names), set by PlanCache.store
-    executions: int = 0
 
     def current(self, catalog: Catalog) -> bool:
         """Would a cold planner read what this plan read, right now?"""
@@ -154,8 +153,9 @@ class PlanCache:
             return entry
 
     def peek(self, key: Tuple[str, str]) -> Optional[PlanCacheEntry]:
-        """The entry for ``key`` without touching LRU order or counters
-        (introspection only — does not check its inputs)."""
+        """The entry for ``key`` without touching LRU order or counters,
+        and without checking its inputs: introspection, and ``db.sql``
+        finding a statement AST before it would parse."""
         return self._entries.get(key)
 
     def store(self, entry: PlanCacheEntry, catalog: Catalog) -> None:

@@ -70,6 +70,7 @@ The shell is also scriptable: pipe SQL on stdin.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from typing import Iterable, Optional, TextIO
 
 from .database import Database, QueryResult
@@ -195,8 +196,9 @@ class Shell:
             self._log_command(argument)
             return
         if command == "\\config":
-            for key, value in sorted(vars(self.db.config).items()):
-                self.write("  %-32s %r" % (key, value))
+            config = self.db.config
+            for key in sorted(f.name for f in fields(config)):
+                self.write("  %-32s %r" % (key, getattr(config, key)))
             return
         if command == "\\set":
             self._set_config(argument)

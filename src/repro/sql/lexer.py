@@ -1,14 +1,23 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer: one compiled pattern read with ``findall``.
 
-Produces a flat list of :class:`Token` objects. Keywords are recognized
-case-insensitively and tagged with their uppercase form; identifiers keep
-the case they were written with (catalog lookups lowercase them later).
+Produces a flat list of :class:`Token` tuples ending in an ``eof`` token.
+Each match of the master pattern absorbs the whitespace and ``--`` line
+comments before one token, so the loop below runs once per token; the
+newlines in that prefix advance the line count (a newline inside a
+string literal does not). Keywords are recognized case-insensitively
+and tagged with their uppercase form; identifiers keep the case they
+were written with (catalog lookups lowercase them later). A number is
+ASCII digits with at most one fractional part (``1.5.3`` is ``1.5``
+then ``.3``); every other Unicode word character is an identifier
+character, so ``²`` is a name, as in sqlite3. An illegal character or
+an unterminated string raises :class:`SqlSyntaxError` with its position
+and line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+import re
+from typing import List, NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -23,14 +32,25 @@ KEYWORDS = {
     "TRANSACTION", "TO", "UPDATE", "SET", "DELETE",
 }
 
-SYMBOLS = (
-    "<=", ">=", "!=", "<>", "(", ")", ",", ".", "=", "<", ">",
-    "+", "-", "*", "/", ";", "?",
-)
+# Group 1 is the whitespace and comments before a token, groups 2-7 the
+# token. A string may not end at the first quote of an escaped pair,
+# so an unterminated one falls through to ``error`` at its opening
+# quote. Some alternative matches at every position (``error`` takes
+# any character, the empty one the end), so the matches tile the text
+# and the prefix is never backtracked into.
+_MASTER = re.compile(r"""
+    (\s*(?:--[^\n]*\s*)*)
+    (?:
+        ([^\W0-9]\w*)
+      | ([0-9]+(?:\.[0-9]+)?|\.[0-9]+)
+      | (<=|>=|!=|<>|[(),.=<>+\-*/;?])
+      | ('[^']*(?:''[^']*)*'(?!'))
+      | (.)
+      | \Z
+    )""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # "keyword" | "ident" | "number" | "string" | "symbol" | "eof"
@@ -49,75 +69,41 @@ class Token:
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokenize SQL text; raises SqlSyntaxError on an illegal character."""
+    """Tokenize SQL text; raises SqlSyntaxError on an illegal character
+    or an unterminated string."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
+    new = tuple.__new__
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text[i:i + 2] == "--":  # line comment
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    position = 0
+    for space, word, number, symbol, string, error in _MASTER.findall(text):
+        if space:
+            line += space.count("\n")
+            position += len(space)
+        if word:
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, start, line))
+                append(new(Token, ("keyword", upper, position, line)))
             else:
-                tokens.append(Token("ident", word, start, line))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            saw_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not saw_dot)):
-                if text[i] == ".":
-                    # a dot not followed by a digit is a qualifier, not a decimal
-                    if i + 1 >= n or not text[i + 1].isdigit():
-                        break
-                    saw_dot = True
-                i += 1
-            tokens.append(Token("number", text[start:i], start, line))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks: List[str] = []
-            while True:
-                if i >= n:
-                    raise SqlSyntaxError(
-                        "unterminated string literal", start, line
-                    )
-                if text[i] == "'":
-                    if text[i:i + 2] == "''":  # escaped quote
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                chunks.append(text[i])
-                i += 1
-            tokens.append(Token("string", "".join(chunks), start, line))
-            continue
-        matched: Optional[str] = None
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, i):
-                matched = symbol
-                break
-        if matched is None:
-            raise SqlSyntaxError("unexpected character %r" % ch, i, line)
-        tokens.append(Token("symbol", matched, i, line))
-        i += len(matched)
-    tokens.append(Token("eof", "", n, line))
+                append(new(Token, ("ident", word, position, line)))
+            position += len(word)
+        elif symbol:
+            append(new(Token, ("symbol", symbol, position, line)))
+            position += len(symbol)
+        elif number:
+            append(new(Token, ("number", number, position, line)))
+            position += len(number)
+        elif string:
+            append(new(Token, ("string", string[1:-1].replace("''", "'"),
+                               position, line)))
+            position += len(string)
+        elif error == "'":
+            raise SqlSyntaxError("unterminated string literal", position,
+                                 line)
+        elif error:
+            raise SqlSyntaxError("unexpected character %r" % error,
+                                 position, line)
+        else:
+            break
+    append(new(Token, ("eof", "", position, line)))
     return tokens

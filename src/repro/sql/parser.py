@@ -46,11 +46,12 @@ _CMP_OPS = ("=", "!=", "<>", "<=", ">=", "<", ">")
 
 
 class Parser:
-    """One-shot parser over a token list."""
+    """One-shot parser over a token list: ``tokens`` when the caller has
+    already lexed ``text``, else ``tokenize(text)``."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: Optional[List[Token]] = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
         # number of `?` placeholders seen so far; each gets the next
         # 0-based index in textual order

@@ -9,11 +9,13 @@ updates, and queries, the plan that runs is the plan a cold planner
 builds now and produces the same answer as a fresh-planned run.
 """
 
+import os
 import random
 
 import pytest
 
 from repro import Database, DataType, OptimizerConfig, Options
+from repro.errors import ReproError, SqlSyntaxError
 from repro.distributed.database import DistributedDatabase
 from repro.optimizer.planner import Planner
 from repro.plancache import PlanCache, cache_key, normalize_statement
@@ -119,6 +121,134 @@ class TestAccounting:
         db.prepare(QUERIES[2], config=no_fj)
         assert db.cache_stats()["entries"] == 2
         assert cache_key(QUERIES[2], plain) != cache_key(QUERIES[2], no_fj)
+
+
+class TestKeyBeforeParse:
+    """``db.sql`` looks its key up before parsing and runs a hit's
+    stored AST; a text the parser refuses must still be refused."""
+
+    def test_a_second_terminator_is_still_a_syntax_error(self):
+        db = small_db()
+        for _ in range(3):
+            db.sql(QUERIES[0])
+        assert db.sql(QUERIES[0] + " ;").cached_plan
+        for text in (QUERIES[0] + ";;", QUERIES[0] + " ; ;"):
+            with pytest.raises(SqlSyntaxError, match="trailing input"):
+                db.sql(text)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_syntax_error_leaves_the_transaction_usable(self, warm):
+        db = small_db()
+        for _ in range(3 if warm else 0):
+            db.sql(QUERIES[0])
+        db.sql("BEGIN")
+        with pytest.raises(SqlSyntaxError):
+            db.sql(QUERIES[0] + ";;")
+        assert db.sql(QUERIES[0]).cached_plan == warm
+        db.sql("INSERT INTO T1 VALUES (100, 100)")
+        assert db.sql("COMMIT").statement_kind == "commit"
+        assert (100, 100) in db.sql(QUERIES[0]).rows
+
+
+# Texts for the key round-trip property: half are renderings of a few
+# queries (keyword case, whitespace, comments and trailing ';' vary, and
+# some get one atom inserted, dropped or replaced), so keys recur across
+# different texts; half are random runs of atoms.
+N_TEXTS = int(os.environ.get("SQL_TEXTS", "500"))
+TEMPLATES = [
+    "SELECT T1.a, T1.b FROM T1 WHERE T1.b > 25",
+    "SELECT T1.b, T2.d FROM T1, T2 WHERE T1.a = T2.a AND T2.d <> 1",
+    "SELECT T1.b, V1.n FROM T1, V1 WHERE T1.a = V1.a",
+    "SELECT a, COUNT(*) AS n FROM T1 WHERE b IN (1, 2, 30) GROUP BY a",
+    "SELECT a FROM T1 WHERE NOT b < 10 OR b >= 40.5",
+    "SELECT k, s FROM S WHERE s = 'it''s' OR s <> 'a  b'",
+    "SELECT k FROM S WHERE s = 'é' AND k * 2 - 1 = ?",
+]
+ATOMS = [
+    "SELECT", "select", "FROM", "from", "WHERE", "AND", "OR", "NOT", "IN",
+    "AS", "GROUP", "BY", "DELETE", "INSERT", "INTO", "VALUES", "UPDATE",
+    "SET", "T1", "t1", "S", "a", "b", "k", "s", "é", "ß", "名", "²", "_x",
+    "1", "30", "2.5", ".5", "1.5.3", "'x'", "'it''s'", "''", "'a\nb'",
+    "'", "=", "<", ">", "<=", ">=", "<>", "!=", "!", "(", ")", ",", ".",
+    "*", "+", "-", "/", ";", "?", "--", "-- note\n", " ", "  ", "\n",
+    "\r\n", "\t", "@",
+]
+SEPARATORS = [" ", "  ", "\n", "\t", " -- note\n", "\r\n  "]
+
+
+def sql_texts(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield "".join(rng.choice(ATOMS)
+                          for _ in range(rng.randint(0, 12)))
+            continue
+        parts = []
+        for token in tokenize(rng.choice(TEMPLATES))[:-1]:
+            if token.kind == "keyword":
+                parts.append(rng.choice([str.upper, str.lower,
+                                         str.title])(token.text))
+            elif token.kind == "string":
+                parts.append("'%s'" % token.text.replace("'", "''"))
+            else:
+                parts.append(token.text)
+        parts += [";"] * rng.choice([0, 0, 1, 2])
+        if rng.random() < 0.3:
+            where = rng.randrange(len(parts) + 1)
+            parts[where:where + rng.randint(0, 1)] = (
+                [rng.choice(ATOMS)] if rng.random() < 0.7 else [])
+        yield "".join(part + rng.choice(SEPARATORS) for part in parts)
+
+
+def pairs(tokens):
+    return [(t.kind, t.text) for t in tokens if t.kind != "eof"]
+
+
+def stream(tokens):
+    """The ``(kind, text)`` pairs up to one trailing ';' (the parser
+    accepts one)."""
+    found = pairs(tokens)
+    return found[:-1] if found[-1:] == [("symbol", ";")] else found
+
+
+def outcome(db, text):
+    try:
+        result = db.sql(text)
+    except ReproError as exc:  # anything else fails the test
+        return type(exc).__name__, str(exc), False
+    return "ok", sorted(map(repr, result.rows)), result.cached_plan
+
+
+class TestKeyRoundTrip:
+    """A hit runs the AST stored under its key, so that AST must be
+    what parsing the text would give: the key determines the token
+    stream. ``SQL_TEXTS`` (environment) sets how many texts; tier-1
+    runs 500, CI's sweep 20,000."""
+
+    def test_key_fixes_the_token_stream(self):
+        db = small_db()
+        db.create_table("S", [("k", DataType.INT), ("s", DataType.STR)],
+                        rows=[(1, "it's"), (2, "a  b"), (3, "é")])
+        streams, hits, lexed = {}, 0, 0
+        for text in sql_texts(43, N_TEXTS):
+            try:
+                tokens = tokenize(text)
+            except SqlSyntaxError:
+                with pytest.raises(SqlSyntaxError):
+                    db.sql(text)
+                continue
+            lexed += 1
+            key = normalize_statement(tokens)
+            assert pairs(tokenize(key)) == stream(tokens), text
+            assert streams.setdefault(key, stream(tokens)) \
+                == stream(tokens), text
+            first = outcome(db, text)
+            outcome(db, text)  # a one-shot text is stored on this miss
+            third = outcome(db, text)
+            hits += third[2]
+            if tokens[0].is_keyword("SELECT"):
+                assert third[:2] == first[:2], text
+        assert lexed > N_TEXTS // 2 and hits > N_TEXTS // 10
 
 
 class TestAdmission:
